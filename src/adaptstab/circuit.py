@@ -26,10 +26,13 @@ import numpy as np
 
 from .pauli import single_site
 from .tableau import (
+    GATE_ARITY,
     StabilizerTableau,
     apply_gate,
+    check_gate,
     factor_out_qubit,
     measure_pauli,
+    validate_tableau,
     zero_state,
 )
 
@@ -52,9 +55,6 @@ __all__ = [
     "to_json",
     "from_json",
 ]
-
-GATE_NAMES = ("H", "S", "X", "Y", "Z", "CNOT", "CZ", "SWAP", "CP")
-
 
 @dataclass(frozen=True)
 class Condition:
@@ -171,17 +171,15 @@ def validate(c: AdaptiveCircuit, K: int, geometry: Geometry | None = None) -> Va
                     newly_written.add(op.cbit)
             else:
                 qs = op.qubits
-                if op.op not in GATE_NAMES:
+                if op.op not in GATE_ARITY:
                     bad.append(f"layer {li}: unknown gate {op.op!r}")
                     continue
+                try:
+                    check_gate(op.op, len(qs))
+                except ValueError as exc:
+                    bad.append(f"layer {li}: {exc}")
                 if op.op == "CP" and op.pauli not in ("X", "Y", "Z"):
                     bad.append(f"layer {li}: CP gate needs pauli X/Y/Z")
-                if op.op in ("H", "S", "X", "Y", "Z") and len(qs) != 1:
-                    bad.append(f"layer {li}: {op.op} takes one qubit")
-                if op.op in ("CZ", "SWAP", "CP") and len(qs) != 2:
-                    bad.append(f"layer {li}: {op.op} takes two qubits")
-                if op.op == "CNOT" and len(qs) < 2:
-                    bad.append(f"layer {li}: CNOT takes a control and >=1 target")
                 if len(qs) > K:
                     bad.append(f"layer {li}: gate {op.op} fan-in {len(qs)} exceeds K={K}")
                 if not geometry.gate_fits(qs, K, c.m):
@@ -277,6 +275,8 @@ def simulate(
                     apply_gate(t, op.op, op.qubits, pauli=op.pauli)
     for q in sorted(measured, reverse=True):
         t = factor_out_qubit(t, q)
+    if measured:
+        validate_tableau(t)
     return t, record
 
 

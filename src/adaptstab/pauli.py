@@ -15,12 +15,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "PauliOperator",
-    "BitMatrix",
     "identity",
     "single_site",
     "from_bits",
@@ -32,7 +31,7 @@ __all__ = [
     "format_pauli",
     "gf2_rank",
     "gf2_solve",
-    "gf2_membership",
+    "GF2Elimination",
     "GF2Solution",
 ]
 
@@ -257,25 +256,76 @@ def format_pauli(p: PauliOperator) -> str:
 # -- GF(2) linear algebra ------------------------------------------------
 
 
-@dataclass
-class BitMatrix:
-    """Rows of packed bits; column ``j`` is bit ``j`` of each row integer."""
+class GF2Elimination:
+    """Fully reduced row echelon form of a GF(2) matrix that grows by rows.
 
-    rows: list[int]
-    cols: int
+    A new row is reduced by the pivot rows; if anything is left it pivots on
+    its lowest set bit, which is then cleared from every other pivot row.
+    Each pivot row carries a tag: the mask of input rows (bit ``i`` for the
+    ``i``-th row added) whose XOR it is.  The reduced rows never depend on a
+    right-hand side, so ``M x = b`` is read from the tags for any ``b``
+    without eliminating again.
+    """
 
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        packed = []
-        cols = 0
+    def __init__(self, cols: int, rows: Iterable[int] = ()):
+        self.cols = cols
+        self.pivots: dict[int, int] = {}  # column -> index into reduced
+        self.pivot_mask = 0
+        self.reduced: list[int] = []
+        self.tags: list[int] = []
+        self.dependencies: list[int] = []  # tags of input combinations that vanish
+        self.added = 0
         for row in rows:
-            bits = list(row)
-            cols = max(cols, len(bits))
-            packed.append(sum(b << j for j, b in enumerate(bits)))
-        return BitMatrix(packed, cols)
+            self.add(row)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def add(self, row: int) -> None:
+        tag = 1 << self.added
+        self.added += 1
+        # Pivot rows are fully reduced, so clearing one pivot column leaves
+        # the row's other pivot columns alone.
+        hits = row & self.pivot_mask
+        while hits:
+            idx = self.pivots[(hits & -hits).bit_length() - 1]
+            row ^= self.reduced[idx]
+            tag ^= self.tags[idx]
+            hits &= hits - 1
+        if row == 0:
+            self.dependencies.append(tag)
+            return
+        low = row & -row
+        for idx, r in enumerate(self.reduced):
+            if r & low:
+                self.reduced[idx] = r ^ row
+                self.tags[idx] ^= tag
+        self.pivots[low.bit_length() - 1] = len(self.reduced)
+        self.pivot_mask |= low
+        self.reduced.append(row)
+        self.tags.append(tag)
+
+    def solve(self, rhs: int) -> int | None:
+        """Solution of ``M x = b`` with every free column zero, or None when
+        inconsistent.  Bit ``i`` of ``rhs`` is the entry of ``b`` for the
+        ``i``-th row added."""
+        if any((dep & rhs).bit_count() & 1 for dep in self.dependencies):
+            return None
+        x = 0
+        for col, idx in self.pivots.items():
+            if (self.tags[idx] & rhs).bit_count() & 1:
+                x |= 1 << col
+        return x
+
+    def null_basis(self) -> list[int]:
+        """One null-space vector per free column, in column order."""
+        basis = []
+        for col in range(self.cols):
+            if col in self.pivots:
+                continue
+            vec = 1 << col
+            for pcol, idx in self.pivots.items():
+                if (self.reduced[idx] >> col) & 1:
+                    vec |= 1 << pcol
+            basis.append(vec)
+        return basis
 
 
 @dataclass
@@ -284,7 +334,6 @@ class GF2Solution:
 
     particular: int
     null_basis: list[int]
-    cols: int
 
     def solutions(self) -> Iterable[int]:
         """All solutions (use only when the null space is small)."""
@@ -296,18 +345,9 @@ class GF2Solution:
             yield x
 
 
-def _as_rows(m: BitMatrix | Sequence[int], cols: int | None) -> tuple[list[int], int]:
-    if isinstance(m, BitMatrix):
-        return list(m.rows), m.cols
-    if cols is None:
-        raise ValueError("cols is required when passing raw rows")
-    return list(m), cols
-
-
-def gf2_rank(m: BitMatrix | Sequence[int], cols: int | None = None) -> int:
-    rows = list(m.rows) if isinstance(m, BitMatrix) else list(m)
+def gf2_rank(m: Sequence[int], cols: int | None = None) -> int:
     basis: list[int] = []
-    for row in rows:
+    for row in m:
         for b in basis:
             row = min(row, row ^ b)
         if row:
@@ -315,62 +355,17 @@ def gf2_rank(m: BitMatrix | Sequence[int], cols: int | None = None) -> int:
     return len(basis)
 
 
-def gf2_solve(
-    m: BitMatrix | Sequence[int], b: Sequence[int], cols: int | None = None
-) -> GF2Solution | None:
+def gf2_solve(m: Sequence[int], b: Sequence[int], cols: int) -> GF2Solution | None:
     """Solve ``M x = b`` over GF(2).
 
     Returns ``None`` when inconsistent; otherwise the particular solution is
     the one with every free variable set to zero, so repeated calls are
     deterministic.
     """
-    rows, ncols = _as_rows(m, cols)
-    if len(b) != len(rows):
-        raise ValueError(f"rhs length {len(b)} != row count {len(rows)}")
-    # Augment with the rhs in bit ncols, then eliminate to reduced form.
-    aug = [rows[i] | (int(b[i]) & 1) << ncols for i in range(len(rows))]
-    pivots: dict[int, int] = {}  # column -> row index in `reduced`
-    reduced: list[int] = []
-    for row in aug:
-        for col, idx in pivots.items():
-            if (row >> col) & 1:
-                row ^= reduced[idx]
-        if row == 0:
-            continue
-        low = (row & -row).bit_length() - 1
-        if low == ncols:
-            return None  # 0 = 1
-        for idx, r in enumerate(reduced):
-            if (r >> low) & 1:
-                reduced[idx] = r ^ row
-        pivots[low] = len(reduced)
-        reduced.append(row)
-    particular = 0
-    for col, idx in pivots.items():
-        if (reduced[idx] >> ncols) & 1:
-            particular |= 1 << col
-    null_basis = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = 1 << col
-        for pcol, idx in pivots.items():
-            if (reduced[idx] >> col) & 1:
-                vec |= 1 << pcol
-        null_basis.append(vec)
-    return GF2Solution(particular, null_basis, ncols)
-
-
-def gf2_membership(rows: Sequence[int], cols: int, target: int) -> int | None:
-    """Combination mask ``c`` with ``XOR_{i in c} rows[i] = target``, or None.
-
-    The mask's bit ``i`` selects ``rows[i]``; used to reconstruct group
-    elements (and their signs) from generator rows.
-    """
-    system = []
-    rhs = []
-    for col in range(cols):
-        system.append(sum(((rows[i] >> col) & 1) << i for i in range(len(rows))))
-        rhs.append((target >> col) & 1)
-    sol = gf2_solve(system, rhs, cols=len(rows))
-    return None if sol is None else sol.particular
+    if len(b) != len(m):
+        raise ValueError(f"rhs length {len(b)} != row count {len(m)}")
+    elim = GF2Elimination(cols, m)
+    particular = elim.solve(sum((int(v) & 1) << i for i, v in enumerate(b)))
+    if particular is None:
+        return None
+    return GF2Solution(particular, elim.null_basis())

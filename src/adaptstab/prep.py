@@ -24,7 +24,7 @@ from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adapt
 from .circuit import AdaptiveCircuit, Condition, Gate, Measure, depth, simulate
 from .errors import ContradictionError, ResourceGuardError
 from .metrics import stabilizer_weight
-from .pauli import PauliOperator, format_pauli, gf2_rank, gf2_solve, parse_pauli
+from .pauli import GF2Elimination, PauliOperator, format_pauli, gf2_rank, gf2_solve, parse_pauli
 from .tableau import StabilizerTableau, apply_gate, from_stabilizers, is_stabilized_by, states_equal, zero_state
 
 __all__ = [
@@ -322,6 +322,11 @@ def tangling_parity(schedule: MeasurementSchedule, i: int, j: int) -> bool:
         other = schedule.letters.get((q, j))
         if other is not None and other != letter:
             sites.append(q)
+    return _odd_interleaving(schedule, i, j, sites)
+
+
+def _odd_interleaving(schedule: MeasurementSchedule, i: int, j: int, sites: list[int]) -> bool:
+    """:func:`tangling_parity` given the anticommuting sites of checks i and j."""
     if len(sites) % 2 == 1:
         raise ValueError(f"checks {i} and {j} anticommute; schedule is for commuting checks")
     before = 0
@@ -351,10 +356,23 @@ class TanglingGraph:
 
 
 def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
+    """Tangled pairs by :func:`tangling_parity`, with sites found per qubit.
+
+    Only checks meeting on a qubit with anticommuting letters can tangle, so
+    comparing each qubit's letters pairwise finds every site in O(E s) for E
+    Tanner edges of a sparsity-s code, without scanning every pair of checks.
+    """
     n_nodes = max((j for _, j in schedule.colors), default=-1) + 1
-    edges = tuple(
-        (i, j) for i, j in combinations(range(n_nodes), 2) if tangling_parity(schedule, i, j)
-    )
+    by_qubit: dict[int, list[tuple[int, str]]] = {}
+    for (q, j), letter in schedule.letters.items():
+        if j < n_nodes:
+            by_qubit.setdefault(q, []).append((j, letter))
+    sites: dict[tuple[int, int], list[int]] = {}
+    for q in sorted(by_qubit):
+        for (a, la), (b, lb) in combinations(by_qubit[q], 2):
+            if la != lb:
+                sites.setdefault((min(a, b), max(a, b)), []).append(q)
+    edges = tuple(pair for pair in sorted(sites) if _odd_interleaving(schedule, *pair, sites[pair]))
     return TanglingGraph(n_nodes, edges)
 
 
@@ -541,12 +559,8 @@ def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
     basis across the gap yields the logicals.
     """
     t, n = code.t, code.n
-    zrows = [c.z for c in code.checks]
-    sol = gf2_solve(zrows, [0] * t, cols=n)
-    candidates = sol.null_basis
-    # x-parts of check-group elements with trivial z-part.
-    trans = [sum(((zrows[i] >> q) & 1) << i for i in range(t)) for q in range(n)]
-    group_sol = gf2_solve(trans, [0] * n, cols=t)
+    elim = GF2Elimination(n, (c.z for c in code.checks))
+    candidates = elim.null_basis()
     span: list[int] = []
 
     def reduce(vec: int) -> int:
@@ -554,7 +568,8 @@ def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
             vec = min(vec, vec ^ b)
         return vec
 
-    for lam in group_sol.null_basis:
+    # Check combinations whose z-parts cancel give the pure-X group elements.
+    for lam in elim.dependencies:
         vec = 0
         for i in range(t):
             if (lam >> i) & 1:
@@ -581,20 +596,18 @@ def _correction_layers(gens: list[PauliOperator], t: int, n: int) -> list[list[G
     """Compile outcome-dependent corrections into parity-conditioned gates.
 
     The correction Pauli solves a linear system whose right-hand side is the
-    syndrome vector, so it is GF(2)-linear in the outcome bits: solve once
-    per basis syndrome and superpose.  Each qubit then carries at most one
-    X/Y gate and one Z gate, each conditioned on a parity of syndrome bits;
-    a second layer appears only when some qubit needs X- and Z-corrections
-    with different parity sets.
+    syndrome vector, so it is GF(2)-linear in the outcome bits: eliminate
+    once, read the solution for each basis syndrome, and superpose.  Each
+    qubit then carries at most one X/Y gate and one Z gate, each conditioned
+    on a parity of syndrome bits; a second layer appears only when some
+    qubit needs X- and Z-corrections with different parity sets.
     """
-    rows = [g.z | (g.x << n) for g in gens]
+    elim = GF2Elimination(2 * n, (g.z | (g.x << n) for g in gens))
     xs, zs = [], []
     for j in range(t):
-        b = [1 if i == j else 0 for i in range(len(gens))]
-        sol = gf2_solve(rows, b, cols=2 * n)
-        if sol is None:
+        u = elim.solve(1 << j)
+        if u is None:
             raise ValueError("correction system inconsistent; generators corrupted")
-        u = sol.particular
         xs.append(u & ((1 << n) - 1))
         zs.append(u >> n)
     first: list[Gate] = []
@@ -648,9 +661,10 @@ def prepare_state(
     else:
         raise ValueError(f"unknown partition policy: {policy!r}")
 
+    s = code.s
     for g in s1:
-        if g.weight() > code.s:
-            raise ValueError(f"S1 element {format_pauli(g)} heavier than sparsity {code.s}")
+        if g.weight() > s:
+            raise ValueError(f"S1 element {format_pauli(g)} heavier than sparsity {s}")
     phi = zero_state(n)
     for layer in phi_layers:
         for gate in layer:
@@ -665,13 +679,10 @@ def prepare_state(
     gens = list(s1) + list(s2)
     if len(gens) != n:
         raise ValueError(f"need n={n} generators, got {len(gens)}")
-    for a, b in combinations(gens, 2):
-        if not a.commutes(b):
-            raise ValueError(f"generators {format_pauli(a)} and {format_pauli(b)} anticommute")
     if gf2_rank([g.symplectic_row() for g in gens], cols=2 * n) != n:
         raise ValueError("S1 and S2 together must be independent")
 
-    target = from_stabilizers(gens)
+    target = from_stabilizers(gens)  # rejects anticommuting generators
     frag = synthesize_measurement_circuit(s1, n, ancilla_offset=n, schedule=schedule)
     t = len(s1)
     layers = [list(layer) for layer in phi_layers]

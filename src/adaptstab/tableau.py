@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import ContradictionError, ResourceGuardError
 from .pauli import (
+    GF2Elimination,
     PauliOperator,
     format_pauli,
     from_bits,
-    gf2_membership,
     gf2_rank,
     gf2_solve,
     parse_pauli,
@@ -29,8 +29,10 @@ from .pauli import (
 )
 
 __all__ = [
+    "GATE_ARITY",
     "StabilizerTableau",
     "zero_state",
+    "check_gate",
     "apply_gate",
     "conjugate_pauli",
     "measure_pauli",
@@ -47,7 +49,8 @@ __all__ = [
     "from_json",
 ]
 
-GATE_NAMES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP", "CP")
+# Qubits each gate acts on; CNOT is a fan-out taking this many or more.
+GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "CP": 2}
 
 # (x bit, z bit, i-exponent) of the controlled letter for CP gates.
 _LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
@@ -158,6 +161,18 @@ def conjugate_pauli(
     return out
 
 
+def check_gate(name: str, n_qubits: int) -> None:
+    """Raise ValueError unless ``name`` is a known gate on ``n_qubits`` qubits."""
+    arity = GATE_ARITY.get(name)
+    if arity is None:
+        raise ValueError(f"unknown gate {name!r}")
+    if name == "CNOT":
+        if n_qubits < arity:
+            raise ValueError("CNOT needs a control and at least one target")
+    elif n_qubits != arity:
+        raise ValueError(f"{name} expects {arity} qubits, got {n_qubits}")
+
+
 def apply_gate(
     t: StabilizerTableau,
     name: str,
@@ -170,14 +185,7 @@ def apply_gate(
     for q in qubits:
         if not 0 <= q < t.n:
             raise ValueError(f"qubit {q} out of range for n={t.n}")
-    if name not in GATE_NAMES:
-        raise ValueError(f"unknown gate {name!r}")
-    arity = {"H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "SWAP": 2, "CP": 2}
-    if name == "CNOT":
-        if len(qubits) < 2:
-            raise ValueError("CNOT needs a control and at least one target")
-    elif len(qubits) != arity[name]:
-        raise ValueError(f"{name} expects {arity[name]} qubits, got {len(qubits)}")
+    check_gate(name, len(qubits))
     for row in t.generators:
         _conjugate_row(row, name, qubits, pauli)
     for row in t.destabilizers:
@@ -186,6 +194,19 @@ def apply_gate(
 
 
 # -- measurement ------------------------------------------------------------
+
+
+def _group_product(t: StabilizerTableau, p: PauliOperator) -> PauliOperator:
+    """Product of the generators whose destabilizers anticommute with ``p``.
+
+    When ``+-p`` is in the stabilizer group this product is exactly ``+-p``;
+    otherwise its bits differ from ``p``'s.
+    """
+    prod = PauliOperator(t.n, 0, 0)
+    for d, g in zip(t.destabilizers, t.generators):
+        if not d.commutes(p):
+            prod = prod * g
+    return prod
 
 
 def measure_pauli(
@@ -228,17 +249,9 @@ def measure_pauli(
             signed = signed.negate()
         t.generators[pivot] = signed
         return outcome, False, t
-    # Deterministic: reconstruct +-p as a product over generators selected
-    # by which destabilizers anticommute with p.
-    mask = 0
-    for i, d in enumerate(t.destabilizers):
-        if not d.commutes(p):
-            mask |= 1 << i
-    prod = None
-    for i in range(t.n):
-        if (mask >> i) & 1:
-            prod = t.generators[i] if prod is None else prod * t.generators[i]
-    if prod is None or (prod.x, prod.z) != (p.x, p.z):
+    # Deterministic: p commutes with the whole group, so +-p is in it.
+    prod = _group_product(t, p)
+    if (prod.x, prod.z) != (p.x, p.z):
         raise AssertionError("commuting Pauli outside the group; tableau corrupt")
     outcome = 1 if prod.e == p.e else -1
     if forced is not None and int(forced) != outcome:
@@ -253,16 +266,7 @@ def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
     """+1/-1 when ``sign * p`` is in the stabilizer group, else None."""
     if not p.hermitian:
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    mask = 0
-    for i, d in enumerate(t.destabilizers):
-        if not d.commutes(p):
-            mask |= 1 << i
-    prod = None
-    for i in range(t.n):
-        if (mask >> i) & 1:
-            prod = t.generators[i] if prod is None else prod * t.generators[i]
-    if prod is None:
-        return 1 if p.is_identity_bits() and p.e == 0 else None
+    prod = _group_product(t, p)
     if (prod.x, prod.z) != (p.x, p.z):
         return None
     return 1 if prod.e == p.e else -1
@@ -351,9 +355,14 @@ def validate_tableau(t: StabilizerTableau) -> None:
 def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     """Build a tableau from n independent commuting hermitian generators.
 
-    Destabilizers are completed one at a time by solving the symplectic
-    constraints over GF(2); their phases are fixed to display sign +1.
+    Destabilizers come from one GF(2) elimination of the symplectic
+    constraints.  Destabilizer i is the solution, free columns zero, that
+    anticommutes with generator i alone and commutes with the destabilizers
+    before it; its row then joins the elimination.  Their phases are fixed to
+    display sign +1.
     """
+    if not gens:
+        raise ValueError("need at least one generator")
     n = gens[0].n
     if len(gens) != n:
         raise ValueError(f"need {n} generators, got {len(gens)}")
@@ -363,7 +372,10 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
             raise ValueError(f"generator {format_pauli(g)} is not hermitian")
         if g.is_identity_bits():
             raise ValueError("identity cannot be a generator")
-    if gf2_rank([g.symplectic_row() for g in gens]) != n:
+    # Unknown row v = (x | z<<n); <v, w> = x.w_z + z.w_x.  Rows 0..n-1 are
+    # the generators, so the right-hand side for destabilizer i is bit i.
+    elim = GF2Elimination(2 * n, (w.z | (w.x << n) for w in gens))
+    if elim.dependencies:
         raise ValueError("generators are dependent")
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
@@ -373,14 +385,10 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
                 )
     destabs: list[PauliOperator] = []
     for i in range(n):
-        # unknown row v = (x | z<<n); <v, w> = x.w_z + z.w_x
-        system = [w.z | (w.x << n) for w in gens] + [w.z | (w.x << n) for w in destabs]
-        rhs = [1 if j == i else 0 for j in range(n)] + [0] * len(destabs)
-        sol = gf2_solve(system, rhs, cols=2 * n)
-        if sol is None:
-            raise AssertionError("symplectic completion failed; input not independent?")
-        v = sol.particular
-        destabs.append(from_bits(n, v & ((1 << n) - 1), v >> n, 1))
+        v = elim.solve(1 << i)
+        d = from_bits(n, v & ((1 << n) - 1), v >> n, 1)
+        destabs.append(d)
+        elim.add(d.z | (d.x << n))
     t = StabilizerTableau(n, gens, destabs)
     validate_tableau(t)
     return t
@@ -402,33 +410,40 @@ def factor_out_qubit(t: StabilizerTableau, q: int) -> StabilizerTableau:
     """Remove qubit ``q``, which must be in a definite Z eigenstate.
 
     Returns a fresh tableau on the remaining qubits (indices above ``q``
-    shift down by one).  Destabilizers are recomputed.
+    shift down by one), built with O(n) row operations: the first generator
+    whose destabilizer anticommutes with Z_q is traded for +-Z_q, the other
+    rows are cleared off qubit q, and that pair is dropped.
     """
-    zq = single_site(t.n, q, "Z")
-    sign = is_stabilized_by(t, zq)
-    if sign is None:
+    n = t.n
+    zq = single_site(n, q, "Z")
+    signed_zq = _group_product(t, zq)
+    if (signed_zq.x, signed_zq.z) != (zq.x, zq.z):
         raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
-    rows = [g.symplectic_row() for g in t.generators]
-    mask = gf2_membership(rows, 2 * t.n, zq.symplectic_row())
-    assert mask is not None
-    # Swap the combination's first member for +-Z_q itself: the other
-    # generators plus Z_q still generate the group, so dropping the pivot
-    # and clearing z_q bits below leaves an independent set.
-    pivot = (mask & -mask).bit_length() - 1
-    new_gens = [g for i, g in enumerate(t.generators) if i != pivot]
-    # every generator commutes with Z_q, so no x bits at q; clear z_q via +-Z_q
-    signed_zq = zq if sign == 1 else zq.negate()
-    cleaned = []
-    for g in new_gens:
+    if n == 1:
+        return StabilizerTableau(0, [], [])
+    selected = [(d.x >> q) & 1 for d in t.destabilizers]
+    pivot = selected.index(1)
+    d_pivot = t.destabilizers[pivot]
+    low = (1 << q) - 1
+
+    def drop_q(p: PauliOperator) -> PauliOperator:
+        # No row left has X on q, so dropping its Z on q keeps every
+        # commutation relation among the remaining rows.
+        x = (p.x & low) | ((p.x >> (q + 1)) << q)
+        z = (p.z & low) | ((p.z >> (q + 1)) << q)
+        return PauliOperator.from_exponent(n - 1, x, z, p.e)
+
+    gens, destabs = [], []
+    for i, (g, d) in enumerate(zip(t.generators, t.destabilizers)):
+        if i == pivot:
+            continue
         if (g.z >> q) & 1:
             g = g * signed_zq
-        assert ((g.x | g.z) >> q) & 1 == 0
-        x = (g.x & ((1 << q) - 1)) | ((g.x >> (q + 1)) << q)
-        z = (g.z & ((1 << q) - 1)) | ((g.z >> (q + 1)) << q)
-        cleaned.append(PauliOperator.from_exponent(t.n - 1, x, z, g.e))
-    if not cleaned:
-        return StabilizerTableau(0, [], [])
-    return from_stabilizers(cleaned)
+        if selected[i]:
+            d = d * d_pivot
+        gens.append(drop_q(g))
+        destabs.append(drop_q(d))
+    return StabilizerTableau(n - 1, gens, destabs)
 
 
 # -- random states -----------------------------------------------------------
@@ -493,11 +508,11 @@ def restricted_group_elements(
         raise ResourceGuardError(f"restricted group has 2^{dim} elements")
     elements = []
     for mask in sol.solutions():
-        prod = None
+        prod = PauliOperator(n, 0, 0)
         for i in range(n):
             if (mask >> i) & 1:
-                prod = t.generators[i] if prod is None else prod * t.generators[i]
-        elements.append(prod if prod is not None else PauliOperator(n, 0, 0))
+                prod = prod * t.generators[i]
+        elements.append(prod)
     elements.sort(key=lambda p: (p.weight(), p.x, p.z))
     return elements
 

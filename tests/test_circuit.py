@@ -11,8 +11,10 @@ import pytest
 from adaptstab import circuit as ci
 from adaptstab.circuit import AdaptiveCircuit, Condition, Gate, Geometry, Measure
 from adaptstab.errors import ContradictionError
+from adaptstab.pauli import parse_pauli
 from adaptstab.tableau import (
     apply_gate,
+    is_stabilized_by,
     random_stabilizer_state,
     states_equal,
     zero_state,
@@ -63,6 +65,10 @@ def test_validate_flags_violations():
     assert any("unknown gate" in v for v in ci.validate(c, K=2).violations)
 
     c = AdaptiveCircuit(2)
+    c.add_layer([Gate("H", (0, 1))])
+    assert any("H expects 1 qubits" in v for v in ci.validate(c, K=2).violations)
+
+    c = AdaptiveCircuit(2)
     c.add_layer([Gate("CP", (0, 1))])  # missing pauli letter
     assert any("needs pauli" in v for v in ci.validate(c, K=2).violations)
 
@@ -70,6 +76,17 @@ def test_validate_flags_violations():
     c.add_layer([Measure(0, 0)])
     c.add_layer([Measure(1, 0)])  # cbit written twice
     assert any("written twice" in v for v in ci.validate(c, K=2).violations)
+
+
+def test_sdg_circuit_validates_and_simulates():
+    c = AdaptiveCircuit(2)
+    c.add_layer([Gate("H", (0,)), Gate("H", (1,))])
+    c.add_layer([Gate("SDG", (0,)), Gate("S", (1,))])
+    rep = ci.validate(c, K=2)
+    assert rep.ok, rep.violations
+    t, _ = ci.simulate(c)
+    assert is_stabilized_by(t, parse_pauli("-YI")) == 1  # SDG X SDG^dagger = -Y
+    assert is_stabilized_by(t, parse_pauli("+IY")) == 1
 
 
 def test_validate_grid_geometry():

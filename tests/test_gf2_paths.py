@@ -1,0 +1,326 @@
+"""Row-operation factor-out and single-elimination GF(2) paths against the
+per-solve code they replaced, plus counts of GF(2) eliminations.
+
+The oracles below are the earlier implementations: a fresh augmented
+elimination per right-hand side, destabilizers completed one solve at a
+time, qubit removal by rebuilding the whole tableau, one solve per syndrome
+bit, and a scan over every pair of checks for tangling.  The new paths must
+reproduce them byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from itertools import combinations
+
+import pytest
+
+from adaptstab import circuit as ci
+from adaptstab import prep
+from adaptstab.circuit import Condition, Gate
+from adaptstab.errors import ContradictionError
+from adaptstab.pauli import GF2Elimination, PauliOperator, from_bits, gf2_solve, single_site
+from adaptstab.prep import (
+    MeasurementSchedule,
+    TanglingGraph,
+    builtin_code,
+    edge_color_bipartite,
+    prepare_state,
+    tangling_parity,
+    tanner_graph,
+)
+from adaptstab.tableau import (
+    StabilizerTableau,
+    factor_out_qubit,
+    from_stabilizers,
+    is_stabilized_by,
+    random_stabilizer_state,
+    to_json,
+    validate_tableau,
+)
+
+# -- oracles: the replaced per-solve code ------------------------------------
+
+
+def solve_augmented(rows, b, ncols):
+    """Particular solution (free columns zero) of one system, or None."""
+    aug = [rows[i] | (b[i] & 1) << ncols for i in range(len(rows))]
+    pivots: dict[int, int] = {}
+    reduced: list[int] = []
+    for row in aug:
+        for col, idx in pivots.items():
+            if (row >> col) & 1:
+                row ^= reduced[idx]
+        if row == 0:
+            continue
+        low = (row & -row).bit_length() - 1
+        if low == ncols:
+            return None
+        for idx, r in enumerate(reduced):
+            if (r >> low) & 1:
+                reduced[idx] = r ^ row
+        pivots[low] = len(reduced)
+        reduced.append(row)
+    x = 0
+    for col, idx in pivots.items():
+        if (reduced[idx] >> ncols) & 1:
+            x |= 1 << col
+    return x
+
+
+def per_row_from_stabilizers(gens):
+    n = gens[0].n
+    destabs = []
+    for i in range(n):
+        system = [w.z | (w.x << n) for w in gens] + [w.z | (w.x << n) for w in destabs]
+        rhs = [1 if j == i else 0 for j in range(n)] + [0] * len(destabs)
+        v = solve_augmented(system, rhs, 2 * n)
+        destabs.append(from_bits(n, v & ((1 << n) - 1), v >> n, 1))
+    t = StabilizerTableau(n, list(gens), destabs)
+    validate_tableau(t)
+    return t
+
+
+def rebuild_factor_out(t, q):
+    zq = single_site(t.n, q, "Z")
+    sign = is_stabilized_by(t, zq)
+    if sign is None:
+        raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
+    rows = [g.symplectic_row() for g in t.generators]
+    target = zq.symplectic_row()
+    system = [sum(((rows[i] >> col) & 1) << i for i in range(t.n)) for col in range(2 * t.n)]
+    mask = solve_augmented(system, [(target >> col) & 1 for col in range(2 * t.n)], t.n)
+    pivot = (mask & -mask).bit_length() - 1
+    signed_zq = zq if sign == 1 else zq.negate()
+    cleaned = []
+    for i, g in enumerate(t.generators):
+        if i == pivot:
+            continue
+        if (g.z >> q) & 1:
+            g = g * signed_zq
+        x = (g.x & ((1 << q) - 1)) | ((g.x >> (q + 1)) << q)
+        z = (g.z & ((1 << q) - 1)) | ((g.z >> (q + 1)) << q)
+        cleaned.append(PauliOperator.from_exponent(t.n - 1, x, z, g.e))
+    if not cleaned:
+        return StabilizerTableau(0, [], [])
+    return per_row_from_stabilizers(cleaned)
+
+
+def per_syndrome_correction_layers(gens, t, n):
+    rows = [g.z | (g.x << n) for g in gens]
+    xs, zs = [], []
+    for j in range(t):
+        u = solve_augmented(rows, [1 if i == j else 0 for i in range(len(gens))], 2 * n)
+        xs.append(u & ((1 << n) - 1))
+        zs.append(u >> n)
+    first, second = [], []
+    for q in range(n):
+        jx = tuple(j for j in range(t) if (xs[j] >> q) & 1)
+        jz = tuple(j for j in range(t) if (zs[j] >> q) & 1)
+        if jx and jx == jz:
+            first.append(Gate("Y", (q,), cond=Condition(jx, 1)))
+        elif jx and jz:
+            first.append(Gate("X", (q,), cond=Condition(jx, 1)))
+            second.append(Gate("Z", (q,), cond=Condition(jz, 1)))
+        elif jx:
+            first.append(Gate("X", (q,), cond=Condition(jx, 1)))
+        elif jz:
+            first.append(Gate("Z", (q,), cond=Condition(jz, 1)))
+    return [layer for layer in (first, second) if layer]
+
+
+def transpose_solve_logicals(code):
+    t, n = code.t, code.n
+    zrows = [c.z for c in code.checks]
+    candidates = gf2_solve(zrows, [0] * t, cols=n).null_basis
+    trans = [sum(((zrows[i] >> q) & 1) << i for i in range(t)) for q in range(n)]
+    span = []
+
+    def reduce(vec):
+        for b in span:
+            vec = min(vec, vec ^ b)
+        return vec
+
+    for lam in gf2_solve(trans, [0] * n, cols=t).null_basis:
+        vec = 0
+        for i in range(t):
+            if (lam >> i) & 1:
+                vec ^= code.checks[i].x
+        vec = reduce(vec)
+        if vec:
+            span.append(vec)
+    logicals = []
+    for d in candidates:
+        rem = reduce(d)
+        if rem:
+            span.append(rem)
+            logicals.append(PauliOperator(n, d, 0))
+        if len(logicals) == code.k:
+            break
+    return logicals
+
+
+def pair_scan_tangling(schedule):
+    n_nodes = max((j for _, j in schedule.colors), default=-1) + 1
+    edges = tuple(
+        (i, j) for i, j in combinations(range(n_nodes), 2) if tangling_parity(schedule, i, j)
+    )
+    return TanglingGraph(n_nodes, edges)
+
+
+# -- helpers ------------------------------------------------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """Result or (exception type, message), so failures compare too."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError, ContradictionError) as exc:
+        return type(exc), str(exc)
+
+
+def _simulate_both(monkeypatch, circuit, **kwargs):
+    new = _outcome(ci.simulate, circuit, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(ci, "factor_out_qubit", rebuild_factor_out)
+        old = _outcome(ci.simulate, circuit, **kwargs)
+    return new, old
+
+
+def _as_text(result):
+    if isinstance(result, tuple) and isinstance(result[0], StabilizerTableau):
+        tab, record = result
+        validate_tableau(tab)
+        return to_json(tab)["generators"], record
+    return result
+
+
+_CODES = [
+    "repetition(2)",
+    "repetition(3)",
+    "repetition(7)",
+    "repetition(24)",
+    "steane",
+    *(f"toric({side})" for side in range(2, 7)),
+]
+
+
+# -- simulate -----------------------------------------------------------------
+
+
+_CIRCUITS = {
+    "toric2": lambda: prepare_state(builtin_code("toric(2)"))[0],
+    "toric3": lambda: prepare_state(builtin_code("toric(3)"))[0],
+    "ghz16": lambda: ci.ghz_adaptive(16, 4, 2),
+    "ghz24": lambda: ci.ghz_adaptive(24, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", _CIRCUITS)
+def test_simulate_matches_rebuild_factor_out(monkeypatch, name):
+    circuit = _CIRCUITS[name]()
+    rng = random.Random(circuit.m)
+    runs = [{"seed": s} for s in range(6)]
+    runs += [{"forced": [rng.randrange(2) for _ in range(circuit.cbits)]} for _ in range(6)]
+    runs.append({"forced": [0] * circuit.cbits})
+    for kwargs in runs:
+        new, old = _simulate_both(monkeypatch, circuit, **kwargs)
+        assert _as_text(new) == _as_text(old), kwargs
+
+
+def test_factor_out_keeps_error_for_undetermined_qubit():
+    t = from_stabilizers([PauliOperator(2, 0b11, 0), PauliOperator(2, 0, 0b11)])
+    for q in (0, 1):
+        with pytest.raises(ValueError, match="definite Z eigenstate"):
+            factor_out_qubit(t, q)
+
+
+# -- prepare_state --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", _CODES)
+def test_prepare_state_matches_per_solve_paths(monkeypatch, name):
+    code = builtin_code(name)
+    circuit, target = prepare_state(code)
+    with monkeypatch.context() as m:
+        m.setattr(prep, "from_stabilizers", per_row_from_stabilizers)
+        m.setattr(prep, "_correction_layers", per_syndrome_correction_layers)
+        m.setattr(prep, "build_tangling", pair_scan_tangling)
+        m.setattr(prep, "x_type_logicals", transpose_solve_logicals)
+        old_circuit, old_target = prepare_state(code)
+    assert ci.to_json(circuit) == ci.to_json(old_circuit)
+    assert json.dumps(to_json(target)) == json.dumps(to_json(old_target))
+
+
+def test_from_stabilizers_matches_per_row_solve():
+    for n, seed in [(1, 0), (3, 1), (6, 2), (12, 3), (20, 4)]:
+        gens = random_stabilizer_state(n, seed).generators
+        assert to_json(from_stabilizers(gens)) == to_json(per_row_from_stabilizers(gens))
+
+
+# -- build_tangling ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["steane", "toric(3)", "toric(4)", "repetition(5)"])
+def test_build_tangling_matches_pair_scan(name):
+    base = edge_color_bipartite(tanner_graph(builtin_code(name)))
+    rng = random.Random(name)
+    for _ in range(8):
+        perm = list(range(1, base.num_colors + 1))
+        rng.shuffle(perm)
+        colors = {e: perm[c - 1] for e, c in base.colors.items()}
+        sched = MeasurementSchedule(colors, dict(base.letters), base.num_colors)
+        assert prep.build_tangling(sched) == pair_scan_tangling(sched)
+
+
+def test_build_tangling_errors_match_pair_scan():
+    # XX and ZI anticommute on qubit 0 only.
+    anti = MeasurementSchedule(
+        {(0, 0): 1, (1, 0): 2, (0, 1): 2}, {(0, 0): "X", (1, 0): "X", (0, 1): "Z"}, 2
+    )
+    improper = object.__new__(MeasurementSchedule)
+    improper.colors = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
+    improper.letters = {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
+    improper.num_colors = 2
+    for sched, kind in ((anti, ValueError), (improper, RuntimeError)):
+        new = _outcome(prep.build_tangling, sched)
+        assert new[0] is kind
+        assert new == _outcome(pair_scan_tangling, sched)
+
+
+# -- complexity: GF(2) eliminations counted ---------------------------------------
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    counts = {"eliminations": 0, "rows": 0}
+    init, add = GF2Elimination.__init__, GF2Elimination.add
+
+    def counting_init(self, *args, **kwargs):
+        counts["eliminations"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add(self, row):
+        counts["rows"] += 1
+        add(self, row)
+
+    monkeypatch.setattr(GF2Elimination, "__init__", counting_init)
+    monkeypatch.setattr(GF2Elimination, "add", counting_add)
+    return counts
+
+
+def test_simulate_makes_no_gf2_elimination(eliminations):
+    tab, record = ci.simulate(ci.ghz_adaptive(128, 8, 2), seed=0)
+    assert tab.n == 128 and len(record) == 15
+    assert eliminations == {"eliminations": 0, "rows": 0}
+
+
+def test_prepare_state_eliminates_each_matrix_once(eliminations):
+    code = builtin_code("toric(8)")
+    n, t = code.n, code.t
+    prepare_state(code)
+    # Three matrices, each eliminated once with one add per row: the checks'
+    # z-parts (X-type logicals), the symplectic system completed into
+    # destabilizers, and the correction system.
+    assert eliminations == {"eliminations": 3, "rows": t + 2 * n + n}

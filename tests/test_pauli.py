@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from adaptstab.pauli import (
-    BitMatrix,
+    GF2Elimination,
     PauliOperator,
     commutes,
     format_pauli,
     from_bits,
-    gf2_membership,
     gf2_rank,
     gf2_solve,
     identity,
@@ -178,8 +177,7 @@ def test_helpers():
 
 
 def test_gf2_identity_system():
-    m = BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    sol = gf2_solve(m, [1, 0, 1, 0])
+    sol = gf2_solve([0b0001, 0b0010, 0b0100, 0b1000], [1, 0, 1, 0], cols=4)
     assert sol is not None
     assert sol.particular == 0b0101  # x = 1010 reading columns left to right
     assert sol.null_basis == []
@@ -212,6 +210,27 @@ def test_gf2_random_full_rank_solve():
                 assert ((row & x).bit_count() & 1) == bb
 
 
+def test_gf2_elimination_solves_every_rhs_from_tags():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        nrows, ncols = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        rows = [int(rng.integers(0, 1 << ncols)) for _ in range(nrows)]
+        elim = GF2Elimination(ncols, rows)
+        images = {
+            sum((((r & x).bit_count() & 1) << i) for i, r in enumerate(rows)): x
+            for x in range(1 << ncols)
+        }
+        for rhs in range(1 << nrows):
+            x = elim.solve(rhs)
+            if rhs not in images:
+                assert x is None
+                continue
+            assert sum((((r & x).bit_count() & 1) << i) for i, r in enumerate(rows)) == rhs
+            assert x & ~elim.pivot_mask == 0  # free columns zero
+            b = [(rhs >> i) & 1 for i in range(nrows)]
+            assert gf2_solve(rows, b, cols=ncols).particular == x
+
+
 def test_gf2_solution_count_matches_rank():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -224,11 +243,3 @@ def test_gf2_solution_count_matches_rank():
         solutions = set(sol.solutions())
         assert len(solutions) == 1 << (ncols - gf2_rank(rows))
         assert x0 in solutions
-
-
-def test_gf2_membership():
-    rows = [0b0011, 0b0110]
-    assert gf2_membership(rows, 4, 0b0101) == 0b11
-    assert gf2_membership(rows, 4, 0b0011) == 0b01
-    assert gf2_membership(rows, 4, 0b1000) is None
-    assert gf2_membership(rows, 4, 0) == 0

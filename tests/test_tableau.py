@@ -142,6 +142,14 @@ def test_measure_negative_observable():
     assert format_pauli(t.generators[0]) == "-Z"  # +1 outcome of -Z is |1>
 
 
+def test_measure_signed_identity_is_deterministic():
+    t = ghz_tableau(3)
+    assert measure_pauli(t, parse_pauli("+III"))[:2] == (1, True)
+    assert measure_pauli(t, parse_pauli("-III"))[:2] == (-1, True)
+    with pytest.raises(ContradictionError):
+        measure_pauli(t, parse_pauli("-III"), forced=1)
+
+
 def test_measure_requires_rng_or_forced():
     t = zero_state(1)
     apply_gate(t, "H", (0,))
@@ -295,6 +303,11 @@ def test_from_stabilizers_roundtrip():
         from_stabilizers([parse_pauli("+XX"), parse_pauli("+ZI")])  # anticommute
     with pytest.raises(ValueError):
         from_stabilizers([parse_pauli("+ZZ"), parse_pauli("+ZZ")])  # dependent
+
+
+def test_from_stabilizers_rejects_empty_list():
+    with pytest.raises(ValueError, match="at least one generator"):
+        from_stabilizers([])
 
 
 def test_tensor_and_factor_out():
