@@ -11,8 +11,8 @@ Conventions
 -----------
 * stdout carries exactly one JSON run report; every human-readable line
   goes to stderr, so reports can be piped safely.
-* exit codes: 0 success (verification passed where applicable), 1 usage or
-  parse error, 2 verification failure, 3 resource guard tripped.
+* exit codes: 0 success (verification passed where applicable), 1 usage,
+  parse or input validation error, 2 verification failure, 3 resource guard tripped.
 * with ``--seed`` the JSON report is bit-for-bit reproducible; the
   wall-clock ``timing_s`` field is only emitted for unseeded runs.
 * ``builtin:`` prefixes name a built-in code or tableau instead of a file;
@@ -47,6 +47,7 @@ from .circuit import (
     forward_lightcone,
     g_value,
     ghz_adaptive,
+    validate,
 )
 from .circuit import from_json as circuit_from_json
 from .circuit import to_json as circuit_to_json
@@ -354,23 +355,21 @@ def _cmd_antishallow(args) -> tuple:
 def _cmd_lightcone(args) -> tuple:
     circ = circuit_from_json(Path(args.circuit).read_text())
     sources = sorted(set(_parse_qubits(args.sources)))
-    cone = (
-        backward_lightcone(circ, sources)
-        if args.backward
-        else forward_lightcone(circ, sources)
-    )
-    arities = [
-        len(op.qubits)
-        for layer in circ.layers
-        for op in layer
-        if isinstance(op, Gate)
+    inputs = {"circuit": _digest_file(args.circuit)}
+    direction = "backward" if args.backward else "forward"
+    k = max([2] + [len(op.qubits) for layer in circ.layers for op in layer if isinstance(op, Gate)])
+    violations = validate(circ, k).violations + [
+        f"source qubit {q} outside 0..{circ.m - 1}" for q in sources if not 0 <= q < circ.m
     ]
-    k = max([2] + arities)
+    if violations:
+        results = {"direction": direction, "sources": sources, "violations": violations}
+        return inputs, results, 1, [f"lightcone: invalid input: {'; '.join(violations)}"]
+    cone = (backward_lightcone if args.backward else forward_lightcone)(circ, sources)
     g = g_value(k, depth(circ))
     bound = len(sources) * g
     ok = len(cone) <= bound
     results = {
-        "direction": "backward" if args.backward else "forward",
+        "direction": direction,
         "sources": sources,
         "cone": sorted(cone),
         "size": len(cone),
@@ -382,7 +381,7 @@ def _cmd_lightcone(args) -> tuple:
         f"lightcone: {len(sources)} source(s) -> {len(cone)} qubits"
         f" (bound {bound}, {'ok' if ok else 'EXCEEDED'})",
     ]
-    return {"circuit": _digest_file(args.circuit)}, results, 0 if ok else 2, summary
+    return inputs, results, 0 if ok else 2, summary
 
 
 # -- parser / dispatch -----------------------------------------------------------

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,35 +103,30 @@ class CorrelationReport:
 # -- stabilizer weight ---------------------------------------------------------
 
 
-def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
-    """All 2^n - 1 non-identity stabilizer group elements (Gray-code order)."""
+def _group_table(t: StabilizerTableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stabilizer group element as x and z bit-planes (``uint64``) and
+    phase exponents (``uint8``), indexed by generator mask; entry 0 is the
+    identity.  Doubles over the generators: the block of masks whose highest
+    bit is i is generator i times the block below it."""
     n = t.n
     if n > 20:
         raise ResourceGuardError("group enumeration capped at n <= 20")
-    elems: list[PauliOperator | None] = [None] * (1 << n)
-    elems[0] = PauliOperator(n, 0, 0)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        prev = elems[mask ^ low]
-        assert prev is not None
-        elems[mask] = prev * t.generators[low.bit_length() - 1]
-    return [e for e in elems[1:] if e is not None]
+    x = np.zeros(1 << n, np.uint64)
+    z = np.zeros(1 << n, np.uint64)
+    e = np.zeros(1 << n, np.uint8)
+    for i, g in enumerate(t.generators):
+        lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
+        gx, gz = np.uint64(g.x), np.uint64(g.z)
+        e[hi] = (e[lo] + g.e + 2 * np.bitwise_count(x[lo] & gz)) % 4
+        x[hi] = x[lo] ^ gx
+        z[hi] = z[lo] ^ gz
+    return x, z, e
 
 
-def _independent_subset(elems: Iterable[PauliOperator], n: int) -> list[PauliOperator]:
-    basis: list[int] = []
-    picked: list[PauliOperator] = []
-    for p in elems:
-        r = p.symplectic_row()
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            picked.append(p)
-            if len(picked) == n:
-                break
-    return picked
+def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
+    """All 2^n - 1 non-identity stabilizer group elements (generator-mask order)."""
+    x, z, e = (a[1:].tolist() for a in _group_table(t))
+    return [PauliOperator.from_exponent(t.n, *xze) for xze in zip(x, z, e)]
 
 
 def min_weight_generators(
@@ -142,9 +138,21 @@ def min_weight_generators(
     whatever is independent of what came before.  The returned list is in
     pick order (non-decreasing weight).
     """
-    elems = sorted(group_elements(t), key=lambda p: (p.weight(), p.x, p.z))
-    picked = _independent_subset(elems, t.n)
-    assert len(picked) == t.n
+    n = t.n
+    x, z, e = _group_table(t)
+    order = np.lexsort((z, x, np.bitwise_count(x | z)))[1:]  # [0] is the identity
+    rest = (x | z << np.uint64(n))[order]
+    picked = []
+    while len(picked) < n:
+        # Rows left are reduced by every pick so far: zero means dependent.
+        nonzero = rest != 0
+        assert nonzero.any(), "group rank below n"
+        i = int(np.argmax(nonzero))
+        row = rest[i]
+        j = order[i]
+        picked.append(PauliOperator.from_exponent(n, int(x[j]), int(z[j]), int(e[j])))
+        order, rest = order[i + 1 :], rest[i + 1 :]
+        np.minimum(rest, rest ^ row, out=rest)
     return picked, WeightVector(tuple(p.weight() for p in picked))
 
 
@@ -157,26 +165,26 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
 
     Independent of the greedy: the k-th entry (1-indexed) is the least W such
     that elements of weight <= W span a subspace of dimension >= n - k + 1.
+    The rank is kept by column elimination, not by the greedy's pick loop.
     """
     n = t.n
     if n > 14:
         raise ResourceGuardError("rank-sweep oracle capped at n <= 14")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    by_weight: dict[int, list[int]] = {}
-    for p in group_elements(t):
-        by_weight.setdefault(p.weight(), []).append(p.symplectic_row())
-    basis: list[int] = []
-    rank = 0
-    for wt in sorted(by_weight):
-        for r in by_weight[wt]:
-            for b in basis:
-                r = min(r, r ^ b)
-            if r:
-                basis.append(r)
-                basis.sort(reverse=True)
-                rank += 1
-        if rank >= n - k + 1:
+    x, z, _ = _group_table(t)
+    symplectic = x | z << np.uint64(n)
+    weights = np.bitwise_count(x | z)
+    basis: list[np.uint64] = []
+    for wt in range(1, n + 1):
+        # Column elimination of the basis so far plus this weight class.
+        rows, basis = np.concatenate([np.array(basis, np.uint64), symplectic[weights == wt]]), []
+        for c in range(2 * n):
+            hit = (rows >> np.uint64(c)) & np.uint64(1) == 1
+            if hit.any():
+                basis.append(rows[int(np.argmax(hit))])
+                rows = np.where(hit, rows ^ basis[-1], rows)
+        if len(basis) >= n - k + 1:
             return wt
     raise AssertionError("group rank below n")
 
@@ -198,13 +206,13 @@ def _delta4(s: StateVector, a1: Sequence[int], a2: Sequence[int]) -> np.ndarray:
     return delta.reshape(d1, d2, d1, d2)
 
 
-def _corr(delta4: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> float:
-    return float(np.einsum("ik,jl,klij->", o1, o2, delta4).real)
-
-
-def _pauli_stack(w: int) -> tuple[list[str], np.ndarray]:
-    names = ["".join(c) for c in product("IXYZ", repeat=w)]
-    return names, np.stack([pauli_matrix(s) for s in names])
+@cache
+def _pauli_stack(w: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Names and matrices of every w-site Pauli string; cached, read-only."""
+    names = tuple("".join(c) for c in product("IXYZ", repeat=w))
+    stack = np.stack([pauli_matrix(s) for s in names])
+    stack.flags.writeable = False
+    return names, stack
 
 
 def _pair_max_pauli(delta4: np.ndarray, w: int) -> tuple[float, str, str]:
@@ -216,33 +224,35 @@ def _pair_max_pauli(delta4: np.ndarray, w: int) -> tuple[float, str, str]:
 
 
 def _sign_operator(m: np.ndarray) -> np.ndarray:
-    ev, u = np.linalg.eigh((m + m.conj().T) / 2)
-    return u @ np.diag(np.where(ev >= 0, 1.0, -1.0)) @ u.conj().T
+    """Sign of the Hermitian part of one matrix or of each matrix in a stack."""
+    ev, u = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    return (u * np.where(ev >= 0, 1.0, -1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def _pair_max_alternating(
     delta4: np.ndarray, w: int, restarts: int, seed: int
 ) -> float:
+    """Alternating sign-operator ascent from the Pauli maximizer and
+    ``restarts`` random starts, run side by side as one stack.  Each start
+    stops on its own once it gains less than 1e-12, or after 200 rounds."""
     rng = np.random.default_rng(seed)
     d2 = delta4.shape[1]
     _, _, best_name2 = _pair_max_pauli(delta4, w)
-    inits = [pauli_matrix(best_name2)]
-    for _ in range(restarts):
-        h = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
-        inits.append(_sign_operator(h + h.conj().T))
-    best = 0.0
-    for o2 in inits:
-        val = 0.0
-        for _ in range(200):
-            o1 = _sign_operator(np.einsum("jl,ilkj->ik", o2, delta4))
-            o2 = _sign_operator(np.einsum("ik,kjil->jl", o1, delta4))
-            new = abs(_corr(delta4, o1, o2))
-            if new - val < 1e-12:
-                val = max(val, new)
-                break
-            val = new
-        best = max(best, val)
-    return best
+    h = rng.normal(size=(restarts, 2, d2, d2))
+    h = h[:, 0] + 1j * h[:, 1]
+    o2 = np.concatenate([pauli_matrix(best_name2)[None], _sign_operator(h + h.conj().swapaxes(1, 2))])
+    val = np.zeros(len(o2))
+    live = np.arange(len(o2))
+    for _ in range(200):
+        o1 = _sign_operator(np.einsum("rjl,ilkj->rik", o2, delta4))
+        o2 = _sign_operator(np.einsum("rik,kjil->rjl", o1, delta4))
+        new = np.abs(np.einsum("rik,rjl,klij->r", o1, o2, delta4).real)
+        done = new - val[live] < 1e-12
+        val[live] = np.where(done, np.maximum(val[live], new), new)
+        live, o2 = live[~done], o2[~done]
+        if not live.size:
+            break
+    return float(val.max())
 
 
 def correlation_strength_w(

@@ -23,9 +23,6 @@ __all__ = [
     "identity",
     "single_site",
     "from_bits",
-    "multiply",
-    "commutes",
-    "weight",
     "tensor",
     "parse_pauli",
     "format_pauli",
@@ -200,18 +197,6 @@ def from_bits(n: int, x: int, z: int, sign: int = 1) -> PauliOperator:
         raise ValueError("sign must be +1 or -1")
     e = (_popcount(x & z) + (0 if sign == 1 else 2)) % 4
     return PauliOperator.from_exponent(n, x, z, e)
-
-
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    return p.multiply(q)
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    return p.commutes(q)
-
-
-def weight(p: PauliOperator) -> int:
-    return p.weight()
 
 
 def tensor(p: PauliOperator, q: PauliOperator) -> PauliOperator:

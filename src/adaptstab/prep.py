@@ -238,9 +238,15 @@ class MeasurementSchedule:
     num_colors: int
 
     def __post_init__(self) -> None:
-        for (q1, j1), (q2, j2) in combinations(self.colors, 2):
-            if (q1 == q2 or j1 == j2) and self.colors[(q1, j1)] == self.colors[(q2, j2)]:
-                raise ValueError(f"edges {(q1, j1)} and {(q2, j2)} share a node and a color")
+        edges = list(self.colors)
+        at: dict[tuple, list[int]] = {}  # (side, node, color) -> indices of its edges
+        for i, (q, j) in enumerate(edges):
+            for node in (("qubit", q), ("check", j)):
+                at.setdefault((*node, self.colors[(q, j)]), []).append(i)
+        clashes = [ids[:2] for ids in at.values() if len(ids) > 1]
+        if clashes:  # report the clash a scan over edge pairs in order meets first
+            i, k = min(clashes)
+            raise ValueError(f"edges {edges[i]} and {edges[k]} share a node and a color")
         for e, c in self.colors.items():
             if not 1 <= c <= self.num_colors:
                 raise ValueError(f"edge {e} has color {c} outside 1..{self.num_colors}")

@@ -359,6 +359,28 @@ def test_lightcone_backward(capsys, tmp_path):
     assert report["results"]["direction"] == "backward"
 
 
+def test_lightcone_rejects_invalid_circuit(capsys, tmp_path):
+    cpath = tmp_path / "bad.json"
+    layers = [[{"op": "CNOT", "qubits": [0, 5]}], [{"op": "FOO", "qubits": [1]}]]
+    cpath.write_text(json.dumps({"m": 2, "cbits": 0, "layers": layers}))
+    code, report, err = run(capsys, "lightcone", "--circuit", str(cpath), "--from", "0")
+    assert code == 1
+    r = report["results"]
+    assert "cone" not in r
+    assert any("qubit 5 out of range" in v for v in r["violations"])
+    assert any("unknown gate 'FOO'" in v for v in r["violations"])
+    assert "invalid input" in err
+
+
+def test_lightcone_rejects_source_outside_circuit(capsys, tmp_path):
+    cpath = tmp_path / "fanout.json"
+    cpath.write_text(circuit_to_json(ghz_adaptive(2, 2, 2)))
+    code, report, _ = run(capsys, "lightcone", "--circuit", str(cpath), "--from", "7")
+    assert code == 1
+    assert report["results"]["violations"] == ["source qubit 7 outside 0..1"]
+    assert report["results"]["sources"] == [7]
+
+
 # -- report contract ---------------------------------------------------------------
 
 

@@ -8,17 +8,14 @@ import pytest
 from adaptstab.pauli import (
     GF2Elimination,
     PauliOperator,
-    commutes,
     format_pauli,
     from_bits,
     gf2_rank,
     gf2_solve,
     identity,
-    multiply,
     parse_pauli,
     single_site,
     tensor,
-    weight,
 )
 
 _I = np.eye(2)
@@ -73,13 +70,13 @@ def test_commutes_matches_dense_exhaustive_n2():
                     p = PauliOperator(2, xa, za)
                     q = PauliOperator(2, xb, zb)
                     comm = dense(p) @ dense(q) - dense(q) @ dense(p)
-                    assert commutes(p, q) == (np.abs(comm).max() < 1e-12)
+                    assert p.commutes(q) == (np.abs(comm).max() < 1e-12)
 
 
 def test_commutes_examples():
-    assert not commutes(parse_pauli("X"), parse_pauli("Z"))
-    assert commutes(parse_pauli("XX"), parse_pauli("ZZ"))
-    assert commutes(parse_pauli("XIZ"), parse_pauli("ZIX"))
+    assert not parse_pauli("X").commutes(parse_pauli("Z"))
+    assert parse_pauli("XX").commutes(parse_pauli("ZZ"))
+    assert parse_pauli("XIZ").commutes(parse_pauli("ZIX"))
 
 
 def test_square_and_hermitian():
@@ -119,15 +116,15 @@ def test_associativity_random():
 
 
 def test_weight():
-    assert weight(parse_pauli("IIII")) == 0
-    assert weight(parse_pauli("XIZY")) == 3
-    assert weight(parse_pauli("X" * 9)) == 9
+    assert parse_pauli("IIII").weight() == 0
+    assert parse_pauli("XIZY").weight() == 3
+    assert parse_pauli("X" * 9).weight() == 9
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(1, 8))
         p = PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
         q = PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-        assert weight(p * q) <= weight(p) + weight(q)
+        assert (p * q).weight() <= p.weight() + q.weight()
 
 
 def test_parse_format():
@@ -135,7 +132,7 @@ def test_parse_format():
     assert p.phase == -1
     assert p.x == 0b01001
     assert p.z == 0b00110
-    assert weight(p) == 4
+    assert p.weight() == 4
     q = parse_pauli("ZZ")
     assert q.phase == 1 and q.x == 0 and q.z == 0b11
     assert format_pauli(parse_pauli("Y")) == "+Y"
@@ -170,7 +167,7 @@ def test_helpers():
     assert parse_pauli("-IZX").restrict([1, 2]) == parse_pauli("-ZX")
     assert parse_pauli("+IYI").restrict([1]) == parse_pauli("+Y")
     with pytest.raises(ValueError):
-        multiply(parse_pauli("X"), parse_pauli("XX"))
+        parse_pauli("X").multiply(parse_pauli("XX"))
 
 
 # -- GF(2) ----------------------------------------------------------------

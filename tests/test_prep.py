@@ -132,6 +132,46 @@ def test_schedule_validation_and_json():
         MeasurementSchedule(bad, sched.letters, sched.num_colors)
 
 
+def test_schedule_from_json_rejects_conflict():
+    blob = edge_color_bipartite(tanner_graph(builtin_code("steane"))).to_json()
+    blob["edges"][3]["color"] = blob["edges"][2]["color"]  # edges 2 and 3 share qubit 1
+    a, b = blob["edges"][2], blob["edges"][3]
+    assert a["qubit"] == b["qubit"]
+    with pytest.raises(ValueError) as exc:
+        MeasurementSchedule.from_json(blob)
+    assert str(exc.value) == (
+        f"edges {(a['qubit'], a['check'])} and {(b['qubit'], b['check'])} share a node and a color"
+    )
+
+
+def _pair_scan_clash(colors):
+    for (q1, j1), (q2, j2) in itertools.combinations(colors, 2):
+        if (q1 == q2 or j1 == j2) and colors[(q1, j1)] == colors[(q2, j2)]:
+            return f"edges {(q1, j1)} and {(q2, j2)} share a node and a color"
+    return None
+
+
+def test_schedule_conflict_message_matches_pair_scan():
+    rng = random.Random(5)
+    proper = edge_color_bipartite(tanner_graph(builtin_code("toric(3)")))
+    clashes = 0
+    for trial in range(200):
+        order = list(proper.colors)
+        rng.shuffle(order)
+        colors = {e: proper.colors[e] for e in order}
+        for e in rng.sample(order, rng.randint(0, 4)):
+            colors[e] = rng.randint(1, proper.num_colors)
+        want = _pair_scan_clash(colors)
+        if want is None:
+            MeasurementSchedule(colors, proper.letters, proper.num_colors)
+            continue
+        clashes += 1
+        with pytest.raises(ValueError) as exc:
+            MeasurementSchedule(colors, proper.letters, proper.num_colors)
+        assert str(exc.value) == want
+    assert 0 < clashes < 200
+
+
 def test_tangling_parity_interleavings():
     letters = {(q, 0): "X" for q in range(4)} | {(q, 1): "Z" for q in range(4)}
     even = {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 4,
