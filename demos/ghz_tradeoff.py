@@ -8,14 +8,7 @@ ancillas leave only a fan-out tree of depth ceil(log_K a) per block, and
 
 from adaptstab.circuit import depth, fanout_depth, ghz_adaptive
 from adaptstab.prep import verify_preparation
-from adaptstab.pauli import PauliOperator
-from adaptstab.tableau import from_stabilizers
-
-
-def ghz_tableau(n):
-    gens = [PauliOperator(n, (1 << n) - 1, 0)]
-    gens += [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]
-    return from_stabilizers(gens)
+from adaptstab.tableau import ghz_state
 
 
 def main():
@@ -27,7 +20,7 @@ def main():
         n_a = circ.m - n
         fan = fanout_depth(a, K)
         rep = verify_preparation(
-            circ, ghz_tableau(n), trials=6, also_exhaustive=circ.cbits <= 10
+            circ, ghz_state(n), trials=6, also_exhaustive=circ.cbits <= 10
         )
         sat = (n_a + 1) * K**fan
         print(

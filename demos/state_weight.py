@@ -7,15 +7,9 @@ than n, while every other generator reduces to a weight-2 ZZ pair.
 """
 
 from adaptstab.metrics import min_weight_generators, weight_vector_oracle
-from adaptstab.pauli import PauliOperator, format_pauli
+from adaptstab.pauli import format_pauli
 from adaptstab.prep import builtin_code, prepare_state
-from adaptstab.tableau import from_stabilizers, random_stabilizer_state
-
-
-def ghz_tableau(n):
-    gens = [PauliOperator(n, (1 << n) - 1, 0)]
-    gens += [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]
-    return from_stabilizers(gens)
+from adaptstab.tableau import ghz_state, random_stabilizer_state
 
 
 def show(label, t):
@@ -29,7 +23,7 @@ def show(label, t):
 
 def main():
     for n in (4, 6):
-        show(f"GHZ_{n}", ghz_tableau(n))
+        show(f"GHZ_{n}", ghz_state(n))
 
     _, steane_zero = prepare_state(builtin_code("steane"))
     show("steane logical zero", steane_zero)

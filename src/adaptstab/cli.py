@@ -10,7 +10,9 @@ through a circuit's gate graph.
 Conventions
 -----------
 * stdout carries exactly one JSON run report; every human-readable line
-  goes to stderr, so reports can be piped safely.
+  goes to stderr, so reports can be piped safely.  When a handler fails,
+  the report has null ``inputs`` / ``results`` and an ``error`` object
+  ``{"kind": exception class, "message": text}`` (exit codes 1 and 3).
 * exit codes: 0 success (verification passed where applicable), 1 usage,
   parse or input validation error, 2 verification failure, 3 resource guard tripped.
 * with ``--seed`` the JSON report is bit-for-bit reproducible; the
@@ -67,7 +69,7 @@ from .prep import builtin_code, parse_code_text, prepare_state, verify_preparati
 from .tableau import StabilizerTableau
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
-from .tableau import zero_state
+from .tableau import ghz_state, zero_state
 
 __all__ = ["main"]
 
@@ -115,11 +117,7 @@ def _builtin_tableau(name: str) -> StabilizerTableau:
             [PauliOperator(n, 0, 1 << q) for q in range(n)],
         )
     if family == "ghz":
-        gens = [PauliOperator(n, (1 << n) - 1, 0)]
-        gens += [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]
-        from .tableau import from_stabilizers
-
-        return from_stabilizers(gens)
+        return ghz_state(n)
     raise ValueError(f"unknown builtin tableau family {family!r}")
 
 
@@ -490,19 +488,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     start = time.perf_counter()
+    inputs = results = error = None
     try:
         inputs, results, code, summary = args.handler(args)
     except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
-    except ContradictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code, summary = exc, 3, [f"resource guard: {exc}"]
+    except (ContradictionError, ValueError, KeyError, TypeError, OSError) as exc:
+        error, code, summary = exc, 1, [f"error: {exc}"]
 
     report = {"command": ["adaptstab", *argv], "inputs": inputs, "results": results}
+    if error is not None:
+        report["error"] = {"kind": type(error).__name__, "message": str(error)}
     if getattr(args, "seed", None) is None:
         report["timing_s"] = round(time.perf_counter() - start, 6)
     json.dump(report, sys.stdout, indent=2)

@@ -197,10 +197,11 @@ def from_tableau(t: StabilizerTableau) -> StateVector:
     """Project a deterministic basis state onto the stabilized subspace."""
     _guard(t.n)
     dim = 1 << t.n
+    gens = t.generators
     for start in range(dim):
         v = np.zeros(dim, dtype=complex)
         v[start] = 1.0
-        for g in t.generators:
+        for g in gens:
             v = (v + apply_pauli(v, g)) / 2
         norm = float(np.linalg.norm(v))
         if norm > 1e-9:

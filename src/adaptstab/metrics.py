@@ -467,7 +467,7 @@ def flip_generator_sign(t: StabilizerTableau, index: int) -> StabilizerTableau:
     if not 0 <= index < t.n:
         raise IndexError("generator index out of range")
     out = t.copy()
-    out.generators[index] = out.generators[index].negate()
+    out.e1 ^= 1 << index  # negate: i-exponent + 2 on generator row ``index``
     return out
 
 

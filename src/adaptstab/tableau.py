@@ -1,10 +1,21 @@
 """Stabilizer tableaux: Clifford conjugation, Pauli measurement, group queries.
 
 A tableau stores n stabilizer generators plus n destabilizers (the
-Aaronson-Gottesman layout), so measurements cost O(n^2).  Destabilizer i
-anticommutes with generator i and commutes with every other row; the dual
-pairing makes deterministic measurement outcomes a simple product over the
-generators selected by destabilizer anticommutation.
+Aaronson-Gottesman layout).  Destabilizer i anticommutes with generator i and
+commutes with every other row, so a deterministic measurement outcome is the
+product of the generators whose destabilizers anticommute with the Pauli.
+
+Storage is column-major and bit-sliced, as in Stim's transposed tableau: for
+qubit q, ``xs[q]`` and ``zs[q]`` are Python-int planes over the 2n rows (bit i
+is generator i, bit n + i destabilizer i).  Each row's i-exponent e (the phase
+of its X-before-Z form, see ``pauli``) is kept mod 4 in the planes ``e0`` (low
+bit) and ``e1`` (high bit), so non-hermitian rows keep their exact phase.
+A gate costs a few big-int operations on its qubits' planes, whatever n is.
+Measuring p finds the anticommuting rows as one mask in O(weight(p))
+operations; a random outcome then costs O(n), a deterministic one O(n) plus
+one O(log n) prefix XOR.  ``generators`` and ``destabilizers`` are read-only
+tuples of :class:`PauliOperator`, built on demand by one transpose and cached
+until the next in-place change.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -25,17 +36,18 @@ from .pauli import (
     gf2_rank,
     gf2_solve,
     parse_pauli,
-    single_site,
 )
 
 __all__ = [
     "GATE_ARITY",
     "StabilizerTableau",
     "zero_state",
+    "ghz_state",
     "check_gate",
     "apply_gate",
     "conjugate_pauli",
     "measure_pauli",
+    "generator_product",
     "is_stabilized_by",
     "states_equal",
     "canonical_form",
@@ -56,30 +68,71 @@ GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2, "CZ":
 _LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 
 
-class StabilizerTableau:
-    """Generators + destabilizers of an n-qubit stabilizer state."""
+def _transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit j of ``vectors[i]`` becomes bit i of entry j of the result."""
+    if not vectors or not width:
+        return [0] * width
+    nbytes = (width + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
+    bits = np.unpackbits(
+        np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
+    )
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    k, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
-    __slots__ = ("n", "generators", "destabilizers")
+
+class StabilizerTableau:
+    """Generators + destabilizers of an n-qubit stabilizer state, stored by column."""
+
+    __slots__ = ("n", "xs", "zs", "e0", "e1", "_rows")
 
     def __init__(
         self,
         n: int,
-        generators: list[PauliOperator],
-        destabilizers: list[PauliOperator],
+        generators: Sequence[PauliOperator],
+        destabilizers: Sequence[PauliOperator],
     ):
+        if len(generators) != n or len(destabilizers) != n:
+            raise ValueError("need exactly n generators and n destabilizers")
+        rows = [*generators, *destabilizers]
+        if any(r.n != n for r in rows):
+            raise ValueError(f"every row must act on n={n} qubits")
         self.n = n
-        self.generators = generators
-        self.destabilizers = destabilizers
+        self.xs = _transpose([r.x for r in rows], n)
+        self.zs = _transpose([r.z for r in rows], n)
+        self.e0 = sum((r.e & 1) << i for i, r in enumerate(rows))
+        self.e1 = sum((r.e >> 1) << i for i, r in enumerate(rows))
+        self._rows = None
+
+    @classmethod
+    def _from_planes(cls, n: int, xs: list[int], zs: list[int], e0: int, e1: int) -> "StabilizerTableau":
+        t = cls.__new__(cls)
+        t.n, t.xs, t.zs, t.e0, t.e1, t._rows = n, xs, zs, e0, e1, None
+        return t
+
+    def _row_views(self) -> tuple[tuple[PauliOperator, ...], tuple[PauliOperator, ...]]:
+        if self._rows is None:
+            n = self.n
+            xr, zr = _transpose(self.xs, 2 * n), _transpose(self.zs, 2 * n)
+            e0, e1 = self.e0, self.e1
+            rows = [
+                PauliOperator.from_exponent(n, x, z, (e0 >> i & 1) | (e1 >> i & 1) << 1)
+                for i, (x, z) in enumerate(zip(xr, zr))
+            ]
+            self._rows = (tuple(rows[:n]), tuple(rows[n:]))
+        return self._rows
+
+    @property
+    def generators(self) -> tuple[PauliOperator, ...]:
+        return self._row_views()[0]
+
+    @property
+    def destabilizers(self) -> tuple[PauliOperator, ...]:
+        return self._row_views()[1]
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(
-            self.n,
-            [PauliOperator.from_exponent(g.n, g.x, g.z, g.e) for g in self.generators],
-            [
-                PauliOperator.from_exponent(d.n, d.x, d.z, d.e)
-                for d in self.destabilizers
-            ],
-        )
+        return StabilizerTableau._from_planes(self.n, list(self.xs), list(self.zs), self.e0, self.e1)
 
     def __repr__(self) -> str:
         gens = ", ".join(format_pauli(g) for g in self.generators)
@@ -90,75 +143,128 @@ def zero_state(n: int) -> StabilizerTableau:
     """|0...0> with generators Z_i and destabilizers X_i."""
     if n < 1:
         raise ValueError("need n >= 1")
-    gens = [single_site(n, q, "Z") for q in range(n)]
-    destabs = [single_site(n, q, "X") for q in range(n)]
-    return StabilizerTableau(n, gens, destabs)
+    return StabilizerTableau._from_planes(n, [1 << (n + q) for q in range(n)], [1 << q for q in range(n)], 0, 0)
+
+
+def ghz_state(n: int) -> StabilizerTableau:
+    """GHZ_n: generators X^n and Z_i Z_{i+1}, destabilizers from ``from_stabilizers``."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    gens = [PauliOperator(n, (1 << n) - 1, 0)]
+    gens += [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]
+    return from_stabilizers(gens)
+
+
+# -- plane kernels ----------------------------------------------------------------
+
+
+def _bits(v: int) -> Iterable[int]:
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _anticommuting(xs: Sequence[int], zs: Sequence[int], p: PauliOperator) -> int:
+    """Mask of the rows (of planes ``xs``, ``zs``) that anticommute with ``p``."""
+    mask = 0
+    for q in _bits(p.x):
+        mask ^= zs[q]
+    for q in _bits(p.z):
+        mask ^= xs[q]
+    return mask
+
+
+def _add_exponent(t: StabilizerTableau, mask: int, k: int) -> None:
+    """e += k (mod 4) on every row in ``mask``."""
+    if k & 1:
+        t.e1 ^= t.e0 & mask
+        t.e0 ^= mask
+    if k & 2:
+        t.e1 ^= mask
+
+
+def _row(t: StabilizerTableau, r: int) -> tuple[int, int, int]:
+    """(x, z, e) of row ``r``, read off the planes."""
+    x = z = 0
+    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
+        x |= (cx >> r & 1) << q
+        z |= (cz >> r & 1) << q
+    return x, z, (t.e0 >> r & 1) | (t.e1 >> r & 1) << 1
+
+
+def _xor_row(t: StabilizerTableau, r: int, x: int, z: int, e: int) -> None:
+    """XOR the bits (x, z, e) into row ``r``, touching only their support."""
+    bit = 1 << r
+    for q in _bits(x):
+        t.xs[q] ^= bit
+    for q in _bits(z):
+        t.zs[q] ^= bit
+    if e & 1:
+        t.e0 ^= bit
+    if e & 2:
+        t.e1 ^= bit
+
+
+def _multiply_rows(t: StabilizerTableau, mask: int, x: int, z: int, e: int) -> None:
+    """Right-multiply every row in ``mask`` by the Pauli with bits (x, z, e)."""
+    xs, zs = t.xs, t.zs
+    odd = 0  # rows whose Z part meets the factor's X part an odd number of times
+    for q in _bits(x):
+        odd ^= zs[q]
+        xs[q] ^= mask
+    for q in _bits(z):
+        zs[q] ^= mask
+    t.e1 ^= odd & mask
+    _add_exponent(t, mask, e)
+
+
+def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
+    """Ordered product g_i g_j ... (i < j < ...) of the generators in ``mask``.
+
+    Bits are column parities.  The phase is the exponent sum plus 2 for every
+    pair i < j and qubit where g_i has Z and g_j has X (moving X before Z).
+    Those pairs are counted for all columns at once: the selected Z and X
+    parts of every column are packed into two ints, and a prefix XOR turns
+    each Z block into "odd number of Z rows above this row".
+    """
+    x = z = 0
+    e = (t.e0 & mask).bit_count() + 2 * (t.e1 & mask).bit_count()
+    width = mask.bit_length()
+    span = 1
+    while span < width:
+        span <<= 1
+    stride = width + span  # the prefix XOR spills at most span - 1 bits past a block
+    packed_z = packed_x = 0
+    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
+        a, b = cz & mask, cx & mask
+        if a:
+            z |= (a.bit_count() & 1) << q
+            if b:
+                packed_z |= a << (q * stride)
+                packed_x |= b << (q * stride)
+        if b:
+            x |= (b.bit_count() & 1) << q
+    s = 1
+    while s < span:
+        packed_z ^= packed_z << s
+        s <<= 1
+    e += 2 * (packed_x & packed_z << 1).bit_count()
+    return PauliOperator.from_exponent(t.n, x, z, e)
 
 
 # -- gate conjugation -------------------------------------------------------
 
 
-def _conjugate_row(p: PauliOperator, name: str, qubits: Sequence[int], pauli: str | None) -> None:
-    """Update one row in place for G row G^dagger."""
-    x, z, e = p.x, p.z, p.e
-    if name == "H":
-        (q,) = qubits
-        xq, zq = (x >> q) & 1, (z >> q) & 1
-        e += 2 * (xq & zq)
-        x ^= (xq ^ zq) << q
-        z ^= (xq ^ zq) << q
-    elif name == "S":
-        (q,) = qubits
-        xq = (x >> q) & 1
-        e += xq
-        z ^= xq << q
-    elif name == "SDG":
-        (q,) = qubits
-        xq = (x >> q) & 1
-        e += 3 * xq
-        z ^= xq << q
-    elif name == "X":
-        (q,) = qubits
-        e += 2 * ((z >> q) & 1)
-    elif name == "Y":
-        (q,) = qubits
-        e += 2 * (((x >> q) ^ (z >> q)) & 1)
-    elif name == "Z":
-        (q,) = qubits
-        e += 2 * ((x >> q) & 1)
-    elif name == "SWAP":
-        a, b = qubits
-        xa, xb = (x >> a) & 1, (x >> b) & 1
-        za, zb = (z >> a) & 1, (z >> b) & 1
-        x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
-        z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
-    elif name in ("CNOT", "CZ", "CP"):
-        letter = {"CNOT": "X", "CZ": "Z", "CP": pauli}[name]
-        if letter not in _LETTER_BITS:
-            raise ValueError(f"CP needs a pauli in X/Y/Z, got {letter!r}")
-        px, pz, pe = _LETTER_BITS[letter]
-        a = qubits[0]
-        for q in qubits[1:]:  # CNOT accepts several targets (one fan-out gate)
-            xa = (x >> a) & 1
-            xq, zq = (x >> q) & 1, (z >> q) & 1
-            tau = (xq & pz) ^ (zq & px)
-            if xa:
-                e += pe + 2 * (pz & xq)
-                x ^= px << q
-                z ^= pz << q
-            z ^= tau << a
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    p.x, p.z, p.e = x, z, e % 4
-
-
 def conjugate_pauli(
     p: PauliOperator, name: str, qubits: Sequence[int], pauli: str | None = None
 ) -> PauliOperator:
-    """G p G^dagger for a single Pauli, without touching a tableau."""
-    out = PauliOperator.from_exponent(p.n, p.x, p.z, p.e)
-    _conjugate_row(out, name, qubits, pauli)
-    return out
+    """G p G^dagger for a single Pauli: the gate kernel on a one-row table."""
+    one = StabilizerTableau._from_planes(
+        p.n, [p.x >> q & 1 for q in range(p.n)], [p.z >> q & 1 for q in range(p.n)], p.e & 1, p.e >> 1
+    )
+    apply_gate(one, name, qubits, pauli)
+    return PauliOperator.from_exponent(p.n, *_row(one, 0))
 
 
 def check_gate(name: str, n_qubits: int) -> None:
@@ -179,34 +285,56 @@ def apply_gate(
     qubits: Sequence[int],
     pauli: str | None = None,
 ) -> StabilizerTableau:
-    """Conjugate every row by the named Clifford gate (in place)."""
+    """Conjugate every row by the named Clifford gate (in place).
+
+    The CHP update rules act on whole columns: a few big-int operations on
+    the planes of ``qubits``, whatever the number of rows.
+    """
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit in {qubits}")
     for q in qubits:
         if not 0 <= q < t.n:
             raise ValueError(f"qubit {q} out of range for n={t.n}")
     check_gate(name, len(qubits))
-    for row in t.generators:
-        _conjugate_row(row, name, qubits, pauli)
-    for row in t.destabilizers:
-        _conjugate_row(row, name, qubits, pauli)
+    xs, zs = t.xs, t.zs
+    if name == "H":
+        (q,) = qubits
+        t.e1 ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
+    elif name in ("S", "SDG"):
+        (q,) = qubits
+        _add_exponent(t, xs[q], 1 if name == "S" else 3)
+        zs[q] ^= xs[q]
+    elif name in _LETTER_BITS:  # a Pauli gate negates the rows it anticommutes with
+        (q,) = qubits
+        px, pz, _ = _LETTER_BITS[name]
+        t.e1 ^= (zs[q] if px else 0) ^ (xs[q] if pz else 0)
+    elif name == "SWAP":
+        a, b = qubits
+        xs[a], xs[b] = xs[b], xs[a]
+        zs[a], zs[b] = zs[b], zs[a]
+    else:  # CNOT (a fan-out over every target), CZ, CP
+        letter = {"CNOT": "X", "CZ": "Z"}.get(name, pauli)
+        if letter not in _LETTER_BITS:
+            raise ValueError(f"CP needs a pauli in X/Y/Z, got {letter!r}")
+        px, pz, pe = _LETTER_BITS[letter]
+        a = qubits[0]
+        xa = xs[a]  # rows with X on the control pick up the letter on each target
+        for q in qubits[1:]:
+            xq, zq = xs[q], zs[q]
+            if pe:
+                _add_exponent(t, xa, pe)
+            if pz:
+                t.e1 ^= xa & xq
+                zs[q] = zq ^ xa
+            if px:
+                xs[q] = xq ^ xa
+            zs[a] ^= (xq if pz else 0) ^ (zq if px else 0)
+    t._rows = None
     return t
 
 
 # -- measurement ------------------------------------------------------------
-
-
-def _group_product(t: StabilizerTableau, p: PauliOperator) -> PauliOperator:
-    """Product of the generators whose destabilizers anticommute with ``p``.
-
-    When ``+-p`` is in the stabilizer group this product is exactly ``+-p``;
-    otherwise its bits differ from ``p``'s.
-    """
-    prod = PauliOperator(t.n, 0, 0)
-    for d, g in zip(t.destabilizers, t.generators):
-        if not d.commutes(p):
-            prod = prod * g
-    return prod
 
 
 def measure_pauli(
@@ -225,15 +353,16 @@ def measure_pauli(
         raise ValueError(f"{format_pauli(p)} is not hermitian")
     if p.n != t.n:
         raise ValueError("dimension mismatch")
-    anti = [i for i, g in enumerate(t.generators) if not g.commutes(p)]
-    if anti:
-        pivot = anti[0]
-        g_pivot = t.generators[pivot]
-        for i in anti[1:]:
-            t.generators[i] = t.generators[i] * g_pivot
-        for i, d in enumerate(t.destabilizers):
-            if not d.commutes(p):
-                t.destabilizers[i] = d * g_pivot
+    n = t.n
+    anti = _anticommuting(t.xs, t.zs, p)
+    if anti & ((1 << n) - 1):
+        # The lowest anticommuting generator is the pivot; every other
+        # anticommuting row is multiplied by it.
+        pivot = (anti & -anti).bit_length() - 1
+        d = n + pivot  # its destabilizer, overwritten below
+        x, z, e = _row(t, pivot)
+        _multiply_rows(t, anti & ~(1 << pivot | 1 << d), x, z, e)
+        t._rows = None
         if forced is not None:
             outcome = int(forced)
             if outcome not in (1, -1):
@@ -242,18 +371,18 @@ def measure_pauli(
             if rng is None:
                 raise ValueError("random measurement outcome requires an rng")
             outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-        t.destabilizers[pivot] = g_pivot
-        signed = from_bits(t.n, p.x, p.z, outcome)
-        # keep p's own display sign folded in: outcome refers to measuring p
-        if p.display_sign == -1:
-            signed = signed.negate()
-        t.generators[pivot] = signed
+        # The destabilizer becomes the old pivot generator, and the pivot
+        # generator becomes outcome * p.
+        keep = ~(1 << d)
+        t.xs, t.zs = [c & keep for c in t.xs], [c & keep for c in t.zs]
+        t.e0, t.e1 = t.e0 & keep, t.e1 & keep
+        _xor_row(t, d, x, z, e)
+        _xor_row(t, pivot, x ^ p.x, z ^ p.z, e ^ (p.e if outcome == 1 else p.e + 2) & 3)
         return outcome, False, t
     # Deterministic: p commutes with the whole group, so +-p is in it.
-    prod = _group_product(t, p)
-    if (prod.x, prod.z) != (p.x, p.z):
+    outcome = _group_sign(t, p, anti)
+    if outcome is None:
         raise AssertionError("commuting Pauli outside the group; tableau corrupt")
-    outcome = 1 if prod.e == p.e else -1
     if forced is not None and int(forced) != outcome:
         raise ContradictionError(
             f"measurement of {format_pauli(p)} is deterministic ({outcome:+d}); "
@@ -262,14 +391,20 @@ def measure_pauli(
     return outcome, True, t
 
 
+def _group_sign(t: StabilizerTableau, p: PauliOperator, anti: int) -> int | None:
+    """+1/-1 when ``sign * p`` is in the group, else None; ``anti`` is the mask
+    of rows anticommuting with p, whose destabilizer part selects the product."""
+    prod = generator_product(t, anti >> t.n)
+    if (prod.x, prod.z) != (p.x, p.z):
+        return None
+    return 1 if prod.e == p.e else -1
+
+
 def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
     """+1/-1 when ``sign * p`` is in the stabilizer group, else None."""
     if not p.hermitian:
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    prod = _group_product(t, p)
-    if (prod.x, prod.z) != (p.x, p.z):
-        return None
-    return 1 if prod.e == p.e else -1
+    return _group_sign(t, p, _anticommuting(t.xs, t.zs, p))
 
 
 def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
@@ -282,74 +417,74 @@ def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
 # -- canonical form ---------------------------------------------------------
 
 
-def _mirror_rowmul(t: StabilizerTableau, i: int, j: int) -> None:
-    """gen_i <- gen_i * gen_j, with the destabilizer update that keeps pairing."""
-    t.generators[i] = t.generators[i] * t.generators[j]
-    t.destabilizers[j] = t.destabilizers[j] * t.destabilizers[i]
-
-
 def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
     """Deterministic row-reduced copy of the tableau.
 
     Pivots scan X columns before Z columns, so rows carrying X support come
     first (their x-parts form a full-rank block) and pure-Z rows sink to the
-    bottom.  Repeated application is the identity.
+    bottom.  Generator row operations are mirrored on the destabilizers to
+    keep the pairing.  Repeated application is the identity.
     """
-    out = t.copy()
-    n = out.n
+    n = t.n
+    gens, destabs = list(t.generators), list(t.destabilizers)
 
     def bit(row: PauliOperator, col: int) -> int:
         return (row.x >> col) & 1 if col < n else (row.z >> (col - n)) & 1
 
     pivot_row = 0
     for col in range(2 * n):
-        hit = next(
-            (r for r in range(pivot_row, n) if bit(out.generators[r], col)), None
-        )
+        hit = next((r for r in range(pivot_row, n) if bit(gens[r], col)), None)
         if hit is None:
             continue
-        if hit != pivot_row:
-            out.generators[hit], out.generators[pivot_row] = (
-                out.generators[pivot_row],
-                out.generators[hit],
-            )
-            out.destabilizers[hit], out.destabilizers[pivot_row] = (
-                out.destabilizers[pivot_row],
-                out.destabilizers[hit],
-            )
+        gens[hit], gens[pivot_row] = gens[pivot_row], gens[hit]
+        destabs[hit], destabs[pivot_row] = destabs[pivot_row], destabs[hit]
         for r in range(n):
-            if r != pivot_row and bit(out.generators[r], col):
-                _mirror_rowmul(out, r, pivot_row)
+            if r != pivot_row and bit(gens[r], col):
+                gens[r] = gens[r] * gens[pivot_row]
+                destabs[pivot_row] = destabs[pivot_row] * destabs[r]
         pivot_row += 1
         if pivot_row == n:
             break
-    return out
+    return StabilizerTableau(n, gens, destabs)
 
 
 # -- construction helpers ----------------------------------------------------
 
 
+def _raise_anticommuting(gens: Sequence[PauliOperator], masks: Sequence[int]) -> None:
+    """ValueError naming the first generator pair i < j that anticommutes;
+    ``masks[i]`` has bit j set when generator j anticommutes with generator i."""
+    full = (1 << len(gens)) - 1
+    for i, mask in enumerate(masks):
+        later = (mask & full) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            raise ValueError(f"generators {format_pauli(gens[i])} and {format_pauli(gens[j])} anticommute")
+
+
 def validate_tableau(t: StabilizerTableau) -> None:
-    """Raise ValueError when any tableau invariant is broken."""
+    """Raise ValueError when any tableau invariant is broken.
+
+    One anticommutation mask per generator, read from the planes, covers
+    both the generator commutation and the destabilizer pairing.
+    """
     n = t.n
-    if len(t.generators) != n or len(t.destabilizers) != n:
-        raise ValueError("need exactly n generators and n destabilizers")
-    for g in t.generators:
-        if g.n != n or not g.hermitian:
+    full = (1 << n) - 1
+    gens = t.generators
+    for g in gens:
+        if not g.hermitian:
             raise ValueError(f"bad generator {format_pauli(g)}")
-    rows = [g.symplectic_row() for g in t.generators]
-    if gf2_rank(rows) != n:
+    masks = [_anticommuting(t.xs, t.zs, g) for g in gens]
+    wrong = [(mask >> n) ^ (1 << j) for j, mask in enumerate(masks)]
+    if not any(mask & full for mask in masks) and not any(wrong):
+        return
+    # Correct pairing implies independence, so rank only matters on failure.
+    if gf2_rank([c & full for c in (*t.xs, *t.zs)]) != n:
         raise ValueError("generators are dependent")
-    for i, a in enumerate(t.generators):
-        for b in t.generators[i + 1 :]:
-            if not a.commutes(b):
-                raise ValueError(
-                    f"generators {format_pauli(a)} and {format_pauli(b)} anticommute"
-                )
-    for i, d in enumerate(t.destabilizers):
-        for j, g in enumerate(t.generators):
-            if d.commutes(g) != (i != j):
-                raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
+    _raise_anticommuting(gens, masks)
+    i = min((w & -w).bit_length() - 1 for w in wrong if w)
+    j = next(j for j, w in enumerate(wrong) if w >> i & 1)
+    raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
 
 
 def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
@@ -359,7 +494,8 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     constraints.  Destabilizer i is the solution, free columns zero, that
     anticommutes with generator i alone and commutes with the destabilizers
     before it; its row then joins the elimination.  Their phases are fixed to
-    display sign +1.
+    display sign +1.  The pairing holds by construction, so the only
+    commutation scan is the one over the generators.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -377,21 +513,15 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     elim = GF2Elimination(2 * n, (w.z | (w.x << n) for w in gens))
     if elim.dependencies:
         raise ValueError("generators are dependent")
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if not a.commutes(b):
-                raise ValueError(
-                    f"generators {format_pauli(a)} and {format_pauli(b)} anticommute"
-                )
+    xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
+    _raise_anticommuting(gens, [_anticommuting(xs, zs, g) for g in gens])
     destabs: list[PauliOperator] = []
     for i in range(n):
         v = elim.solve(1 << i)
         d = from_bits(n, v & ((1 << n) - 1), v >> n, 1)
         destabs.append(d)
         elim.add(d.z | (d.x << n))
-    t = StabilizerTableau(n, gens, destabs)
-    validate_tableau(t)
-    return t
+    return StabilizerTableau(n, gens, destabs)
 
 
 def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
@@ -410,40 +540,32 @@ def factor_out_qubit(t: StabilizerTableau, q: int) -> StabilizerTableau:
     """Remove qubit ``q``, which must be in a definite Z eigenstate.
 
     Returns a fresh tableau on the remaining qubits (indices above ``q``
-    shift down by one), built with O(n) row operations: the first generator
+    shift down by one), built with O(n) plane operations: the first generator
     whose destabilizer anticommutes with Z_q is traded for +-Z_q, the other
-    rows are cleared off qubit q, and that pair is dropped.
+    rows are cleared off qubit q, and that pair and column q are dropped.
     """
     n = t.n
-    zq = single_site(n, q, "Z")
-    signed_zq = _group_product(t, zq)
-    if (signed_zq.x, signed_zq.z) != (zq.x, zq.z):
+    selected = t.xs[q] >> n  # generators whose destabilizers anticommute with Z_q
+    signed_zq = generator_product(t, selected)
+    if (signed_zq.x, signed_zq.z) != (0, 1 << q):
         raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
     if n == 1:
-        return StabilizerTableau(0, [], [])
-    selected = [(d.x >> q) & 1 for d in t.destabilizers]
-    pivot = selected.index(1)
-    d_pivot = t.destabilizers[pivot]
-    low = (1 << q) - 1
-
-    def drop_q(p: PauliOperator) -> PauliOperator:
-        # No row left has X on q, so dropping its Z on q keeps every
-        # commutation relation among the remaining rows.
-        x = (p.x & low) | ((p.x >> (q + 1)) << q)
-        z = (p.z & low) | ((p.z >> (q + 1)) << q)
-        return PauliOperator.from_exponent(n - 1, x, z, p.e)
-
-    gens, destabs = [], []
-    for i, (g, d) in enumerate(zip(t.generators, t.destabilizers)):
-        if i == pivot:
-            continue
-        if (g.z >> q) & 1:
-            g = g * signed_zq
-        if selected[i]:
-            d = d * d_pivot
-        gens.append(drop_q(g))
-        destabs.append(drop_q(d))
-    return StabilizerTableau(n - 1, gens, destabs)
+        return StabilizerTableau._from_planes(0, [], [], 0, 0)
+    pivot = (selected & -selected).bit_length() - 1
+    out = t.copy()
+    # Generators with Z on q times +-Z_q; their letter on q is dropped below.
+    _add_exponent(out, t.zs[q] & ((1 << n) - 1) & ~(1 << pivot), signed_zq.e)
+    # Other selected destabilizers times the pivot's, which clears their X on q.
+    _multiply_rows(out, (selected ^ (1 << pivot)) << n, *_row(t, n + pivot))
+    # No row left has X on q, so dropping its Z on q keeps every
+    # commutation relation among the remaining rows.
+    del out.xs[q], out.zs[q]
+    # Drop rows pivot and n + pivot: the bits between them move down one,
+    # the bits above both move down two.
+    lo, high = (1 << pivot) - 1, -1 << (n + pivot - 1)
+    mid = ~lo & ~high
+    planes = [c & lo | c >> 1 & mid | c >> 2 & high for c in (*out.xs, *out.zs, out.e0, out.e1)]
+    return StabilizerTableau._from_planes(n - 1, planes[: n - 1], planes[n - 1 : -2], *planes[-2:])
 
 
 # -- random states -----------------------------------------------------------
@@ -489,30 +611,24 @@ def restricted_group_elements(
     """All group elements (signs included) supported inside ``subset``.
 
     The combinations form a linear subspace: a product has trivial letters on
-    qubit q iff the XOR of the chosen generators' x and z bits at q vanish.
+    qubit q iff the XOR of the chosen generators' x and z bits at q vanish,
+    and those bits are the generator part of q's planes.
     """
     region = sorted(set(subset))
     n = t.n
     for q in region:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range")
-    outside = [q for q in range(n) if q not in set(region)]
+    full = (1 << n) - 1
     system = []
-    for q in outside:
-        system.append(sum(((t.generators[i].x >> q) & 1) << i for i in range(n)))
-        system.append(sum(((t.generators[i].z >> q) & 1) << i for i in range(n)))
+    for q in sorted(set(range(n)) - set(region)):
+        system += [t.xs[q] & full, t.zs[q] & full]
     sol = gf2_solve(system, [0] * len(system), cols=n)
     assert sol is not None
     dim = len(sol.null_basis)
     if dim > 20:
         raise ResourceGuardError(f"restricted group has 2^{dim} elements")
-    elements = []
-    for mask in sol.solutions():
-        prod = PauliOperator(n, 0, 0)
-        for i in range(n):
-            if (mask >> i) & 1:
-                prod = prod * t.generators[i]
-        elements.append(prod)
+    elements = [generator_product(t, mask) for mask in sol.solutions()]
     elements.sort(key=lambda p: (p.weight(), p.x, p.z))
     return elements
 

@@ -57,7 +57,7 @@ from adaptstab.prep import (
     x_type_logicals,
 )
 from adaptstab.tableau import (
-    from_stabilizers,
+    ghz_state,
     measure_pauli,
     random_stabilizer_state,
     restricted_group_elements,
@@ -71,12 +71,6 @@ def _report(num: int, errs: list, detail: str) -> None:
     ok = not errs
     print(f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {detail}")
     assert ok, f"criterion {num:02d}: " + "; ".join(str(e) for e in errs[:5])
-
-
-def _ghz_tableau(n):
-    gens = [PauliOperator(n, (1 << n) - 1, 0)]
-    gens += [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]
-    return from_stabilizers(gens)
 
 
 # -- 1: exact two-point correlation values ----------------------------------------
@@ -131,7 +125,7 @@ def test_criterion_01_two_point_correlation_values():
 def test_criterion_02_stabilizer_weight_greedy_vs_oracle():
     errs = []
     for n in range(3, 9):
-        wt = stabilizer_weight(_ghz_tableau(n))
+        wt = stabilizer_weight(ghz_state(n))
         if wt != n:
             errs.append(f"wt_s(ghz{n}) = {wt} != {n}")
     checked = 0
@@ -263,7 +257,7 @@ def test_criterion_04_code_state_preparation_end_to_end():
     rep = verify_preparation(circ, target, trials=8, also_exhaustive=True)
     if not rep["all_match"]:
         errs.append("repetition(3): branch mismatch")
-    if not states_equal(target, _ghz_tableau(3)):
+    if not states_equal(target, ghz_state(3)):
         errs.append("repetition(3) target is not GHZ_3")
     lines.append(f"repetition(3): depth {rep['depth']}, ancillas {rep['n_a']}")
 
@@ -282,7 +276,7 @@ def test_criterion_05_ghz_adaptive_saturation():
         want = -(-n // a) - 1
         if n_a != want:
             errs.append(f"({n},{a}): ancillas {n_a} != {want}")
-        rep = verify_preparation(circ, _ghz_tableau(n), trials=4, also_exhaustive=True)
+        rep = verify_preparation(circ, ghz_state(n), trials=4, also_exhaustive=True)
         if not rep["all_match"]:
             errs.append(f"({n},{a}): verification failed")
         fan = fanout_depth(a, 2)
@@ -324,7 +318,7 @@ def test_criterion_06_resource_bound_suite():
     ):
         circ = ghz_adaptive(n, a, k)
         profile = ResourceProfile.from_circuit(circ, n, K=k)
-        _bound_checks(profile, _ghz_tableau(n), errs, f"ghz({n},{a},{k})")
+        _bound_checks(profile, ghz_state(n), errs, f"ghz({n},{a},{k})")
         pairs += 1
 
     for name in ("repetition(3)", "repetition(5)", "steane", "toric(2)"):
@@ -346,7 +340,7 @@ def test_criterion_06_resource_bound_suite():
         errs.append(f"only {pairs} circuit/state pairs generated")
 
     # deliberately falsified profiles must be flagged
-    vec8 = min_weight_generators(_ghz_tableau(8))[1]
+    vec8 = min_weight_generators(ghz_state(8))[1]
     falsified = [
         check_nonadaptive(ResourceProfile(8, 8, 2, 2), vec8),
         check_adaptive_weight(ResourceProfile(16, 17, 2, 1), 16),
@@ -523,7 +517,7 @@ def test_criterion_09_corrections_and_logicals():
 
 def test_criterion_10_local_indistinguishability():
     errs = []
-    t1 = _ghz_tableau(4)
+    t1 = ghz_state(4)
     idx = next(i for i, g in enumerate(t1.generators) if g.x)
     t2 = flip_generator_sign(t1, idx)
     if not local_indistinguishable(t1, t2, 3):

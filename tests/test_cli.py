@@ -15,9 +15,8 @@ from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
 from adaptstab.cli import main
-from adaptstab.pauli import parse_pauli
 from adaptstab.tableau import from_json as tableau_from_json
-from adaptstab.tableau import from_stabilizers, states_equal
+from adaptstab.tableau import ghz_state, states_equal
 from adaptstab.tableau import to_json as tableau_to_json
 
 
@@ -26,12 +25,6 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
-
-
-def ghz_tableau(n):
-    gens = [parse_pauli("+" + "X" * n)]
-    gens += [parse_pauli("+" + "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
-    return from_stabilizers(gens)
 
 
 # -- prep ------------------------------------------------------------------------
@@ -55,10 +48,10 @@ def test_prep_repetition3_builds_ghz3(capsys, tmp_path):
     )
     assert code == 0
     target = tableau_from_json(report["results"]["target"])
-    assert states_equal(target, ghz_tableau(3))
+    assert states_equal(target, ghz_state(3))
     circ = circuit_from_json(out.read_text())
     got, _ = simulate(circ, seed=0)
-    assert states_equal(got, ghz_tableau(3))
+    assert states_equal(got, ghz_state(3))
 
 
 def test_prep_partition_file(capsys, tmp_path):
@@ -74,7 +67,7 @@ def test_prep_partition_file(capsys, tmp_path):
         "exhaustive",
     )
     assert code == 0
-    assert states_equal(tableau_from_json(report["results"]["target"]), ghz_tableau(3))
+    assert states_equal(tableau_from_json(report["results"]["target"]), ghz_state(3))
 
 
 def test_prep_random_trials_only(capsys):
@@ -88,7 +81,8 @@ def test_prep_parse_error_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("this is not a pauli\n")
     code, report, err = run(capsys, "prep", str(bad))
-    assert code == 1 and report is None
+    assert code == 1 and report["results"] is None
+    assert report["error"]["kind"] == "ValueError"
     assert "error" in err
 
 
@@ -133,7 +127,7 @@ def test_weight_oracle_agreement(capsys):
 
 def test_weight_tableau_file(capsys, tmp_path):
     path = tmp_path / "tableau.json"
-    path.write_text(json.dumps(tableau_to_json(ghz_tableau(4))))
+    path.write_text(json.dumps(tableau_to_json(ghz_state(4))))
     code, report, _ = run(capsys, "weight", str(path))
     assert code == 0
     assert report["results"]["weight"] == 4
@@ -142,14 +136,18 @@ def test_weight_tableau_file(capsys, tmp_path):
 
 def test_weight_size_guard_exits_3(capsys):
     code, report, err = run(capsys, "weight", "builtin:ghz25")
-    assert code == 3 and report is None
+    assert code == 3 and report["results"] is None
+    assert report["error"] == {"kind": "ResourceGuardError", "message": "group enumeration capped at n <= 20"}
     assert "resource guard" in err
 
 
 def test_weight_unknown_builtin_exits_1(capsys):
-    code, _, err = run(capsys, "weight", "builtin:foo5")
+    code, report, err = run(capsys, "weight", "builtin:foo5")
     assert code == 1
     assert "unknown builtin" in err
+    assert report["error"]["kind"] == "ValueError"
+    assert "unknown builtin" in report["error"]["message"]
+    assert report["command"] == ["adaptstab", "weight", "builtin:foo5"]
 
 
 # -- cor / crange ----------------------------------------------------------------
@@ -228,7 +226,7 @@ def ghz8_files(tmp_path):
     cpath = tmp_path / "circuit.json"
     tpath = tmp_path / "target.json"
     cpath.write_text(circuit_to_json(ghz_adaptive(8, 2, 2)))
-    tpath.write_text(json.dumps(tableau_to_json(ghz_tableau(8))))
+    tpath.write_text(json.dumps(tableau_to_json(ghz_state(8))))
     return str(cpath), str(tpath)
 
 
@@ -312,6 +310,13 @@ def test_ghz_demo_16_4_2(capsys):
     assert "verified" in err
 
 
+def test_ghz_demo_above_weight_cap_proves_bounds(capsys):
+    code, report, _ = run(capsys, "ghz-demo", "--n", "32", "--a", "8", "--k", "2", "--seed", "0")
+    assert code == 0
+    bounds = report["results"]["verify"]["bounds"]
+    assert [(b["lhs"], b["rhs"], b["status"]) for b in bounds] == [(131072, 32, "proved"), (1024, 32, "proved")]
+
+
 def test_ghz_demo_seeded_reproducible(capsys):
     args = ("ghz-demo", "--n", "8", "--a", "2", "--k", "2", "--seed", "1")
     code1, report1, _ = run(capsys, *args)
@@ -379,6 +384,20 @@ def test_lightcone_rejects_source_outside_circuit(capsys, tmp_path):
     assert code == 1
     assert report["results"]["violations"] == ["source qubit 7 outside 0..1"]
     assert report["results"]["sources"] == [7]
+
+
+def test_lightcone_missing_circuit_file_reports_error(capsys, tmp_path):
+    missing = str(tmp_path / "nonexistent.json")
+    code, report, err = run(capsys, "lightcone", "--circuit", missing, "--from", "0", "--seed", "0")
+    assert code == 1
+    assert report == {
+        "command": ["adaptstab", "lightcone", "--circuit", missing, "--from", "0", "--seed", "0"],
+        "inputs": None,
+        "results": None,
+        "error": {"kind": "FileNotFoundError", "message": report["error"]["message"]},
+    }
+    assert "nonexistent.json" in report["error"]["message"]
+    assert "error" in err
 
 
 # -- report contract ---------------------------------------------------------------

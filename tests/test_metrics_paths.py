@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from adaptstab import metrics as mt
 from adaptstab.densesim import dicke, ghz, pauli_matrix, w_state
 from adaptstab.errors import ResourceGuardError
-from adaptstab.pauli import PauliOperator, parse_pauli
-from adaptstab.tableau import StabilizerTableau, from_stabilizers, random_stabilizer_state, zero_state
+from adaptstab.pauli import PauliOperator
+from adaptstab.tableau import StabilizerTableau, ghz_state, random_stabilizer_state, zero_state
 
 # -- oracles: the replaced per-object code --------------------------------------
 
@@ -109,11 +109,6 @@ def per_restart_alternating(delta4, w, restarts, seed):
 # -- states -------------------------------------------------------------------------
 
 
-def ghz_strings_tableau(n):
-    strings = ["+" + "X" * n] + ["+" + "I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
-    return from_stabilizers([parse_pauli(s) for s in strings])
-
-
 def _random_cases(sizes, per_size):
     return [(n, 7919 * n + s) for n in sizes for s in range(per_size)]
 
@@ -127,7 +122,7 @@ def _texts(ops):
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14])
 def test_group_elements_match_list_products_ghz(n):
-    t = ghz_strings_tableau(n)
+    t = ghz_state(n)
     assert _texts(mt.group_elements(t)) == _texts(list_group_elements(t))
 
 
@@ -174,7 +169,7 @@ def _assert_same_greedy(t):
 
 @pytest.mark.parametrize("n", range(2, 19))
 def test_min_weight_generators_match_list_greedy_ghz(n):
-    _assert_same_greedy(ghz_strings_tableau(n))
+    _assert_same_greedy(ghz_state(n))
 
 
 @pytest.mark.parametrize("n,seed", _random_cases(range(1, 17), 2))

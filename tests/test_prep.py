@@ -31,6 +31,7 @@ from adaptstab.prep import (
 )
 from adaptstab.tableau import (
     from_stabilizers,
+    ghz_state,
     is_stabilized_by,
     measure_pauli,
     random_stabilizer_state,
@@ -517,6 +518,25 @@ def test_verify_exhaustive_guard():
         verify_preparation(circ, target, trials=2)
     report = verify_preparation(circ, target, trials=4, also_exhaustive=False)
     assert report["all_match"] and report["branches"] is None
+
+
+def test_verify_bounds_above_weight_cap_use_generator_weight():
+    # toric(4): n = 32 is above the n <= 20 enumeration cap; the heaviest
+    # generator (weight 4) bounds wt_s from above, and both checks clear it.
+    circ, target = prepare_state(builtin_code("toric(4)"))
+    report = verify_preparation(circ, target, trials=1, also_exhaustive=False)
+    assert report["all_match"]
+    for rec in report["bounds"]:
+        assert (rec["rhs"], rec["wt_s_exact"], rec["status"], rec["satisfied"]) == (4, False, "proved", True)
+    # One layer on GHZ_24 cannot reach weight 24: inconclusive, never satisfied.
+    shallow = AdaptiveCircuit(24, 0, [[Gate("H", (0,))]])
+    report = verify_preparation(shallow, ghz_state(24), trials=1, also_exhaustive=False)
+    for rec in report["bounds"]:
+        assert (rec["lhs"], rec["rhs"], rec["status"], rec["satisfied"]) == (2, 24, "inconclusive", False)
+    # At or below the cap wt_s is exact and the records carry no status.
+    circ, target = prepare_state(builtin_code("repetition(5)"))
+    report = verify_preparation(circ, target, trials=1, also_exhaustive=False)
+    assert all("status" not in rec and "wt_s_exact" not in rec for rec in report["bounds"])
 
 
 def test_check_measurement_transform():

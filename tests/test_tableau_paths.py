@@ -1,0 +1,539 @@
+"""Bit-plane tableau kernels against the row-list code they replaced.
+
+The oracle below is the earlier implementation: a tableau held as two lists
+of ``PauliOperator`` rows, one conjugation rule applied row by row
+(``_conjugate_row``), measurement by row products against the lowest
+anticommuting generator, and qubit factor-out by row operations.  Every
+tableau the plane kernels produce must serialize byte-identically to the
+oracle's, phases of non-hermitian rows included.  A hypothesis property
+checks random adaptive circuits against dense state vectors.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptstab.circuit import Measure, ghz_adaptive, simulate
+from adaptstab.errors import ContradictionError
+from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_solve, single_site
+from adaptstab.prep import builtin_code, prepare_state
+from adaptstab.tableau import (
+    StabilizerTableau,
+    apply_gate,
+    canonical_form,
+    conjugate_pauli,
+    factor_out_qubit,
+    from_stabilizers,
+    ghz_state,
+    measure_pauli,
+    random_stabilizer_state,
+    restricted_group_elements,
+    to_json,
+    validate_tableau,
+)
+from helpers_dense import dense_pauli, gate_unitary
+
+# -- oracle: the replaced row-list path ---------------------------------------------
+
+_LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
+
+
+class RowTableau:
+    def __init__(self, n, generators, destabilizers):
+        self.n = n
+        self.generators = [PauliOperator.from_exponent(n, g.x, g.z, g.e) for g in generators]
+        self.destabilizers = [PauliOperator.from_exponent(n, d.x, d.z, d.e) for d in destabilizers]
+
+    @classmethod
+    def of(cls, t: StabilizerTableau) -> "RowTableau":
+        return cls(t.n, t.generators, t.destabilizers)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "n": self.n,
+                "generators": [format_pauli(g) for g in self.generators],
+                "destabilizers": [format_pauli(d) for d in self.destabilizers],
+            }
+        )
+
+
+def _conjugate_row(p, name, qubits, pauli):
+    x, z, e = p.x, p.z, p.e
+    if name == "H":
+        (q,) = qubits
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        e += 2 * (xq & zq)
+        x ^= (xq ^ zq) << q
+        z ^= (xq ^ zq) << q
+    elif name == "S":
+        (q,) = qubits
+        xq = (x >> q) & 1
+        e += xq
+        z ^= xq << q
+    elif name == "SDG":
+        (q,) = qubits
+        xq = (x >> q) & 1
+        e += 3 * xq
+        z ^= xq << q
+    elif name == "X":
+        (q,) = qubits
+        e += 2 * ((z >> q) & 1)
+    elif name == "Y":
+        (q,) = qubits
+        e += 2 * (((x >> q) ^ (z >> q)) & 1)
+    elif name == "Z":
+        (q,) = qubits
+        e += 2 * ((x >> q) & 1)
+    elif name == "SWAP":
+        a, b = qubits
+        xa, xb = (x >> a) & 1, (x >> b) & 1
+        za, zb = (z >> a) & 1, (z >> b) & 1
+        x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
+        z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
+    else:
+        letter = {"CNOT": "X", "CZ": "Z", "CP": pauli}[name]
+        px, pz, pe = _LETTER_BITS[letter]
+        a = qubits[0]
+        for q in qubits[1:]:
+            xa = (x >> a) & 1
+            xq, zq = (x >> q) & 1, (z >> q) & 1
+            tau = (xq & pz) ^ (zq & px)
+            if xa:
+                e += pe + 2 * (pz & xq)
+                x ^= px << q
+                z ^= pz << q
+            z ^= tau << a
+    p.x, p.z, p.e = x, z, e % 4
+
+
+def row_apply_gate(t, name, qubits, pauli=None):
+    for row in t.generators + t.destabilizers:
+        _conjugate_row(row, name, qubits, pauli)
+
+
+def row_conjugate_pauli(p, name, qubits, pauli=None):
+    out = PauliOperator.from_exponent(p.n, p.x, p.z, p.e)
+    _conjugate_row(out, name, qubits, pauli)
+    return out
+
+
+def row_group_product(t, p):
+    prod = PauliOperator(t.n, 0, 0)
+    for d, g in zip(t.destabilizers, t.generators):
+        if not d.commutes(p):
+            prod = prod * g
+    return prod
+
+
+def row_measure_pauli(t, p, forced=None, rng=None):
+    anti = [i for i, g in enumerate(t.generators) if not g.commutes(p)]
+    if anti:
+        pivot = anti[0]
+        g_pivot = t.generators[pivot]
+        for i in anti[1:]:
+            t.generators[i] = t.generators[i] * g_pivot
+        for i, d in enumerate(t.destabilizers):
+            if not d.commutes(p):
+                t.destabilizers[i] = d * g_pivot
+        outcome = int(forced) if forced is not None else (1 if int(rng.integers(0, 2)) == 0 else -1)
+        t.destabilizers[pivot] = g_pivot
+        signed = from_bits(t.n, p.x, p.z, outcome)
+        if p.display_sign == -1:
+            signed = signed.negate()
+        t.generators[pivot] = signed
+        return outcome, False
+    prod = row_group_product(t, p)
+    assert (prod.x, prod.z) == (p.x, p.z)
+    outcome = 1 if prod.e == p.e else -1
+    if forced is not None and int(forced) != outcome:
+        raise ContradictionError("deterministic")
+    return outcome, True
+
+
+def row_factor_out_qubit(t, q):
+    n = t.n
+    zq = single_site(n, q, "Z")
+    signed_zq = row_group_product(t, zq)
+    assert (signed_zq.x, signed_zq.z) == (zq.x, zq.z)
+    if n == 1:
+        return RowTableau(0, [], [])
+    selected = [(d.x >> q) & 1 for d in t.destabilizers]
+    pivot = selected.index(1)
+    d_pivot = t.destabilizers[pivot]
+    low = (1 << q) - 1
+
+    def drop_q(p):
+        x = (p.x & low) | ((p.x >> (q + 1)) << q)
+        z = (p.z & low) | ((p.z >> (q + 1)) << q)
+        return PauliOperator.from_exponent(n - 1, x, z, p.e)
+
+    gens, destabs = [], []
+    for i, (g, d) in enumerate(zip(t.generators, t.destabilizers)):
+        if i == pivot:
+            continue
+        if (g.z >> q) & 1:
+            g = g * signed_zq
+        if selected[i]:
+            d = d * d_pivot
+        gens.append(drop_q(g))
+        destabs.append(drop_q(d))
+    return RowTableau(n - 1, gens, destabs)
+
+
+def row_simulate(c, *, seed=None, forced=None):
+    t = RowTableau(c.m, [single_site(c.m, q, "Z") for q in range(c.m)], [single_site(c.m, q, "X") for q in range(c.m)])
+    rng = np.random.default_rng(seed)
+    record = [None] * c.cbits
+    measured = []
+    for layer in c.layers:
+        for op in layer:
+            if isinstance(op, Measure):
+                p = single_site(c.m, op.qubit, "Z")
+                force_sign = None if forced is None else (1 if forced[op.cbit] == 0 else -1)
+                outcome, _ = row_measure_pauli(t, p, forced=force_sign, rng=rng)
+                record[op.cbit] = 0 if outcome == 1 else 1
+                measured.append(op.qubit)
+            elif op.cond is None or sum(record[b] for b in op.cond.bits) % 2 == op.cond.xor:
+                row_apply_gate(t, op.op, op.qubits, op.pauli)
+    for q in sorted(measured, reverse=True):
+        t = row_factor_out_qubit(t, q)
+    return t, record
+
+
+def row_canonical_form(t):
+    out = RowTableau(t.n, t.generators, t.destabilizers)
+    n = out.n
+
+    def bit(row, col):
+        return (row.x >> col) & 1 if col < n else (row.z >> (col - n)) & 1
+
+    pivot_row = 0
+    for col in range(2 * n):
+        hit = next((r for r in range(pivot_row, n) if bit(out.generators[r], col)), None)
+        if hit is None:
+            continue
+        if hit != pivot_row:
+            out.generators[hit], out.generators[pivot_row] = out.generators[pivot_row], out.generators[hit]
+            out.destabilizers[hit], out.destabilizers[pivot_row] = (
+                out.destabilizers[pivot_row],
+                out.destabilizers[hit],
+            )
+        for r in range(n):
+            if r != pivot_row and bit(out.generators[r], col):
+                out.generators[r] = out.generators[r] * out.generators[pivot_row]
+                out.destabilizers[pivot_row] = out.destabilizers[pivot_row] * out.destabilizers[r]
+        pivot_row += 1
+        if pivot_row == n:
+            break
+    return out
+
+
+def row_restricted_group_elements(t, subset):
+    region = sorted(set(subset))
+    n = t.n
+    outside = [q for q in range(n) if q not in set(region)]
+    system = []
+    for q in outside:
+        system.append(sum(((t.generators[i].x >> q) & 1) << i for i in range(n)))
+        system.append(sum(((t.generators[i].z >> q) & 1) << i for i in range(n)))
+    sol = gf2_solve(system, [0] * len(system), cols=n)
+    elements = []
+    for mask in sol.solutions():
+        prod = PauliOperator(n, 0, 0)
+        for i in range(n):
+            if (mask >> i) & 1:
+                prod = prod * t.generators[i]
+        elements.append(prod)
+    elements.sort(key=lambda p: (p.weight(), p.x, p.z))
+    return elements
+
+
+# -- random inputs ---------------------------------------------------------------------
+
+_ONE_Q = ("H", "S", "SDG", "X", "Y", "Z")
+
+
+def random_gate(n, rng):
+    """One of the 10 gates on random distinct qubits (CNOT may fan out)."""
+    names = _ONE_Q + (("CNOT", "CZ", "SWAP", "CP") if n >= 2 else ())
+    name = names[int(rng.integers(0, len(names)))]
+    if name in _ONE_Q:
+        return name, (int(rng.integers(0, n)),), None
+    k = int(rng.integers(2, n + 1)) if name == "CNOT" else 2
+    qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+    pauli = "XYZ"[int(rng.integers(0, 3))] if name == "CP" else None
+    return name, qubits, pauli
+
+
+def random_rows(n, count, rng):
+    """Arbitrary rows with arbitrary i-exponents, hermitian or not."""
+    return [
+        PauliOperator.from_exponent(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
+        for _ in range(count)
+    ]
+
+
+def random_hermitian(n, rng):
+    x, z = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
+    return from_bits(n, x, z, 1 if rng.random() < 0.5 else -1)
+
+
+def dumps(t: StabilizerTableau) -> str:
+    return json.dumps(to_json(t))
+
+
+# -- gate kernel -------------------------------------------------------------------------
+
+
+def test_gate_kernel_matches_row_path_on_arbitrary_rows():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        oracle = RowTableau.of(t)
+        assert oracle.to_json() == dumps(t)
+        for _ in range(25):
+            name, qubits, pauli = random_gate(n, rng)
+            apply_gate(t, name, qubits, pauli)
+            row_apply_gate(oracle, name, qubits, pauli)
+        assert dumps(t) == oracle.to_json()
+
+
+def test_gate_kernel_covers_every_gate_and_fanout():
+    seen = set()
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        name, qubits, pauli = random_gate(6, rng)
+        seen.add((name, pauli, len(qubits) > 2))
+    assert {n for n, _, _ in seen} == set(_ONE_Q) | {"CNOT", "CZ", "SWAP", "CP"}
+    assert {("CP", p, False) for p in "XYZ"} <= seen and ("CNOT", None, True) in seen
+
+
+def test_conjugate_pauli_matches_row_path():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        (p,) = random_rows(n, 1, rng)
+        name, qubits, pauli = random_gate(n, rng)
+        assert conjugate_pauli(p, name, qubits, pauli) == row_conjugate_pauli(p, name, qubits, pauli)
+
+
+# -- measurement and factor-out --------------------------------------------------------
+
+
+def test_measure_pauli_matches_row_path():
+    rng = np.random.default_rng(14)
+    for trial in range(120):
+        n = int(rng.integers(1, 8))
+        t = random_stabilizer_state(n, trial)
+        oracle = RowTableau.of(t)
+        for _ in range(8):
+            p = random_hermitian(n, rng)
+            if rng.random() < 0.5:
+                p = single_site(n, int(rng.integers(0, n)), "XYZ"[int(rng.integers(0, 3))])
+            forced = (1, -1, None)[int(rng.integers(0, 3))]
+            seed = int(rng.integers(0, 2**31))
+            try:
+                got = measure_pauli(t, p, forced=forced, rng=np.random.default_rng(seed))[:2]
+            except ContradictionError:
+                with pytest.raises(ContradictionError):
+                    row_measure_pauli(oracle, p, forced=forced, rng=np.random.default_rng(seed))
+                continue
+            assert got == row_measure_pauli(oracle, p, forced=forced, rng=np.random.default_rng(seed))
+            assert dumps(t) == oracle.to_json()
+
+
+def test_factor_out_qubit_matches_row_path():
+    rng = np.random.default_rng(15)
+    for trial in range(80):
+        n = int(rng.integers(1, 8))
+        t = random_stabilizer_state(n, 100 + trial)
+        q = int(rng.integers(0, n))
+        measure_pauli(t, single_site(n, q, "Z"), rng=rng)
+        # a random gate elsewhere keeps q in its Z eigenstate
+        if n >= 2:
+            others = [r for r in range(n) if r != q]
+            apply_gate(t, "H", (others[int(rng.integers(0, len(others)))],))
+        got = factor_out_qubit(t, q)
+        assert dumps(got) == row_factor_out_qubit(RowTableau.of(t), q).to_json()
+        if got.n:
+            validate_tableau(got)
+
+
+def test_factor_out_rejects_undetermined_qubit():
+    t = ghz_state(3)
+    with pytest.raises(ValueError, match="not in a definite Z eigenstate"):
+        factor_out_qubit(t, 1)
+
+
+# -- simulate ------------------------------------------------------------------------------
+
+
+def _same_simulation(circ, **kw):
+    try:
+        tab, record = simulate(circ, **kw)
+    except ContradictionError:
+        with pytest.raises(ContradictionError):
+            row_simulate(circ, **kw)
+        return False
+    oracle, oracle_record = row_simulate(circ, **kw)
+    assert record == oracle_record
+    assert dumps(tab) == oracle.to_json()
+    return True
+
+
+@pytest.mark.parametrize("n,a,k", [(4, 2, 2), (8, 4, 2), (9, 3, 3), (16, 8, 2), (24, 8, 3)])
+def test_simulate_ghz_adaptive_matches_row_path(n, a, k):
+    circ = ghz_adaptive(n, a, k)
+    for seed in range(3):
+        assert _same_simulation(circ, seed=seed)
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        assert _same_simulation(circ, forced=[int(b) for b in rng.integers(0, 2, circ.cbits)])
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_simulate_toric_preparation_matches_row_path(side):
+    circ, target = prepare_state(builtin_code(f"toric({side})"))
+    for seed in range(2):
+        assert _same_simulation(circ, seed=seed)
+    rng = np.random.default_rng(side)
+    for _ in range(3):  # random patterns may be unrealizable: both paths must then refuse
+        _same_simulation(circ, forced=[int(b) for b in rng.integers(0, 2, circ.cbits)])
+    # X checks on |+...+> read +1, so the all-zero pattern is realizable
+    assert _same_simulation(circ, forced=[0] * circ.cbits)
+
+
+# -- group queries -----------------------------------------------------------------------
+
+
+def test_canonical_form_matches_row_path():
+    for seed in range(40):
+        t = random_stabilizer_state(1 + seed % 7, seed)
+        assert dumps(canonical_form(t)) == row_canonical_form(RowTableau.of(t)).to_json()
+
+
+def test_restricted_group_elements_match_row_path():
+    rng = np.random.default_rng(16)
+    for seed in range(40):
+        n = 1 + seed % 7
+        t = random_stabilizer_state(n, seed)
+        subset = [q for q in range(n) if rng.random() < 0.6]
+        assert restricted_group_elements(t, subset) == row_restricted_group_elements(RowTableau.of(t), subset)
+
+
+# -- construction ----------------------------------------------------------------------------
+
+
+def test_from_stabilizers_names_first_anticommuting_pair():
+    gens = [PauliOperator(3, 0, 0b011), PauliOperator(3, 0b001, 0), PauliOperator(3, 0b100, 0)]
+    # ZZI anticommutes with XII; XII and IIX commute; pair (0, 1) is first
+    with pytest.raises(ValueError, match=r"^generators \+ZZI and \+XII anticommute$"):
+        from_stabilizers(gens)
+    gens = [PauliOperator(3, 0b100, 0), PauliOperator(3, 0, 0b011), PauliOperator(3, 0b010, 0)]
+    # IIX commutes with both; ZZI and IXI anticommute: pair (1, 2)
+    with pytest.raises(ValueError, match=r"^generators \+ZZI and \+IXI anticommute$"):
+        from_stabilizers(gens)
+
+
+def test_validate_tableau_messages():
+    t = StabilizerTableau(2, [PauliOperator(2, 0, 1), PauliOperator(2, 1, 0)], [PauliOperator(2, 1, 0), PauliOperator(2, 0, 1)])
+    with pytest.raises(ValueError, match=r"^generators \+ZI and \+XI anticommute$"):
+        validate_tableau(t)
+    t = StabilizerTableau(2, [PauliOperator(2, 0, 1), PauliOperator(2, 0, 1)], [PauliOperator(2, 1, 0), PauliOperator(2, 2, 0)])
+    with pytest.raises(ValueError, match="^generators are dependent$"):
+        validate_tableau(t)
+    t = StabilizerTableau(2, [PauliOperator(2, 0, 1), PauliOperator(2, 0, 2)], [PauliOperator(2, 2, 0), PauliOperator(2, 1, 0)])
+    with pytest.raises(ValueError, match="^destabilizer 0 pairs incorrectly with generator 0$"):
+        validate_tableau(t)
+    t = StabilizerTableau(1, [PauliOperator(1, 0, 1, 1j)], [PauliOperator(1, 1, 0)])
+    with pytest.raises(ValueError, match=r"^bad generator \+iZ$"):
+        validate_tableau(t)
+    with pytest.raises(ValueError, match="need exactly n generators"):
+        StabilizerTableau(2, [PauliOperator(2, 0, 1)], [PauliOperator(2, 1, 0)])
+
+
+def test_row_views_are_cached_until_mutation():
+    t = ghz_state(4)
+    gens = t.generators
+    assert isinstance(gens, tuple) and t.generators is gens
+    apply_gate(t, "H", (0,))
+    assert t.generators is not gens
+    assert format_pauli(t.generators[0]) == "+ZXXX"
+
+
+def test_ghz_state_matches_parsed_generators():
+    t = ghz_state(5)
+    assert [format_pauli(g) for g in t.generators] == ["+XXXXX", "+ZZIII", "+IZZII", "+IIZZI", "+IIIZZ"]
+    validate_tableau(t)
+
+
+# -- property: adaptive circuits against dense state vectors ------------------------------
+
+
+@st.composite
+def adaptive_programs(draw):
+    n = draw(st.integers(1, 8))
+    ops = []
+    cbits = 0
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("gate", "gate", "measure", "cond")))
+        if kind == "measure":
+            ops.append(("M", draw(st.integers(0, n - 1)), draw(st.sampled_from((0, 1, None)))))
+            cbits += 1
+        elif kind == "cond" and cbits:
+            bits = tuple(draw(st.lists(st.integers(0, cbits - 1), min_size=1, max_size=3, unique=True)))
+            ops.append(("C", draw(st.sampled_from("XYZ")), draw(st.integers(0, n - 1)), bits))
+        else:
+            seed = draw(st.integers(0, 2**31 - 1))
+            ops.append(("G",) + random_gate(n, np.random.default_rng(seed)))
+    return n, ops, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_programs())
+def test_adaptive_circuits_match_dense_vectors(program):
+    n, ops, seed = program
+    t = StabilizerTableau(n, [single_site(n, q, "Z") for q in range(n)], [single_site(n, q, "X") for q in range(n)])
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    rng = np.random.default_rng(seed)
+    record = []
+    for op in ops:
+        if op[0] == "G":
+            _, name, qubits, pauli = op
+            apply_gate(t, name, qubits, pauli)
+            psi = gate_unitary(name, qubits, n, pauli) @ psi
+        elif op[0] == "C":
+            _, letter, q, bits = op
+            if sum(record[b] for b in bits) % 2:
+                apply_gate(t, letter, (q,))
+                psi = gate_unitary(letter, (q,), n) @ psi
+        else:
+            _, q, forced_bit = op
+            zq = single_site(n, q, "Z")
+            proj_plus = (psi + dense_pauli(zq) @ psi) / 2
+            p_plus = float(np.vdot(proj_plus, proj_plus).real)
+            forced = None if forced_bit is None else 1 - 2 * forced_bit
+            try:
+                outcome, deterministic, _ = measure_pauli(t, zq, forced=forced, rng=rng)
+            except ContradictionError:
+                assert min(p_plus, 1 - p_plus) < 1e-9
+                assert (p_plus > 0.5) == (forced == -1)
+                record.append(0 if forced == -1 else 1)  # the possible outcome happened
+                continue
+            assert deterministic == (min(p_plus, 1 - p_plus) < 1e-9)
+            if not deterministic:
+                assert abs(p_plus - 0.5) < 1e-9
+            keep = proj_plus if outcome == 1 else psi - proj_plus
+            psi = keep / np.linalg.norm(keep)
+            record.append(0 if outcome == 1 else 1)
+    validate_tableau(t)
+    for g in t.generators:
+        np.testing.assert_allclose(np.vdot(psi, dense_pauli(g) @ psi), 1.0, atol=1e-9)
