@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, validate
 from .densesim import dicke_correlation_formula, make_state
 from .errors import ResourceGuardError
-from .metrics import WeightVector, global_correlation
+from .metrics import WeightVector, global_correlation, min_weight_generators
+from .tableau import StabilizerTableau
 
 __all__ = [
     "ResourceProfile",
@@ -26,6 +28,7 @@ __all__ = [
     "check_adaptive_weight",
     "check_clifford_adaptive",
     "check_correlation",
+    "weight_checks",
     "approximate_tolerance_table",
 ]
 
@@ -155,6 +158,33 @@ def check_correlation(profile: ResourceProfile, w: int, cr_w: float) -> dict:
         raise ValueError(f"w={w} needs two disjoint size-w subsets; requires 2w <= n={profile.n}")
     lhs = (profile.n_a + w) * g_value(profile.K, max(0, 2 * profile.L - 1), profile.geometry) + w - 1
     return _record("correlation", lhs, cr_w, profile)
+
+
+def weight_checks(
+    profile: ResourceProfile, target: StabilizerTableau, checks: Sequence[Callable]
+) -> tuple[WeightVector | None, list[dict]]:
+    """Run each weight check ``check(profile, wt_s)`` against the target's
+    stabilizer weight; returns the minimal weight vector and the records.
+
+    wt_s is exact up to the n <= 20 group-enumeration cap.  Above it the
+    vector is None and wt_s is replaced by the weight of the heaviest target
+    generator, an upper bound on it: a record whose lhs reaches that bound is
+    ``"proved"``, any other is ``"inconclusive"`` and never satisfied, and
+    each says ``"wt_s_exact": false``.
+    """
+    try:
+        vector = min_weight_generators(target)[1]
+        wt_s = vector[0]
+    except ResourceGuardError:
+        vector, wt_s = None, max(g.weight() for g in target.generators)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        records = [check(profile, wt_s) for check in checks]
+    if vector is None:
+        for rec in records:
+            rec["wt_s_exact"] = False
+            rec["status"] = "proved" if rec["satisfied"] else "inconclusive"
+    return vector, records
 
 
 def _parse_family(family: str, k: int | None) -> tuple[str, int | None]:

@@ -12,6 +12,16 @@ states and ships two estimators for the operator-norm maximization:
 
 Both are lower bounds on the true supremum over norm-1 observables; reports
 carry the method label.  All anti-shallowness logarithms are base 2.
+
+Correlation strength runs one batch per first subset a1, over all its
+partners a2 in enumeration order, so a batch holds at most C(|A| - w, w)
+pairs and memory is bounded without a block-size constant.  A batch costs
+one 2w-qubit RDM per pair (each w-subset's marginal is computed once per
+call), one ``(P, 4^w, 4^w)`` Pauli table stack and, for ``alternating-sign``,
+one ascent stack of P * (restarts + 1) rows.  The Pauli tables are exact
+gathers: each Pauli matrix has one nonzero entry per row, so a table entry
+sums 4^w phased tensor entries in a fixed order, bit-identical to the
+contraction with the Pauli matrices.
 """
 
 from __future__ import annotations
@@ -198,12 +208,25 @@ def _rdm(s: StateVector, qubits: Sequence[int]) -> np.ndarray:
     m = tensor.reshape(1 << len(qubits), -1)
     return m @ m.conj().T
 
-def _delta4(s: StateVector, a1: Sequence[int], a2: Sequence[int]) -> np.ndarray:
-    """Connected-correlation tensor rho_{A1A2} - rho_{A1} x rho_{A2}."""
-    d1, d2 = 1 << len(a1), 1 << len(a2)
-    joint = _rdm(s, list(a1) + list(a2))
-    delta = joint - np.kron(_rdm(s, a1), _rdm(s, a2))
-    return delta.reshape(d1, d2, d1, d2)
+
+def _connected(
+    s: StateVector, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], marginals: dict
+) -> np.ndarray:
+    """Connected-correlation tensors rho_{A1A2} - rho_{A1} x rho_{A2} of
+    equal-size subset pairs, as one ``(P, d, d, d, d)`` stack.  ``marginals``
+    maps each subset to its RDM."""
+    w = len(pairs[0][0])
+    d = 1 << w
+    tensor = s.amps.reshape([2] * s.n)
+    delta = np.empty((len(pairs), d * d, d * d), complex)
+    for out, (a1, a2) in zip(delta, pairs):
+        m = np.moveaxis(tensor, a1 + a2, range(2 * w)).reshape(d * d, -1)
+        np.matmul(m, m.conj().T, out=out)
+    delta = delta.reshape(-1, d, d, d, d)
+    r1 = np.stack([marginals[a1] for a1, _ in pairs])
+    r2 = np.stack([marginals[a2] for _, a2 in pairs])
+    delta -= r1[:, :, None, :, None] * r2[:, None, :, None, :]
+    return delta
 
 
 @cache
@@ -215,12 +238,32 @@ def _pauli_stack(w: int) -> tuple[tuple[str, ...], np.ndarray]:
     return names, stack
 
 
-def _pair_max_pauli(delta4: np.ndarray, w: int) -> tuple[float, str, str]:
-    names, stack = _pauli_stack(w)
-    table = np.einsum("aik,bjl,klij->ab", stack, stack, delta4).real
-    flat = int(np.abs(table).argmax())
-    ai, bi = divmod(flat, len(names))
-    return float(abs(table[ai, bi])), names[ai], names[bi]
+@cache
+def _pauli_entries(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column ``col[a, i]`` and phase ``ph[a, i]`` of the one nonzero entry in
+    row i of the a-th w-site Pauli matrix; cached, read-only."""
+    stack = _pauli_stack(w)[1]
+    col = np.argmax(stack != 0, axis=2)
+    ph = np.take_along_axis(stack, col[:, :, None], 2)[:, :, 0]
+    col.flags.writeable = ph.flags.writeable = False
+    return col, ph
+
+
+def _pauli_tables(delta: np.ndarray, w: int) -> np.ndarray:
+    """``T[p, a, b] = Re tr((P_a x P_b) delta_p)`` for every pair p of the
+    stack and all w-site Pauli strings a, b.
+
+    A gather, not a contraction: only the one nonzero entry per row of each
+    Pauli matrix contributes, so the sum runs over row indices (i, j) in
+    lexicographic order.  The terms and their order are those of
+    ``einsum("aik,bjl,klij->ab", stack, stack, delta_p)``, so the tables are
+    bit-identical to it.
+    """
+    col, ph = _pauli_entries(w)
+    table = np.zeros((len(delta), len(col), len(col)), complex)
+    for i, j in product(range(1 << w), repeat=2):
+        table += ph[:, i, None] * ph[None, :, j] * delta[:, col[:, i, None], col[None, :, j], i, j]
+    return table.real
 
 
 def _sign_operator(m: np.ndarray) -> np.ndarray:
@@ -229,30 +272,36 @@ def _sign_operator(m: np.ndarray) -> np.ndarray:
     return (u * np.where(ev >= 0, 1.0, -1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _pair_max_alternating(
-    delta4: np.ndarray, w: int, restarts: int, seed: int
-) -> float:
-    """Alternating sign-operator ascent from the Pauli maximizer and
-    ``restarts`` random starts, run side by side as one stack.  Each start
-    stops on its own once it gains less than 1e-12, or after 200 rounds."""
+def _alternating_values(
+    delta: np.ndarray, best_b: np.ndarray, w: int, restarts: int, seed: int
+) -> np.ndarray:
+    """Alternating sign-operator ascent for every pair of the stack, from the
+    pair's Pauli maximizer (``best_b``, the index of its second string) and
+    ``restarts`` random starts.  All (pair, start) rows run as one stack;
+    each stops on its own once it gains less than 1e-12, or after 200
+    rounds.  Returns the best value of each pair."""
     rng = np.random.default_rng(seed)
-    d2 = delta4.shape[1]
-    _, _, best_name2 = _pair_max_pauli(delta4, w)
-    h = rng.normal(size=(restarts, 2, d2, d2))
+    d = 1 << w
+    h = rng.normal(size=(restarts, 2, d, d))
     h = h[:, 0] + 1j * h[:, 1]
-    o2 = np.concatenate([pauli_matrix(best_name2)[None], _sign_operator(h + h.conj().swapaxes(1, 2))])
+    starts = _sign_operator(h + h.conj().swapaxes(1, 2))
+    pairs = len(delta)
+    o2 = np.concatenate(
+        [_pauli_stack(w)[1][best_b, None], np.broadcast_to(starts, (pairs, restarts, d, d))], axis=1
+    ).reshape(-1, d, d)
+    rows = np.repeat(delta, restarts + 1, axis=0)
     val = np.zeros(len(o2))
     live = np.arange(len(o2))
     for _ in range(200):
-        o1 = _sign_operator(np.einsum("rjl,ilkj->rik", o2, delta4))
-        o2 = _sign_operator(np.einsum("rik,kjil->rjl", o1, delta4))
-        new = np.abs(np.einsum("rik,rjl,klij->r", o1, o2, delta4).real)
+        o1 = _sign_operator(np.einsum("rjl,rilkj->rik", o2, rows))
+        o2 = _sign_operator(np.einsum("rik,rkjil->rjl", o1, rows))
+        new = np.abs(np.einsum("rik,rjl,rklij->r", o1, o2, rows).real)
         done = new - val[live] < 1e-12
         val[live] = np.where(done, np.maximum(val[live], new), new)
-        live, o2 = live[~done], o2[~done]
+        live, o2, rows = live[~done], o2[~done], rows[~done]
         if not live.size:
             break
-    return float(val.max())
+    return val.reshape(pairs, restarts + 1).max(axis=1)
 
 
 def correlation_strength_w(
@@ -263,7 +312,11 @@ def correlation_strength_w(
     restarts: int = 8,
     seed: int = 0,
 ) -> CorrelationReport:
-    """min over disjoint size-w subset pairs of the per-pair max |Cor|."""
+    """min over disjoint size-w subset pairs of the per-pair max |Cor|.
+
+    One batch per first subset a1: its pairs are every later-or-equal a2 in
+    enumeration order, so a batch holds at most C(|region| - w, w) pairs.
+    The report is the first strict minimum in enumeration order."""
     region = tuple(sorted(set(region)))
     if w < 1:
         raise ValueError("need w >= 1")
@@ -273,26 +326,31 @@ def correlation_strength_w(
         raise ResourceGuardError("pauli-enum supports w <= 3")
     if method not in ("pauli-enum", "alternating-sign"):
         raise ValueError(f"unknown method {method!r}")
+    names = _pauli_stack(w)[0]
+    marginals = {a: _rdm(s, a) for a in combinations(region, w)}
     best: CorrelationReport | None = None
     for a1 in combinations(region, w):
         rest = [q for q in region if q not in a1]
-        for a2 in combinations(rest, w):
-            if a2 < a1:
-                continue
-            delta4 = _delta4(s, a1, a2)
+        pairs = [(a1, a2) for a2 in combinations(rest, w) if a2 >= a1]
+        if not pairs:
+            continue
+        delta = _connected(s, pairs, marginals)
+        table = np.abs(_pauli_tables(delta, w)).reshape(len(pairs), -1)
+        flat = table.argmax(axis=1)
+        ai, bi = np.divmod(flat, len(names))
+        if method == "pauli-enum":
+            values = table[np.arange(len(pairs)), flat]
+        else:
+            values = _alternating_values(delta, bi, w, restarts, seed)
+        p = int(np.argmin(values))
+        if best is None or values[p] < best.value:
+            a2 = pairs[p][1]
             if method == "pauli-enum":
-                val, n1, n2 = _pair_max_pauli(delta4, w)
-                pair = {"a1": list(a1), "a2": list(a2), "o1": n1, "o2": n2}
+                o1, o2 = names[ai[p]], names[bi[p]]
             else:
-                val = _pair_max_alternating(delta4, w, restarts, seed)
-                pair = {
-                    "a1": list(a1),
-                    "a2": list(a2),
-                    "o1": "sign-operator",
-                    "o2": "sign-operator",
-                }
-            if best is None or val < best.value:
-                best = CorrelationReport(region, w, method, val, pair)
+                o1 = o2 = "sign-operator"
+            pair = {"a1": list(a1), "a2": list(a2), "o1": o1, "o2": o2}
+            best = CorrelationReport(region, w, method, float(values[p]), pair)
     assert best is not None
     return best
 
@@ -336,9 +394,14 @@ def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
     n = s.n
     if n > 16:
         raise ResourceGuardError("correlation range capped at n <= 16")
+    if n < 2:
+        return 1
+    singles = [(q,) for q in range(n)]
+    pairs = list(combinations(singles, 2))
+    delta = _connected(s, pairs, {a: _rdm(s, a) for a in singles})
+    values = np.abs(_pauli_tables(delta, 1)).reshape(len(pairs), -1).max(axis=1)
     adj = [0] * n
-    for i, j in combinations(range(n), 2):
-        val, _, _ = _pair_max_pauli(_delta4(s, (i,), (j,)), 1)
+    for ((i,), (j,)), val in zip(pairs, values):
         if val > tol:
             adj[i] |= 1 << j
             adj[j] |= 1 << i

@@ -15,15 +15,13 @@ differ (Steane: weights 4, participation 6) get s = max of both.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive
+from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
 from .circuit import AdaptiveCircuit, Condition, Gate, Measure, depth, simulate
 from .errors import ContradictionError, ResourceGuardError
-from .metrics import stabilizer_weight
 from .pauli import GF2Elimination, PauliOperator, format_pauli, gf2_rank, gf2_solve, parse_pauli
 from .tableau import (
     StabilizerTableau,
@@ -228,10 +226,9 @@ def tanner_graph(code: StabilizerCode) -> TannerGraph:
     edges = []
     letters = {}
     for j, check in enumerate(code.checks):
-        word = check.letters()
         for q in check.support():
             edges.append((q, j))
-            letters[(q, j)] = word[q]
+            letters[(q, j)] = check.letter(q)
     edges.sort()
     return TannerGraph(code.n, code.t, tuple(edges), letters)
 
@@ -665,6 +662,7 @@ def prepare_state(
     """
     n = code.n
     if policy == "auto":
+        measured: StabilizerCode | list[PauliOperator] = code
         s1 = list(code.checks)
         s2 = x_type_logicals(code)
         phi_layers = [[Gate("H", (q,)) for q in range(n)]]
@@ -672,6 +670,7 @@ def prepare_state(
         if s1 is None or s2 is None or phi_layers is None:
             raise ValueError("explicit policy needs s1, s2, and phi_layers")
         s1, s2 = list(s1), list(s2)
+        measured = s1  # the synthesizer validates a caller's checks
     else:
         raise ValueError(f"unknown partition policy: {policy!r}")
 
@@ -697,7 +696,7 @@ def prepare_state(
         raise ValueError("S1 and S2 together must be independent")
 
     target = from_stabilizers(gens)  # rejects anticommuting generators
-    frag = synthesize_measurement_circuit(s1, n, ancilla_offset=n, schedule=schedule)
+    frag = synthesize_measurement_circuit(measured, n, ancilla_offset=n, schedule=schedule)
     t = len(s1)
     layers = [list(layer) for layer in phi_layers]
     layers.extend(frag.circuit.layers)
@@ -752,24 +751,8 @@ def verify_preparation(
                 break
         report["branches"] = 1 << circuit.cbits
         report["realizable"] = realizable
-    try:
-        wt_s, exact = stabilizer_weight(target), True
-    except ResourceGuardError:
-        # Above the group-enumeration cap: the heaviest generator we hold is
-        # an upper bound on wt_s, so lhs >= it proves the check and anything
-        # less settles nothing.
-        wt_s, exact = max(g.weight() for g in target.generators), False
     profile = ResourceProfile.from_circuit(circuit, target.n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report["bounds"] = [
-            check_adaptive_weight(profile, wt_s),
-            check_clifford_adaptive(profile, wt_s),
-        ]
-    if not exact:
-        for rec in report["bounds"]:
-            rec["wt_s_exact"] = False
-            rec["status"] = "proved" if rec["satisfied"] else "inconclusive"
+    _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))
     return report
 
 

@@ -287,6 +287,45 @@ def test_bounds_grid_geometry_local_chain(capsys, tmp_path):
     assert any(rec["check"] == "nonadaptive" for rec in r["checks"])
 
 
+def test_bounds_above_weight_cap_reports_proved(capsys, tmp_path):
+    cpath = tmp_path / "circuit.json"
+    code, prep, _ = run(capsys, "prep", "builtin:repetition24", "--verify", "1", "--seed", "0", "--out", str(cpath))
+    assert code == 0
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps(prep["results"]["target"]))
+    code, report, err = run(capsys, "bounds", "--circuit", str(cpath), "--target", str(tpath), "--seed", "0")
+    assert code == 0
+    r = report["results"]
+    assert r["weight_vector"] is None
+    # The heaviest target generator (the weight-24 logical) bounds wt_s from above.
+    assert [(rec["check"], rec["rhs"], rec["wt_s_exact"], rec["status"]) for rec in r["checks"]] == [
+        ("adaptive_weight", 24, False, "proved"),
+        ("clifford_adaptive", 24, False, "proved"),
+    ]
+    assert r["all_satisfied"] is True
+    assert r["correlation_note"].startswith("skipped")
+    assert "all satisfied" in err
+
+
+def test_bounds_above_weight_cap_inconclusive_is_not_a_violation(capsys, tmp_path):
+    from adaptstab.circuit import AdaptiveCircuit, Gate
+
+    cpath = tmp_path / "shallow.json"
+    tpath = tmp_path / "ghz24.json"
+    cpath.write_text(circuit_to_json(AdaptiveCircuit(24, 0, [[Gate("H", (0,))]])))
+    tpath.write_text(json.dumps(tableau_to_json(ghz_state(24))))
+    code, report, err = run(capsys, "bounds", "--circuit", str(cpath), "--target", str(tpath))
+    assert code == 0
+    r = report["results"]
+    assert r["weight_vector"] is None and r["all_satisfied"] is False
+    assert [(rec["check"], rec["status"], rec["satisfied"]) for rec in r["checks"]] == [
+        ("nonadaptive", "inconclusive", False),
+        ("adaptive_weight", "inconclusive", False),
+        ("clifford_adaptive", "inconclusive", False),
+    ]
+    assert "inconclusive" in err
+
+
 def test_bounds_bad_geometry_exits_1(capsys, ghz8_files):
     cpath, tpath = ghz8_files
     code, _, err = run(

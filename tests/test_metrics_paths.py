@@ -3,16 +3,19 @@ replaced.
 
 The oracles below are the earlier implementations: group enumeration as a
 list of ``PauliOperator`` products, the matroid greedy that reduces one
-operator at a time, the rank sweep over that list, and the alternating-sign
-ascent run one restart at a time.  Weight picks, signs, oracle values and
-pauli-enum reports must match them exactly; alternating-sign values agree
-to 1e-12.
+operator at a time, the rank sweep over that list, and the correlation
+estimators run one subset pair at a time (moved-axis RDMs and ``np.kron``,
+the three-operand Pauli ``einsum``, the alternating-sign ascent one restart
+at a time, and the strict-``<`` pair scan).  Weight picks, signs, oracle
+values, Pauli tables, pauli-enum reports and correlation ranges must match
+them exactly; alternating-sign values agree to 1e-12.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptstab import metrics as mt
-from adaptstab.densesim import dicke, ghz, pauli_matrix, w_state
+from adaptstab.densesim import StateVector, dicke, from_tableau, ghz, hypergraph, pauli_matrix, w_state
 from adaptstab.errors import ResourceGuardError
 from adaptstab.pauli import PauliOperator
 from adaptstab.tableau import StabilizerTableau, ghz_state, random_stabilizer_state, zero_state
@@ -83,10 +86,42 @@ def _sign_operator_2d(m):
     return u @ np.diag(np.where(ev >= 0, 1.0, -1.0)) @ u.conj().T
 
 
+def old_rdm(s, qubits):
+    tensor = s.amps.reshape([2] * s.n)
+    tensor = np.moveaxis(tensor, qubits, range(len(qubits)))
+    m = tensor.reshape(1 << len(qubits), -1)
+    return m @ m.conj().T
+
+
+def old_delta4(s, a1, a2):
+    d1, d2 = 1 << len(a1), 1 << len(a2)
+    joint = old_rdm(s, list(a1) + list(a2))
+    delta = joint - np.kron(old_rdm(s, a1), old_rdm(s, a2))
+    return delta.reshape(d1, d2, d1, d2)
+
+
+def old_pauli_stack(w):
+    names = ["".join(c) for c in product("IXYZ", repeat=w)]
+    return names, np.stack([pauli_matrix(p) for p in names])
+
+
+def old_pauli_table(delta4, w):
+    _, stack = old_pauli_stack(w)
+    return np.einsum("aik,bjl,klij->ab", stack, stack, delta4).real
+
+
+def old_pair_max_pauli(delta4, w):
+    names, _ = old_pauli_stack(w)
+    table = old_pauli_table(delta4, w)
+    flat = int(np.abs(table).argmax())
+    ai, bi = divmod(flat, len(names))
+    return float(abs(table[ai, bi])), names[ai], names[bi]
+
+
 def per_restart_alternating(delta4, w, restarts, seed):
     rng = np.random.default_rng(seed)
     d2 = delta4.shape[1]
-    _, _, best_name2 = mt._pair_max_pauli(delta4, w)
+    _, _, best_name2 = old_pair_max_pauli(delta4, w)
     inits = [pauli_matrix(best_name2)]
     for _ in range(restarts):
         h = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
@@ -104,6 +139,48 @@ def per_restart_alternating(delta4, w, restarts, seed):
             val = new
         best = max(best, val)
     return best
+
+
+def old_pairs(region, w):
+    for a1 in combinations(region, w):
+        rest = [q for q in region if q not in a1]
+        for a2 in combinations(rest, w):
+            if a2 >= a1:
+                yield a1, a2
+
+
+def old_correlation_strength_w(s, region, w, method="pauli-enum", restarts=8, seed=0):
+    region = tuple(sorted(set(region)))
+    best = None
+    for a1, a2 in old_pairs(region, w):
+        delta4 = old_delta4(s, a1, a2)
+        if method == "pauli-enum":
+            val, n1, n2 = old_pair_max_pauli(delta4, w)
+        else:
+            val = per_restart_alternating(delta4, w, restarts, seed)
+            n1 = n2 = "sign-operator"
+        if best is None or val < best.value:
+            pair = {"a1": list(a1), "a2": list(a2), "o1": n1, "o2": n2}
+            best = mt.CorrelationReport(region, w, method, val, pair)
+    return best
+
+
+def old_pauli_correlation_range(s, tol=1e-9):
+    n = s.n
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if old_pair_max_pauli(old_delta4(s, (i,), (j,)), 1)[0] > tol:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return max(1, mt._max_clique(adj, n))
+
+
+def old_correlation_range_w(s, w, delta):
+    for size in range(s.n, 2 * w - 1, -1):
+        for region in combinations(range(s.n), size):
+            if old_correlation_strength_w(s, region, w).value > delta:
+                return size
+    return 1
 
 
 # -- states -------------------------------------------------------------------------
@@ -206,7 +283,30 @@ def test_greedy_equals_list_oracle_property(n, seed):
 
 # -- correlations ------------------------------------------------------------------
 
-_DENSE = {"w8": lambda: w_state(8), "ghz10": lambda: ghz(10), "dicke8_2": lambda: dicke(8, 2)}
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+# Symmetric families, stabilizer states (values 0 or 1) and one random dense
+# state, whose pairs all differ.
+_DENSE = {
+    "w8": lambda: w_state(8),
+    "ghz10": lambda: ghz(10),
+    "dicke8_2": lambda: dicke(8, 2),
+    "hypergraph6": lambda: hypergraph(6),
+    **{f"random{n}": (lambda n=n: from_tableau(random_stabilizer_state(n, 31 * n))) for n in (6, 7, 8)},
+    "dense6": lambda: _random_state(6, 3),
+}
+
+
+def _regions(n):
+    return [tuple(range(n)), tuple(q for q in range(n) if q % 3 != 1)]
+
+
+def _report_json(reports):
+    return json.dumps([r.to_json() for r in reports])
 
 
 def test_pauli_stack_is_cached_and_read_only():
@@ -215,46 +315,114 @@ def test_pauli_stack_is_cached_and_read_only():
     assert len(names) == 16 and not stack.flags.writeable
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 0
+    col, ph = mt._pauli_entries(2)
+    assert mt._pauli_entries(2)[0] is col
+    assert not col.flags.writeable and not ph.flags.writeable
+    rows = np.arange(4)
+    for a, m in enumerate(stack):
+        expected = np.zeros((4, 4), complex)
+        expected[rows, col[a]] = ph[a]
+        assert np.array_equal(m, expected)
 
 
 @pytest.mark.parametrize("name", sorted(_DENSE))
-def test_pauli_enum_report_matches_uncached_stack(monkeypatch, name):
+def test_connected_stack_matches_kron_per_pair(name):
     s = _DENSE[name]()
-    reports = [mt.correlation_strength_w(s, range(s.n), w) for w in (1, 2)]
-    crange = mt.pauli_correlation_range(s)
+    for w in (1, 2):
+        region = tuple(range(s.n))
+        marginals = {a: mt._rdm(s, a) for a in combinations(region, w)}
+        pairs = list(old_pairs(region, w))[::7]
+        delta = mt._connected(s, pairs, marginals)
+        assert delta.shape == (len(pairs),) + (1 << w,) * 4
+        for got, (a1, a2) in zip(delta, pairs):
+            assert np.array_equal(got, old_delta4(s, a1, a2))
 
-    def uncached(w):
-        names = ["".join(c) for c in product("IXYZ", repeat=w)]
-        return names, np.stack([pauli_matrix(p) for p in names])
 
-    monkeypatch.setattr(mt, "_pauli_stack", uncached)
-    old = [mt.correlation_strength_w(s, range(s.n), w) for w in (1, 2)]
-    assert json.dumps([r.to_json() for r in reports]) == json.dumps([r.to_json() for r in old])
-    assert crange == mt.pauli_correlation_range(s)
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_pauli_tables_match_einsum_bit_for_bit(w):
+    # Magnitudes spread over 16 decades, where a change of summation order shows.
+    rng = np.random.default_rng(w)
+    d = 1 << w
+    shape = (6, d, d, d, d)
+    delta = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    tables = mt._pauli_tables(delta, w)
+    for got, one in zip(tables, delta):
+        assert np.array_equal(got, old_pauli_table(one, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 7), w=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_pauli_tables_equal_einsum_on_random_states_property(n, w, seed):
+    w = min(w, n // 2)
+    s = _random_state(n, seed)
+    order = [int(q) for q in np.random.default_rng(seed).permutation(n)]
+    a1, a2 = tuple(sorted(order[:w])), tuple(sorted(order[w : 2 * w]))
+    delta = mt._connected(s, [(a1, a2)], {a: mt._rdm(s, a) for a in (a1, a2)})
+    assert np.array_equal(mt._pauli_tables(delta, w)[0], old_pauli_table(old_delta4(s, a1, a2), w))
 
 
 @pytest.mark.parametrize("name", sorted(_DENSE))
-def test_alternating_sign_matches_per_restart_loop(monkeypatch, name):
+def test_pauli_enum_report_matches_uncached_stack(name):
+    s = _DENSE[name]()
+    ws = (1, 2, 3) if s.n == 6 else (1, 2)
+    for region in _regions(s.n):
+        for w in ws:
+            if len(region) < 2 * w:
+                continue
+            new = mt.correlation_strength_w(s, region, w)
+            old = old_correlation_strength_w(s, region, w)
+            assert _report_json([new]) == _report_json([old]), (region, w)
+    assert mt.pauli_correlation_range(s) == old_pauli_correlation_range(s)
+
+
+@pytest.mark.parametrize("name", ["w8", "hypergraph6", "random6", "random7", "dense6"])
+def test_correlation_range_w_matches_pair_scan(name):
+    s = _DENSE[name]()
+    for w, delta in ((1, 0.2), (1, 0.5), (2, 0.2)):
+        if s.n <= 7 or w == 1:
+            assert mt.correlation_range_w(s, w, delta) == old_correlation_range_w(s, w, delta)
+
+
+def test_batches_hold_at_most_one_first_subset(monkeypatch):
+    batches = []
+    connected = mt._connected
+    monkeypatch.setattr(mt, "_connected", lambda s, pairs, m: batches.append(pairs) or connected(s, pairs, m))
+    s = dicke(8, 2)
+    for region, w in ((range(8), 1), (range(8), 2), ((0, 1, 3, 4, 6, 7), 2), (range(8), 3)):
+        region = tuple(region)
+        batches.clear()
+        mt.correlation_strength_w(s, region, w, "pauli-enum" if w < 3 else "alternating-sign", restarts=1)
+        assert [p for b in batches for p in b] == list(old_pairs(region, w))
+        assert all(0 < len(b) <= comb(len(region) - w, w) for b in batches)
+        assert all(len({a1 for a1, _ in b}) == 1 for b in batches)
+
+
+@pytest.mark.parametrize("name", ["w8", "ghz10", "dicke8_2", "random6", "dense6"])
+def test_alternating_sign_matches_per_restart_loop(name):
     s = _DENSE[name]()
     n = s.n
-    for a1, a2 in (((0, 1), (2, 3)), ((0, n - 1), (1, n - 2)), ((n - 4, n - 3), (n - 2, n - 1))):
-        delta4 = mt._delta4(s, a1, a2)
-        for restarts, seed in ((8, 0), (3, 11), (0, 5)):
-            new = mt._pair_max_alternating(delta4, 2, restarts, seed)
-            assert abs(new - per_restart_alternating(delta4, 2, restarts, seed)) <= 1e-12
-    report = mt.correlation_strength_w(s, range(n), 1, "alternating-sign")
-    monkeypatch.setattr(mt, "_pair_max_alternating", per_restart_alternating)
-    old = mt.correlation_strength_w(s, range(n), 1, "alternating-sign")
-    assert report.pair == old.pair
-    assert abs(report.value - old.value) <= 1e-12
+    pairs = [((0, 1), (2, 3)), ((0, n - 1), (1, n - 2)), ((n - 4, n - 3), (n - 2, n - 1))]
+    delta = mt._connected(s, pairs, {a: mt._rdm(s, a) for pair in pairs for a in pair})
+    best_b = np.abs(mt._pauli_tables(delta, 2)).reshape(len(pairs), -1).argmax(axis=1) % 16
+    for restarts, seed in ((8, 0), (3, 11), (0, 5)):
+        new = mt._alternating_values(delta, best_b, 2, restarts, seed)
+        for got, (a1, a2) in zip(new, pairs):
+            assert abs(got - per_restart_alternating(old_delta4(s, a1, a2), 2, restarts, seed)) <= 1e-12
+    for w in (1, 2) if n == 6 else (1,):
+        report = mt.correlation_strength_w(s, range(n), w, "alternating-sign")
+        old = old_correlation_strength_w(s, range(n), w, "alternating-sign")
+        assert report.pair == old.pair
+        assert abs(report.value - old.value) <= 1e-12
 
 
 def test_alternating_sign_draws_the_same_random_starts(monkeypatch):
-    delta4 = mt._delta4(dicke(6, 2), (0, 1), (2, 3))
+    s = dicke(6, 2)
+    pairs = [((0, 1), (2, 3)), ((0, 1), (4, 5))]
+    delta = mt._connected(s, pairs, {a: mt._rdm(s, a) for pair in pairs for a in pair})
     calls = []
     sign = mt._sign_operator
     monkeypatch.setattr(mt, "_sign_operator", lambda m: calls.append(m) or sign(m))
-    mt._pair_max_alternating(delta4, 2, 5, 17)
+    mt._alternating_values(delta, np.array([0, 5]), 2, 5, 17)
     rng = np.random.default_rng(17)
     assert len(calls[0]) == 5
     for got in calls[0]:

@@ -91,6 +91,43 @@ def test_tanner_graph_structure():
         assert tanner_graph(code).max_degree <= code.s
 
 
+@pytest.mark.parametrize(
+    "name", ["repetition(3)", "repetition(24)", "steane", *(f"toric({side})" for side in range(2, 9))]
+)
+def test_tanner_graph_matches_letter_strings(name):
+    code = builtin_code(name)
+    edges, letters = [], {}
+    for j, check in enumerate(code.checks):
+        for q, ch in enumerate(check.letters()):
+            if ch != "I":
+                edges.append((q, j))
+                letters[(q, j)] = ch
+    g = tanner_graph(code)
+    assert g.edges == tuple(sorted(edges))
+    assert g.letters == letters
+
+
+def test_prepare_state_does_not_revalidate_the_code(monkeypatch):
+    code, rep = builtin_code("toric(8)"), builtin_code("repetition(3)")
+    calls = []
+    post_init = StabilizerCode.__post_init__
+    monkeypatch.setattr(StabilizerCode, "__post_init__", lambda self: calls.append(self.name) or post_init(self))
+    prepare_state(code)
+    assert calls == []
+    # A plain check list from a caller is still wrapped and validated.
+    with pytest.raises(ValueError, match=r"^checks \+XX and \+ZI anticommute$"):
+        synthesize_measurement_circuit([parse_pauli("XX"), parse_pauli("ZI")])
+    with pytest.raises(ValueError, match=r"^check -ZZI must be hermitian with sign \+1$"):
+        prepare_state(
+            rep,
+            "explicit",
+            s1=[parse_pauli("-ZZI"), parse_pauli("IZZ")],
+            s2=[parse_pauli("XXX")],
+            phi_layers=[[Gate("H", (q,)) for q in range(3)]],
+        )
+    assert calls == ["fragment", "fragment"]
+
+
 def _assert_proper(colors):
     per_node: dict = {}
     for (q, j), c in colors.items():
