@@ -19,9 +19,7 @@ def main():
         circ = ghz_adaptive(n, a, K)
         n_a = circ.m - n
         fan = fanout_depth(a, K)
-        rep = verify_preparation(
-            circ, ghz_state(n), trials=6, also_exhaustive=circ.cbits <= 10
-        )
+        rep = verify_preparation(circ, ghz_state(n), trials=6)
         sat = (n_a + 1) * K**fan
         print(
             f"{a:>3} {n_a:>9} {depth(circ):>6} {fan:>9} {sat:>11}"

@@ -24,14 +24,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import single_site
+from .pauli import PauliOperator, _bits, single_site
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
     apply_gate,
+    apply_pauli_form,
     check_gate,
     factor_out_qubit,
+    measure_form,
     measure_pauli,
+    sign_form,
     validate_tableau,
     zero_state,
 )
@@ -47,6 +50,9 @@ __all__ = [
     "depth",
     "ancilla_count",
     "simulate",
+    "SymbolicRun",
+    "conditioned_non_pauli",
+    "simulate_symbolic",
     "forward_lightcone",
     "backward_lightcone",
     "g_value",
@@ -278,6 +284,100 @@ def simulate(
     if measured:
         validate_tableau(t)
     return t, record
+
+
+@dataclass
+class SymbolicRun:
+    """Every outcome branch of a circuit at once (see ``simulate_symbolic``).
+
+    ``tableau`` holds all m qubits with the constant part of each generator's
+    sign, ``forms`` the sign-form planes (see ``tableau.measure_form``), and
+    ``record[b]`` the outcome form of classical bit b, None when no
+    measurement writes it.  Variable v is the outcome of the v-th random
+    measurement.
+    """
+
+    tableau: StabilizerTableau
+    forms: list[int]
+    record: list[int | None]
+    measured: list[int]
+
+    def forced(self, values: int) -> list[int]:
+        """0/1 record of the branch where variable v takes bit v of ``values``;
+        unwritten bits read 0."""
+        return [0 if f is None else ((f >> 1 & values).bit_count() ^ f) & 1 for f in self.record]
+
+    def wrong_branch(self, target: StabilizerTableau) -> int | None:
+        """Variable values of a branch whose surviving qubits do not end in
+        ``target``'s state, or None when every branch does.
+
+        The measured qubits are left in Z eigenstates, so the final state is
+        a product and a target generator on the survivors (in index order, as
+        after ``simulate``'s factor-out) is in the group, identity on the
+        measured qubits, with the same sign form.
+        """
+        t = self.tableau
+        generators = (1 << t.n) - 1
+        dead = set(self.measured)
+        for q in sorted(dead):
+            if t.xs[q] & generators:
+                raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
+        live = [q for q in range(t.n) if q not in dead]
+        if len(live) != target.n:
+            raise ValueError("dimension mismatch")
+        for g in target.generators:
+            x = sum(1 << live[q] for q in _bits(g.x))
+            z = sum(1 << live[q] for q in _bits(g.z))
+            form = sign_form(t, self.forms, PauliOperator.from_exponent(t.n, x, z, g.e))
+            if form is None:
+                return 0
+            if form:  # all zeros reads the constant; else flip the lowest variable
+                return 0 if form & 1 else form >> 1 & -(form >> 1)
+        return None
+
+
+def conditioned_non_pauli(c: AdaptiveCircuit) -> tuple[int, Gate] | None:
+    """(layer, gate) of the first conditioned gate that is not X, Y or Z."""
+    for li, layer in enumerate(c.layers):
+        for op in layer:
+            if isinstance(op, Gate) and op.cond is not None and op.op not in ("X", "Y", "Z"):
+                return li, op
+    return None
+
+
+def simulate_symbolic(c: AdaptiveCircuit) -> SymbolicRun:
+    """Run the circuit on every outcome branch in one pass.
+
+    Each random measurement adds an outcome variable; deterministic outcomes,
+    record bits and generator signs are affine GF(2) forms over them.  Only
+    Pauli gates may be conditioned, so all branches share every tableau bit
+    but the signs.  Raises NotImplementedError on any other conditioned gate.
+    """
+    bad = conditioned_non_pauli(c)
+    if bad is not None:
+        li, op = bad
+        raise NotImplementedError(f"layer {li}: conditioned {op.op} gate; sign forms cover conditioned Paulis only")
+    t = zero_state(c.m)
+    forms: list[int] = []
+    record: list[int | None] = [None] * c.cbits
+    measured: list[int] = []
+    for layer in c.layers:
+        for op in layer:
+            if isinstance(op, Measure):
+                if record[op.cbit] is not None:
+                    raise ValueError(f"classical bit {op.cbit} written twice")
+                record[op.cbit] = measure_form(t, forms, single_site(c.m, op.qubit, "Z"))
+                measured.append(op.qubit)
+            elif op.cond is None:
+                apply_gate(t, op.op, op.qubits, pauli=op.pauli)
+            elif op.cond.xor in (0, 1):  # any other offset never fires
+                fire = op.cond.xor ^ 1  # fires where the parity equals xor
+                for b in op.cond.bits:
+                    if record[b] is None:
+                        raise ValueError(f"condition reads unwritten classical bit {b}")
+                    fire ^= record[b]
+                apply_pauli_form(t, forms, op.op, op.qubits, fire)
+    return SymbolicRun(t, forms, record, measured)
 
 
 def _op_qubits(op: Gate | Measure) -> tuple[int, ...]:

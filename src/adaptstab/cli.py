@@ -210,7 +210,7 @@ def _cmd_prep(args) -> tuple:
     }
     ok = bool(report["all_match"])
     mode = (
-        f"exhaustive over {report['branches']} branches"
+        f"exhaustive over all 2^{circ.cbits} branches"
         if args.verify == "exhaustive"
         else f"{report['random_trials']} random trials"
     )
@@ -306,10 +306,7 @@ def _cmd_bounds(args) -> tuple:
 def _cmd_ghz_demo(args) -> tuple:
     circ = ghz_adaptive(args.n, args.a, args.k)
     target = _builtin_tableau(f"ghz{args.n}")
-    exhaustive = circ.cbits <= 12
-    report = verify_preparation(
-        circ, target, trials=args.trials, also_exhaustive=exhaustive
-    )
+    report = verify_preparation(circ, target, trials=args.trials)
     results = {
         "n": args.n,
         "a": args.a,
@@ -404,7 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' or a JSON file with 's1', 's2', and optional 'phi'",
     )
-    p.add_argument("--verify", default="20", help="random trial count or 'exhaustive'")
+    p.add_argument(
+        "--verify",
+        default="20",
+        help="random trial count, or 'exhaustive': 8 random trials plus one symbolic pass"
+        " over every outcome branch, at any cbit count",
+    )
     p.add_argument("--out", default=None, help="write the circuit JSON to this path")
     p.set_defaults(handler=_cmd_prep)
 
@@ -452,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of target qubits")
     p.add_argument("--a", type=int, required=True, help="fan-out block size")
     p.add_argument("--k", type=int, required=True, help="gate fan-in K")
-    p.add_argument("--trials", type=int, default=20, help="random trials when too large to exhaust")
+    p.add_argument("--trials", type=int, default=20, help="random trials before the symbolic pass over every branch")
     p.set_defaults(handler=_cmd_ghz_demo)
 
     p = sub.add_parser(

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "PauliOperator",
@@ -39,6 +39,14 @@ _TEXT_SIGN = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 
 def _popcount(v: int) -> int:
     return v.bit_count()
+
+
+def _bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of ``v``, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 class PauliOperator:
@@ -98,8 +106,7 @@ class PauliOperator:
         return _popcount(self.x | self.z)
 
     def support(self) -> tuple[int, ...]:
-        occ = self.x | self.z
-        return tuple(j for j in range(self.n) if (occ >> j) & 1)
+        return tuple(_bits(self.x | self.z))
 
     def letter(self, q: int) -> str:
         xb, zb = (self.x >> q) & 1, (self.z >> q) & 1

@@ -16,15 +16,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
-from .circuit import AdaptiveCircuit, Condition, Gate, Measure, depth, simulate
-from .errors import ContradictionError, ResourceGuardError
+from .circuit import (
+    AdaptiveCircuit,
+    Condition,
+    Gate,
+    Measure,
+    ancilla_count,
+    conditioned_non_pauli,
+    depth,
+    simulate,
+    simulate_symbolic,
+)
 from .pauli import GF2Elimination, PauliOperator, format_pauli, gf2_rank, gf2_solve, parse_pauli
 from .tableau import (
     StabilizerTableau,
+    _anticommuting,
+    _raise_anticommuting,
+    _transpose,
     apply_gate,
     from_stabilizers,
     generator_product,
@@ -82,11 +95,9 @@ class StabilizerCode:
                 raise ValueError(f"check {format_pauli(c)} acts on {c.n} qubits, code has {self.n}")
             if not c.hermitian or c.display_sign != 1:
                 raise ValueError(f"check {format_pauli(c)} must be hermitian with sign +1")
-        for i, j in combinations(range(len(self.checks)), 2):
-            if not self.checks[i].commutes(self.checks[j]):
-                raise ValueError(
-                    f"checks {format_pauli(self.checks[i])} and {format_pauli(self.checks[j])} anticommute"
-                )
+        xs = _transpose([c.x for c in self.checks], self.n)
+        zs = _transpose([c.z for c in self.checks], self.n)
+        _raise_anticommuting(self.checks, [_anticommuting(xs, zs, c) for c in self.checks], "checks")
         rows = [c.symplectic_row() for c in self.checks]
         r = gf2_rank(rows, cols=2 * self.n)
         if r != len(self.checks):
@@ -100,7 +111,7 @@ class StabilizerCode:
     def k(self) -> int:
         return self.n - len(self.checks)
 
-    @property
+    @cached_property
     def s(self) -> int:
         max_wt = max(c.weight() for c in self.checks)
         part = [0] * self.n
@@ -710,10 +721,19 @@ def verify_preparation(
     trials: int = 20,
     also_exhaustive: bool = True,
 ) -> dict:
-    """Simulate the circuit against the target on random seeds and, when the
-    ancilla count permits, on every forced outcome pattern; reports depth,
-    ancilla usage, and the applicable trade-off bound checks."""
-    n_a = circuit.m - target.n
+    """Simulate the circuit against the target on random seeds and, with
+    ``also_exhaustive``, on every outcome branch; reports depth, ancilla
+    usage, and the applicable trade-off bound checks.
+
+    The exhaustive check is one symbolic run (``simulate_symbolic``) that
+    covers all 2^r realizable branches of the r random measurements at any
+    cbit count: ``realizable`` counts them (times 2 per classical bit no
+    measurement writes) out of ``branches`` = 2^cbits forced patterns.  A
+    failing branch is reported as its forced pattern, which
+    ``simulate(circuit, forced=...)`` replays.  A conditioned gate other than
+    a Pauli leaves both counts None and sets ``unsupported``.
+    """
+    n_a = ancilla_count(circuit, target.n)
     report: dict = {
         "n": target.n,
         "m": circuit.m,
@@ -724,6 +744,7 @@ def verify_preparation(
         "realizable": None,
         "all_match": True,
         "counterexample": None,
+        "unsupported": None,
     }
     for seed in range(trials):
         tab, record = simulate(circuit, seed=seed)
@@ -732,25 +753,21 @@ def verify_preparation(
             report["counterexample"] = "".join(str(b) for b in record)
             break
     if also_exhaustive and report["all_match"]:
-        if circuit.cbits > 12:
-            raise ResourceGuardError(
-                f"exhaustive verification over 2^{circuit.cbits} branches refused; "
-                "pass also_exhaustive=False"
-            )
-        realizable = 0
-        for mask in range(1 << circuit.cbits):
-            forced = [(mask >> i) & 1 for i in range(circuit.cbits)]
-            try:
-                tab, record = simulate(circuit, forced=forced)
-            except ContradictionError:
-                continue
-            realizable += 1
-            if not states_equal(tab, target):
+        bad = conditioned_non_pauli(circuit)
+        if bad is not None:
+            report["unsupported"] = {
+                "layer": bad[0],
+                "gate": bad[1].op,
+                "reason": "sign forms cover conditioned Pauli gates only",
+            }
+        else:
+            run = simulate_symbolic(circuit)
+            values = run.wrong_branch(target)
+            report["branches"] = 1 << circuit.cbits
+            report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
+            if values is not None:
                 report["all_match"] = False
-                report["counterexample"] = "".join(str(b) for b in forced)
-                break
-        report["branches"] = 1 << circuit.cbits
-        report["realizable"] = realizable
+                report["counterexample"] = "".join(str(b) for b in run.forced(values))
     profile = ResourceProfile.from_circuit(circuit, target.n)
     _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))
     return report

@@ -31,6 +31,7 @@ from .errors import ContradictionError, ResourceGuardError
 from .pauli import (
     GF2Elimination,
     PauliOperator,
+    _bits,
     format_pauli,
     from_bits,
     gf2_rank,
@@ -48,6 +49,9 @@ __all__ = [
     "conjugate_pauli",
     "measure_pauli",
     "generator_product",
+    "sign_form",
+    "measure_form",
+    "apply_pauli_form",
     "is_stabilized_by",
     "states_equal",
     "canonical_form",
@@ -156,13 +160,6 @@ def ghz_state(n: int) -> StabilizerTableau:
 
 
 # -- plane kernels ----------------------------------------------------------------
-
-
-def _bits(v: int) -> Iterable[int]:
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 def _anticommuting(xs: Sequence[int], zs: Sequence[int], p: PauliOperator) -> int:
@@ -380,9 +377,10 @@ def measure_pauli(
         _xor_row(t, pivot, x ^ p.x, z ^ p.z, e ^ (p.e if outcome == 1 else p.e + 2) & 3)
         return outcome, False, t
     # Deterministic: p commutes with the whole group, so +-p is in it.
-    outcome = _group_sign(t, p, anti)
-    if outcome is None:
+    form = sign_form(t, (), p)
+    if form is None:
         raise AssertionError("commuting Pauli outside the group; tableau corrupt")
+    outcome = 1 - 2 * form
     if forced is not None and int(forced) != outcome:
         raise ContradictionError(
             f"measurement of {format_pauli(p)} is deterministic ({outcome:+d}); "
@@ -391,20 +389,73 @@ def measure_pauli(
     return outcome, True, t
 
 
-def _group_sign(t: StabilizerTableau, p: PauliOperator, anti: int) -> int | None:
-    """+1/-1 when ``sign * p`` is in the group, else None; ``anti`` is the mask
-    of rows anticommuting with p, whose destabilizer part selects the product."""
-    prod = generator_product(t, anti >> t.n)
+# -- sign forms ---------------------------------------------------------------
+#
+# A symbolic run carries every generator's sign as an affine GF(2) form over
+# the outcomes of the random measurements made so far, so one pass covers
+# every outcome branch.  A form is an int: bit 0 is the constant, bit v + 1
+# is outcome variable v (0 reads +1).  In the tableau the constant part stays
+# in ``e0``/``e1`` and ``forms[v]`` is the plane of generator rows whose sign
+# contains variable v.  Destabilizers carry no forms: rows are only ever
+# multiplied by generators, so their signs never reach a generator's.
+
+
+def sign_form(t: StabilizerTableau, forms: Sequence[int], p: PauliOperator) -> int | None:
+    """Form of the sign s with ``s * p`` in the group on every branch, else None.
+
+    The destabilizers anticommuting with p select the generator product;
+    with no ``forms`` the result is the constant 0 (+1) or 1 (-1).
+    """
+    sel = _anticommuting(t.xs, t.zs, p) >> t.n
+    prod = generator_product(t, sel)
     if (prod.x, prod.z) != (p.x, p.z):
         return None
-    return 1 if prod.e == p.e else -1
+    form = int(prod.e != p.e)
+    for v, plane in enumerate(forms):
+        form |= ((plane & sel).bit_count() & 1) << (v + 1)
+    return form
+
+
+def measure_form(t: StabilizerTableau, forms: list[int], p: PauliOperator) -> int:
+    """Measure hermitian ``p`` on every branch at once; returns the outcome's form.
+
+    A random outcome is a fresh variable, which becomes the pivot generator's
+    form; the other anticommuting generators, multiplied by the pivot, XOR in
+    the pivot's form.  A deterministic outcome is the form of the generator
+    product that gives +-p.
+    """
+    gens = _anticommuting(t.xs, t.zs, p) & ((1 << t.n) - 1)
+    if not gens:
+        form = sign_form(t, forms, p)
+        if form is None:
+            raise AssertionError("commuting Pauli outside the group; tableau corrupt")
+        return form
+    measure_pauli(t, p, forced=1)  # the constant part
+    pivot = gens & -gens
+    for v, plane in enumerate(forms):
+        if plane & pivot:
+            forms[v] = plane ^ gens
+    forms.append(pivot)
+    return 1 << len(forms)
+
+
+def apply_pauli_form(t: StabilizerTableau, forms: list[int], name: str, qubits: Sequence[int], form: int) -> None:
+    """Apply the Pauli gate ``name`` on the branches where ``form`` reads 1."""
+    e1 = t.e1
+    apply_gate(t, name, qubits)  # negates the rows the Pauli anticommutes with
+    flipped = (t.e1 ^ e1) & ((1 << t.n) - 1)
+    if not form & 1:
+        t.e1 = e1
+    for v in _bits(form >> 1):
+        forms[v] ^= flipped
 
 
 def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
     """+1/-1 when ``sign * p`` is in the stabilizer group, else None."""
     if not p.hermitian:
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    return _group_sign(t, p, _anticommuting(t.xs, t.zs, p))
+    form = sign_form(t, (), p)
+    return None if form is None else 1 - 2 * form
 
 
 def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
@@ -451,15 +502,15 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
 # -- construction helpers ----------------------------------------------------
 
 
-def _raise_anticommuting(gens: Sequence[PauliOperator], masks: Sequence[int]) -> None:
-    """ValueError naming the first generator pair i < j that anticommutes;
-    ``masks[i]`` has bit j set when generator j anticommutes with generator i."""
-    full = (1 << len(gens)) - 1
+def _raise_anticommuting(ops: Sequence[PauliOperator], masks: Sequence[int], noun: str) -> None:
+    """ValueError naming the first pair i < j of ``ops`` (the ``noun``) that
+    anticommutes; ``masks[i]`` has bit j set when op j anticommutes with op i."""
+    full = (1 << len(ops)) - 1
     for i, mask in enumerate(masks):
         later = (mask & full) >> (i + 1)
         if later:
             j = i + (later & -later).bit_length()
-            raise ValueError(f"generators {format_pauli(gens[i])} and {format_pauli(gens[j])} anticommute")
+            raise ValueError(f"{noun} {format_pauli(ops[i])} and {format_pauli(ops[j])} anticommute")
 
 
 def validate_tableau(t: StabilizerTableau) -> None:
@@ -481,7 +532,7 @@ def validate_tableau(t: StabilizerTableau) -> None:
     # Correct pairing implies independence, so rank only matters on failure.
     if gf2_rank([c & full for c in (*t.xs, *t.zs)]) != n:
         raise ValueError("generators are dependent")
-    _raise_anticommuting(gens, masks)
+    _raise_anticommuting(gens, masks, "generators")
     i = min((w & -w).bit_length() - 1 for w in wrong if w)
     j = next(j for j, w in enumerate(wrong) if w >> i & 1)
     raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
@@ -514,7 +565,7 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     if elim.dependencies:
         raise ValueError("generators are dependent")
     xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
-    _raise_anticommuting(gens, [_anticommuting(xs, zs, g) for g in gens])
+    _raise_anticommuting(gens, [_anticommuting(xs, zs, g) for g in gens], "generators")
     destabs: list[PauliOperator] = []
     for i in range(n):
         v = elim.solve(1 << i)

@@ -41,6 +41,15 @@ def test_prep_steane_exhaustive(capsys):
     assert "PASS" in err
 
 
+def test_prep_toric3_exhaustive_above_12_cbits(capsys):
+    code, report, err = run(capsys, "prep", "builtin:toric3", "--verify", "exhaustive", "--seed", "0")
+    assert code == 0
+    v = report["results"]["verify"]
+    assert v["all_match"] is True and v["unsupported"] is None
+    assert v["branches"] == 2**16 and v["realizable"] == 2**8
+    assert "exhaustive over all 2^16 branches): PASS" in err
+
+
 def test_prep_repetition3_builds_ghz3(capsys, tmp_path):
     out = tmp_path / "circuit.json"
     code, report, _ = run(
@@ -347,6 +356,13 @@ def test_ghz_demo_16_4_2(capsys):
     assert r["verify"]["all_match"] is True
     assert r["verify"]["branches"] == 8
     assert "verified" in err
+
+
+def test_ghz_demo_checks_every_branch_above_12_cbits(capsys):
+    code, report, _ = run(capsys, "ghz-demo", "--n", "256", "--a", "16", "--k", "2", "--trials", "1", "--seed", "0")
+    assert code == 0
+    v = report["results"]["verify"]
+    assert v["all_match"] is True and v["branches"] == v["realizable"] == 2**15
 
 
 def test_ghz_demo_above_weight_cap_proves_bounds(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adaptstab.circuit import AdaptiveCircuit, Gate, Measure, depth, simulate
-from adaptstab.errors import ContradictionError, ResourceGuardError
+from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, gf2_rank, parse_pauli
 from adaptstab.prep import (
     MeasurementSchedule,
@@ -550,9 +550,11 @@ def test_sabotaged_correction_detected():
 
 
 def test_verify_exhaustive_guard():
+    # 13 cbits: above the retired 12-cbit guard, exhaustive in one symbolic pass.
     circ, target = prepare_state(builtin_code("repetition(14)"))
-    with pytest.raises(ResourceGuardError):
-        verify_preparation(circ, target, trials=2)
+    assert circ.cbits == 13
+    report = verify_preparation(circ, target, trials=2)
+    assert report["all_match"] and report["branches"] == report["realizable"] == 2**13
     report = verify_preparation(circ, target, trials=4, also_exhaustive=False)
     assert report["all_match"] and report["branches"] is None
 

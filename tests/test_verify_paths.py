@@ -1,0 +1,338 @@
+"""Symbolic all-branch verification against the forced-branch enumerator it replaced.
+
+The oracle below is the earlier exhaustive check: re-simulate the circuit
+once per forced outcome pattern, skip the patterns a deterministic
+measurement contradicts, and compare each realizable branch with the
+target.  Unlike the old loop it does not stop at the first mismatch, so
+``realizable`` is the full count on failing circuits too.  The symbolic pass
+(``verify_preparation``, ``simulate_symbolic``) must agree with it on
+``all_match``, ``realizable`` and ``branches`` for every small circuit below
+and on random adaptive circuits, and its counterexample must replay as a
+mismatch under ``simulate(..., forced=...)``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptstab import prep
+from adaptstab.circuit import (
+    AdaptiveCircuit,
+    Condition,
+    Gate,
+    Measure,
+    ghz_adaptive,
+    simulate,
+    simulate_symbolic,
+)
+from adaptstab.errors import ContradictionError
+from adaptstab.pauli import parse_pauli
+from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
+from adaptstab.tableau import from_stabilizers, ghz_state, states_equal, zero_state
+from test_tableau_paths import adaptive_programs, random_gate
+
+# -- oracle: the replaced forced-branch loop ---------------------------------------------
+
+
+def brute_force_verify(circuit, target):
+    """(all_match, realizable, branches) over every forced outcome pattern."""
+    realizable, all_match = 0, True
+    for mask in range(1 << circuit.cbits):
+        forced = [(mask >> i) & 1 for i in range(circuit.cbits)]
+        try:
+            tab, _ = simulate(circuit, forced=forced)
+        except ContradictionError:
+            continue
+        realizable += 1
+        all_match = all_match and states_equal(tab, target)
+    return all_match, realizable, 1 << circuit.cbits
+
+
+def symbolic_verify(circuit, target):
+    report = verify_preparation(circuit, target, trials=0)
+    if not report["all_match"]:
+        forced = [int(b) for b in report["counterexample"]]
+        tab, _ = simulate(circuit, forced=forced)  # a realizable branch...
+        assert not states_equal(tab, target)  # ...that ends in the wrong state
+    return report["all_match"], report["realizable"], report["branches"]
+
+
+def without_one_correction(circuit):
+    """Every copy of the circuit with one conditioned gate removed, last gate first."""
+    spots = [(li, i) for li, layer in enumerate(circuit.layers) for i, op in enumerate(layer) if isinstance(op, Gate) and op.cond]
+    for li, i in reversed(spots):
+        layers = [list(layer) for layer in circuit.layers]
+        del layers[li][i]
+        yield AdaptiveCircuit(circuit.m, circuit.cbits, [layer for layer in layers if layer])
+
+
+# -- circuits the package builds --------------------------------------------------------
+
+PREPARED = ["steane", "toric(2)"] + [f"repetition({n})" for n in range(3, 14)]
+GHZ_LADDER = [(4, 1, 2), (8, 1, 2), (8, 2, 2), (8, 4, 2), (9, 3, 3), (13, 1, 2), (16, 2, 2), (16, 4, 2), (24, 4, 3)]
+
+
+@pytest.mark.parametrize("name", PREPARED)
+def test_prepared_circuits_match_oracle(name):
+    circ, target = prepare_state(builtin_code(name))
+    assert circ.cbits <= 12
+    want = brute_force_verify(circ, target)
+    assert want[0] is True
+    assert symbolic_verify(circ, target) == want
+
+
+@pytest.mark.parametrize("n,a,k", GHZ_LADDER)
+def test_ghz_ladder_matches_oracle(n, a, k):
+    circ = ghz_adaptive(n, a, k)
+    assert circ.cbits <= 12
+    want = brute_force_verify(circ, ghz_state(n))
+    assert want == (True, 1 << circ.cbits, 1 << circ.cbits)
+    assert symbolic_verify(circ, ghz_state(n)) == want
+
+
+@pytest.mark.parametrize("name", ["steane", "toric(2)", "repetition(3)", "repetition(6)"])
+def test_sabotaged_preparations_match_oracle(name):
+    circ, target = prepare_state(builtin_code(name))
+    outcomes = []
+    for broken in [*without_one_correction(circ), AdaptiveCircuit(circ.m, circ.cbits, circ.layers[:-1])]:
+        want = brute_force_verify(broken, target)
+        assert symbolic_verify(broken, target) == want
+        outcomes.append(want[0])
+    assert False in outcomes
+
+
+def test_sabotaged_ghz_matches_oracle():
+    circ = ghz_adaptive(8, 2, 2)
+    stripped = next(without_one_correction(circ))
+    want = brute_force_verify(stripped, ghz_state(8))
+    assert want == (False, 8, 8)
+    assert symbolic_verify(stripped, ghz_state(8)) == want
+
+
+def test_toric3_missing_correction_replays_as_mismatch():
+    circ, target = prepare_state(builtin_code("toric(3)"))
+    assert circ.cbits == 16
+    report = verify_preparation(circ, target, trials=2)
+    assert report["all_match"] and report["branches"] == 1 << 16 and report["realizable"] == 1 << 8
+    # Corrections conditioned only on X checks, which |+>^n fixes to +1, never fire.
+    stripped = next(c for c in without_one_correction(circ) if not verify_preparation(c, target, trials=0)["all_match"])
+    for trials in (0, 4):
+        report = verify_preparation(stripped, target, trials=trials)
+        assert report["all_match"] is False
+        pattern = [int(b) for b in report["counterexample"]]
+        assert len(pattern) == 16
+        tab, record = simulate(stripped, forced=pattern)
+        assert record == pattern and not states_equal(tab, target)
+
+
+def test_exhaustive_verification_at_scale():
+    circ, target = prepare_state(builtin_code("toric(8)"))
+    report = verify_preparation(circ, target, trials=1)
+    assert report["all_match"] and report["branches"] == 1 << 126 and report["realizable"] == 1 << 63
+    circ = ghz_adaptive(256, 16, 2)
+    report = verify_preparation(circ, ghz_state(256), trials=1)
+    assert report["all_match"] and report["branches"] == report["realizable"] == 1 << 15
+
+
+# -- edge cases ------------------------------------------------------------------------
+
+
+def test_unwritten_cbit_doubles_both_counts():
+    circ = ghz_adaptive(4, 2, 2)
+    wide = AdaptiveCircuit(circ.m, circ.cbits + 1, circ.layers)
+    want = brute_force_verify(wide, ghz_state(4))
+    assert want == (True, 4, 4)
+    assert symbolic_verify(wide, ghz_state(4)) == want
+
+
+def test_condition_offset_zero_matches_oracle():
+    # Bell pair from a ZZ parity measurement; the X fires when the parity reads 0,
+    # so every branch ends in ZZ = -1.
+    c = AdaptiveCircuit(3, 1)
+    c.add_layer([Gate("H", (0,)), Gate("H", (1,))])
+    c.add_layer([Gate("CNOT", (0, 2))])
+    c.add_layer([Gate("CNOT", (1, 2))])
+    c.add_layer([Measure(2, 0)])
+    c.add_layer([Gate("X", (1,), cond=Condition((0,), 0))])
+    for gens, match in ((("XX", "-ZZ"), True), (("XX", "ZZ"), False)):
+        target = from_stabilizers([parse_pauli(s) for s in gens])
+        assert symbolic_verify(c, target) == brute_force_verify(c, target) == (match, 2, 2)
+
+
+def test_random_pivot_carrying_a_form_matches_oracle():
+    # The conditioned X puts outcome 0 into the sign of qubit 1's generator,
+    # which is the pivot of the second random measurement; qubit 2 ends in |0>
+    # only if that pivot's form is replaced, not XORed, by the new outcome.
+    c = AdaptiveCircuit(3, 2)
+    c.add_layer([Gate("H", (0,))])
+    c.add_layer([Measure(0, 0)])
+    c.add_layer([Gate("X", (1,), cond=Condition((0,), 1))])
+    c.add_layer([Gate("H", (1,))])
+    c.add_layer([Gate("CNOT", (1, 2))])
+    c.add_layer([Measure(1, 1)])
+    c.add_layer([Gate("X", (2,), cond=Condition((1,), 1))])
+    for sign, match in (("+", True), ("-", False)):
+        target = from_stabilizers([parse_pauli(sign + "Z")])
+        assert symbolic_verify(c, target) == brute_force_verify(c, target) == (match, 4, 4)
+
+
+def test_conditioned_non_pauli_is_unsupported():
+    c = AdaptiveCircuit(2, 1)
+    c.add_layer([Gate("H", (0,))])
+    c.add_layer([Measure(0, 0)])
+    c.add_layer([Gate("H", (1,), cond=Condition((0,), 1))])
+    report = verify_preparation(c, zero_state(1), trials=0)
+    assert report["unsupported"] == {
+        "layer": 2,
+        "gate": "H",
+        "reason": "sign forms cover conditioned Pauli gates only",
+    }
+    assert report["branches"] is None and report["realizable"] is None
+    with pytest.raises(NotImplementedError, match="^layer 2: conditioned H gate"):
+        simulate_symbolic(c)
+    assert verify_preparation(c, zero_state(1), trials=0, also_exhaustive=False)["unsupported"] is None
+
+
+def test_symbolic_walk_rejects_what_simulate_rejects():
+    c = AdaptiveCircuit(2, 1)
+    c.add_layer([Gate("X", (0,), cond=Condition((0,), 1))])
+    with pytest.raises(ValueError, match="unwritten classical bit 0"):
+        simulate_symbolic(c)
+    c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Measure(1, 0)]])
+    with pytest.raises(ValueError, match="classical bit 0 written twice"):
+        simulate_symbolic(c)
+    c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Gate("H", (0,))]])
+    with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
+        simulate(c, seed=0)
+    with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
+        simulate_symbolic(c).wrong_branch(zero_state(1))
+
+
+def test_target_wider_than_circuit_fails_before_simulating(monkeypatch):
+    def refuse(*_a, **_k):
+        raise AssertionError("simulated before checking the width")
+
+    monkeypatch.setattr(prep, "simulate", refuse)
+    monkeypatch.setattr(prep, "simulate_symbolic", refuse)
+    with pytest.raises(ValueError, match="^target register larger than the circuit$"):
+        verify_preparation(AdaptiveCircuit(2, 0, [[Gate("H", (0,))]]), ghz_state(3), trials=3)
+
+
+# -- random adaptive circuits ----------------------------------------------------------
+
+
+def program_circuit(n, ops, spare_cbits=0):
+    """The circuit of a ``test_tableau_paths`` program, one op per layer.
+
+    Measured qubits stay dead, as a valid circuit requires: ops that touch
+    one again are dropped, and condition bits are renumbered to the
+    measurements kept.
+    """
+    layers, dead, cbit = [], set(), {}
+    taken = 0
+    for op in ops:
+        if op[0] == "M":
+            taken += 1
+            if op[1] not in dead:
+                dead.add(op[1])
+                cbit[taken - 1] = len(cbit)
+                layers.append([Measure(op[1], cbit[taken - 1])])
+        elif op[0] == "C":
+            _, letter, q, bits = op
+            kept = tuple(cbit[b] for b in bits if b in cbit)
+            if q not in dead and kept:
+                layers.append([Gate(letter, (q,), cond=Condition(kept, 1))])
+        else:
+            _, name, qubits, pauli = op
+            if not dead.intersection(qubits):
+                layers.append([Gate(name, qubits, pauli)])
+    return AdaptiveCircuit(n, len(cbit) + spare_cbits, layers)
+
+
+def check_random_circuit(circ, seed):
+    if circ.m == len({op.qubit for layer in circ.layers for op in layer if isinstance(op, Measure)}):
+        return None  # nothing survives to compare
+    target, _ = simulate(circ, seed=seed)
+    want = brute_force_verify(circ, target)
+    assert symbolic_verify(circ, target) == want
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_programs(), st.integers(0, 1))
+def test_random_adaptive_circuits_match_oracle(program, spare):
+    n, ops, seed = program
+    check_random_circuit(program_circuit(n, ops, spare), seed)
+
+
+def test_random_adaptive_circuits_cover_every_case():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        ops, measured = [], 0
+        for _ in range(int(rng.integers(4, 20))):
+            kind = rng.random()
+            if kind < 0.25:
+                ops.append(("M", int(rng.integers(0, n)), None))
+                measured += 1
+            elif kind < 0.45 and measured:
+                bits = tuple(sorted({int(b) for b in rng.integers(0, measured, size=2)}))
+                ops.append(("C", "XYZ"[int(rng.integers(0, 3))], int(rng.integers(0, n)), bits))
+            else:
+                ops.append(("G",) + random_gate(n, rng))
+        want = check_random_circuit(program_circuit(n, ops), int(rng.integers(0, 1000)))
+        if want is not None:
+            seen.add(("match" if want[0] else "mismatch", "deterministic" if want[1] < want[2] else "random"))
+    assert seen == {(a, b) for a in ("match", "mismatch") for b in ("deterministic", "random")}
+
+
+# -- code validation on planes -----------------------------------------------------------
+
+
+def pair_scan(checks):
+    """The replaced O(t^2) scan: message of the first anticommuting pair, or None."""
+    for i in range(len(checks)):
+        for j in range(i + 1, len(checks)):
+            if not checks[i].commutes(checks[j]):
+                return f"checks {checks[i]} and {checks[j]} anticommute"
+    return None
+
+
+def test_code_commutation_matches_pair_scan_on_perturbed_toric3():
+    rows = [c.letters() for c in builtin_code("toric(3)").checks]
+    rng = np.random.default_rng(3)
+    hits = 0
+    for _ in range(200):
+        perturbed = [list(r) for r in rows]
+        for _ in range(int(rng.integers(1, 4))):
+            i, q = int(rng.integers(0, len(rows))), int(rng.integers(0, len(rows[0])))
+            perturbed[i][q] = "IXYZ"[int(rng.integers(0, 4))]
+        checks = [parse_pauli("".join(r)) for r in perturbed if set(r) != {"I"}]
+        want = pair_scan(checks)
+        try:
+            StabilizerCode(checks[0].n, tuple(checks))
+            got = None
+        except ValueError as exc:
+            got = str(exc) if "anticommute" in str(exc) else None
+        assert got == want
+        hits += want is not None
+    assert hits > 50
+
+
+def test_code_commutation_messages():
+    with pytest.raises(ValueError, match=r"^checks \+XX and \+ZI anticommute$"):
+        build_code(["XX", "ZI"])
+
+
+def test_support_and_sparsity_match_full_scans():
+    for name in ["repetition(3)", "repetition(24)", "steane"] + [f"toric({s})" for s in range(2, 9)]:
+        code = builtin_code(name)
+        for c in code.checks:
+            assert c.support() == tuple(q for q in range(c.n) if (c.x | c.z) >> q & 1)
+        part = [sum((c.x | c.z) >> q & 1 for c in code.checks) for q in range(code.n)]
+        assert code.s == max(max(c.weight() for c in code.checks), max(part))
+        assert vars(code)["s"] == code.s  # computed once, on first read
