@@ -247,6 +247,12 @@ def _fire(cond: Condition | None, record: list[int | None]) -> bool:
     return acc == cond.xor
 
 
+def _mark_measured(measured: set[int], q: int, layer: int) -> None:
+    if q in measured:
+        raise ValueError(f"layer {layer}: qubit {q} measured a second time")
+    measured.add(q)
+
+
 def simulate(
     c: AdaptiveCircuit,
     *,
@@ -258,24 +264,24 @@ def simulate(
 
     Outcomes come from `forced` (a 0/1 list indexed by classical bit) when
     given, otherwise from a seeded RNG.  Forcing an impossible deterministic
-    outcome raises ContradictionError.
+    outcome raises ContradictionError; measuring a qubit twice, ValueError.
     """
     t = initial.copy() if initial is not None else zero_state(c.m)
     if t.n != c.m:
         raise ValueError("initial tableau size mismatch")
     rng = np.random.default_rng(seed)
     record: list[int | None] = [None] * c.cbits
-    measured: list[int] = []
-    for layer in c.layers:
+    measured: set[int] = set()
+    for li, layer in enumerate(c.layers):
         for op in layer:
             if isinstance(op, Measure):
+                _mark_measured(measured, op.qubit, li)
                 p = single_site(c.m, op.qubit, "Z")
                 force_sign = None
                 if forced is not None:
                     force_sign = 1 if forced[op.cbit] == 0 else -1
                 outcome, _, _ = measure_pauli(t, p, forced=force_sign, rng=rng)
                 record[op.cbit] = 0 if outcome == 1 else 1
-                measured.append(op.qubit)
             else:
                 if _fire(op.cond, record):
                     apply_gate(t, op.op, op.qubits, pauli=op.pauli)
@@ -300,7 +306,7 @@ class SymbolicRun:
     tableau: StabilizerTableau
     forms: list[int]
     record: list[int | None]
-    measured: list[int]
+    measured: set[int]
 
     def forced(self, values: int) -> list[int]:
         """0/1 record of the branch where variable v takes bit v of ``values``;
@@ -318,11 +324,10 @@ class SymbolicRun:
         """
         t = self.tableau
         generators = (1 << t.n) - 1
-        dead = set(self.measured)
-        for q in sorted(dead):
+        for q in sorted(self.measured):
             if t.xs[q] & generators:
                 raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
-        live = [q for q in range(t.n) if q not in dead]
+        live = [q for q in range(t.n) if q not in self.measured]
         if len(live) != target.n:
             raise ValueError("dimension mismatch")
         for g in target.generators:
@@ -360,14 +365,14 @@ def simulate_symbolic(c: AdaptiveCircuit) -> SymbolicRun:
     t = zero_state(c.m)
     forms: list[int] = []
     record: list[int | None] = [None] * c.cbits
-    measured: list[int] = []
-    for layer in c.layers:
+    measured: set[int] = set()
+    for li, layer in enumerate(c.layers):
         for op in layer:
             if isinstance(op, Measure):
+                _mark_measured(measured, op.qubit, li)
                 if record[op.cbit] is not None:
                     raise ValueError(f"classical bit {op.cbit} written twice")
                 record[op.cbit] = measure_form(t, forms, single_site(c.m, op.qubit, "Z"))
-                measured.append(op.qubit)
             elif op.cond is None:
                 apply_gate(t, op.op, op.qubits, pauli=op.pauli)
             elif op.cond.xor in (0, 1):  # any other offset never fires

@@ -185,7 +185,7 @@ def _cmd_prep(args) -> tuple:
         )
 
     if args.verify == "exhaustive":
-        report = verify_preparation(circ, target, trials=8, also_exhaustive=True)
+        report = verify_preparation(circ, target, trials=0, also_exhaustive=True)
     else:
         try:
             trials = int(args.verify)
@@ -404,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         default="20",
-        help="random trial count, or 'exhaustive': 8 random trials plus one symbolic pass"
-        " over every outcome branch, at any cbit count",
+        help="random trial count, or 'exhaustive': one symbolic pass over every outcome"
+        " branch, at any cbit count, and no random trials",
     )
     p.add_argument("--out", default=None, help="write the circuit JSON to this path")
     p.set_defaults(handler=_cmd_prep)

@@ -50,12 +50,10 @@ __all__ = [
     "min_weight_generators",
     "stabilizer_weight",
     "weight_vector_oracle",
-    "pauli_correlation_strength",
     "pauli_correlation_range",
     "correlation_strength_w",
     "correlation_range_w",
     "global_correlation",
-    "global_correlation_reports",
     "anti_shallowness_lower",
     "anti_shallowness_upper",
     "anti_shallowness_continuity",
@@ -203,9 +201,8 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
 
 
 def _rdm(s: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    tensor = s.amps.reshape([2] * s.n)
-    tensor = np.moveaxis(tensor, qubits, range(len(qubits)))
-    m = tensor.reshape(1 << len(qubits), -1)
+    rest = [q for q in range(s.n) if q not in qubits]
+    m = s.amps.reshape([2] * s.n).transpose([*qubits, *rest]).reshape(1 << len(qubits), -1)
     return m @ m.conj().T
 
 
@@ -220,7 +217,8 @@ def _connected(
     tensor = s.amps.reshape([2] * s.n)
     delta = np.empty((len(pairs), d * d, d * d), complex)
     for out, (a1, a2) in zip(delta, pairs):
-        m = np.moveaxis(tensor, a1 + a2, range(2 * w)).reshape(d * d, -1)
+        rest = [q for q in range(s.n) if q not in a1 + a2]
+        m = tensor.transpose([*a1, *a2, *rest]).reshape(d * d, -1)
         np.matmul(m, m.conj().T, out=out)
     delta = delta.reshape(-1, d, d, d, d)
     r1 = np.stack([marginals[a1] for a1, _ in pairs])
@@ -266,10 +264,15 @@ def _pauli_tables(delta: np.ndarray, w: int) -> np.ndarray:
     return table.real
 
 
+def _sign_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sign_operator(m)`` and the eigenvalues of m's Hermitian part."""
+    ev, u = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    return (u * np.where(ev >= 0, 1.0, -1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2), ev
+
+
 def _sign_operator(m: np.ndarray) -> np.ndarray:
     """Sign of the Hermitian part of one matrix or of each matrix in a stack."""
-    ev, u = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
-    return (u * np.where(ev >= 0, 1.0, -1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return _sign_spectrum(m)[0]
 
 
 def _alternating_values(
@@ -279,7 +282,10 @@ def _alternating_values(
     pair's Pauli maximizer (``best_b``, the index of its second string) and
     ``restarts`` random starts.  All (pair, start) rows run as one stack;
     each stops on its own once it gains less than 1e-12, or after 200
-    rounds.  Returns the best value of each pair."""
+    rounds.  Returns the best value of each pair.  Each update is one
+    batched matrix-vector product with the pair's tensor, transposed once per
+    batch; as o2 = sign(herm N2), a round's value Re tr((o1 x o2) delta) =
+    tr(o2 herm N2) is the sum of |eigenvalues| the o2 sign step computed."""
     rng = np.random.default_rng(seed)
     d = 1 << w
     h = rng.normal(size=(restarts, 2, d, d))
@@ -289,16 +295,18 @@ def _alternating_values(
     o2 = np.concatenate(
         [_pauli_stack(w)[1][best_b, None], np.broadcast_to(starts, (pairs, restarts, d, d))], axis=1
     ).reshape(-1, d, d)
-    rows = np.repeat(delta, restarts + 1, axis=0)
+    to1 = delta.transpose(0, 1, 3, 4, 2).reshape(pairs, d * d, d * d)
+    to2 = delta.transpose(0, 2, 4, 3, 1).reshape(pairs, d * d, d * d)
     val = np.zeros(len(o2))
     live = np.arange(len(o2))
     for _ in range(200):
-        o1 = _sign_operator(np.einsum("rjl,rilkj->rik", o2, rows))
-        o2 = _sign_operator(np.einsum("rik,rkjil->rjl", o1, rows))
-        new = np.abs(np.einsum("rik,rjl,rklij->r", o1, o2, rows).real)
+        src = live // (restarts + 1)  # each row's pair
+        o1 = _sign_operator((to1[src] @ o2.reshape(-1, d * d, 1)).reshape(-1, d, d))
+        o2, ev = _sign_spectrum((to2[src] @ o1.reshape(-1, d * d, 1)).reshape(-1, d, d))
+        new = np.abs(ev).sum(axis=1)
         done = new - val[live] < 1e-12
         val[live] = np.where(done, np.maximum(val[live], new), new)
-        live, o2, rows = live[~done], o2[~done], rows[~done]
+        live, o2 = live[~done], o2[~done]
         if not live.size:
             break
     return val.reshape(pairs, restarts + 1).max(axis=1)
@@ -353,14 +361,6 @@ def correlation_strength_w(
             best = CorrelationReport(region, w, method, float(values[p]), pair)
     assert best is not None
     return best
-
-
-def pauli_correlation_strength(s: StateVector, region: Sequence[int]) -> float:
-    """min over qubit pairs in the region of the best single-site Pauli |Cor|."""
-    region = tuple(sorted(set(region)))
-    if len(region) < 2:
-        raise ValueError("region needs at least two qubits")
-    return correlation_strength_w(s, region, 1).value
 
 
 def _max_clique(adj: list[int], n: int) -> int:
@@ -423,16 +423,6 @@ def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
 def global_correlation(s: StateVector) -> float:
     """Cor over the full register at w=1 (deterministic pauli-enum value)."""
     return correlation_strength_w(s, range(s.n), 1).value
-
-
-def global_correlation_reports(
-    s: StateVector, restarts: int = 8, seed: int = 0
-) -> tuple[CorrelationReport, CorrelationReport]:
-    full = range(s.n)
-    return (
-        correlation_strength_w(s, full, 1, "pauli-enum"),
-        correlation_strength_w(s, full, 1, "alternating-sign", restarts, seed),
-    )
 
 
 # -- anti-shallowness ------------------------------------------------------------

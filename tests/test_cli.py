@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from adaptstab import circuit, prep
 from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
@@ -48,6 +49,16 @@ def test_prep_toric3_exhaustive_above_12_cbits(capsys):
     assert v["all_match"] is True and v["unsupported"] is None
     assert v["branches"] == 2**16 and v["realizable"] == 2**8
     assert "exhaustive over all 2^16 branches): PASS" in err
+
+
+def test_prep_exhaustive_runs_no_random_trials(capsys, monkeypatch):
+    calls = []
+    for module in (circuit, prep):
+        monkeypatch.setattr(module, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+    code, report, _ = run(capsys, "prep", "builtin:toric3", "--verify", "exhaustive")
+    assert code == 0 and calls == []
+    v = report["results"]["verify"]
+    assert v["random_trials"] == 0 and v["branches"] == 2**16 and v["all_match"] is True
 
 
 def test_prep_repetition3_builds_ghz3(capsys, tmp_path):

@@ -112,20 +112,25 @@ def test_weight_invariant_under_local_cliffords():
         assert mt.stabilizer_weight(t2) == w0
 
 
+def pauli_correlation_strength(s, region):
+    """min over qubit pairs in the region of the best single-site Pauli |Cor|."""
+    return mt.correlation_strength_w(s, region, 1).value
+
+
 def test_pauli_correlation_strength():
     for n in (3, 5, 8):
-        assert mt.pauli_correlation_strength(ds.ghz(n), range(n)) == pytest.approx(
+        assert pauli_correlation_strength(ds.ghz(n), range(n)) == pytest.approx(
             1.0, abs=1e-12
         )
-    assert mt.pauli_correlation_strength(ds.plus_state(4), range(4)) == pytest.approx(
+    assert pauli_correlation_strength(ds.plus_state(4), range(4)) == pytest.approx(
         0.0, abs=1e-12
     )
     # max over letter pairs: XX reaches 2/n on the W state, beating ZZ's 4/n^2
-    assert mt.pauli_correlation_strength(ds.w_state(6), range(6)) == pytest.approx(
+    assert pauli_correlation_strength(ds.w_state(6), range(6)) == pytest.approx(
         1 / 3, abs=1e-12
     )
-    with pytest.raises(ValueError):
-        mt.pauli_correlation_strength(ds.ghz(3), [1])
+    with pytest.raises(ValueError, match="region cannot hold two disjoint size-w subsets"):
+        pauli_correlation_strength(ds.ghz(3), [1])
 
 
 def test_global_correlation_values():
@@ -139,15 +144,23 @@ def test_global_correlation_values():
     assert mt.global_correlation(ds.basis_state("0101")) == pytest.approx(0.0, abs=1e-12)
 
 
+def global_correlation_reports(s, restarts, seed):
+    full = range(s.n)
+    return (
+        mt.correlation_strength_w(s, full, 1, "pauli-enum"),
+        mt.correlation_strength_w(s, full, 1, "alternating-sign", restarts, seed),
+    )
+
+
 def test_method_reports_and_dominance():
     for state in (ds.ghz(4), ds.hypergraph(4), ds.w_state(5)):
-        pauli, alt = mt.global_correlation_reports(state, restarts=4, seed=7)
+        pauli, alt = global_correlation_reports(state, restarts=4, seed=7)
         assert pauli.method == "pauli-enum" and alt.method == "alternating-sign"
         assert pauli.value <= alt.value + 1e-9
-    pauli, alt = mt.global_correlation_reports(ds.ghz(5), restarts=2, seed=0)
+    pauli, alt = global_correlation_reports(ds.ghz(5), restarts=2, seed=0)
     assert alt.value == pytest.approx(1.0, abs=1e-9)
     # the ascent genuinely beats Pauli strings on hypergraph pairs
-    pauli, alt = mt.global_correlation_reports(ds.hypergraph(4), restarts=4, seed=0)
+    pauli, alt = global_correlation_reports(ds.hypergraph(4), restarts=4, seed=0)
     assert alt.value > pauli.value + 0.05
 
 

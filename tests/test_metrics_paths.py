@@ -397,22 +397,45 @@ def test_batches_hold_at_most_one_first_subset(monkeypatch):
         assert all(len({a1 for a1, _ in b}) == 1 for b in batches)
 
 
+def _ascent_pairs(n, w):
+    if w == 1:
+        return [((0,), (1,)), ((0,), (n - 1,)), ((n - 2,), (n - 1,))]
+    if w == 2:
+        return [((0, 1), (2, 3)), ((0, n - 1), (1, n - 2)), ((n - 4, n - 3), (n - 2, n - 1))]
+    return [((0, 1, 2), (3, 4, 5)), ((0, 2, 4), (1, 3, 5))]
+
+
+def _ascent_matches_per_restart_loop(s, pairs, restarts, seed):
+    w = len(pairs[0][0])
+    delta = mt._connected(s, pairs, {a: mt._rdm(s, a) for pair in pairs for a in pair})
+    best_b = np.abs(mt._pauli_tables(delta, w)).reshape(len(pairs), -1).argmax(axis=1) % 4**w
+    new = mt._alternating_values(delta, best_b, w, restarts, seed)
+    for got, (a1, a2) in zip(new, pairs):
+        assert abs(got - per_restart_alternating(old_delta4(s, a1, a2), w, restarts, seed)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["w8", "ghz10", "dicke8_2", "random6", "dense6"])
 def test_alternating_sign_matches_per_restart_loop(name):
     s = _DENSE[name]()
     n = s.n
-    pairs = [((0, 1), (2, 3)), ((0, n - 1), (1, n - 2)), ((n - 4, n - 3), (n - 2, n - 1))]
-    delta = mt._connected(s, pairs, {a: mt._rdm(s, a) for pair in pairs for a in pair})
-    best_b = np.abs(mt._pauli_tables(delta, 2)).reshape(len(pairs), -1).argmax(axis=1) % 16
-    for restarts, seed in ((8, 0), (3, 11), (0, 5)):
-        new = mt._alternating_values(delta, best_b, 2, restarts, seed)
-        for got, (a1, a2) in zip(new, pairs):
-            assert abs(got - per_restart_alternating(old_delta4(s, a1, a2), 2, restarts, seed)) <= 1e-12
+    for w in (1, 2, 3) if n == 6 else (1, 2):
+        for restarts, seed in ((8, 0), (3, 11), (0, 5)):
+            _ascent_matches_per_restart_loop(s, _ascent_pairs(n, w), restarts, seed)
     for w in (1, 2) if n == 6 else (1,):
         report = mt.correlation_strength_w(s, range(n), w, "alternating-sign")
         old = old_correlation_strength_w(s, range(n), w, "alternating-sign")
         assert report.pair == old.pair
         assert abs(report.value - old.value) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 7), w=st.integers(1, 3), restarts=st.integers(0, 4), seed=st.integers(0, 2**31 - 1))
+def test_alternating_sign_matches_per_restart_loop_on_random_states_property(n, w, restarts, seed):
+    w = min(w, n // 2)
+    order = [int(q) for q in np.random.default_rng(seed).permutation(n)]
+    # The second pair's subsets are unsorted and may be the first's, reordered.
+    pairs = [(tuple(sorted(order[:w])), tuple(sorted(order[w : 2 * w]))), (tuple(order[:w]), tuple(order[-w:]))]
+    _ascent_matches_per_restart_loop(_random_state(n, seed), pairs, restarts, seed)
 
 
 def test_alternating_sign_draws_the_same_random_starts(monkeypatch):

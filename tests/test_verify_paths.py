@@ -209,6 +209,10 @@ def test_symbolic_walk_rejects_what_simulate_rejects():
         simulate(c, seed=0)
     with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
         simulate_symbolic(c).wrong_branch(zero_state(1))
+    c = AdaptiveCircuit(2, 2, [[Measure(0, 0)], [Measure(0, 1)]])
+    for run in (lambda: simulate(c, seed=0), lambda: simulate(c, forced=[0, 0]), lambda: simulate_symbolic(c)):
+        with pytest.raises(ValueError, match="^layer 1: qubit 0 measured a second time$"):
+            run()
 
 
 def test_target_wider_than_circuit_fails_before_simulating(monkeypatch):
