@@ -253,6 +253,12 @@ def _mark_measured(measured: set[int], q: int, layer: int) -> None:
     measured.add(q)
 
 
+def _write_cbit(record: list, b: int, value) -> None:
+    if record[b] is not None:
+        raise ValueError(f"classical bit {b} written twice")
+    record[b] = value
+
+
 def simulate(
     c: AdaptiveCircuit,
     *,
@@ -264,7 +270,8 @@ def simulate(
 
     Outcomes come from `forced` (a 0/1 list indexed by classical bit) when
     given, otherwise from a seeded RNG.  Forcing an impossible deterministic
-    outcome raises ContradictionError; measuring a qubit twice, ValueError.
+    outcome raises ContradictionError; measuring a qubit or writing a
+    classical bit twice, ValueError.
     """
     t = initial.copy() if initial is not None else zero_state(c.m)
     if t.n != c.m:
@@ -281,7 +288,7 @@ def simulate(
                 if forced is not None:
                     force_sign = 1 if forced[op.cbit] == 0 else -1
                 outcome, _, _ = measure_pauli(t, p, forced=force_sign, rng=rng)
-                record[op.cbit] = 0 if outcome == 1 else 1
+                _write_cbit(record, op.cbit, 0 if outcome == 1 else 1)
             else:
                 if _fire(op.cond, record):
                     apply_gate(t, op.op, op.qubits, pauli=op.pauli)
@@ -370,9 +377,7 @@ def simulate_symbolic(c: AdaptiveCircuit) -> SymbolicRun:
         for op in layer:
             if isinstance(op, Measure):
                 _mark_measured(measured, op.qubit, li)
-                if record[op.cbit] is not None:
-                    raise ValueError(f"classical bit {op.cbit} written twice")
-                record[op.cbit] = measure_form(t, forms, single_site(c.m, op.qubit, "Z"))
+                _write_cbit(record, op.cbit, measure_form(t, forms, single_site(c.m, op.qubit, "Z")))
             elif op.cond is None:
                 apply_gate(t, op.op, op.qubits, pauli=op.pauli)
             elif op.cond.xor in (0, 1):  # any other offset never fires

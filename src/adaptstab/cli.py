@@ -214,10 +214,11 @@ def _cmd_prep(args) -> tuple:
         if args.verify == "exhaustive"
         else f"{report['random_trials']} random trials"
     )
+    verdict = {True: "PASS", False: "FAIL", None: "NOTHING CHECKED"}[report["all_match"]]
     summary = [
         f"prep: {code.name or 'code'} n={code.n} checks={code.t}"
         f" -> depth {report['depth']}, ancillas {report['n_a']}",
-        f"verification ({mode}): {'PASS' if ok else 'FAIL'}",
+        f"verification ({mode}): {verdict}",
     ]
     return inputs, results, 0 if ok else 2, summary
 

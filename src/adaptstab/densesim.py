@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceGuardError
-from .pauli import PauliOperator
-from .tableau import StabilizerTableau
+from .errors import ContradictionError, ResourceGuardError
+from .pauli import PauliOperator, single_site
+from .tableau import StabilizerTableau, measure_pauli
 
 __all__ = [
     "StateVector",
@@ -194,19 +194,26 @@ def from_amplitudes(values: Iterable[complex]) -> StateVector:
 
 
 def from_tableau(t: StabilizerTableau) -> StateVector:
-    """Project a deterministic basis state onto the stabilized subspace."""
+    """Project the lowest basis state in the support onto the stabilized subspace.
+
+    Measuring Z on qubits 0..n-1 of a copy, forcing +1 wherever the outcome
+    is random, reads the lowest index with a nonzero amplitude bit by bit
+    (qubit 0 is the most significant); a deterministic -1 cannot be forced
+    and reads as bit 1.
+    """
     _guard(t.n)
-    dim = 1 << t.n
-    gens = t.generators
-    for start in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[start] = 1.0
-        for g in gens:
-            v = (v + apply_pauli(v, g)) / 2
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            return StateVector(t.n, v / norm)
-    raise AssertionError("no basis state overlaps the stabilized subspace")
+    probe = t.copy()
+    start = 0
+    for q in range(t.n):
+        try:
+            measure_pauli(probe, single_site(t.n, q, "Z"), forced=1)
+        except ContradictionError:
+            start |= 1 << (t.n - 1 - q)
+    v = np.zeros(1 << t.n, dtype=complex)
+    v[start] = 1.0
+    for g in t.generators:
+        v = (v + apply_pauli(v, g)) / 2
+    return StateVector(t.n, v / float(np.linalg.norm(v)))
 
 
 def make_state(family: str, *params) -> StateVector:

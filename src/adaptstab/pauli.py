@@ -164,10 +164,9 @@ class PauliOperator:
             z |= ((self.z >> q) & 1) << i
         return PauliOperator.from_exponent(len(qubits), x, z, self.e)
 
-    def symplectic_row(self, n_cols: int | None = None) -> int:
+    def symplectic_row(self) -> int:
         """Bits ``(x | z << n)`` as one integer row for rank computations."""
-        n = self.n if n_cols is None else n_cols
-        return self.x | (self.z << n)
+        return self.x | (self.z << self.n)
 
     # -- value semantics -----------------------------------------------
 
@@ -338,13 +337,8 @@ class GF2Solution:
 
 
 def gf2_rank(m: Sequence[int], cols: int | None = None) -> int:
-    basis: list[int] = []
-    for row in m:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-    return len(basis)
+    """Rank of the rows ``m`` (``cols`` does not change it)."""
+    return len(GF2Elimination(cols or 0, m).reduced)
 
 
 def gf2_solve(m: Sequence[int], b: Sequence[int], cols: int) -> GF2Solution | None:

@@ -1,10 +1,10 @@
 """Compile stabilizer-code states into verified shallow adaptive circuits.
 
-The pipeline: build a code from check strings, edge-color its Tanner graph
-so commuting checks are measured in parallel through ancillas, insert CZ
-gates between ancilla pairs whose controlled-Pauli interleaving is odd
-("tangled" pairs), then fix the random measurement signs with one round of
-parity-conditioned Pauli corrections.  The synthesized circuit for a
+The pipeline: build a code from check strings or supports, edge-color its
+Tanner graph so commuting checks are measured in parallel through ancillas,
+insert CZ gates between ancilla pairs whose controlled-Pauli interleaving is
+odd ("tangled" pairs), then fix the random measurement signs with one round
+of parity-conditioned Pauli corrections.  The synthesized circuit for a
 sparsity-s code has depth at most 2 + s + s^2.
 
 Sparsity note: the depth bound uses a single ``s`` for both the maximum
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import xor
 from typing import Sequence
 
 from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
@@ -32,7 +33,7 @@ from .circuit import (
     simulate,
     simulate_symbolic,
 )
-from .pauli import GF2Elimination, PauliOperator, format_pauli, gf2_rank, gf2_solve, parse_pauli
+from .pauli import GF2Elimination, PauliOperator, _bits, format_pauli, gf2_rank, gf2_solve, parse_pauli
 from .tableau import (
     StabilizerTableau,
     _anticommuting,
@@ -129,22 +130,24 @@ def build_code(check_strings: Sequence[str], name: str = "") -> StabilizerCode:
     return StabilizerCode(checks[0].n, tuple(checks), name)
 
 
+def _from_supports(n: int, x_supports, z_supports, name: str) -> StabilizerCode:
+    """X-type checks on ``x_supports``, then Z-type checks on ``z_supports``."""
+    xs = [PauliOperator(n, sum(1 << q for q in sup), 0) for sup in x_supports]
+    zs = [PauliOperator(n, 0, sum(1 << q for q in sup)) for sup in z_supports]
+    return StabilizerCode(n, (*xs, *zs), name)
+
+
 def _repetition(n: int) -> StabilizerCode:
     if n < 2:
         raise ValueError("repetition code needs n >= 2")
-    rows = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
-    return build_code(rows, f"repetition({n})")
+    return _from_supports(n, (), [(i, i + 1) for i in range(n - 1)], f"repetition({n})")
 
 
 _STEANE_SUPPORTS = ((0, 2, 4, 6), (1, 2, 5, 6), (3, 4, 5, 6))
 
 
 def _steane() -> StabilizerCode:
-    rows = []
-    for letter in "XZ":
-        for sup in _STEANE_SUPPORTS:
-            rows.append("".join(letter if q in sup else "I" for q in range(7)))
-    return build_code(rows, "steane")
+    return _from_supports(7, _STEANE_SUPPORTS, _STEANE_SUPPORTS, "steane")
 
 
 def _toric(side: int) -> StabilizerCode:
@@ -159,21 +162,11 @@ def _toric(side: int) -> StabilizerCode:
     def v(r: int, c: int) -> int:  # edge going down from vertex (r, c)
         return side * side + r * side + c
 
-    n = 2 * side * side
-    rows = []
-    for r in range(side):
-        for c in range(side):
-            if (r, c) == (side - 1, side - 1):
-                continue  # dropped star
-            sup = {h(r, c), h(r, (c - 1) % side), v(r, c), v((r - 1) % side, c)}
-            rows.append("".join("X" if q in sup else "I" for q in range(n)))
-    for r in range(side):
-        for c in range(side):
-            if (r, c) == (side - 1, side - 1):
-                continue  # dropped plaquette
-            sup = {h(r, c), h((r + 1) % side, c), v(r, c), v(r, (c + 1) % side)}
-            rows.append("".join("Z" if q in sup else "I" for q in range(n)))
-    return build_code(rows, f"toric({side})")
+    # The last vertex's star and plaquette are dropped.
+    vertices = [(r, c) for r in range(side) for c in range(side)][:-1]
+    stars = [(h(r, c), h(r, (c - 1) % side), v(r, c), v((r - 1) % side, c)) for r, c in vertices]
+    plaquettes = [(h(r, c), h((r + 1) % side, c), v(r, c), v(r, (c + 1) % side)) for r, c in vertices]
+    return _from_supports(2 * side * side, stars, plaquettes, f"toric({side})")
 
 
 def builtin_code(name: str) -> StabilizerCode:
@@ -505,11 +498,11 @@ def synthesize_measurement_circuit(
     checks: StabilizerCode | Sequence[PauliOperator],
     n: int | None = None,
     *,
-    ancilla_offset: int | None = None,
-    cbit_offset: int = 0,
     schedule: MeasurementSchedule | None = None,
 ) -> MeasurementFragment:
     """Measure all checks in parallel through one ancilla each.
+
+    Ancilla j is qubit n + j and writes classical bit j.
 
     Layer plan: ancilla Hadamards (merged, depth-free) / one controlled-Pauli
     layer per schedule color / CZ layers between tangled ancillas / merged
@@ -523,16 +516,13 @@ def synthesize_measurement_circuit(
         ops = tuple(checks)
         width = n if n is not None else (ops[0].n if ops else 0)
         code = StabilizerCode(width, ops, "fragment")
-    base = code.n if ancilla_offset is None else ancilla_offset
-    if base < code.n:
-        raise ValueError("ancillas would overlap data qubits")
     if schedule is None:
         schedule = edge_color_bipartite(tanner_graph(code))
     else:
         want = {(q, j) for j, c in enumerate(code.checks) for q in c.support()}
         if set(schedule.colors) != want:
             raise ValueError("schedule does not cover exactly the code's Tanner edges")
-    anc = [base + j for j in range(code.t)]
+    anc = [code.n + j for j in range(code.t)]
     layers: list[list] = [[Gate("H", (a,), merged=True) for a in anc]]
     for c in range(1, schedule.num_colors + 1):
         layer = [
@@ -548,9 +538,9 @@ def synthesize_measurement_circuit(
         ]
         layers.append(layer)
     layers.append([Gate("H", (a,), merged=True) for a in anc])
-    layers.append([Measure(anc[j], cbit_offset + j) for j in range(code.t)])
-    circuit = AdaptiveCircuit(base + code.t, cbit_offset + code.t, layers)
-    bits = {j: cbit_offset + j for j in range(code.t)}
+    layers.append([Measure(anc[j], j) for j in range(code.t)])
+    circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)
+    bits = {j: j for j in range(code.t)}
     return MeasurementFragment(circuit, bits, schedule, cz_colors, code.s)
 
 
@@ -578,32 +568,20 @@ def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
     exactly when d is orthogonal to all check z-parts, so candidates form
     the null space of the z-part matrix.  The pure-X part of the check group
     sits inside that null space with codimension exactly k, and extending a
-    basis across the gap yields the logicals.
+    basis across the gap yields the logicals: a candidate is one when adding
+    it raises the rank of the span.
     """
-    t, n = code.t, code.n
+    n = code.n
     elim = GF2Elimination(n, (c.z for c in code.checks))
-    candidates = elim.null_basis()
-    span: list[int] = []
-
-    def reduce(vec: int) -> int:
-        for b in span:
-            vec = min(vec, vec ^ b)
-        return vec
-
     # Check combinations whose z-parts cancel give the pure-X group elements.
+    span = GF2Elimination(n)
     for lam in elim.dependencies:
-        vec = 0
-        for i in range(t):
-            if (lam >> i) & 1:
-                vec ^= code.checks[i].x
-        vec = reduce(vec)
-        if vec:
-            span.append(vec)
+        span.add(reduce(xor, (code.checks[i].x for i in _bits(lam)), 0))
     logicals = []
-    for d in candidates:
-        rem = reduce(d)
-        if rem:
-            span.append(rem)
+    for d in elim.null_basis():
+        rank = len(span.reduced)
+        span.add(d)
+        if len(span.reduced) > rank:
             logicals.append(PauliOperator(n, d, 0))
         if len(logicals) == code.k:
             break
@@ -618,40 +596,31 @@ def _correction_layers(gens: list[PauliOperator], t: int, n: int) -> list[list[G
     """Compile outcome-dependent corrections into parity-conditioned gates.
 
     The correction Pauli solves a linear system whose right-hand side is the
-    syndrome vector, so it is GF(2)-linear in the outcome bits: eliminate
-    once, read the solution for each basis syndrome, and superpose.  Each
-    qubit then carries at most one X/Y gate and one Z gate, each conditioned
-    on a parity of syndrome bits; a second layer appears only when some
-    qubit needs X- and Z-corrections with different parity sets.
+    syndrome vector, so it is GF(2)-linear in the outcome bits.  One
+    elimination answers every syndrome at once: bit j of the tag of the row
+    pivoting on column c is bit c of ``solve(1 << j)``, and a free column
+    reads zero, so each column's tag is the parity set of its correction.
+    Each qubit then carries at most one X/Y gate and one Z gate, each
+    conditioned on a parity of syndrome bits; a second layer appears only
+    when some qubit needs X- and Z-corrections with different parity sets.
     """
     elim = GF2Elimination(2 * n, (g.z | (g.x << n) for g in gens))
-    xs, zs = [], []
-    for j in range(t):
-        u = elim.solve(1 << j)
-        if u is None:
-            raise ValueError("correction system inconsistent; generators corrupted")
-        xs.append(u & ((1 << n) - 1))
-        zs.append(u >> n)
+    syndrome = (1 << t) - 1
+    if any(dep & syndrome for dep in elim.dependencies):
+        raise ValueError("correction system inconsistent; generators corrupted")
+    parity = {col: tuple(_bits(elim.tags[idx] & syndrome)) for col, idx in elim.pivots.items()}
     first: list[Gate] = []
     second: list[Gate] = []
     for q in range(n):
-        jx = tuple(j for j in range(t) if (xs[j] >> q) & 1)
-        jz = tuple(j for j in range(t) if (zs[j] >> q) & 1)
+        jx, jz = parity.get(q, ()), parity.get(n + q, ())
         if jx and jx == jz:
             first.append(Gate("Y", (q,), cond=Condition(jx, 1)))
-        elif jx and jz:
+            continue
+        if jx:
             first.append(Gate("X", (q,), cond=Condition(jx, 1)))
-            second.append(Gate("Z", (q,), cond=Condition(jz, 1)))
-        elif jx:
-            first.append(Gate("X", (q,), cond=Condition(jx, 1)))
-        elif jz:
-            first.append(Gate("Z", (q,), cond=Condition(jz, 1)))
-    layers = []
-    if first:
-        layers.append(first)
-    if second:
-        layers.append(second)
-    return layers
+        if jz:
+            (second if jx else first).append(Gate("Z", (q,), cond=Condition(jz, 1)))
+    return [layer for layer in (first, second) if layer]
 
 
 def prepare_state(
@@ -703,11 +672,9 @@ def prepare_state(
     gens = list(s1) + list(s2)
     if len(gens) != n:
         raise ValueError(f"need n={n} generators, got {len(gens)}")
-    if gf2_rank([g.symplectic_row() for g in gens], cols=2 * n) != n:
-        raise ValueError("S1 and S2 together must be independent")
 
-    target = from_stabilizers(gens)  # rejects anticommuting generators
-    frag = synthesize_measurement_circuit(measured, n, ancilla_offset=n, schedule=schedule)
+    target = from_stabilizers(gens)  # rejects dependent or anticommuting generators
+    frag = synthesize_measurement_circuit(measured, n, schedule=schedule)
     t = len(s1)
     layers = [list(layer) for layer in phi_layers]
     layers.extend(frag.circuit.layers)
@@ -732,6 +699,10 @@ def verify_preparation(
     failing branch is reported as its forced pattern, which
     ``simulate(circuit, forced=...)`` replays.  A conditioned gate other than
     a Pauli leaves both counts None and sets ``unsupported``.
+
+    ``all_match`` is True or False when something was checked, and None when
+    nothing was: no random trial ran and the symbolic pass was skipped (not
+    asked for, or unsupported).
     """
     n_a = ancilla_count(circuit, target.n)
     report: dict = {
@@ -768,6 +739,8 @@ def verify_preparation(
             if values is not None:
                 report["all_match"] = False
                 report["counterexample"] = "".join(str(b) for b in run.forced(values))
+    if trials <= 0 and report["branches"] is None:
+        report["all_match"] = None
     profile = ResourceProfile.from_circuit(circuit, target.n)
     _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))
     return report

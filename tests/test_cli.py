@@ -61,6 +61,13 @@ def test_prep_exhaustive_runs_no_random_trials(capsys, monkeypatch):
     assert v["random_trials"] == 0 and v["branches"] == 2**16 and v["all_match"] is True
 
 
+def test_prep_zero_trials_checks_nothing_and_fails(capsys):
+    code, report, err = run(capsys, "prep", "builtin:toric2", "--verify", "0")
+    assert code == 2
+    assert report["results"]["verify"]["all_match"] is None
+    assert "(0 random trials): NOTHING CHECKED" in err
+
+
 def test_prep_repetition3_builds_ghz3(capsys, tmp_path):
     out = tmp_path / "circuit.json"
     code, report, _ = run(

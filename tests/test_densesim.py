@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from adaptstab import densesim as ds
+from adaptstab.densesim import apply_pauli
 from adaptstab.errors import ResourceGuardError
 from adaptstab.pauli import parse_pauli
 from adaptstab.tableau import apply_gate, random_stabilizer_state, zero_state
@@ -186,6 +187,41 @@ def test_from_tableau_states():
         for g in t.generators:
             val = complex(np.vdot(s.amps, ds.apply_pauli(s, g)))
             assert abs(val - 1.0) < 1e-10
+
+
+def start_loop_from_tableau(t):
+    """The replaced search: project basis states 0, 1, 2, ... until one survives."""
+    dim = 1 << t.n
+    for start in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[start] = 1.0
+        for g in t.generators:
+            v = (v + ds.apply_pauli(v, g)) / 2
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9:
+            return v / norm
+    raise AssertionError("no basis state overlaps the stabilized subspace")
+
+
+def test_from_tableau_matches_start_loop():
+    rng = random.Random(5)
+    for seed in range(160):
+        n = 1 + seed % 8
+        t = random_stabilizer_state(n, seed=seed)
+        for q in rng.sample(range(n), rng.randrange(n + 1)):  # move the support off index 0
+            apply_gate(t, "X", (q,))
+        assert ds.from_tableau(t).amps.tobytes() == start_loop_from_tableau(t).tobytes(), seed
+
+
+def test_from_tableau_projects_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ds, "apply_pauli", lambda v, p: calls.append(p) or apply_pauli(v, p))
+    t = zero_state(12)
+    for q in range(12):
+        apply_gate(t, "X", (q,))
+    s = ds.from_tableau(t)
+    assert len(calls) == 12
+    assert s.amps[-1] == 1.0 and np.count_nonzero(s.amps) == 1
 
 
 def test_dicke_formula_matches_dense():

@@ -4,8 +4,9 @@ per-solve code they replaced, plus counts of GF(2) eliminations.
 The oracles below are the earlier implementations: a fresh augmented
 elimination per right-hand side, destabilizers completed one solve at a
 time, qubit removal by rebuilding the whole tableau, one solve per syndrome
-bit, and a scan over every pair of checks for tangling.  The new paths must
-reproduce them byte for byte.
+bit, a scan over every pair of checks for tangling, the basis loop behind
+``gf2_rank``, and builtin codes written as Pauli strings and parsed back.
+The new paths must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptstab import circuit as ci
 from adaptstab import prep
 from adaptstab.circuit import Condition, Gate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import GF2Elimination, PauliOperator, from_bits, gf2_solve, single_site
+from adaptstab.pauli import GF2Elimination, PauliOperator, from_bits, gf2_rank, gf2_solve, single_site
 from adaptstab.prep import (
     MeasurementSchedule,
     TanglingGraph,
+    build_code,
     builtin_code,
     edge_color_bipartite,
     prepare_state,
@@ -161,6 +165,53 @@ def transpose_solve_logicals(code):
     return logicals
 
 
+def basis_loop_rank(rows):
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
+def string_repetition(n):
+    rows = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    return build_code(rows, f"repetition({n})")
+
+
+def string_steane():
+    rows = []
+    for letter in "XZ":
+        for sup in ((0, 2, 4, 6), (1, 2, 5, 6), (3, 4, 5, 6)):
+            rows.append("".join(letter if q in sup else "I" for q in range(7)))
+    return build_code(rows, "steane")
+
+
+def string_toric(side):
+    def h(r, c):
+        return r * side + c
+
+    def v(r, c):
+        return side * side + r * side + c
+
+    n = 2 * side * side
+    rows = []
+    for r in range(side):
+        for c in range(side):
+            if (r, c) == (side - 1, side - 1):
+                continue
+            sup = {h(r, c), h(r, (c - 1) % side), v(r, c), v((r - 1) % side, c)}
+            rows.append("".join("X" if q in sup else "I" for q in range(n)))
+    for r in range(side):
+        for c in range(side):
+            if (r, c) == (side - 1, side - 1):
+                continue
+            sup = {h(r, c), h((r + 1) % side, c), v(r, c), v(r, (c + 1) % side)}
+            rows.append("".join("Z" if q in sup else "I" for q in range(n)))
+    return build_code(rows, f"toric({side})")
+
+
 def pair_scan_tangling(schedule):
     n_nodes = max((j for _, j in schedule.colors), default=-1) + 1
     edges = tuple(
@@ -259,6 +310,37 @@ def test_from_stabilizers_matches_per_row_solve():
         assert to_json(from_stabilizers(gens)) == to_json(per_row_from_stabilizers(gens))
 
 
+def test_correction_layers_reject_dependency_on_syndrome_bits():
+    z0 = single_site(2, 0, "Z")
+    with pytest.raises(ValueError, match="^correction system inconsistent; generators corrupted$"):
+        prep._correction_layers([z0, z0], 1, 2)
+    # A dependency among the unmeasured generators alone asks nothing of any syndrome.
+    gens = [single_site(2, 1, "Z"), z0, z0]
+    assert prep._correction_layers(gens, 1, 2) == per_syndrome_correction_layers(gens, 1, 2) != []
+
+
+# -- builtin codes and gf2_rank -----------------------------------------------------
+
+
+def _string_builtins():
+    yield from ((f"repetition({n})", string_repetition(n)) for n in range(2, 31))
+    yield "steane", string_steane()
+    yield from ((f"toric({side})", string_toric(side)) for side in range(2, 13))
+
+
+def test_builtin_codes_match_string_builders():
+    for name, old in _string_builtins():
+        new = builtin_code(name)
+        assert (new.n, new.name) == (old.n, old.name)
+        assert new.checks == old.checks, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda cols: st.lists(st.integers(0, (1 << cols) - 1), max_size=30)))
+def test_gf2_rank_matches_basis_loop_property(rows):
+    assert gf2_rank(rows) == basis_loop_rank(rows)
+
+
 # -- build_tangling ---------------------------------------------------------------
 
 
@@ -294,8 +376,8 @@ def test_build_tangling_errors_match_pair_scan():
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    counts = {"eliminations": 0, "rows": 0}
-    init, add = GF2Elimination.__init__, GF2Elimination.add
+    counts = {"eliminations": 0, "rows": 0, "solves": 0}
+    init, add, solve = GF2Elimination.__init__, GF2Elimination.add, GF2Elimination.solve
 
     def counting_init(self, *args, **kwargs):
         counts["eliminations"] += 1
@@ -305,22 +387,34 @@ def eliminations(monkeypatch):
         counts["rows"] += 1
         add(self, row)
 
+    def counting_solve(self, rhs):
+        counts["solves"] += 1
+        return solve(self, rhs)
+
     monkeypatch.setattr(GF2Elimination, "__init__", counting_init)
     monkeypatch.setattr(GF2Elimination, "add", counting_add)
+    monkeypatch.setattr(GF2Elimination, "solve", counting_solve)
     return counts
 
 
 def test_simulate_makes_no_gf2_elimination(eliminations):
     tab, record = ci.simulate(ci.ghz_adaptive(128, 8, 2), seed=0)
     assert tab.n == 128 and len(record) == 15
-    assert eliminations == {"eliminations": 0, "rows": 0}
+    assert eliminations == {"eliminations": 0, "rows": 0, "solves": 0}
 
 
 def test_prepare_state_eliminates_each_matrix_once(eliminations):
     code = builtin_code("toric(8)")
     n, t = code.n, code.t
     prepare_state(code)
-    # Three matrices, each eliminated once with one add per row: the checks'
-    # z-parts (X-type logicals), the symplectic system completed into
-    # destabilizers, and the correction system.
-    assert eliminations == {"eliminations": 3, "rows": t + 2 * n + n}
+    # Five matrices, each eliminated once with one add per row:
+    # - the checks' symplectic rows (the code's independence check, t rows);
+    # - the checks' z-parts (X-type logical candidates, t rows);
+    # - the pure-X span: 63 pure-X group elements (one per dependency of the
+    #   z-parts), then candidates until the k = 2 logicals raise its rank (9);
+    # - the symplectic system completed into destabilizers (2n rows);
+    # - the correction system (n rows).
+    # Only the destabilizers solve, one per generator; the corrections read
+    # every syndrome from the tags.
+    assert eliminations == {"eliminations": 5, "rows": t + t + 63 + 9 + 2 * n + n, "solves": n}
+    assert (n, eliminations["rows"]) == (128, 708)

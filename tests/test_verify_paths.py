@@ -196,14 +196,26 @@ def test_conditioned_non_pauli_is_unsupported():
     assert verify_preparation(c, zero_state(1), trials=0, also_exhaustive=False)["unsupported"] is None
 
 
+def test_unsupported_circuit_without_trials_is_unchecked():
+    # The conditioned H leaves qubit 0 in |+> on the branch where qubit 1 reads 1.
+    c = AdaptiveCircuit(2, 1, [[Gate("H", (1,))], [Measure(1, 0)], [Gate("H", (0,), cond=Condition((0,), 1))]])
+    for also_exhaustive in (True, False):
+        report = verify_preparation(c, zero_state(1), trials=0, also_exhaustive=also_exhaustive)
+        assert report["all_match"] is None and report["counterexample"] is None
+    report = verify_preparation(c, zero_state(1), trials=4)
+    assert report["all_match"] is False and report["unsupported"] is None
+    assert not states_equal(simulate(c, seed=0)[0], zero_state(1))
+
+
 def test_symbolic_walk_rejects_what_simulate_rejects():
     c = AdaptiveCircuit(2, 1)
     c.add_layer([Gate("X", (0,), cond=Condition((0,), 1))])
     with pytest.raises(ValueError, match="unwritten classical bit 0"):
         simulate_symbolic(c)
     c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Measure(1, 0)]])
-    with pytest.raises(ValueError, match="classical bit 0 written twice"):
-        simulate_symbolic(c)
+    for run in (lambda: simulate(c, seed=0), lambda: simulate(c, forced=[0]), lambda: simulate_symbolic(c)):
+        with pytest.raises(ValueError, match="^classical bit 0 written twice$"):
+            run()
     c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Gate("H", (0,))]])
     with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
         simulate(c, seed=0)
