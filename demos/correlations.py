@@ -3,11 +3,14 @@
 Cor(O1, O2) = <O1 O2> - <O1><O2> for disjoint-support, norm-1 observables.
 The global figure takes the minimum over qubit pairs of the best single-site
 Pauli pair, so it measures how correlated the *least* correlated pair is.
+On permutation-symmetric states every subset pair has the same connected
+tensor, so the w = 2 sign-operator ascent runs once per state.
 """
 
 import adaptstab.densesim as ds
 from adaptstab.bounds import approximate_tolerance_table
 from adaptstab.metrics import (
+    correlation_strength_w,
     global_correlation,
     pauli_correlation_range,
 )
@@ -24,6 +27,12 @@ def main():
     for family, params in (("ghz", (8,)), ("w", (8,)), ("hypergraph", (6,))):
         s = ds.make_state(family, *params)
         print(f"  {family}{params}: CR = {pauli_correlation_range(s)}")
+
+    print("\nw = 2 correlation strength, alternating-sign ascent (n = 12)")
+    for family, params in (("w", (12,)), ("dicke", (12, 3)), ("ghz", (12,))):
+        s = ds.make_state(family, *params)
+        rep = correlation_strength_w(s, range(s.n), 2, "alternating-sign")
+        print(f"  {family}{params}: {rep.value:.6f} at a1 = {rep.pair['a1']}, a2 = {rep.pair['a2']}")
 
     print("\nW-state Z-product check: Cor(Z^w, Z^w) = 4 w^2 / n^2")
     for w in (1, 2, 3):

@@ -17,11 +17,13 @@ Correlation strength runs one batch per first subset a1, over all its
 partners a2 in enumeration order, so a batch holds at most C(|A| - w, w)
 pairs and memory is bounded without a block-size constant.  A batch costs
 one 2w-qubit RDM per pair (each w-subset's marginal is computed once per
-call), one ``(P, 4^w, 4^w)`` Pauli table stack and, for ``alternating-sign``,
-one ascent stack of P * (restarts + 1) rows.  The Pauli tables are exact
-gathers: each Pauli matrix has one nonzero entry per row, so a table entry
-sums 4^w phased tensor entries in a fixed order, bit-identical to the
-contraction with the Pauli matrices.
+call).  Pauli tables and, for ``alternating-sign``, the ascent (restarts + 1
+rows per tensor) run once per distinct connected tensor not seen in the
+previous batch: pairs whose tensors are byte-identical share one result, so
+a permutation-symmetric state runs one ascent per call.  The Pauli tables
+are exact gathers: each Pauli matrix has one nonzero entry per row, so a
+table entry sums 4^w phased tensor entries in a fixed order, bit-identical
+to the contraction with the Pauli matrices.
 """
 
 from __future__ import annotations
@@ -326,6 +328,9 @@ def correlation_strength_w(
     enumeration order, so a batch holds at most C(|region| - w, w) pairs.
     The report is the first strict minimum in enumeration order."""
     region = tuple(sorted(set(region)))
+    bad = [q for q in region if not 0 <= q < s.n]
+    if bad:
+        raise ValueError(f"region qubit {bad[0]} outside 0..{s.n - 1}")
     if w < 1:
         raise ValueError("need w >= 1")
     if len(region) < 2 * w:
@@ -337,27 +342,41 @@ def correlation_strength_w(
     names = _pauli_stack(w)[0]
     marginals = {a: _rdm(s, a) for a in combinations(region, w)}
     best: CorrelationReport | None = None
+    # (value, a, b) per distinct connected tensor, keyed by its raw bytes, for
+    # the current batch and the one before it.  Reuse is exact: the ascent
+    # draws its random starts once per call from ``seed`` and each stack row
+    # evolves independently of the others, so a tensor's result does not
+    # depend on which other tensors share its stack.
+    seen: dict[bytes, tuple[float, int, int]] = {}
     for a1 in combinations(region, w):
         rest = [q for q in region if q not in a1]
         pairs = [(a1, a2) for a2 in combinations(rest, w) if a2 >= a1]
         if not pairs:
             continue
         delta = _connected(s, pairs, marginals)
-        table = np.abs(_pauli_tables(delta, w)).reshape(len(pairs), -1)
-        flat = table.argmax(axis=1)
-        ai, bi = np.divmod(flat, len(names))
-        if method == "pauli-enum":
-            values = table[np.arange(len(pairs)), flat]
-        else:
-            values = _alternating_values(delta, bi, w, restarts, seed)
+        keys = [t.tobytes() for t in delta]
+        memo = {k: seen[k] for k in keys if k in seen}
+        fresh = {k: p for p, k in enumerate(keys) if k not in memo}
+        if fresh:
+            sub = delta[list(fresh.values())]
+            table = np.abs(_pauli_tables(sub, w)).reshape(len(sub), -1)
+            flat = table.argmax(axis=1)
+            ai, bi = np.divmod(flat, len(names))
+            if method == "pauli-enum":
+                values = table[np.arange(len(sub)), flat]
+            else:
+                values = _alternating_values(sub, bi, w, restarts, seed)
+            memo.update(zip(fresh, zip(values.tolist(), ai.tolist(), bi.tolist())))
+        seen = memo
+        values = np.array([memo[k][0] for k in keys])
         p = int(np.argmin(values))
         if best is None or values[p] < best.value:
-            a2 = pairs[p][1]
             if method == "pauli-enum":
-                o1, o2 = names[ai[p]], names[bi[p]]
+                _, a, b = memo[keys[p]]
+                o1, o2 = names[a], names[b]
             else:
                 o1 = o2 = "sign-operator"
-            pair = {"a1": list(a1), "a2": list(a2), "o1": o1, "o2": o2}
+            pair = {"a1": list(a1), "a2": list(pairs[p][1]), "o1": o1, "o2": o2}
             best = CorrelationReport(region, w, method, float(values[p]), pair)
     assert best is not None
     return best

@@ -484,7 +484,6 @@ class MeasurementFragment:
     """Parallel syndrome-extraction circuit plus its bookkeeping."""
 
     circuit: AdaptiveCircuit
-    syndrome_bits: dict[int, int]  # check index -> classical bit
     schedule: MeasurementSchedule
     cz_colors: dict[tuple[int, int], int]
     sparsity: int
@@ -540,8 +539,7 @@ def synthesize_measurement_circuit(
     layers.append([Gate("H", (a,), merged=True) for a in anc])
     layers.append([Measure(anc[j], j) for j in range(code.t)])
     circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)
-    bits = {j: j for j in range(code.t)}
-    return MeasurementFragment(circuit, bits, schedule, cz_colors, code.s)
+    return MeasurementFragment(circuit, schedule, cz_colors, code.s)
 
 
 def pauli_correction(s_plus: Sequence[PauliOperator], s_minus: Sequence[PauliOperator]) -> PauliOperator:

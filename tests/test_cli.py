@@ -212,6 +212,13 @@ def test_cor_region_subset(capsys):
     assert report["results"]["value"] == pytest.approx(1.0)
 
 
+def test_cor_region_outside_register_exits_1(capsys):
+    code, report, err = run(capsys, "cor", "ghz:4", "--region", "0,9")
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": "region qubit 9 outside 0..3"}
+    assert "region qubit 9" in err
+
+
 def test_cor_alt_method_seeded_reproducible(capsys):
     code1, report1, _ = run(capsys, "cor", "ghz:4", "--method", "alt", "--seed", "7")
     code2, report2, _ = run(capsys, "cor", "ghz:4", "--method", "alt", "--seed", "7")

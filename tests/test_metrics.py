@@ -193,6 +193,16 @@ def test_correlation_strength_w():
         mt.correlation_strength_w(ds.ghz(4), range(4), 1, method="magic")
 
 
+@pytest.mark.parametrize("region,bad", [((0, 9), 9), ((0, -1), -1), ((-1, 0, 1, 2), -1)])
+def test_correlation_strength_w_rejects_region_outside_register(region, bad, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an RDM before checking the region")
+
+    monkeypatch.setattr(mt, "_rdm", refuse)
+    with pytest.raises(ValueError, match=rf"^region qubit {bad} outside 0\.\.3$"):
+        mt.correlation_strength_w(ds.ghz(4), region, 1)
+
+
 def test_correlation_range_w():
     assert mt.correlation_range_w(ds.ghz(6), 1, 0.5) == 6
     assert mt.correlation_range_w(ds.ghz(6), 1, 2.0) == 1

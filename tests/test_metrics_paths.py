@@ -8,7 +8,9 @@ estimators run one subset pair at a time (moved-axis RDMs and ``np.kron``,
 the three-operand Pauli ``einsum``, the alternating-sign ascent one restart
 at a time, and the strict-``<`` pair scan).  Weight picks, signs, oracle
 values, Pauli tables, pauli-enum reports and correlation ranges must match
-them exactly; alternating-sign values agree to 1e-12.
+them exactly; alternating-sign values agree to 1e-12.  The batch loop that
+runs every pair's tensor, with no memo over byte-identical tensors, must
+give byte-identical reports for both methods.
 """
 
 from __future__ import annotations
@@ -162,6 +164,37 @@ def old_correlation_strength_w(s, region, w, method="pauli-enum", restarts=8, se
         if best is None or val < best.value:
             pair = {"a1": list(a1), "a2": list(a2), "o1": n1, "o2": n2}
             best = mt.CorrelationReport(region, w, method, val, pair)
+    return best
+
+
+def batched_correlation_strength_w(s, region, w, method="pauli-enum", restarts=8, seed=0):
+    """The batch-per-first-subset loop without the per-tensor memo: every
+    pair's tensor gets its own Pauli table row and ascent rows."""
+    region = tuple(sorted(set(region)))
+    names = mt._pauli_stack(w)[0]
+    marginals = {a: mt._rdm(s, a) for a in combinations(region, w)}
+    best = None
+    for a1 in combinations(region, w):
+        rest = [q for q in region if q not in a1]
+        pairs = [(a1, a2) for a2 in combinations(rest, w) if a2 >= a1]
+        if not pairs:
+            continue
+        delta = mt._connected(s, pairs, marginals)
+        table = np.abs(mt._pauli_tables(delta, w)).reshape(len(pairs), -1)
+        flat = table.argmax(axis=1)
+        ai, bi = np.divmod(flat, len(names))
+        if method == "pauli-enum":
+            values = table[np.arange(len(pairs)), flat]
+        else:
+            values = mt._alternating_values(delta, bi, w, restarts, seed)
+        p = int(np.argmin(values))
+        if best is None or values[p] < best.value:
+            if method == "pauli-enum":
+                o1, o2 = names[ai[p]], names[bi[p]]
+            else:
+                o1 = o2 = "sign-operator"
+            pair = {"a1": list(a1), "a2": list(pairs[p][1]), "o1": o1, "o2": o2}
+            best = mt.CorrelationReport(region, w, method, float(values[p]), pair)
     return best
 
 
@@ -460,3 +493,63 @@ def test_sign_operator_stack_matches_single_matrices():
     for m, op in zip(stack, together):
         assert np.allclose(op, _sign_operator_2d(m), atol=1e-12)
         assert np.allclose(op, mt._sign_operator(m), atol=1e-12)
+
+
+# -- one ascent per distinct connected tensor -----------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_memo_reports_match_batched_loop(name):
+    s = _DENSE[name]()
+    ws = (1, 2, 3) if s.n == 6 else (1, 2)
+    for region in _regions(s.n):
+        for w in ws:
+            if len(region) < 2 * w:
+                continue
+            for method in ("pauli-enum", "alternating-sign"):
+                new = mt.correlation_strength_w(s, region, w, method)
+                old = batched_correlation_strength_w(s, region, w, method)
+                assert _report_json([new]) == _report_json([old]), (region, w, method)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    w=st.integers(1, 2),
+    method=st.sampled_from(["pauli-enum", "alternating-sign"]),
+    restarts=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_memo_reports_match_batched_loop_on_random_states_property(n, w, method, restarts, seed):
+    w = min(w, n // 2)
+    s = _random_state(n, seed)
+    new = mt.correlation_strength_w(s, range(n), w, method, restarts, seed)
+    old = batched_correlation_strength_w(s, range(n), w, method, restarts, seed)
+    assert _report_json([new]) == _report_json([old])
+
+
+def _count_stack_sizes(monkeypatch):
+    sizes = {"_pauli_tables": [], "_alternating_values": []}
+    for name, calls in sizes.items():
+        fn = getattr(mt, name)
+        monkeypatch.setattr(mt, name, lambda delta, *a, fn=fn, calls=calls: calls.append(len(delta)) or fn(delta, *a))
+    return sizes
+
+
+def test_symmetric_state_runs_one_ascent(monkeypatch):
+    # Dicke(8, 2) has one connected tensor over its 210 pairs at w = 2; the
+    # batched loop makes 25 calls of each kernel over all 210.
+    sizes = _count_stack_sizes(monkeypatch)
+    mt.correlation_strength_w(dicke(8, 2), range(8), 2, "alternating-sign")
+    assert sizes == {"_pauli_tables": [1], "_alternating_values": [1]}
+    for calls in sizes.values():
+        calls.clear()
+    batched_correlation_strength_w(dicke(8, 2), range(8), 2, "alternating-sign")
+    for calls in sizes.values():
+        assert (len(calls), sum(calls)) == (25, 210)
+
+
+def test_asymmetric_state_merges_no_pairs(monkeypatch):
+    sizes = _count_stack_sizes(monkeypatch)
+    mt.correlation_strength_w(_random_state(6, 3), range(6), 2, "alternating-sign")
+    assert sum(sizes["_pauli_tables"]) == sum(sizes["_alternating_values"]) == len(list(old_pairs(range(6), 2))) == 45

@@ -271,7 +271,8 @@ def test_fragment_depth_five_untangled():
     frag = synthesize_measurement_circuit(build_code(["XXXX", "ZZZZ"]))
     assert frag.depth == 5
     assert not build_tangling(frag.schedule).edges
-    assert frag.syndrome_bits == {0: 0, 1: 1}
+    measured = [(op.qubit, op.cbit) for layer in frag.circuit.layers for op in layer if isinstance(op, Measure)]
+    assert measured == [(4, 0), (5, 1)]
 
 
 def test_fragment_depth_six_with_tangled_schedule():
