@@ -31,7 +31,7 @@ from .tableau import (
     apply_gate,
     apply_pauli_form,
     check_gate,
-    factor_out_qubit,
+    factor_out_qubits,
     measure_form,
     measure_pauli,
     sign_form,
@@ -292,9 +292,8 @@ def simulate(
             else:
                 if _fire(op.cond, record):
                     apply_gate(t, op.op, op.qubits, pauli=op.pauli)
-    for q in sorted(measured, reverse=True):
-        t = factor_out_qubit(t, q)
     if measured:
+        t = factor_out_qubits(t, measured)
         validate_tableau(t)
     return t, record
 

@@ -16,7 +16,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "PauliOperator",
@@ -47,6 +49,20 @@ def _bits(v: int) -> Iterator[int]:
         low = v & -v
         yield low.bit_length() - 1
         v ^= low
+
+
+def _transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit j of ``vectors[i]`` becomes bit i of entry j of the result."""
+    if not vectors or not width:
+        return [0] * width
+    nbytes = (width + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
+    bits = np.unpackbits(
+        np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
+    )
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    k, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
 
 class PauliOperator:
@@ -255,7 +271,9 @@ class GF2Elimination:
     Each pivot row carries a tag: the mask of input rows (bit ``i`` for the
     ``i``-th row added) whose XOR it is.  The reduced rows never depend on a
     right-hand side, so ``M x = b`` is read from the tags for any ``b``
-    without eliminating again.
+    without eliminating again.  ``holders`` maps each free column to the
+    mask of pivot rows that have it set, so clearing a new pivot touches only
+    those rows.  A reduced row's lowest set bit is its pivot column.
     """
 
     def __init__(self, cols: int, rows: Iterable[int] = ()):
@@ -264,12 +282,16 @@ class GF2Elimination:
         self.pivot_mask = 0
         self.reduced: list[int] = []
         self.tags: list[int] = []
+        self.holders: dict[int, int] = {}  # free column -> mask of reduced rows with it
         self.dependencies: list[int] = []  # tags of input combinations that vanish
         self.added = 0
         for row in rows:
             self.add(row)
 
-    def add(self, row: int) -> None:
+    def add(self, row: int) -> int:
+        """Add ``row``.  Returns the null vector, before this row, of the new
+        pivot column: that column plus the pivot columns whose rows carried
+        it (the rows cleared below).  Returns 0 when the row is dependent."""
         tag = 1 << self.added
         self.added += 1
         # Pivot rows are fully reduced, so clearing one pivot column leaves
@@ -282,16 +304,23 @@ class GF2Elimination:
             hits &= hits - 1
         if row == 0:
             self.dependencies.append(tag)
-            return
-        low = row & -row
-        for idx, r in enumerate(self.reduced):
-            if r & low:
-                self.reduced[idx] = r ^ row
-                self.tags[idx] ^= tag
-        self.pivots[low.bit_length() - 1] = len(self.reduced)
+            return 0
+        low = null = row & -row
+        col, new = low.bit_length() - 1, len(self.reduced)
+        hits = self.holders.pop(col, 0)
+        for idx in _bits(hits):
+            r = self.reduced[idx]
+            self.reduced[idx] = r ^ row
+            self.tags[idx] ^= tag
+            null |= r & -r
+        # The rows in hits flip on every other column of row; the new row holds them all.
+        for c in _bits(row ^ low):
+            self.holders[c] = self.holders.get(c, 0) ^ hits ^ 1 << new
+        self.pivots[col] = new
         self.pivot_mask |= low
         self.reduced.append(row)
         self.tags.append(tag)
+        return null
 
     def solve(self, rhs: int) -> int | None:
         """Solution of ``M x = b`` with every free column zero, or None when
@@ -305,6 +334,39 @@ class GF2Elimination:
                 x |= 1 << col
         return x
 
+    def solve_chain(self, count: int, row_of: Callable[[int], int]) -> list[int]:
+        """Solutions x_0 .. x_{count-1}, free columns zero, where x_i solves
+        ``M x = e_i`` once the rows ``row_of(x_0)`` .. ``row_of(x_{i-1})``
+        have joined M.  The rows must stay independent.
+
+        Every x_j is read from the tags by one transpose.  When row r joins
+        with null vector w (see ``add``), each later x_j with r.x_j = 1
+        becomes x_j ^ w: that still meets the earlier equations and is zero
+        on every column still free, and now meets r, so it is the new
+        free-zero solution.  The solutions are also kept by column, so the
+        x_j that meet r are found from r's columns alone.
+        """
+        if self.dependencies:
+            raise ValueError("rows are dependent")
+        rhs = (1 << count) - 1
+        # by_column[c] has bit j when x_j has column c
+        by_column = [self.tags[self.pivots[c]] & rhs if c in self.pivots else 0 for c in range(self.cols)]
+        sols = _transpose(by_column, count)
+        for i in range(count):
+            row = row_of(sols[i])
+            null = self.add(row)
+            if not null:
+                raise ValueError(f"row {i} of the chain is dependent")
+            meets = 0
+            for c in _bits(row):
+                meets ^= by_column[c]
+            meets &= -2 << i  # the later solutions
+            for j in _bits(meets):
+                sols[j] ^= null
+            for c in _bits(null):
+                by_column[c] ^= meets
+        return sols
+
     def null_basis(self) -> list[int]:
         """One null-space vector per free column, in column order."""
         basis = []
@@ -312,9 +374,8 @@ class GF2Elimination:
             if col in self.pivots:
                 continue
             vec = 1 << col
-            for pcol, idx in self.pivots.items():
-                if (self.reduced[idx] >> col) & 1:
-                    vec |= 1 << pcol
+            for idx in _bits(self.holders.get(col, 0)):
+                vec |= self.reduced[idx] & -self.reduced[idx]
             basis.append(vec)
         return basis
 

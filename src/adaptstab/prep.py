@@ -33,12 +33,11 @@ from .circuit import (
     simulate,
     simulate_symbolic,
 )
-from .pauli import GF2Elimination, PauliOperator, _bits, format_pauli, gf2_rank, gf2_solve, parse_pauli
+from .pauli import GF2Elimination, PauliOperator, _bits, _transpose, format_pauli, gf2_rank, gf2_solve, parse_pauli
 from .tableau import (
     StabilizerTableau,
     _anticommuting,
     _raise_anticommuting,
-    _transpose,
     apply_gate,
     from_stabilizers,
     generator_product,
@@ -493,6 +492,15 @@ class MeasurementFragment:
         return depth(self.circuit)
 
 
+def _color_layers(colors: dict[tuple[int, int], int], count: int, gate) -> list[list]:
+    """Layers 1..``count``: layer c holds ``gate(*edge)`` for each edge of
+    color c, in sorted edge order (one sort, edges bucketed by color)."""
+    layers: list[list] = [[] for _ in range(count)]
+    for edge in sorted(colors):
+        layers[colors[edge] - 1].append(gate(*edge))
+    return layers
+
+
 def synthesize_measurement_circuit(
     checks: StabilizerCode | Sequence[PauliOperator],
     n: int | None = None,
@@ -523,19 +531,11 @@ def synthesize_measurement_circuit(
             raise ValueError("schedule does not cover exactly the code's Tanner edges")
     anc = [code.n + j for j in range(code.t)]
     layers: list[list] = [[Gate("H", (a,), merged=True) for a in anc]]
-    for c in range(1, schedule.num_colors + 1):
-        layer = [
-            Gate("CP", (anc[j], q), pauli=schedule.letters[(q, j)])
-            for (q, j) in sorted(schedule.colors)
-            if schedule.colors[(q, j)] == c
-        ]
-        layers.append(layer)
+    layers += _color_layers(
+        schedule.colors, schedule.num_colors, lambda q, j: Gate("CP", (anc[j], q), pauli=schedule.letters[(q, j)])
+    )
     cz_colors = edge_color_general(build_tangling(schedule))
-    for c in range(1, max(cz_colors.values(), default=0) + 1):
-        layer = [
-            Gate("CZ", (anc[i], anc[j])) for (i, j) in sorted(cz_colors) if cz_colors[(i, j)] == c
-        ]
-        layers.append(layer)
+    layers += _color_layers(cz_colors, max(cz_colors.values(), default=0), lambda i, j: Gate("CZ", (anc[i], anc[j])))
     layers.append([Gate("H", (a,), merged=True) for a in anc])
     layers.append([Measure(anc[j], j) for j in range(code.t)])
     circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)

@@ -15,7 +15,10 @@ Measuring p finds the anticommuting rows as one mask in O(weight(p))
 operations; a random outcome then costs O(n), a deterministic one O(n) plus
 one O(log n) prefix XOR.  ``generators`` and ``destabilizers`` are read-only
 tuples of :class:`PauliOperator`, built on demand by one transpose and cached
-until the next in-place change.
+until the next in-place change.  ``factor_out_qubits`` removes any set of
+measured qubits in one pass: one transpose to rows, row products on the
+selected rows only, one transpose back.  ``from_stabilizers`` reads every
+destabilizer from one GF(2) elimination (``GF2Elimination.solve_chain``).
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -32,6 +35,7 @@ from .pauli import (
     GF2Elimination,
     PauliOperator,
     _bits,
+    _transpose,
     format_pauli,
     from_bits,
     gf2_rank,
@@ -58,8 +62,7 @@ __all__ = [
     "random_stabilizer_state",
     "restricted_group_elements",
     "from_stabilizers",
-    "tensor_tableau",
-    "factor_out_qubit",
+    "factor_out_qubits",
     "validate_tableau",
     "to_json",
     "from_json",
@@ -70,20 +73,6 @@ GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2, "CZ":
 
 # (x bit, z bit, i-exponent) of the controlled letter for CP gates.
 _LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
-
-
-def _transpose(vectors: Sequence[int], width: int) -> list[int]:
-    """Bit j of ``vectors[i]`` becomes bit i of entry j of the result."""
-    if not vectors or not width:
-        return [0] * width
-    nbytes = (width + 7) // 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
-    bits = np.unpackbits(
-        np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
-    )
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    k, data = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
 
 class StabilizerTableau:
@@ -538,19 +527,26 @@ def validate_tableau(t: StabilizerTableau) -> None:
     raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
 
 
+def _check_widths(gens: Sequence[PauliOperator], n: int) -> None:
+    for g in gens:
+        if g.n != n:
+            raise ValueError(f"generator {format_pauli(g)} acts on {g.n} qubits, expected {n}")
+
+
 def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     """Build a tableau from n independent commuting hermitian generators.
 
     Destabilizers come from one GF(2) elimination of the symplectic
     constraints.  Destabilizer i is the solution, free columns zero, that
     anticommutes with generator i alone and commutes with the destabilizers
-    before it; its row then joins the elimination.  Their phases are fixed to
-    display sign +1.  The pairing holds by construction, so the only
-    commutation scan is the one over the generators.
+    before it; its row then joins the elimination (``solve_chain``).  Their
+    phases are fixed to display sign +1.  The pairing holds by construction,
+    so the only commutation scan is the one over the generators.
     """
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
+    _check_widths(gens, n)
     if len(gens) != n:
         raise ValueError(f"need {n} generators, got {len(gens)}")
     gens = list(gens)
@@ -566,57 +562,66 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
         raise ValueError("generators are dependent")
     xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
     _raise_anticommuting(gens, [_anticommuting(xs, zs, g) for g in gens], "generators")
-    destabs: list[PauliOperator] = []
-    for i in range(n):
-        v = elim.solve(1 << i)
-        d = from_bits(n, v & ((1 << n) - 1), v >> n, 1)
-        destabs.append(d)
-        elim.add(d.z | (d.x << n))
-    return StabilizerTableau(n, gens, destabs)
+    low = (1 << n) - 1
+    sols = elim.solve_chain(n, lambda v: v >> n | (v & low) << n)
+    return StabilizerTableau(n, gens, [from_bits(n, v & low, v >> n, 1) for v in sols])
 
 
-def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
-    """Product state tableau: t1 on qubits 0..n1-1, t2 above them."""
-    n = t1.n + t2.n
-    gens = [g.embed(n, 0) for g in t1.generators] + [
-        g.embed(n, t1.n) for g in t2.generators
-    ]
-    destabs = [d.embed(n, 0) for d in t1.destabilizers] + [
-        d.embed(n, t1.n) for d in t2.destabilizers
-    ]
-    return StabilizerTableau(n, gens, destabs)
+def _times(a: int, b: int, n: int) -> int:
+    """Product a * b of two packed rows x | z << n | e << 2n."""
+    odd = (a >> n & b & ((1 << n) - 1)).bit_count() & 1  # a's Z meets b's X
+    return (a ^ b) & ((1 << 2 * n) - 1) | ((a >> 2 * n) + (b >> 2 * n) + 2 * odd & 3) << 2 * n
 
 
-def factor_out_qubit(t: StabilizerTableau, q: int) -> StabilizerTableau:
-    """Remove qubit ``q``, which must be in a definite Z eigenstate.
+def factor_out_qubits(t: StabilizerTableau, qs: Iterable[int]) -> StabilizerTableau:
+    """Remove the qubits ``qs``, each in a definite Z eigenstate.
 
-    Returns a fresh tableau on the remaining qubits (indices above ``q``
-    shift down by one), built with O(n) plane operations: the first generator
-    whose destabilizer anticommutes with Z_q is traded for +-Z_q, the other
-    rows are cleared off qubit q, and that pair and column q are dropped.
+    Returns a fresh tableau on the remaining qubits, the one that removing
+    them one at a time, highest first, gives.  For each q in that order: the
+    generators whose destabilizers anticommute with Z_q multiply to +-Z_q,
+    and every generator with Z on q takes that sign; the lowest of those
+    destabilizers still present is the pivot, and the others are multiplied
+    by it, which clears their X on q.  No row left has X on q, so the pivot
+    pair and column q drop out with every commutation relation kept.  One
+    transpose reads the rows, the destabilizers' X bits are kept current on
+    the measured columns only, and one transpose writes the rest back.
     """
     n = t.n
-    selected = t.xs[q] >> n  # generators whose destabilizers anticommute with Z_q
-    signed_zq = generator_product(t, selected)
-    if (signed_zq.x, signed_zq.z) != (0, 1 << q):
-        raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
-    if n == 1:
-        return StabilizerTableau._from_planes(0, [], [], 0, 0)
-    pivot = (selected & -selected).bit_length() - 1
-    out = t.copy()
-    # Generators with Z on q times +-Z_q; their letter on q is dropped below.
-    _add_exponent(out, t.zs[q] & ((1 << n) - 1) & ~(1 << pivot), signed_zq.e)
-    # Other selected destabilizers times the pivot's, which clears their X on q.
-    _multiply_rows(out, (selected ^ (1 << pivot)) << n, *_row(t, n + pivot))
-    # No row left has X on q, so dropping its Z on q keeps every
-    # commutation relation among the remaining rows.
-    del out.xs[q], out.zs[q]
-    # Drop rows pivot and n + pivot: the bits between them move down one,
-    # the bits above both move down two.
-    lo, high = (1 << pivot) - 1, -1 << (n + pivot - 1)
-    mid = ~lo & ~high
-    planes = [c & lo | c >> 1 & mid | c >> 2 & high for c in (*out.xs, *out.zs, out.e0, out.e1)]
-    return StabilizerTableau._from_planes(n - 1, planes[: n - 1], planes[n - 1 : -2], *planes[-2:])
+    order = sorted(qs, reverse=True)
+    for q, prev in zip(order, [None, *order]):
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
+        if q == prev:
+            raise ValueError(f"qubit {q} repeated")
+    rows = _transpose([*t.xs, *t.zs, t.e0, t.e1], 2 * n)  # row r: x | z << n | e << 2n
+    xcol = {q: t.xs[q] >> n for q in order}  # destabilizers with X on q
+    pending = sum(1 << q for q in order)  # measured columns not reached yet
+    removed = gone = 0  # pivots and columns dropped so far
+    for q in order:
+        sel = xcol[q] & ~removed
+        signed_zq = 0
+        for i in _bits(sel):
+            signed_zq = _times(signed_zq, rows[i], n)
+        if signed_zq & ((1 << 2 * n) - 1) & ~(gone | gone << n) != 1 << (n + q):
+            raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
+        pivot = sel & -sel
+        if sign := signed_zq >> 2 * n << 2 * n:  # generators with Z on q times +-Z_q
+            for i in _bits(t.zs[q] & ((1 << n) - 1) & ~pivot):
+                rows[i] = _times(rows[i], sign, n)
+        d = rows[n + pivot.bit_length() - 1]
+        for i in _bits(sel ^ pivot):
+            rows[n + i] = _times(rows[n + i], d, n)
+        pending ^= 1 << q
+        for c in _bits(d & pending):
+            xcol[c] ^= sel ^ pivot
+        removed |= pivot
+        gone |= 1 << q
+    dropped = removed | removed << n
+    planes = _transpose([r for i, r in enumerate(rows) if not dropped >> i & 1], 2 * n + 2)
+    kept = [c for c in range(n) if not gone >> c & 1]
+    return StabilizerTableau._from_planes(
+        len(kept), [planes[c] for c in kept], [planes[n + c] for c in kept], planes[2 * n], planes[2 * n + 1]
+    )
 
 
 # -- random states -----------------------------------------------------------
@@ -698,6 +703,7 @@ def to_json(t: StabilizerTableau) -> dict:
 def from_json(data: dict) -> StabilizerTableau:
     n = int(data["n"])
     gens = [parse_pauli(s) for s in data["generators"]]
+    _check_widths(gens, n)
     if "destabilizers" in data and data["destabilizers"]:
         destabs = [parse_pauli(s) for s in data["destabilizers"]]
         t = StabilizerTableau(n, gens, destabs)

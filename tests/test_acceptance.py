@@ -62,9 +62,9 @@ from adaptstab.tableau import (
     random_stabilizer_state,
     restricted_group_elements,
     states_equal,
-    tensor_tableau,
     zero_state,
 )
+from helpers_tableau import tensor_tableau
 
 
 def _report(num: int, errs: list, detail: str) -> None:

@@ -177,6 +177,15 @@ def test_weight_unknown_builtin_exits_1(capsys):
     assert report["command"] == ["adaptstab", "weight", "builtin:foo5"]
 
 
+def test_weight_generator_width_mismatch_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "generators": ["+ZII", "+IZI", "+IIZZ"]}))
+    code, report, err = run(capsys, "weight", str(bad))
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": "generator +IIZZ acts on 4 qubits, expected 3"}
+    assert "error" in err
+
+
 # -- cor / crange ----------------------------------------------------------------
 
 

@@ -36,7 +36,7 @@ from adaptstab.prep import (
 )
 from adaptstab.tableau import (
     StabilizerTableau,
-    factor_out_qubit,
+    factor_out_qubits,
     from_stabilizers,
     is_stabilized_by,
     random_stabilizer_state,
@@ -109,6 +109,12 @@ def rebuild_factor_out(t, q):
     if not cleaned:
         return StabilizerTableau(0, [], [])
     return per_row_from_stabilizers(cleaned)
+
+
+def rebuild_factor_out_chain(t, qs):
+    for q in sorted(qs, reverse=True):
+        t = rebuild_factor_out(t, q)
+    return t
 
 
 def per_syndrome_correction_layers(gens, t, n):
@@ -234,7 +240,7 @@ def _outcome(fn, *args, **kwargs):
 def _simulate_both(monkeypatch, circuit, **kwargs):
     new = _outcome(ci.simulate, circuit, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(ci, "factor_out_qubit", rebuild_factor_out)
+        m.setattr(ci, "factor_out_qubits", rebuild_factor_out_chain)
         old = _outcome(ci.simulate, circuit, **kwargs)
     return new, old
 
@@ -284,7 +290,7 @@ def test_factor_out_keeps_error_for_undetermined_qubit():
     t = from_stabilizers([PauliOperator(2, 0b11, 0), PauliOperator(2, 0, 0b11)])
     for q in (0, 1):
         with pytest.raises(ValueError, match="definite Z eigenstate"):
-            factor_out_qubit(t, q)
+            factor_out_qubits(t, [q])
 
 
 # -- prepare_state --------------------------------------------------------------
@@ -308,6 +314,13 @@ def test_from_stabilizers_matches_per_row_solve():
     for n, seed in [(1, 0), (3, 1), (6, 2), (12, 3), (20, 4)]:
         gens = random_stabilizer_state(n, seed).generators
         assert to_json(from_stabilizers(gens)) == to_json(per_row_from_stabilizers(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**31 - 1))
+def test_from_stabilizers_matches_per_row_solve_property(n, seed):
+    gens = random_stabilizer_state(n, seed).generators
+    assert to_json(from_stabilizers(gens)) == to_json(per_row_from_stabilizers(gens))
 
 
 def test_correction_layers_reject_dependency_on_syndrome_bits():
@@ -385,7 +398,7 @@ def eliminations(monkeypatch):
 
     def counting_add(self, row):
         counts["rows"] += 1
-        add(self, row)
+        return add(self, row)
 
     def counting_solve(self, rhs):
         counts["solves"] += 1
@@ -414,7 +427,8 @@ def test_prepare_state_eliminates_each_matrix_once(eliminations):
     #   z-parts), then candidates until the k = 2 logicals raise its rank (9);
     # - the symplectic system completed into destabilizers (2n rows);
     # - the correction system (n rows).
-    # Only the destabilizers solve, one per generator; the corrections read
-    # every syndrome from the tags.
-    assert eliminations == {"eliminations": 5, "rows": t + t + 63 + 9 + 2 * n + n, "solves": n}
+    # Nothing solves: the destabilizers are read from the tags once and
+    # updated as each joins, and the corrections read every syndrome from
+    # the tags.
+    assert eliminations == {"eliminations": 5, "rows": t + t + 63 + 9 + 2 * n + n, "solves": 0}
     assert (n, eliminations["rows"]) == (128, 708)

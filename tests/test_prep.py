@@ -36,9 +36,9 @@ from adaptstab.tableau import (
     measure_pauli,
     random_stabilizer_state,
     states_equal,
-    tensor_tableau,
     zero_state,
 )
+from helpers_tableau import tensor_tableau
 
 
 def test_build_code_examples():

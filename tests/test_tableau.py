@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers_dense import dense_pauli, dense_state_from_ops, gate_unitary
+from helpers_tableau import tensor_tableau
 
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, parse_pauli, single_site
@@ -13,7 +14,7 @@ from adaptstab.tableau import (
     apply_gate,
     canonical_form,
     conjugate_pauli,
-    factor_out_qubit,
+    factor_out_qubits,
     from_json,
     from_stabilizers,
     is_stabilized_by,
@@ -21,7 +22,6 @@ from adaptstab.tableau import (
     random_stabilizer_state,
     restricted_group_elements,
     states_equal,
-    tensor_tableau,
     to_json,
     validate_tableau,
     zero_state,
@@ -310,6 +310,22 @@ def test_from_stabilizers_rejects_empty_list():
         from_stabilizers([])
 
 
+def test_from_stabilizers_rejects_mixed_widths():
+    with pytest.raises(ValueError, match=r"^generator \+Z acts on 1 qubits, expected 2$"):
+        from_stabilizers([parse_pauli("+ZI"), parse_pauli("+Z")])
+    with pytest.raises(ValueError, match=r"^generator \+IIZZ acts on 4 qubits, expected 3$"):
+        from_stabilizers([parse_pauli("+ZII"), parse_pauli("+IZI"), parse_pauli("+IIZZ")])
+
+
+def test_from_json_checks_n_against_generator_widths():
+    with pytest.raises(ValueError, match=r"^generator \+ZII acts on 3 qubits, expected 4$"):
+        from_json({"n": 4, "generators": ["+ZII", "+IZI", "+IIZ"]})
+    data = to_json(from_stabilizers([parse_pauli("+ZI"), parse_pauli("+IZ")]))
+    data["n"] = 3
+    with pytest.raises(ValueError, match=r"^generator \+ZI acts on 2 qubits, expected 3$"):
+        from_json(data)
+
+
 def test_tensor_and_factor_out():
     bell = from_stabilizers([parse_pauli("+XX"), parse_pauli("+ZZ")])
     t = tensor_tableau(bell, zero_state(1))
@@ -319,12 +335,12 @@ def test_tensor_and_factor_out():
 
     ghz = ghz_tableau(3)
     out, _, ghz = measure_pauli(ghz, parse_pauli("+IIZ"), forced=-1)
-    reduced = factor_out_qubit(ghz, 2)
+    reduced = factor_out_qubits(ghz, [2])
     assert states_equal(
         reduced, from_stabilizers([parse_pauli("-ZI"), parse_pauli("-IZ")])
     )
     with pytest.raises(ValueError):
-        factor_out_qubit(ghz_tableau(3), 0)
+        factor_out_qubits(ghz_tableau(3), [0])
 
 
 def test_json_roundtrip():

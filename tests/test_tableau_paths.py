@@ -5,8 +5,11 @@ of ``PauliOperator`` rows, one conjugation rule applied row by row
 (``_conjugate_row``), measurement by row products against the lowest
 anticommuting generator, and qubit factor-out by row operations.  Every
 tableau the plane kernels produce must serialize byte-identically to the
-oracle's, phases of non-hermitian rows included.  A hypothesis property
-checks random adaptive circuits against dense state vectors.
+oracle's, phases of non-hermitian rows included.  The one-pass
+``factor_out_qubits`` is also checked against the one-qubit plane
+factor-out it replaced, applied highest qubit first.  Hypothesis properties
+check random adaptive circuits against dense state vectors and random
+qubit subsets against that chain.
 """
 
 from __future__ import annotations
@@ -20,19 +23,23 @@ from hypothesis import strategies as st
 
 from adaptstab.circuit import Measure, ghz_adaptive, simulate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_solve, single_site
+from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_solve, parse_pauli, single_site
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import (
     StabilizerTableau,
+    _add_exponent,
+    _multiply_rows,
+    _row,
     apply_gate,
     canonical_form,
     conjugate_pauli,
-    factor_out_qubit,
+    factor_out_qubits,
     from_stabilizers,
     ghz_state,
     measure_pauli,
     random_stabilizer_state,
     restricted_group_elements,
+    generator_product,
     to_json,
     validate_tableau,
 )
@@ -184,6 +191,32 @@ def row_factor_out_qubit(t, q):
         gens.append(drop_q(g))
         destabs.append(drop_q(d))
     return RowTableau(n - 1, gens, destabs)
+
+
+def plane_factor_out_qubit(t, q):
+    """The one-qubit plane factor-out ``factor_out_qubits`` replaced."""
+    n = t.n
+    selected = t.xs[q] >> n
+    signed_zq = generator_product(t, selected)
+    if (signed_zq.x, signed_zq.z) != (0, 1 << q):
+        raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
+    if n == 1:
+        return StabilizerTableau._from_planes(0, [], [], 0, 0)
+    pivot = (selected & -selected).bit_length() - 1
+    out = t.copy()
+    _add_exponent(out, t.zs[q] & ((1 << n) - 1) & ~(1 << pivot), signed_zq.e)
+    _multiply_rows(out, (selected ^ (1 << pivot)) << n, *_row(t, n + pivot))
+    del out.xs[q], out.zs[q]
+    lo, high = (1 << pivot) - 1, -1 << (n + pivot - 1)
+    mid = ~lo & ~high
+    planes = [c & lo | c >> 1 & mid | c >> 2 & high for c in (*out.xs, *out.zs, out.e0, out.e1)]
+    return StabilizerTableau._from_planes(n - 1, planes[: n - 1], planes[n - 1 : -2], *planes[-2:])
+
+
+def chain_factor_out(t, qs):
+    for q in sorted(qs, reverse=True):
+        t = plane_factor_out_qubit(t, q)
+    return t
 
 
 def row_simulate(c, *, seed=None, forced=None):
@@ -360,7 +393,7 @@ def test_factor_out_qubit_matches_row_path():
         if n >= 2:
             others = [r for r in range(n) if r != q]
             apply_gate(t, "H", (others[int(rng.integers(0, len(others)))],))
-        got = factor_out_qubit(t, q)
+        got = factor_out_qubits(t, [q])
         assert dumps(got) == row_factor_out_qubit(RowTableau.of(t), q).to_json()
         if got.n:
             validate_tableau(got)
@@ -369,7 +402,67 @@ def test_factor_out_qubit_matches_row_path():
 def test_factor_out_rejects_undetermined_qubit():
     t = ghz_state(3)
     with pytest.raises(ValueError, match="not in a definite Z eigenstate"):
-        factor_out_qubit(t, 1)
+        factor_out_qubits(t, [1])
+
+
+@st.composite
+def measured_states(draw):
+    """A random state with a random qubit subset measured in Z (some of them
+    then scrambled by a gate that keeps them definite), plus the subset."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("empty", "single", "random", "all")))
+    if kind == "empty":
+        qs = []
+    elif kind == "single":
+        qs = [draw(st.integers(0, n - 1))]
+    elif kind == "all":
+        qs = list(range(n))
+    else:
+        qs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    t = random_stabilizer_state(n, draw(st.integers(0, 2**31 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    for q in draw(st.permutations(qs)):
+        measure_pauli(t, single_site(n, q, "Z"), rng=rng)
+    for q in qs:  # S, Z, X and CZ keep measured qubits in Z eigenstates
+        name = ("S", "Z", "X", None)[int(rng.integers(0, 4))]
+        if name:
+            apply_gate(t, name, (q,))
+    if len(qs) >= 2:
+        apply_gate(t, "CZ", (qs[0], qs[-1]))
+    return t, draw(st.permutations(qs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(measured_states())
+def test_factor_out_qubits_matches_descending_chain_property(case):
+    t, qs = case
+    before = dumps(t)
+    got = factor_out_qubits(t, qs)
+    assert dumps(t) == before  # the input is left alone
+    assert dumps(got) == dumps(chain_factor_out(t, qs))
+    if got.n:
+        validate_tableau(got)
+
+
+def test_factor_out_qubits_error_parity():
+    # Qubit 0 is in |0>, qubits 1 and 2 form a Bell pair: the chain raises
+    # at the highest undetermined qubit, and so must the one-pass version.
+    t = from_stabilizers([parse_pauli("+ZII"), parse_pauli("+IXX"), parse_pauli("+IZZ")])
+    for qs in ([1], [0, 1], [2, 0], [0, 1, 2]):
+        with pytest.raises(ValueError) as chain_error:
+            chain_factor_out(t, qs)
+        with pytest.raises(ValueError) as batch_error:
+            factor_out_qubits(t, qs)
+        assert str(batch_error.value) == str(chain_error.value)
+    assert str(batch_error.value) == "qubit 2 is not in a definite Z eigenstate"
+    t = ghz_state(3)
+    measure_pauli(t, single_site(3, 1, "Z"), forced=-1)
+    with pytest.raises(ValueError, match=r"^qubit 3 out of range for n=3$"):
+        factor_out_qubits(t, [0, 3])
+    with pytest.raises(ValueError, match=r"^qubit -1 out of range for n=3$"):
+        factor_out_qubits(t, [-1])
+    with pytest.raises(ValueError, match=r"^qubit 1 repeated$"):
+        factor_out_qubits(t, [1, 2, 1])
 
 
 # -- simulate ------------------------------------------------------------------------------
