@@ -1,7 +1,10 @@
 """State-complexity indicators: generator weights, correlations, anti-shallowness.
 
-Weight machinery works on tableaux (group enumeration + matroid greedy, with
-an independent rank-sweep oracle).  Correlation machinery works on dense
+Weight machinery works on tableaux: one packed table of the whole
+stabilizer group, one ``uint64`` ``x | z << n`` per element and no phases,
+feeds a matroid greedy and an independent rank-sweep oracle.  The greedy
+adds one span byte per element, plus a weight byte and a weight-class order
+index for its scan.  Correlation machinery works on dense
 states and ships two estimators for the operator-norm maximization:
 
 * ``pauli-enum`` — exact maximization over Pauli strings on the chosen
@@ -38,12 +41,8 @@ import numpy as np
 
 from .densesim import StateVector, fidelity, from_tableau, pauli_matrix
 from .errors import ResourceGuardError
-from .pauli import PauliOperator, format_pauli
-from .tableau import (
-    StabilizerTableau,
-    conjugate_pauli,
-    restricted_group_elements,
-)
+from .pauli import PauliOperator, _bits, gf2_rank
+from .tableau import StabilizerTableau
 
 __all__ = [
     "WeightVector",
@@ -59,10 +58,6 @@ __all__ = [
     "anti_shallowness_lower",
     "anti_shallowness_upper",
     "anti_shallowness_continuity",
-    "correlation_continuity_check",
-    "flip_generator_sign",
-    "local_indistinguishable",
-    "lemma1_check",
     "lemma2_check",
 ]
 
@@ -113,30 +108,40 @@ class CorrelationReport:
 # -- stabilizer weight ---------------------------------------------------------
 
 
-def _group_table(t: StabilizerTableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stabilizer group element as x and z bit-planes (``uint64``) and
-    phase exponents (``uint8``), indexed by generator mask; entry 0 is the
-    identity.  Doubles over the generators: the block of masks whose highest
-    bit is i is generator i times the block below it."""
+def _group_table(t: StabilizerTableau) -> np.ndarray:
+    """Every stabilizer group element's bits ``x | z << n`` as one ``uint64``,
+    indexed by generator mask; entry 0 is the identity.  Doubles over the
+    generators: the block of masks whose highest bit is i is generator i
+    times the block below it.  Phases are not kept."""
     n = t.n
     if n > 20:
         raise ResourceGuardError("group enumeration capped at n <= 20")
-    x = np.zeros(1 << n, np.uint64)
-    z = np.zeros(1 << n, np.uint64)
-    e = np.zeros(1 << n, np.uint8)
+    table = np.zeros(1 << n, np.uint64)
     for i, g in enumerate(t.generators):
-        lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
-        gx, gz = np.uint64(g.x), np.uint64(g.z)
-        e[hi] = (e[lo] + g.e + 2 * np.bitwise_count(x[lo] & gz)) % 4
-        x[hi] = x[lo] ^ gx
-        z[hi] = z[lo] ^ gz
-    return x, z, e
+        np.bitwise_xor(table[: 1 << i], np.uint64(g.symplectic_row()), out=table[1 << i : 2 << i])
+    return table
+
+
+def _weights(table: np.ndarray, n: int) -> np.ndarray:
+    """Weight of each element of a group table, as ``uint8``."""
+    xz = table >> np.uint64(n)
+    xz |= table
+    xz &= np.uint64((1 << n) - 1)
+    return np.bitwise_count(xz)
 
 
 def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
-    """All 2^n - 1 non-identity stabilizer group elements (generator-mask order)."""
-    x, z, e = (a[1:].tolist() for a in _group_table(t))
-    return [PauliOperator.from_exponent(t.n, *xze) for xze in zip(x, z, e)]
+    """All 2^n - 1 non-identity stabilizer group elements (generator-mask
+    order), each the product of its generators with the higher one on the
+    left."""
+    n = t.n
+    table = _group_table(t)
+    x = table & np.uint64((1 << n) - 1)
+    e = np.zeros(1 << n, np.uint8)
+    for i, g in enumerate(t.generators):
+        e[1 << i : 2 << i] = (e[: 1 << i] + g.e + 2 * np.bitwise_count(x[: 1 << i] & np.uint64(g.z))) % 4
+    rows = zip(x[1:].tolist(), (table[1:] >> np.uint64(n)).tolist(), e[1:].tolist())
+    return [PauliOperator.from_exponent(n, *xze) for xze in rows]
 
 
 def min_weight_generators(
@@ -144,25 +149,49 @@ def min_weight_generators(
 ) -> tuple[list[PauliOperator], WeightVector]:
     """Generators realizing the minimal non-increasing weight vector.
 
-    Matroid greedy over the whole group: sorted by (weight, lex), keep
-    whatever is independent of what came before.  The returned list is in
-    pick order (non-decreasing weight).
+    Matroid greedy over the whole group in (weight, x, z) order, keeping
+    whatever is independent of what came before.  The independent generators
+    make mask -> element linear and one-to-one, so independence is read in
+    mask space: ``span`` marks the masks spanned by the picks, and a pick m
+    adds the translate ``spanned ^ m``.  Each weight class is scanned once;
+    its smallest (x, z) not in the span is the next pick, until none is
+    left.  The returned list is in pick order (non-decreasing weight).
     """
     n = t.n
-    x, z, e = _group_table(t)
-    order = np.lexsort((z, x, np.bitwise_count(x | z)))[1:]  # [0] is the identity
-    rest = (x | z << np.uint64(n))[order]
+    table = _group_table(t)
+    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
+        raise ValueError("generators are dependent")
+    weights = _weights(table, n)
+    by_weight = np.argsort(weights, kind="stable")  # a counting sort: mask order within a class
+    ends = np.cumsum(np.bincount(weights, minlength=n + 1))
+    span = np.zeros(1 << n, bool)
+    span[0] = True
+    spanned = np.zeros(1, np.int64)
+    picks: list[int] = []
+    low = np.uint64((1 << n) - 1)
+    for wt in range(1, n + 1):
+        if len(picks) == n:
+            break
+        masks = by_weight[ends[wt - 1] : ends[wt]]
+        masks = masks[~span[masks]]
+        rows = table[masks]
+        key = (rows & low) << np.uint64(n) | rows >> np.uint64(n)  # (x, z) order
+        while masks.size:
+            m = int(masks[np.argmin(key)])
+            picks.append(m)
+            if len(picks) == n:
+                break
+            shifted = spanned ^ m
+            span[shifted] = True
+            spanned = np.concatenate([spanned, shifted])
+            live = ~span[masks]
+            masks, key = masks[live], key[live]
     picked = []
-    while len(picked) < n:
-        # Rows left are reduced by every pick so far: zero means dependent.
-        nonzero = rest != 0
-        assert nonzero.any(), "group rank below n"
-        i = int(np.argmax(nonzero))
-        row = rest[i]
-        j = order[i]
-        picked.append(PauliOperator.from_exponent(n, int(x[j]), int(z[j]), int(e[j])))
-        order, rest = order[i + 1 :], rest[i + 1 :]
-        np.minimum(rest, rest ^ row, out=rest)
+    for m in picks:
+        p = PauliOperator(n, 0, 0)
+        for i in _bits(m):
+            p = t.generators[i] * p
+        picked.append(p)
     return picked, WeightVector(tuple(p.weight() for p in picked))
 
 
@@ -182,9 +211,8 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
         raise ResourceGuardError("rank-sweep oracle capped at n <= 14")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    x, z, _ = _group_table(t)
-    symplectic = x | z << np.uint64(n)
-    weights = np.bitwise_count(x | z)
+    symplectic = _group_table(t)
+    weights = _weights(symplectic, n)
     basis: list[np.uint64] = []
     for wt in range(1, n + 1):
         # Column elimination of the basis so far plus this weight class.
@@ -383,28 +411,36 @@ def correlation_strength_w(
 
 
 def _max_clique(adj: list[int], n: int) -> int:
-    """Exact Bron-Kerbosch with pivoting on bitset adjacency."""
-    best = 0
+    """Exact Bron-Kerbosch with pivoting on bitset adjacency.
 
-    def expand(r_size: int, p: int, x: int) -> None:
-        nonlocal best
-        if p == 0 and x == 0:
-            best = max(best, r_size)
-            return
-        pool = p | x
-        pivot = (pool & -pool).bit_length() - 1
-        for u in range(n):
-            if (pool >> u) & 1 and bin(p & adj[u]).count("1") > bin(p & adj[pivot]).count("1"):
-                pivot = u
-        cand = p & ~adj[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            expand(r_size + 1, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-            cand &= ~bit
-    expand(0, (1 << n) - 1, 0)
+    The recursion runs on an explicit stack of ``[r_size, p, x, cand]``
+    frames, so its depth is not bounded by Python's recursion limit.  A
+    frame's ``cand`` is None until its pivot is chosen; branches are taken
+    lowest vertex first."""
+    best = 0
+    stack: list[list] = [[0, (1 << n) - 1, 0, None]]
+    while stack:
+        frame = stack[-1]
+        r_size, p, x, cand = frame
+        if cand is None:
+            if p == 0 and x == 0:
+                best = max(best, r_size)
+                stack.pop()
+                continue
+            # Pivot: the lowest vertex of p | x with the most neighbours in p.
+            pivot, most = 0, -1
+            for u in _bits(p | x):
+                count = (p & adj[u]).bit_count()
+                if count > most:
+                    pivot, most = u, count
+            cand = p & ~adj[pivot]
+        if not cand:
+            stack.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        bit = 1 << v
+        frame[:] = [r_size, p & ~bit, x | bit, cand & ~bit]
+        stack.append([r_size + 1, p & adj[v], x & adj[v], None])
     return best
 
 
@@ -514,64 +550,7 @@ def anti_shallowness_continuity(log_fidelity: float, eps: float) -> float:
     return max(0.0, -math.log2(arg))
 
 
-def correlation_continuity_check(
-    s1: StateVector,
-    s2: StateVector,
-    op1,
-    op2,
-    tol: float = 1e-9,
-) -> bool:
-    """|Cor(s1) - Cor(s2)| <= 6 sqrt(1 - F) for norm-1 observables."""
-    from .densesim import correlation  # local import keeps module load light
-
-    for op in (op1, op2):
-        if op.operator_norm() > 1 + 1e-9:
-            raise ValueError("continuity bound needs operator norm <= 1")
-    eps = max(0.0, 1.0 - fidelity(s1, s2))
-    gap = abs(correlation(s1, op1, op2) - correlation(s2, op1, op2))
-    return gap <= 6 * math.sqrt(eps) + tol
-
-
-# -- indistinguishability and lemma checks ----------------------------------------
-
-
-def flip_generator_sign(t: StabilizerTableau, index: int) -> StabilizerTableau:
-    if not 0 <= index < t.n:
-        raise IndexError("generator index out of range")
-    out = t.copy()
-    out.e1 ^= 1 << index  # negate: i-exponent + 2 on generator row ``index``
-    return out
-
-
-def local_indistinguishable(
-    t1: StabilizerTableau, t2: StabilizerTableau, k: int
-) -> bool:
-    """Signed restricted stabilizer groups agree on every subset of size <= k."""
-    if t1.n != t2.n:
-        raise ValueError("dimension mismatch")
-    for size in range(1, min(k, t1.n) + 1):
-        for subset in combinations(range(t1.n), size):
-            if restricted_group_elements(t1, subset) != restricted_group_elements(
-                t2, subset
-            ):
-                return False
-    return True
-
-
-def lemma1_check(p: PauliOperator, layer: Sequence, K: int) -> bool:
-    """One layer of fan-in <= K gates grows Pauli weight at most K-fold."""
-    used: set[int] = set()
-    q = p
-    for gate in layer:
-        name, qubits = gate[0], tuple(gate[1])
-        pauli = gate[2] if len(gate) > 2 else None
-        if len(qubits) > K:
-            raise ValueError("gate fan-in exceeds K")
-        if used & set(qubits):
-            raise ValueError("layer gates overlap")
-        used |= set(qubits)
-        q = conjugate_pauli(q, name, qubits, pauli=pauli)
-    return q.weight() <= K * p.weight()
+# -- lemma checks ------------------------------------------------------------------
 
 
 def lemma2_check(t: StabilizerTableau) -> bool:

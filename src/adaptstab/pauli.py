@@ -52,7 +52,10 @@ def _bits(v: int) -> Iterator[int]:
 
 
 def _transpose(vectors: Sequence[int], width: int) -> list[int]:
-    """Bit j of ``vectors[i]`` becomes bit i of entry j of the result."""
+    """Bit j of ``vectors[i]`` becomes bit i of entry j of the result.
+
+    The unpacked bits are copied into the transpose 256 rows at a time, which
+    keeps each block's reads and writes in cache at large sizes."""
     if not vectors or not width:
         return [0] * width
     nbytes = (width + 7) // 8
@@ -60,7 +63,10 @@ def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     bits = np.unpackbits(
         np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
     )
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    out = np.empty((width, len(vectors)), np.uint8)
+    for i in range(0, len(vectors), 256):
+        out[:, i : i + 256] = bits[i : i + 256].T
+    packed = np.packbits(out, axis=1, bitorder="little")
     k, data = packed.shape[1], packed.tobytes()
     return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
@@ -171,14 +177,6 @@ class PauliOperator:
         return PauliOperator.from_exponent(
             m, self.x << offset, self.z << offset, self.e
         )
-
-    def restrict(self, qubits: Sequence[int]) -> "PauliOperator":
-        """Letters of ``self`` on ``qubits`` as a |qubits|-site Pauli (phase kept)."""
-        x = z = 0
-        for i, q in enumerate(qubits):
-            x |= ((self.x >> q) & 1) << i
-            z |= ((self.z >> q) & 1) << i
-        return PauliOperator.from_exponent(len(qubits), x, z, self.e)
 
     def symplectic_row(self) -> int:
         """Bits ``(x | z << n)`` as one integer row for rank computations."""

@@ -35,11 +35,7 @@ from adaptstab.metrics import (
     anti_shallowness_continuity,
     anti_shallowness_lower,
     anti_shallowness_upper,
-    correlation_continuity_check,
-    flip_generator_sign,
-    lemma1_check,
     lemma2_check,
-    local_indistinguishable,
     min_weight_generators,
     pauli_correlation_range,
     stabilizer_weight,
@@ -63,6 +59,12 @@ from adaptstab.tableau import (
     restricted_group_elements,
     states_equal,
     zero_state,
+)
+from helpers_checks import (
+    correlation_continuity_check,
+    flip_generator_sign,
+    lemma1_check,
+    local_indistinguishable,
 )
 from helpers_tableau import tensor_tableau
 

@@ -5,7 +5,8 @@ The oracles below are the earlier implementations: a fresh augmented
 elimination per right-hand side, destabilizers completed one solve at a
 time, qubit removal by rebuilding the whole tableau, one solve per syndrome
 bit, a scan over every pair of checks for tangling, the basis loop behind
-``gf2_rank``, and builtin codes written as Pauli strings and parsed back.
+``gf2_rank``, builtin codes written as Pauli strings and parsed back, and
+the bit transpose that packs the whole transposed bit matrix in one call.
 The new paths must reproduce them byte for byte.
 """
 
@@ -15,6 +16,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from adaptstab import circuit as ci
 from adaptstab import prep
 from adaptstab.circuit import Condition, Gate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import GF2Elimination, PauliOperator, from_bits, gf2_rank, gf2_solve, single_site
+from adaptstab.pauli import GF2Elimination, PauliOperator, _transpose, from_bits, gf2_rank, gf2_solve, single_site
 from adaptstab.prep import (
     MeasurementSchedule,
     TanglingGraph,
@@ -179,6 +181,19 @@ def basis_loop_rank(rows):
         if row:
             basis.append(row)
     return len(basis)
+
+
+def unblocked_transpose(vectors, width):
+    if not vectors or not width:
+        return [0] * width
+    nbytes = (width + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
+    bits = np.unpackbits(
+        np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
+    )
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    k, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
 
 def string_repetition(n):
@@ -432,3 +447,25 @@ def test_prepare_state_eliminates_each_matrix_once(eliminations):
     # the tags.
     assert eliminations == {"eliminations": 5, "rows": t + t + 63 + 9 + 2 * n + n, "solves": 0}
     assert (n, eliminations["rows"]) == (128, 708)
+
+
+# -- bit transpose --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "count,width",
+    [(0, 0), (0, 5), (3, 0), (1, 1), (8, 8), (5, 13), (46, 23), (255, 9), (256, 64), (257, 3), (600, 77), (1030, 260)],
+)
+def test_transpose_matches_unblocked_transpose(count, width):
+    rng = random.Random(count * 1000 + width)
+    vectors = [rng.getrandbits(width) if width else 0 for _ in range(count)]
+    got = _transpose(vectors, width)
+    assert got == unblocked_transpose(vectors, width)
+    assert _transpose(got, count) == vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 70).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=600))))
+def test_transpose_matches_unblocked_transpose_property(case):
+    width, vectors = case
+    assert _transpose(vectors, width) == unblocked_transpose(vectors, width)

@@ -19,6 +19,12 @@ from adaptstab.tableau import (
     random_stabilizer_state,
     zero_state,
 )
+from helpers_checks import (
+    correlation_continuity_check,
+    flip_generator_sign,
+    lemma1_check,
+    local_indistinguishable,
+)
 
 
 def ghz_tableau(n):
@@ -266,7 +272,7 @@ def test_anti_shallowness_continuity():
 
 def test_correlation_continuity_check():
     g = ds.ghz(6)
-    assert mt.correlation_continuity_check(
+    assert correlation_continuity_check(
         g, g, ds.pauli_op([0], "Z"), ds.pauli_op([5], "Z")
     )
     th = 0.1
@@ -274,7 +280,7 @@ def test_correlation_continuity_check():
         (2,), np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     )
     g2 = ds.StateVector(6, ds.apply_supported(g, rot))
-    assert mt.correlation_continuity_check(
+    assert correlation_continuity_check(
         g, g2, ds.pauli_op([0], "Z"), ds.pauli_op([5], "Z")
     )
     rng = np.random.default_rng(3)
@@ -287,9 +293,9 @@ def test_correlation_continuity_check():
         i, j = rng.choice(n, size=2, replace=False)
         o1 = ds.pauli_op([int(i)], str(rng.choice(list("XYZ"))))
         o2 = ds.pauli_op([int(j)], str(rng.choice(list("XYZ"))))
-        assert mt.correlation_continuity_check(s1, s2, o1, o2)
+        assert correlation_continuity_check(s1, s2, o1, o2)
     with pytest.raises(ValueError):
-        mt.correlation_continuity_check(
+        correlation_continuity_check(
             g, g, ds.SupportedOperator((0,), 2 * np.eye(2)), ds.pauli_op([1], "Z")
         )
 
@@ -299,21 +305,21 @@ def test_flip_sign_and_local_indistinguishability():
     t1 = from_stabilizers(gens)
     flip_at = max(range(4), key=lambda i: gens[i].weight())
     assert format_pauli(gens[flip_at]) == "+XXXX"
-    t2 = mt.flip_generator_sign(t1, flip_at)
+    t2 = flip_generator_sign(t1, flip_at)
     assert is_stabilized_by(t2, parse_pauli("+XXXX")) == -1
-    assert mt.local_indistinguishable(t1, t2, 3)
-    assert not mt.local_indistinguishable(t1, t2, 4)
+    assert local_indistinguishable(t1, t2, 3)
+    assert not local_indistinguishable(t1, t2, 4)
     one = zero_state(1)
     apply_gate(one, "X", (0,))
-    assert not mt.local_indistinguishable(zero_state(1), one, 1)
+    assert not local_indistinguishable(zero_state(1), one, 1)
     with pytest.raises(IndexError):
-        mt.flip_generator_sign(t1, 9)
+        flip_generator_sign(t1, 9)
 
 
 def test_lemma1_weight_growth():
     x0 = parse_pauli("+XII")
-    assert mt.lemma1_check(x0, [("CNOT", (0, 1))], 2)
-    assert mt.lemma1_check(parse_pauli("+XYZ"), [], 2)  # identity layer
+    assert lemma1_check(x0, [("CNOT", (0, 1))], 2)
+    assert lemma1_check(parse_pauli("+XYZ"), [], 2)  # identity layer
     rng = random.Random(0)
     for _ in range(60):
         n = rng.randint(2, 6)
@@ -331,11 +337,11 @@ def test_lemma1_weight_growth():
             else:
                 layer.append(("CNOT", qs))
         p = parse_pauli("+" + "".join(rng.choice("IXYZ") for _ in range(n)))
-        assert mt.lemma1_check(p, layer, K)
+        assert lemma1_check(p, layer, K)
     with pytest.raises(ValueError):
-        mt.lemma1_check(x0, [("CNOT", (0, 1, 2))], 2)
+        lemma1_check(x0, [("CNOT", (0, 1, 2))], 2)
     with pytest.raises(ValueError):
-        mt.lemma1_check(x0, [("H", (0,)), ("CNOT", (0, 1))], 2)
+        lemma1_check(x0, [("H", (0,)), ("CNOT", (0, 1))], 2)
 
 
 def test_lemma2_bound():

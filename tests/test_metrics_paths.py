@@ -3,7 +3,9 @@ replaced.
 
 The oracles below are the earlier implementations: group enumeration as a
 list of ``PauliOperator`` products, the matroid greedy that reduces one
-operator at a time, the rank sweep over that list, and the correlation
+operator at a time, the rank sweep over that list, the three-array group
+table (x, z and phase planes) with its lexsort greedy, the recursive
+Bron-Kerbosch clique search, and the correlation
 estimators run one subset pair at a time (moved-axis RDMs and ``np.kron``,
 the three-operand Pauli ``einsum``, the alternating-sign ascent one restart
 at a time, and the strict-``<`` pair scan).  Weight picks, signs, oracle
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 from adaptstab import metrics as mt
 from adaptstab.densesim import StateVector, dicke, from_tableau, ghz, hypergraph, pauli_matrix, w_state
 from adaptstab.errors import ResourceGuardError
-from adaptstab.pauli import PauliOperator
+from adaptstab.pauli import PauliOperator, gf2_rank, parse_pauli
+from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import StabilizerTableau, ghz_state, random_stabilizer_state, zero_state
 
 # -- oracles: the replaced per-object code --------------------------------------
@@ -81,6 +84,66 @@ def list_weight_vector_oracle(t, k):
         if rank >= n - k + 1:
             return wt
     raise AssertionError("group rank below n")
+
+
+def array_group_table(t):
+    n = t.n
+    x = np.zeros(1 << n, np.uint64)
+    z = np.zeros(1 << n, np.uint64)
+    e = np.zeros(1 << n, np.uint8)
+    for i, g in enumerate(t.generators):
+        lo, hi = slice(0, 1 << i), slice(1 << i, 2 << i)
+        gx, gz = np.uint64(g.x), np.uint64(g.z)
+        e[hi] = (e[lo] + g.e + 2 * np.bitwise_count(x[lo] & gz)) % 4
+        x[hi] = x[lo] ^ gx
+        z[hi] = z[lo] ^ gz
+    return x, z, e
+
+
+def array_min_weight_generators(t):
+    """Lexsort of the whole table by (weight, x, z), then one full-table
+    reduction per pick."""
+    n = t.n
+    x, z, e = array_group_table(t)
+    order = np.lexsort((z, x, np.bitwise_count(x | z)))[1:]
+    rest = (x | z << np.uint64(n))[order]
+    picked = []
+    while len(picked) < n:
+        nonzero = rest != 0
+        assert nonzero.any(), "group rank below n"
+        i = int(np.argmax(nonzero))
+        row = rest[i]
+        j = order[i]
+        picked.append(PauliOperator.from_exponent(n, int(x[j]), int(z[j]), int(e[j])))
+        order, rest = order[i + 1 :], rest[i + 1 :]
+        np.minimum(rest, rest ^ row, out=rest)
+    return picked, tuple(sorted((p.weight() for p in picked), reverse=True))
+
+
+def recursive_max_clique(adj, n):
+    best = 0
+
+    def expand(r_size, p, x):
+        nonlocal best
+        if p == 0 and x == 0:
+            best = max(best, r_size)
+            return
+        pool = p | x
+        pivot = (pool & -pool).bit_length() - 1
+        for u in range(n):
+            if (pool >> u) & 1 and bin(p & adj[u]).count("1") > bin(p & adj[pivot]).count("1"):
+                pivot = u
+        cand = p & ~adj[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            bit = 1 << v
+            expand(r_size + 1, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+            cand &= ~bit
+
+    expand(0, (1 << n) - 1, 0)
+    return best
 
 
 def _sign_operator_2d(m):
@@ -205,7 +268,7 @@ def old_pauli_correlation_range(s, tol=1e-9):
         if old_pair_max_pauli(old_delta4(s, (i,), (j,)), 1)[0] > tol:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return max(1, mt._max_clique(adj, n))
+    return max(1, recursive_max_clique(adj, n))
 
 
 def old_correlation_range_w(s, w, delta):
@@ -285,6 +348,63 @@ def test_min_weight_generators_match_list_greedy_ghz(n):
 @pytest.mark.parametrize("n,seed", _random_cases(range(1, 17), 2))
 def test_min_weight_generators_match_list_greedy_random(n, seed):
     _assert_same_greedy(random_stabilizer_state(n, seed))
+
+
+def _assert_same_as_array_greedy(t):
+    picked, vector = mt.min_weight_generators(t)
+    old_picked, old_vector = array_min_weight_generators(t)
+    assert _texts(picked) == _texts(old_picked)
+    assert [(p.x, p.z, p.e) for p in picked] == [(p.x, p.z, p.e) for p in old_picked]
+    assert vector.entries == old_vector
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_min_weight_generators_match_array_greedy_ghz(n):
+    _assert_same_as_array_greedy(ghz_state(n))
+
+
+@pytest.mark.parametrize("n,seed", _random_cases(range(17, 21), 2))
+def test_min_weight_generators_match_array_greedy_random(n, seed):
+    _assert_same_as_array_greedy(random_stabilizer_state(n, seed))
+
+
+def test_min_weight_generators_match_array_greedy_toric3():
+    _assert_same_as_array_greedy(prepare_state(builtin_code("toric(3)"))[1])
+
+
+def _unchecked_tableau(n, seed):
+    """Independent random generators, some pair anticommuting, unchecked."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = rng.integers(0, 1 << n, (n, 3))
+        gens = [PauliOperator.from_exponent(n, int(a), int(b), int(c)) for a, b, c in rows]
+        commuting = all(g.commutes(h) for g, h in combinations(gens, 2))
+        if gf2_rank([g.symplectic_row() for g in gens]) == n and not commuting:
+            return StabilizerTableau(n, gens, [PauliOperator(n, 0, 0)] * n)
+
+
+@pytest.mark.parametrize("n,seed", _random_cases((2, 5, 8, 11), 3))
+def test_pick_phases_follow_product_order_for_unchecked_generators(n, seed):
+    # Picks are products with the higher generator on the left, as in the
+    # table, so anticommuting generators give the same signed picks.
+    t = _unchecked_tableau(n, seed)
+    _assert_same_as_array_greedy(t)
+    _assert_same_greedy(t)
+
+
+def test_min_weight_generators_reject_dependent_generators():
+    gens = [parse_pauli(p) for p in ("+ZZI", "+IZZ", "+ZIZ")]
+    t = StabilizerTableau(3, gens, [PauliOperator(3, 0, 0)] * 3)
+    with pytest.raises(ValueError, match="generators are dependent"):
+        mt.min_weight_generators(t)
+
+
+def test_group_table_is_one_word_per_element():
+    t = random_stabilizer_state(9, 4)
+    table = mt._group_table(t)
+    assert table.dtype == np.uint64 and table.shape == (1 << 9,)
+    x, z, _ = array_group_table(t)
+    assert np.array_equal(table, x | z << np.uint64(9))
 
 
 @pytest.mark.parametrize("n,seed", _random_cases((1, 2, 4, 7, 9, 12), 2))
@@ -553,3 +673,30 @@ def test_asymmetric_state_merges_no_pairs(monkeypatch):
     sizes = _count_stack_sizes(monkeypatch)
     mt.correlation_strength_w(_random_state(6, 3), range(6), 2, "alternating-sign")
     assert sum(sizes["_pauli_tables"]) == sum(sizes["_alternating_values"]) == len(list(old_pairs(range(6), 2))) == 45
+
+
+# -- maximum clique --------------------------------------------------------------------
+
+
+def _random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8, 0.95])
+def test_max_clique_matches_recursive_search(density):
+    for n in range(1, 17):
+        for seed in range(4):
+            adj = _random_graph(n, density, 1000 * n + seed)
+            assert mt._max_clique(adj, n) == recursive_max_clique(adj, n), (n, seed)
+
+
+def test_max_clique_runs_past_the_recursion_limit():
+    n = 1100
+    full = (1 << n) - 1
+    assert mt._max_clique([full & ~(1 << i) for i in range(n)], n) == n

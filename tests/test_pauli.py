@@ -17,6 +17,7 @@ from adaptstab.pauli import (
     single_site,
     tensor,
 )
+from helpers_checks import restrict
 
 _I = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,8 +165,8 @@ def test_helpers():
     np.testing.assert_allclose(dense(t), np.kron(dense(parse_pauli("+X")), -_Z))
     e = parse_pauli("+XZ").embed(4, 1)
     assert format_pauli(e) == "+IXZI"
-    assert parse_pauli("-IZX").restrict([1, 2]) == parse_pauli("-ZX")
-    assert parse_pauli("+IYI").restrict([1]) == parse_pauli("+Y")
+    assert restrict(parse_pauli("-IZX"), [1, 2]) == parse_pauli("-ZX")
+    assert restrict(parse_pauli("+IYI"), [1]) == parse_pauli("+Y")
     with pytest.raises(ValueError):
         parse_pauli("X").multiply(parse_pauli("XX"))
 
