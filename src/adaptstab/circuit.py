@@ -24,17 +24,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliOperator, _bits, single_site
+from .pauli import _bits, single_site
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
+    _match_products,
     apply_gate,
     apply_pauli_form,
     check_gate,
     factor_out_qubits,
     measure_form,
     measure_pauli,
-    sign_form,
     validate_tableau,
     zero_state,
 )
@@ -326,7 +326,10 @@ class SymbolicRun:
         The measured qubits are left in Z eigenstates, so the final state is
         a product and a target generator on the survivors (in index order, as
         after ``simulate``'s factor-out) is in the group, identity on the
-        measured qubits, with the same sign form.
+        measured qubits, with the same sign form.  Every target generator is
+        compared in one plane pass (``tableau._match_products``), and its sign
+        form's variable part is the XOR of the picks of the generators whose
+        signs carry each variable.
         """
         t = self.tableau
         generators = (1 << t.n) - 1
@@ -336,15 +339,26 @@ class SymbolicRun:
         live = [q for q in range(t.n) if q not in self.measured]
         if len(live) != target.n:
             raise ValueError("dimension mismatch")
-        for g in target.generators:
-            x = sum(1 << live[q] for q in _bits(g.x))
-            z = sum(1 << live[q] for q in _bits(g.z))
-            form = sign_form(t, self.forms, PauliOperator.from_exponent(t.n, x, z, g.e))
-            if form is None:
-                return 0
-            if form:  # all zeros reads the constant; else flip the lowest variable
-                return 0 if form & 1 else form >> 1 & -(form >> 1)
-        return None
+        full = (1 << target.n) - 1
+        pxs, pzs = [0] * t.n, [0] * t.n
+        for q, cx, cz in zip(live, target.xs, target.zs):
+            pxs[q], pzs[q] = cx & full, cz & full
+        picks, unmatched, flipped = _match_products(t, pxs, pzs, target.e0 & full, target.e1 & full, target.n)
+        planes = []  # bit i of planes[v]: variable v is in target generator i's sign form
+        for rows in self.forms:
+            plane = 0
+            for j in _bits(rows):
+                plane ^= picks[j]
+            planes.append(plane)
+        wrong = unmatched | flipped
+        for plane in planes:
+            wrong |= plane
+        if not wrong:
+            return None
+        first = wrong & -wrong  # the first target generator to fail
+        if (unmatched | flipped) & first:  # outside the group, or wrong on the all-zero branch
+            return 0
+        return next(1 << v for v, plane in enumerate(planes) if plane & first)
 
 
 def conditioned_non_pauli(c: AdaptiveCircuit) -> tuple[int, Gate] | None:

@@ -56,13 +56,13 @@ from .circuit import to_json as circuit_to_json
 from .densesim import basis_state, from_tableau, make_state, plus_state
 from .errors import ContradictionError, ResourceGuardError
 from .metrics import (
+    _oracle_entries,
     anti_shallowness_lower,
     anti_shallowness_upper,
     correlation_range_w,
     correlation_strength_w,
     min_weight_generators,
     pauli_correlation_range,
-    weight_vector_oracle,
 )
 from .pauli import PauliOperator, format_pauli, parse_pauli
 from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
@@ -241,7 +241,7 @@ def _cmd_weight(args) -> tuple:
     code = 0
     summary = [f"weight: wt_s = {vector[0]} on {t.n} qubits"]
     if args.oracle:
-        oracle = [weight_vector_oracle(t, k) for k in range(1, t.n + 1)]
+        oracle = _oracle_entries(t, 1)
         agrees = oracle == list(vector.entries)
         results["oracle"] = {"vector": oracle, "agrees": agrees}
         summary.append(f"oracle cross-check: {'agree' if agrees else 'DISAGREE'}")

@@ -206,6 +206,12 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
     that elements of weight <= W span a subspace of dimension >= n - k + 1.
     The rank is kept by column elimination, not by the greedy's pick loop.
     """
+    return _oracle_entries(t, k)[0]
+
+
+def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
+    """Entries k..n of the minimal vector from one rank sweep, which stops
+    once the rank reaches n - k + 1 (k = 1 gives the whole vector)."""
     n = t.n
     if n > 14:
         raise ResourceGuardError("rank-sweep oracle capped at n <= 14")
@@ -214,6 +220,7 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
     symplectic = _group_table(t)
     weights = _weights(symplectic, n)
     basis: list[np.uint64] = []
+    levels: list[int] = []  # levels[r - 1]: the least weight whose elements span r dimensions
     for wt in range(1, n + 1):
         # Column elimination of the basis so far plus this weight class.
         rows, basis = np.concatenate([np.array(basis, np.uint64), symplectic[weights == wt]]), []
@@ -222,8 +229,9 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
             if hit.any():
                 basis.append(rows[int(np.argmax(hit))])
                 rows = np.where(hit, rows ^ basis[-1], rows)
-        if len(basis) >= n - k + 1:
-            return wt
+        levels += [wt] * (min(len(basis), n - k + 1) - len(levels))
+        if len(levels) == n - k + 1:
+            return levels[::-1]
     raise AssertionError("group rank below n")
 
 

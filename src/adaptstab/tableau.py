@@ -19,6 +19,10 @@ until the next in-place change.  ``factor_out_qubits`` removes any set of
 measured qubits in one pass: one transpose to rows, row products on the
 selected rows only, one transpose back.  ``from_stabilizers`` reads every
 destabilizer from one GF(2) elimination (``GF2Elimination.solve_chain``).
+``states_equal`` and ``validate_tableau`` compare a whole generator set in
+one pass over the column planes (``_match_products``): O(weight) big-int
+operations, bit-parallel over the generators, one transpose, and no row
+views; ``validate_tableau`` builds the views only to name a failure.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -58,7 +62,6 @@ __all__ = [
     "apply_pauli_form",
     "is_stabilized_by",
     "states_equal",
-    "canonical_form",
     "random_stabilizer_state",
     "restricted_group_elements",
     "from_stabilizers",
@@ -447,45 +450,98 @@ def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
     return None if form is None else 1 - 2 * form
 
 
-def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
-    """True iff both tableaux stabilize the same state."""
-    if t1.n != t2.n:
-        raise ValueError("dimension mismatch")
-    return all(is_stabilized_by(t2, g) == 1 for g in t1.generators)
+# -- whole generator sets -----------------------------------------------------
+#
+# A set of k Paulis is given by column planes, as a tableau's rows are: bit i
+# of ``pxs[q]`` / ``pzs[q]`` is Pauli i's X / Z bit on qubit q, and bit i of
+# ``e0`` / ``e1`` the low / high bit of its i-exponent.
 
 
-# -- canonical form ---------------------------------------------------------
+def _non_hermitian(t: StabilizerTableau) -> int:
+    """Mask of the rows whose exponent parity differs from their Y count's."""
+    odd = t.e0
+    for cx, cz in zip(t.xs, t.zs):
+        odd ^= cx & cz
+    return odd
 
 
-def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
-    """Deterministic row-reduced copy of the tableau.
+def _anticommuting_masks(
+    xs: Sequence[int], zs: Sequence[int], pxs: Sequence[int], pzs: Sequence[int], k: int
+) -> list[int]:
+    """``_anticommuting`` for each of k Paulis given by column planes."""
+    masks = [0] * k
+    for cx, cz, px, pz in zip(xs, zs, pxs, pzs):
+        for i in _bits(px):
+            masks[i] ^= cz
+        for i in _bits(pz):
+            masks[i] ^= cx
+    return masks
 
-    Pivots scan X columns before Z columns, so rows carrying X support come
-    first (their x-parts form a full-rank block) and pure-Z rows sink to the
-    bottom.  Generator row operations are mirrored on the destabilizers to
-    keep the pairing.  Repeated application is the identity.
+
+def _match_products(
+    t: StabilizerTableau, pxs: Sequence[int], pzs: Sequence[int], e0: int, e1: int, k: int
+) -> tuple[list[int], int, int]:
+    """Compare k Paulis with the generator products their destabilizer
+    patterns select (as in ``sign_form``), all at once.
+
+    Returns (picks, unmatched, flipped): bit i of ``picks[j]`` is set when
+    Pauli i's product takes generator j, of ``unmatched`` when that product
+    has other X/Z bits than Pauli i, and of ``flipped`` when it has another
+    exponent.  One transpose turns the anticommutation masks into picks.
+    The products are then built column by column for every Pauli at once,
+    with the phase of ``generator_product``: an X of generator j meets the
+    Z parity of the selected generators before j on the same column.
     """
     n = t.n
-    gens, destabs = list(t.generators), list(t.destabilizers)
+    full = (1 << n) - 1
+    picks = _transpose([m >> n for m in _anticommuting_masks(t.xs, t.zs, pxs, pzs, k)], n)
+    p0 = p1 = 0  # exponent planes of the products
+    for j in _bits(t.e0 & full):
+        p1 ^= p0 & picks[j]
+        p0 ^= picks[j]
+    for j in _bits(t.e1 & full):
+        p1 ^= picks[j]
+    unmatched = 0
+    for cx, cz, px, pz in zip(t.xs, t.zs, pxs, pzs):
+        cx &= full
+        cz &= full
+        ax = az = 0
+        rows = cx | cz
+        while rows:
+            low = rows & -rows
+            s = picks[low.bit_length() - 1]
+            if cx & low:
+                p1 ^= s & az
+                ax ^= s
+            if cz & low:
+                az ^= s
+            rows ^= low
+        unmatched |= ax ^ px | az ^ pz
+    return picks, unmatched, p0 ^ e0 | p1 ^ e1
 
-    def bit(row: PauliOperator, col: int) -> int:
-        return (row.x >> col) & 1 if col < n else (row.z >> (col - n)) & 1
 
-    pivot_row = 0
-    for col in range(2 * n):
-        hit = next((r for r in range(pivot_row, n) if bit(gens[r], col)), None)
-        if hit is None:
-            continue
-        gens[hit], gens[pivot_row] = gens[pivot_row], gens[hit]
-        destabs[hit], destabs[pivot_row] = destabs[pivot_row], destabs[hit]
-        for r in range(n):
-            if r != pivot_row and bit(gens[r], col):
-                gens[r] = gens[r] * gens[pivot_row]
-                destabs[pivot_row] = destabs[pivot_row] * destabs[r]
-        pivot_row += 1
-        if pivot_row == n:
-            break
-    return StabilizerTableau(n, gens, destabs)
+def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
+    """True iff both tableaux stabilize the same state.
+
+    Every generator of ``t1`` is compared with the product of ``t2``'s
+    generators that its destabilizer pattern selects, all in one plane pass
+    (``_match_products``).  A non-hermitian generator of ``t1`` that comes no
+    later than the first mismatch raises ValueError.
+    """
+    if t1.n != t2.n:
+        raise ValueError("dimension mismatch")
+    n = t1.n
+    full = (1 << n) - 1
+    pxs, pzs = [c & full for c in t1.xs], [c & full for c in t1.zs]
+    _, unmatched, flipped = _match_products(t2, pxs, pzs, t1.e0 & full, t1.e1 & full, n)
+    wrong = unmatched | flipped
+    # Generators count in order: a non-hermitian one raises unless an
+    # earlier one is already wrong.
+    odd = _non_hermitian(t1) & ((wrong & -wrong) * 2 - 1 if wrong else full)
+    if odd:
+        g = PauliOperator.from_exponent(n, *_row(t1, (odd & -odd).bit_length() - 1))
+        raise ValueError(f"generator {format_pauli(g)} is not hermitian")
+    return not wrong
 
 
 # -- construction helpers ----------------------------------------------------
@@ -505,23 +561,24 @@ def _raise_anticommuting(ops: Sequence[PauliOperator], masks: Sequence[int], nou
 def validate_tableau(t: StabilizerTableau) -> None:
     """Raise ValueError when any tableau invariant is broken.
 
-    One anticommutation mask per generator, read from the planes, covers
-    both the generator commutation and the destabilizer pairing.
+    Hermiticity and one anticommutation mask per generator are read from
+    the planes; the masks cover both the generator commutation and the
+    destabilizer pairing.  Only a failure builds the row views, to name it.
     """
     n = t.n
     full = (1 << n) - 1
+    masks = _anticommuting_masks(t.xs, t.zs, [c & full for c in t.xs], [c & full for c in t.zs], n)
+    if not _non_hermitian(t) & full and all(mask == 1 << (n + j) for j, mask in enumerate(masks)):
+        return
     gens = t.generators
     for g in gens:
         if not g.hermitian:
             raise ValueError(f"bad generator {format_pauli(g)}")
-    masks = [_anticommuting(t.xs, t.zs, g) for g in gens]
-    wrong = [(mask >> n) ^ (1 << j) for j, mask in enumerate(masks)]
-    if not any(mask & full for mask in masks) and not any(wrong):
-        return
     # Correct pairing implies independence, so rank only matters on failure.
     if gf2_rank([c & full for c in (*t.xs, *t.zs)]) != n:
         raise ValueError("generators are dependent")
     _raise_anticommuting(gens, masks, "generators")
+    wrong = [(mask >> n) ^ (1 << j) for j, mask in enumerate(masks)]
     i = min((w & -w).bit_length() - 1 for w in wrong if w)
     j = next(j for j, w in enumerate(wrong) if w >> i & 1)
     raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
@@ -561,7 +618,7 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     if elim.dependencies:
         raise ValueError("generators are dependent")
     xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
-    _raise_anticommuting(gens, [_anticommuting(xs, zs, g) for g in gens], "generators")
+    _raise_anticommuting(gens, _anticommuting_masks(xs, zs, xs, zs, n), "generators")
     low = (1 << n) - 1
     sols = elim.solve_chain(n, lambda v: v >> n | (v & low) << n)
     return StabilizerTableau(n, gens, [from_bits(n, v & low, v >> n, 1) for v in sols])

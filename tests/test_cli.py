@@ -11,13 +11,13 @@ import math
 
 import pytest
 
-from adaptstab import circuit, prep
+from adaptstab import circuit, metrics, prep
 from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
 from adaptstab.cli import main
 from adaptstab.tableau import from_json as tableau_from_json
-from adaptstab.tableau import ghz_state, states_equal
+from adaptstab.tableau import ghz_state, random_stabilizer_state, states_equal
 from adaptstab.tableau import to_json as tableau_to_json
 
 
@@ -150,6 +150,22 @@ def test_weight_oracle_agreement(capsys):
     assert oracle["agrees"] is True
     assert oracle["vector"] == report["results"]["vector"]
     assert "agree" in err
+
+
+@pytest.mark.parametrize("state", ["random10", "random14", "ghz8"])
+def test_weight_oracle_reads_one_rank_sweep(capsys, tmp_path, monkeypatch, state):
+    t = ghz_state(8) if state == "ghz8" else random_stabilizer_state(int(state[6:]), 7)
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(tableau_to_json(t)))
+    tables = []
+    group_table = metrics._group_table
+    monkeypatch.setattr(metrics, "_group_table", lambda tab: tables.append(tab.n) or group_table(tab))
+    code, report, _ = run(capsys, "weight", str(path), "--oracle")
+    assert code == 0
+    assert tables == [t.n, t.n]  # one table for the greedy, one for the whole oracle vector
+    monkeypatch.undo()
+    per_k = [metrics.weight_vector_oracle(t, k) for k in range(1, t.n + 1)]
+    assert report["results"]["oracle"]["vector"] == per_k == report["results"]["vector"]
 
 
 def test_weight_tableau_file(capsys, tmp_path):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from helpers_dense import dense_pauli, dense_state_from_ops, gate_unitary
-from helpers_tableau import tensor_tableau
+from helpers_tableau import canonical_form, tensor_tableau
 
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, parse_pauli, single_site
 from adaptstab.tableau import (
     apply_gate,
-    canonical_form,
     conjugate_pauli,
     factor_out_qubits,
     from_json,

@@ -9,7 +9,10 @@ oracle's, phases of non-hermitian rows included.  The one-pass
 ``factor_out_qubits`` is also checked against the one-qubit plane
 factor-out it replaced, applied highest qubit first.  Hypothesis properties
 check random adaptive circuits against dense state vectors and random
-qubit subsets against that chain.
+qubit subsets against that chain.  ``states_equal`` and ``validate_tableau``
+compare whole generator sets in one plane pass; the per-generator
+``is_stabilized_by`` loop and the view-based validation they replaced are
+kept below as oracles.
 """
 
 from __future__ import annotations
@@ -23,15 +26,18 @@ from hypothesis import strategies as st
 
 from adaptstab.circuit import Measure, ghz_adaptive, simulate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_solve, parse_pauli, single_site
+from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_rank, gf2_solve, parse_pauli, single_site
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import (
     StabilizerTableau,
     _add_exponent,
+    _anticommuting,
+    _anticommuting_masks,
+    _match_products,
     _multiply_rows,
+    _raise_anticommuting,
     _row,
     apply_gate,
-    canonical_form,
     conjugate_pauli,
     factor_out_qubits,
     from_stabilizers,
@@ -40,10 +46,14 @@ from adaptstab.tableau import (
     random_stabilizer_state,
     restricted_group_elements,
     generator_product,
+    is_stabilized_by,
+    states_equal,
     to_json,
     validate_tableau,
+    zero_state,
 )
 from helpers_dense import dense_pauli, gate_unitary
+from helpers_tableau import canonical_form
 
 # -- oracle: the replaced row-list path ---------------------------------------------
 
@@ -287,6 +297,47 @@ def row_restricted_group_elements(t, subset):
     return elements
 
 
+def per_generator_states_equal(t1, t2):
+    """The replaced comparison: one ``is_stabilized_by`` per generator view."""
+    if t1.n != t2.n:
+        raise ValueError("dimension mismatch")
+    return all(is_stabilized_by(t2, g) == 1 for g in t1.generators)
+
+
+def view_masks(t):
+    """The replaced masks: one ``_anticommuting`` call per generator view."""
+    return [_anticommuting(t.xs, t.zs, g) for g in t.generators]
+
+
+def view_validate_tableau(t):
+    """The replaced validation: hermiticity from the generator views, then
+    the view masks."""
+    n = t.n
+    full = (1 << n) - 1
+    gens = t.generators
+    for g in gens:
+        if not g.hermitian:
+            raise ValueError(f"bad generator {format_pauli(g)}")
+    masks = view_masks(t)
+    wrong = [(mask >> n) ^ (1 << j) for j, mask in enumerate(masks)]
+    if not any(mask & full for mask in masks) and not any(wrong):
+        return
+    if gf2_rank([c & full for c in (*t.xs, *t.zs)]) != n:
+        raise ValueError("generators are dependent")
+    _raise_anticommuting(gens, masks, "generators")
+    i = min((w & -w).bit_length() - 1 for w in wrong if w)
+    j = next(j for j, w in enumerate(wrong) if w >> i & 1)
+    raise ValueError(f"destabilizer {i} pairs incorrectly with generator {j}")
+
+
+def outcome(f, *args):
+    """("value", result) or ("raises", exception type) of ``f(*args)``."""
+    try:
+        return "value", f(*args)
+    except ValueError:
+        return "raises", ValueError
+
+
 # -- random inputs ---------------------------------------------------------------------
 
 _ONE_Q = ("H", "S", "SDG", "X", "Y", "Z")
@@ -519,6 +570,150 @@ def test_restricted_group_elements_match_row_path():
         t = random_stabilizer_state(n, seed)
         subset = [q for q in range(n) if rng.random() < 0.6]
         assert restricted_group_elements(t, subset) == row_restricted_group_elements(RowTableau.of(t), subset)
+
+
+# -- whole generator sets -------------------------------------------------------------------
+
+
+def column_planes(paulis, n):
+    """Column planes of a Pauli list: bit i of ``xs[q]`` is Pauli i's X bit on q."""
+    xs = [sum((p.x >> q & 1) << i for i, p in enumerate(paulis)) for q in range(n)]
+    zs = [sum((p.z >> q & 1) << i for i, p in enumerate(paulis)) for q in range(n)]
+    e0 = sum((p.e & 1) << i for i, p in enumerate(paulis))
+    e1 = sum((p.e >> 1) << i for i, p in enumerate(paulis))
+    return xs, zs, e0, e1
+
+
+def test_match_products_matches_generator_product_on_arbitrary_rows():
+    rng = np.random.default_rng(21)
+    flags = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        paulis = random_rows(n, int(rng.integers(1, 12)), rng) + list(t.generators)[: int(rng.integers(0, n + 1))]
+        pxs, pzs, e0, e1 = column_planes(paulis, n)
+        masks = _anticommuting_masks(t.xs, t.zs, pxs, pzs, len(paulis))
+        assert masks == [_anticommuting(t.xs, t.zs, p) for p in paulis]
+        picks, unmatched, flipped = _match_products(t, pxs, pzs, e0, e1, len(paulis))
+        for i, p in enumerate(paulis):
+            sel = masks[i] >> n
+            assert sum((picks[j] >> i & 1) << j for j in range(n)) == sel
+            prod = generator_product(t, sel)
+            assert unmatched >> i & 1 == ((prod.x, prod.z) != (p.x, p.z))
+            assert flipped >> i & 1 == (prod.e != p.e)
+            flags.add((unmatched >> i & 1, flipped >> i & 1))
+    assert flags == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_validation_masks_match_view_masks():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        full = (1 << n) - 1
+        assert _anticommuting_masks(t.xs, t.zs, [c & full for c in t.xs], [c & full for c in t.zs], n) == view_masks(t)
+
+
+def test_validate_tableau_matches_view_path():
+    rng = np.random.default_rng(23)
+    messages = set()
+    for seed in range(300):
+        n = 1 + seed % 9
+        t = random_stabilizer_state(n, seed)
+        kind = seed % 3
+        if kind == 1:  # one row replaced by an arbitrary one
+            rows = [*t.generators, *t.destabilizers]
+            rows[int(rng.integers(0, 2 * n))] = random_rows(n, 1, rng)[0]
+            t = StabilizerTableau(n, rows[:n], rows[n:])
+        elif kind == 2:
+            t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        try:
+            view_validate_tableau(t)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            validate_tableau(t)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        messages.add(None if want is None else want.split()[0])
+    assert messages == {None, "bad", "generators", "destabilizer"}
+
+
+def rebased(t, rng):
+    """The same state from another generator basis: products of generator
+    pairs, shuffled, with fresh destabilizers from ``from_stabilizers``."""
+    gens = list(t.generators)
+    for _ in range(2 * t.n):
+        i, j = (int(v) for v in rng.integers(0, t.n, 2))
+        if i != j:
+            gens[i] = gens[i] * gens[j]
+    return from_stabilizers([gens[int(k)] for k in rng.permutation(t.n)])
+
+
+def pair(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    t1 = random_stabilizer_state(n, seed)
+    if kind == "same":
+        t2 = t1.copy()
+    elif kind == "flipped":
+        t2 = apply_gate(t1.copy(), "XYZ"[int(rng.integers(0, 3))], (int(rng.integers(0, n)),))
+    elif kind == "rebased":
+        t2 = rebased(t1, rng)
+    else:
+        t2 = random_stabilizer_state(n, seed + 10_000)
+    return t1, t2
+
+
+PAIR_KINDS = ("same", "flipped", "rebased", "unrelated")
+
+
+def test_states_equal_matches_per_generator_loop():
+    seen = set()
+    for seed in range(400):
+        n, kind = 1 + seed % 9, PAIR_KINDS[seed % 4]
+        t1, t2 = pair(n, seed, kind)
+        for a, b in ((t1, t2), (t2, t1)):
+            want = per_generator_states_equal(a, b)
+            assert states_equal(a, b) == want
+            seen.add((kind, want))
+        if kind in ("same", "rebased"):
+            assert want
+    assert seen == {("same", True), ("rebased", True), ("flipped", True), ("flipped", False), ("unrelated", True), ("unrelated", False)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**31 - 1), st.sampled_from(PAIR_KINDS))
+def test_states_equal_matches_per_generator_loop_property(n, seed, kind):
+    t1, t2 = pair(n, seed, kind)
+    assert states_equal(t1, t2) == per_generator_states_equal(t1, t2)
+    assert states_equal(t2, t1) == per_generator_states_equal(t2, t1)
+
+
+def test_states_equal_on_non_hermitian_rows_matches_per_generator_loop():
+    rng = np.random.default_rng(24)
+    results = set()
+    for seed in range(300):
+        n = 1 + seed % 9
+        t2 = random_stabilizer_state(n, seed)
+        if seed % 2:
+            t1 = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        else:  # t2 with one generator's exponent moved by one
+            rows = [*t2.generators, *t2.destabilizers]
+            k = int(rng.integers(0, n))
+            rows[k] = PauliOperator.from_exponent(n, rows[k].x, rows[k].z, rows[k].e + 1)
+            t1 = StabilizerTableau(n, rows[:n], rows[n:])
+        want = outcome(per_generator_states_equal, t1, t2)
+        assert outcome(states_equal, t1, t2) == want
+        results.add(want)
+        if seed % 2 == 0:  # the generators before k are stabilized, so the loop reaches k
+            assert want == ("raises", ValueError)
+    assert {("value", False), ("raises", ValueError)} <= results
+    t = StabilizerTableau(1, [PauliOperator(1, 0, 1, 1j)], [PauliOperator(1, 1, 0)])
+    with pytest.raises(ValueError, match=r"^generator \+iZ is not hermitian$"):
+        states_equal(t, zero_state(1))
 
 
 # -- construction ----------------------------------------------------------------------------

@@ -8,7 +8,10 @@ target.  Unlike the old loop it does not stop at the first mismatch, so
 (``verify_preparation``, ``simulate_symbolic``) must agree with it on
 ``all_match``, ``realizable`` and ``branches`` for every small circuit below
 and on random adaptive circuits, and its counterexample must replay as a
-mismatch under ``simulate(..., forced=...)``.
+mismatch under ``simulate(..., forced=...)``.  ``SymbolicRun.wrong_branch``
+compares every target generator in one plane pass; the per-generator
+``sign_form`` loop it replaced is kept as an oracle, and the work the whole
+check does is counted.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptstab import prep
+from adaptstab import tableau as tb
 from adaptstab.circuit import (
     AdaptiveCircuit,
     Condition,
@@ -29,9 +33,9 @@ from adaptstab.circuit import (
     simulate_symbolic,
 )
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import parse_pauli
+from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
-from adaptstab.tableau import from_stabilizers, ghz_state, states_equal, zero_state
+from adaptstab.tableau import from_stabilizers, ghz_state, sign_form, states_equal, zero_state
 from test_tableau_paths import adaptive_programs, random_gate
 
 # -- oracle: the replaced forced-branch loop ---------------------------------------------
@@ -49,6 +53,38 @@ def brute_force_verify(circuit, target):
         realizable += 1
         all_match = all_match and states_equal(tab, target)
     return all_match, realizable, 1 << circuit.cbits
+
+
+def per_generator_wrong_branch(run, target):
+    """The replaced comparison: one ``sign_form`` per target generator view."""
+    t = run.tableau
+    live = [q for q in range(t.n) if q not in run.measured]
+    for g in target.generators:
+        x = sum(1 << live[q] for q in _bits(g.x))
+        z = sum(1 << live[q] for q in _bits(g.z))
+        form = sign_form(t, run.forms, PauliOperator.from_exponent(t.n, x, z, g.e))
+        if form is None:
+            return 0
+        if form:
+            return 0 if form & 1 else form >> 1 & -(form >> 1)
+    return None
+
+
+def sign_broken(target, k):
+    """``target`` with the sign of generator k flipped."""
+    return from_stabilizers([g.negate() if i == k else g for i, g in enumerate(target.generators)])
+
+
+def check_wrong_branch(circuit, target):
+    """wrong_branch against the oracle on the target and on each copy of it
+    with one generator's sign flipped; returns the values seen."""
+    run = simulate_symbolic(circuit)
+    seen = []
+    for t in [target, *(sign_broken(target, k) for k in range(target.n))]:
+        want = per_generator_wrong_branch(run, t)
+        assert run.wrong_branch(t) == want
+        seen.append(want)
+    return seen
 
 
 def symbolic_verify(circuit, target):
@@ -135,6 +171,74 @@ def test_exhaustive_verification_at_scale():
     circ = ghz_adaptive(256, 16, 2)
     report = verify_preparation(circ, ghz_state(256), trials=1)
     assert report["all_match"] and report["branches"] == report["realizable"] == 1 << 15
+
+
+# -- one plane pass for the final comparison ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["steane", "toric(2)", "toric(3)", "repetition(5)"])
+def test_wrong_branch_matches_per_generator_loop_on_prepared_circuits(name):
+    circ, target = prepare_state(builtin_code(name))
+    seen = set()
+    for broken in [circ, *without_one_correction(circ)]:
+        seen.update(v is None for v in check_wrong_branch(broken, target))
+    assert seen == {True, False}
+
+
+def test_wrong_branch_matches_per_generator_loop_on_ghz():
+    values = set()
+    for n, a, k in GHZ_LADDER:
+        circ = ghz_adaptive(n, a, k)
+        values.update(check_wrong_branch(circ, ghz_state(n)))
+        values.update(check_wrong_branch(next(without_one_correction(circ)), ghz_state(n)))
+        unrelated = from_stabilizers([PauliOperator(n, 1 << q, 0) for q in range(n)])
+        assert simulate_symbolic(circ).wrong_branch(unrelated) == 0
+    assert None in values and 0 in values and any(v for v in values)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of generator_product and sign_form calls and of row-view
+    builds, the target's kept apart."""
+    counts = {"products": 0, "sign_forms": 0, "views": 0, "target_views": 0, "target": None}
+    product, form, views = tb.generator_product, tb.sign_form, tb.StabilizerTableau._row_views
+
+    def counting_product(*args):
+        counts["products"] += 1
+        return product(*args)
+
+    def counting_form(*args):
+        counts["sign_forms"] += 1
+        return form(*args)
+
+    def counting_views(self):
+        if self._rows is None:
+            counts["target_views" if self is counts["target"] else "views"] += 1
+        return views(self)
+
+    monkeypatch.setattr(tb, "generator_product", counting_product)
+    monkeypatch.setattr(tb, "sign_form", counting_form)
+    monkeypatch.setattr(tb.StabilizerTableau, "_row_views", counting_views)
+    return counts
+
+
+def test_ghz_verification_work_is_pinned(work):
+    target = work["target"] = ghz_state(16)
+    report = verify_preparation(ghz_adaptive(16, 2, 2), target, trials=20)
+    assert report["all_match"] and report["realizable"] == 1 << 7
+    # Every measurement is random, so nothing calls generator_product, and
+    # no simulated tableau is read as rows; the bound report reads the target once.
+    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
+
+
+def test_steane_verification_work_is_pinned(work):
+    circ, target = prepare_state(builtin_code("steane"))
+    work.update(products=0, sign_forms=0, views=0, target=target)  # count the check alone
+    report = verify_preparation(circ, target, trials=20)
+    assert report["all_match"]
+    # Three deterministic measurements in each of 20 trials and the symbolic
+    # pass: one sign_form, so one generator_product, each.
+    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (63, 63, 0, 1)
 
 
 # -- edge cases ------------------------------------------------------------------------
@@ -274,6 +378,7 @@ def check_random_circuit(circ, seed):
     target, _ = simulate(circ, seed=seed)
     want = brute_force_verify(circ, target)
     assert symbolic_verify(circ, target) == want
+    check_wrong_branch(circ, target)
     return want
 
 
