@@ -121,12 +121,26 @@ def _builtin_tableau(name: str) -> StabilizerTableau:
     raise ValueError(f"unknown builtin tableau family {family!r}")
 
 
+# The form of each state spec; every parameter but basis's bit string is an int.
+_STATE_SPECS = {
+    "ghz": "ghz:N",
+    "w": "w:N",
+    "dicke": "dicke:N:K",
+    "hypergraph": "hypergraph:N",
+    "plus": "plus:N",
+    "basis": "basis:BITS",
+}
+
+
 def _parse_family(spec: str):
     """``ghz:8`` / ``dicke:6:2`` / ``basis:0101`` -> dense state."""
     parts = [p.strip() for p in spec.split(":")]
     family = parts[0].lower()
-    if len(parts) < 2:
-        raise ValueError("state spec needs parameters, e.g. ghz:8 or dicke:6:2")
+    form = _STATE_SPECS.get(family)
+    if form is None:
+        raise ValueError(f"unknown state family {family!r}; specs are {', '.join(_STATE_SPECS.values())}")
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"state spec {spec!r} does not have the form {form}")
     if family == "basis":
         return make_state("basis", parts[1])
     return make_state(family, *[int(p) for p in parts[1:]])

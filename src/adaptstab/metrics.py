@@ -22,11 +22,18 @@ pairs and memory is bounded without a block-size constant.  A batch costs
 one 2w-qubit RDM per pair (each w-subset's marginal is computed once per
 call).  Pauli tables and, for ``alternating-sign``, the ascent (restarts + 1
 rows per tensor) run once per distinct connected tensor not seen in the
-previous batch: pairs whose tensors are byte-identical share one result, so
-a permutation-symmetric state runs one ascent per call.  The Pauli tables
-are exact gathers: each Pauli matrix has one nonzero entry per row, so a
-table entry sums 4^w phased tensor entries in a fixed order, bit-identical
-to the contraction with the Pauli matrices.
+previous batch: pairs whose tensors are byte-identical share one result.
+The Pauli tables are exact gathers: each Pauli matrix has one nonzero entry
+per row, so a table entry sums 4^w phased tensor entries in a fixed order,
+bit-identical to the contraction with the Pauli matrices.
+
+A permutation-symmetric state is found exactly: its amplitude tensor is
+bitwise equal to itself with any two adjacent qubits swapped.  Every subset
+pair's transposed amplitude matrix is then byte-identical, and so are its
+tensor, Pauli table and ascent.  On such a state ``correlation_strength_w``
+builds pair 0 only (two marginals, one tensor), ``pauli_correlation_range``
+reads the pair (0, 1) and ``correlation_range_w`` one full-region value; the
+two ranges are n or 1.
 """
 
 from __future__ import annotations
@@ -238,6 +245,14 @@ def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
 # -- correlation estimators ------------------------------------------------------
 
 
+def _symmetric(s: StateVector) -> bool:
+    """Whether the amplitude tensor is bitwise invariant under every adjacent
+    qubit swap, hence under every qubit permutation.  Compares the raw
+    ``uint64`` words: complex ``==`` would equate -0.0 and +0.0."""
+    bits = np.ascontiguousarray(s.amps).view(np.uint64).reshape([2] * s.n + [2])
+    return all(np.array_equal(bits, bits.swapaxes(q, q + 1)) for q in range(s.n - 1))
+
+
 def _rdm(s: StateVector, qubits: Sequence[int]) -> np.ndarray:
     rest = [q for q in range(s.n) if q not in qubits]
     m = s.amps.reshape([2] * s.n).transpose([*qubits, *rest]).reshape(1 << len(qubits), -1)
@@ -350,6 +365,16 @@ def _alternating_values(
     return val.reshape(pairs, restarts + 1).max(axis=1)
 
 
+def _batches(region: tuple[int, ...], w: int):
+    """Disjoint size-w subset pairs of ``region`` in enumeration order, one
+    list per first subset a1, each a1 paired with every later-or-equal a2."""
+    for a1 in combinations(region, w):
+        rest = [q for q in region if q not in a1]
+        pairs = [(a1, a2) for a2 in combinations(rest, w) if a2 >= a1]
+        if pairs:
+            yield pairs
+
+
 def correlation_strength_w(
     s: StateVector,
     region: Sequence[int],
@@ -362,7 +387,9 @@ def correlation_strength_w(
 
     One batch per first subset a1: its pairs are every later-or-equal a2 in
     enumeration order, so a batch holds at most C(|region| - w, w) pairs.
-    The report is the first strict minimum in enumeration order."""
+    The report is the first strict minimum in enumeration order.  On a
+    permutation-symmetric state every pair's tensor is pair 0's byte for
+    byte, so the one batch is pair 0 = (region[:w], region[w:2w])."""
     region = tuple(sorted(set(region)))
     bad = [q for q in region if not 0 <= q < s.n]
     if bad:
@@ -376,19 +403,23 @@ def correlation_strength_w(
     if method not in ("pauli-enum", "alternating-sign"):
         raise ValueError(f"unknown method {method!r}")
     names = _pauli_stack(w)[0]
-    marginals = {a: _rdm(s, a) for a in combinations(region, w)}
+    if _symmetric(s):
+        first = (region[:w], region[w : 2 * w])
+        batches, subsets = [[first]], first
+    else:
+        batches, subsets = _batches(region, w), combinations(region, w)
+    marginals = {a: _rdm(s, a) for a in subsets}
     best: CorrelationReport | None = None
     # (value, a, b) per distinct connected tensor, keyed by its raw bytes, for
     # the current batch and the one before it.  Reuse is exact: the ascent
     # draws its random starts once per call from ``seed`` and each stack row
     # evolves independently of the others, so a tensor's result does not
-    # depend on which other tensors share its stack.
+    # depend on which other tensors share its stack.  The symmetry check
+    # catches only states whose every pair agrees; the memo still merges the
+    # repeated tensors of asymmetric states (the Steane code state has 10
+    # distinct tensors over its 105 pairs at w = 2).
     seen: dict[bytes, tuple[float, int, int]] = {}
-    for a1 in combinations(region, w):
-        rest = [q for q in region if q not in a1]
-        pairs = [(a1, a2) for a2 in combinations(rest, w) if a2 >= a1]
-        if not pairs:
-            continue
+    for pairs in batches:
         delta = _connected(s, pairs, marginals)
         keys = [t.tobytes() for t in delta]
         memo = {k: seen[k] for k in keys if k in seen}
@@ -412,7 +443,8 @@ def correlation_strength_w(
                 o1, o2 = names[a], names[b]
             else:
                 o1 = o2 = "sign-operator"
-            pair = {"a1": list(a1), "a2": list(pairs[p][1]), "o1": o1, "o2": o2}
+            a1, a2 = pairs[p]
+            pair = {"a1": list(a1), "a2": list(a2), "o1": o1, "o2": o2}
             best = CorrelationReport(region, w, method, float(values[p]), pair)
     assert best is not None
     return best
@@ -459,10 +491,13 @@ def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
         raise ResourceGuardError("correlation range capped at n <= 16")
     if n < 2:
         return 1
-    singles = [(q,) for q in range(n)]
+    symmetric = _symmetric(s)
+    singles = [(q,) for q in range(2 if symmetric else n)]
     pairs = list(combinations(singles, 2))
     delta = _connected(s, pairs, {a: _rdm(s, a) for a in singles})
     values = np.abs(_pauli_tables(delta, 1)).reshape(len(pairs), -1).max(axis=1)
+    if symmetric:  # every pair is correlated, or none is
+        return n if values[0] > tol else 1
     adj = [0] * n
     for ((i,), (j,)), val in zip(pairs, values):
         if val > tol:
@@ -476,6 +511,8 @@ def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
     n = s.n
     if n > 12:
         raise ResourceGuardError("subset scan capped at n <= 12")
+    if n >= 2 * w and _symmetric(s):  # every region's value is the full register's
+        return n if correlation_strength_w(s, range(n), w).value > delta else 1
     for size in range(n, 2 * w - 1, -1):
         for region in combinations(range(n), size):
             if correlation_strength_w(s, region, w).value > delta:

@@ -37,6 +37,7 @@ __all__ = [
 _PHASES = (1, 1j, -1, -1j)
 _SIGN_TEXT = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _TEXT_SIGN = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
+_DIGIT_LETTERS = str.maketrans("0123", "IXZY")
 
 
 def _popcount(v: int) -> int:
@@ -135,7 +136,9 @@ class PauliOperator:
         return "IXZY"[xb + 2 * zb]
 
     def letters(self) -> str:
-        return "".join(self.letter(q) for q in range(self.n))
+        # Each bit string read as hex puts qubit q's x_q + 2 z_q in hex digit q.
+        digits = int(format(self.x, "b"), 16) + 2 * int(format(self.z, "b"), 16)
+        return format(digits, f"0{self.n}x").translate(_DIGIT_LETTERS)[::-1]
 
     def is_identity_bits(self) -> bool:
         return self.x == 0 and self.z == 0

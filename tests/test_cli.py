@@ -259,6 +259,19 @@ def test_cor_unknown_family_exits_1(capsys):
     assert "unknown state family" in err
 
 
+@pytest.mark.parametrize(
+    "spec,form",
+    [("ghz:4:2", "ghz:N"), ("dicke:4", "dicke:N:K"), ("plus:3:1", "plus:N"), ("w", "w:N"), ("basis:01:1", "basis:BITS")],
+)
+def test_state_spec_with_wrong_parameter_count_exits_1(capsys, spec, form):
+    for command in ("cor", "crange", "antishallow"):
+        code, report, err = run(capsys, command, spec)
+        assert code == 1 and report["results"] is None
+        message = f"state spec {spec!r} does not have the form {form}"
+        assert report["error"] == {"kind": "ValueError", "message": message}
+        assert message in err
+
+
 def test_crange_w8(capsys):
     code, report, _ = run(capsys, "crange", "w:8")
     assert code == 0

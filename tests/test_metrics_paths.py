@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptstab import metrics as mt
-from adaptstab.densesim import StateVector, dicke, from_tableau, ghz, hypergraph, pauli_matrix, w_state
+from adaptstab.densesim import StateVector, dicke, from_tableau, ghz, hypergraph, pauli_matrix, plus_state, w_state
 from adaptstab.errors import ResourceGuardError
 from adaptstab.pauli import PauliOperator, gf2_rank, parse_pauli
 from adaptstab.prep import builtin_code, prepare_state
@@ -540,14 +540,20 @@ def test_batches_hold_at_most_one_first_subset(monkeypatch):
     batches = []
     connected = mt._connected
     monkeypatch.setattr(mt, "_connected", lambda s, pairs, m: batches.append(pairs) or connected(s, pairs, m))
-    s = dicke(8, 2)
-    for region, w in ((range(8), 1), (range(8), 2), ((0, 1, 3, 4, 6, 7), 2), (range(8), 3)):
-        region = tuple(region)
+    cases = [(tuple(region), w) for region, w in ((range(8), 1), (range(8), 2), ((0, 1, 3, 4, 6, 7), 2), (range(8), 3))]
+    s = _DENSE["random8"]()
+    assert not mt._symmetric(s)
+    for region, w in cases:
         batches.clear()
         mt.correlation_strength_w(s, region, w, "pauli-enum" if w < 3 else "alternating-sign", restarts=1)
         assert [p for b in batches for p in b] == list(old_pairs(region, w))
         assert all(0 < len(b) <= comb(len(region) - w, w) for b in batches)
         assert all(len({a1 for a1, _ in b}) == 1 for b in batches)
+    # Dicke(8, 2) is permutation-symmetric: one batch holding pair 0 only.
+    for region, w in cases:
+        batches.clear()
+        mt.correlation_strength_w(dicke(8, 2), region, w, "pauli-enum" if w < 3 else "alternating-sign", restarts=1)
+        assert batches == [[(region[:w], region[w : 2 * w])]]
 
 
 def _ascent_pairs(n, w):
@@ -673,6 +679,153 @@ def test_asymmetric_state_merges_no_pairs(monkeypatch):
     sizes = _count_stack_sizes(monkeypatch)
     mt.correlation_strength_w(_random_state(6, 3), range(6), 2, "alternating-sign")
     assert sum(sizes["_pauli_tables"]) == sum(sizes["_alternating_values"]) == len(list(old_pairs(range(6), 2))) == 45
+
+
+# -- permutation-symmetric states ---------------------------------------------------
+
+
+def _weight_state(n, seed):
+    """Random amplitudes that depend only on the Hamming weight of the index:
+    permutation-symmetric, with no zero amplitudes."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amps = c[np.bitwise_count(np.arange(1 << n))]
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def _complex_symmetric(s):
+    """The check with complex ``==``, which equates -0.0 and +0.0."""
+    t = s.amps.reshape([2] * s.n)
+    return all(np.array_equal(t, t.swapaxes(q, q + 1)) for q in range(s.n - 1))
+
+
+def _signed_zero_state():
+    # W(4) with a -0.0 on |0011>; swapping qubits 1 and 2 maps it to the +0.0 on |0101>.
+    amps = w_state(4).amps.copy()
+    amps[0b0011] = complex(-0.0, 0.0)
+    return StateVector(4, amps)
+
+
+def _all_swaps_but(n, q):
+    """Symmetric under every adjacent swap except (q, q + 1): a weight state
+    on qubits 0..q times one on qubits q+1..n-1."""
+    left, right = _weight_state(q + 1, 5), _weight_state(n - q - 1, 6)
+    return StateVector(n, np.kron(left.amps, right.amps))
+
+
+_SYMMETRIC = {
+    "w6": lambda: w_state(6),
+    "ghz6": lambda: ghz(6),
+    "dicke6_3": lambda: dicke(6, 3),
+    "hypergraph6": lambda: hypergraph(6),
+    "weight6": lambda: _weight_state(6, 11),
+    "weight2": lambda: _weight_state(2, 12),
+    "bell": lambda: ghz(2),
+    "plus5": lambda: plus_state(5),  # no correlations: both ranges are 1
+}
+
+_ASYMMETRIC = {
+    "signed_zero": _signed_zero_state,
+    "all_but_first_swap": lambda: _all_swaps_but(6, 0),
+    "all_but_last_swap": lambda: _all_swaps_but(6, 4),
+    "all_but_middle_swap": lambda: _all_swaps_but(6, 2),
+}
+
+
+def _sym_regions(n, seed):
+    """The full register and random sub-regions of sizes 2, 4 and 5."""
+    rng = np.random.default_rng(seed)
+    sizes = [size for size in (2, 4, 5) if size < n]
+    return [tuple(range(n))] + [tuple(sorted(int(q) for q in rng.choice(n, size, replace=False))) for size in sizes]
+
+
+def test_symmetry_check_is_exact():
+    for name, make in _SYMMETRIC.items():
+        assert mt._symmetric(make()), name
+    for name, make in _ASYMMETRIC.items():
+        assert not mt._symmetric(make()), name
+    # Complex == misses the sign of the zero; the bitwise check does not.
+    assert _complex_symmetric(_signed_zero_state())
+    assert not mt._symmetric(_random_state(5, 1)) and mt._symmetric(_weight_state(1, 0))
+
+
+def _assert_reports_match_oracles(s, regions, ws, methods=("pauli-enum", "alternating-sign")):
+    for region in regions:
+        for w in ws:
+            if len(region) < 2 * w:
+                continue
+            for method in methods:
+                new = mt.correlation_strength_w(s, region, w, method, restarts=2, seed=3)
+                old = batched_correlation_strength_w(s, region, w, method, restarts=2, seed=3)
+                assert _report_json([new]) == _report_json([old]), (region, w, method)
+                if method == "pauli-enum":
+                    assert _report_json([new]) == _report_json([old_correlation_strength_w(s, region, w)])
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC) + sorted(_ASYMMETRIC))
+def test_symmetric_path_reports_match_full_enumeration(name):
+    s = {**_SYMMETRIC, **_ASYMMETRIC}[name]()
+    _assert_reports_match_oracles(s, _sym_regions(s.n, s.n), (1, 2, 3))
+    assert mt.pauli_correlation_range(s) == old_pauli_correlation_range(s)
+    for w, delta in ((1, 0.05), (1, 0.3), (1, 0.9), (2, 0.3)):
+        assert mt.correlation_range_w(s, w, delta) == old_correlation_range_w(s, w, delta), (w, delta)
+
+
+def test_symmetric_path_keeps_argument_errors():
+    s = w_state(4)
+    for args, error, message in (
+        (((0, 9), 1), ValueError, "region qubit 9 outside 0..3"),
+        (((0, 1), 0), ValueError, "need w >= 1"),
+        (((0, 1, 2), 2), ValueError, "region cannot hold"),
+        ((range(4), 2, "bogus"), ValueError, "unknown method"),
+    ):
+        with pytest.raises(error, match=message):
+            mt.correlation_strength_w(s, *args)
+    with pytest.raises(ResourceGuardError, match="w <= 3"):
+        mt.correlation_strength_w(w_state(8), range(8), 4)
+
+
+def test_symmetric_state_builds_one_tensor_and_two_marginals(monkeypatch):
+    pairs, rdms = [], []
+    connected, rdm = mt._connected, mt._rdm
+    monkeypatch.setattr(mt, "_connected", lambda s, p, m: pairs.extend(p) or connected(s, p, m))
+    monkeypatch.setattr(mt, "_rdm", lambda s, q: rdms.append(q) or rdm(s, q))
+    report = mt.correlation_strength_w(w_state(14), range(14), 2)
+    assert (pairs, rdms) == ([((0, 1), (2, 3))], [(0, 1), (2, 3)])
+    assert report.pair["a1"] == [0, 1] and report.pair["a2"] == [2, 3]
+    pairs.clear()
+    rdms.clear()
+    assert mt.pauli_correlation_range(w_state(14)) == 14
+    assert (pairs, rdms) == ([((0,), (1,))], [(0,), (1,)])
+
+
+def test_symmetric_correlation_range_w_reads_one_region(monkeypatch):
+    calls = []
+    strength = mt.correlation_strength_w
+    monkeypatch.setattr(mt, "correlation_strength_w", lambda s, region, w: calls.append(tuple(region)) or strength(s, region, w))
+    assert mt.correlation_range_w(w_state(12), 1, 0.5) == 1
+    assert mt.correlation_range_w(w_state(12), 1, 0.1) == 12
+    assert calls == [tuple(range(12))] * 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    w=st.integers(1, 3),
+    method=st.sampled_from(["pauli-enum", "alternating-sign"]),
+    restarts=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_symmetric_path_matches_full_enumeration_on_weight_states_property(n, w, method, restarts, seed):
+    w = min(w, n // 2)
+    s = _weight_state(n, seed)
+    rng = np.random.default_rng(seed)
+    region = tuple(range(n)) if seed % 2 else tuple(sorted(int(q) for q in rng.choice(n, rng.integers(2 * w, n + 1), replace=False)))
+    new = mt.correlation_strength_w(s, region, w, method, restarts, seed)
+    old = batched_correlation_strength_w(s, region, w, method, restarts, seed)
+    assert _report_json([new]) == _report_json([old])
+    if w == 1:
+        assert mt.pauli_correlation_range(s) == old_pauli_correlation_range(s)
 
 
 # -- maximum clique --------------------------------------------------------------------

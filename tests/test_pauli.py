@@ -241,3 +241,22 @@ def test_gf2_solution_count_matches_rank():
         solutions = set(sol.solutions())
         assert len(solutions) == 1 << (ncols - gf2_rank(rows))
         assert x0 in solutions
+
+
+def per_qubit_letters(p: PauliOperator) -> str:
+    """The replaced letter string: one ``letter(q)`` call per qubit."""
+    return "".join(p.letter(q) for q in range(p.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 63, 64, 65, 128, 511, 2048])
+def test_letters_match_per_qubit_loop(n):
+    rng = np.random.default_rng(n)
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << (n - 1)] + [int.from_bytes(rng.bytes((n + 7) // 8), "little") & full for _ in range(20)]
+    for x in masks:
+        for z in masks[:6] + [int.from_bytes(rng.bytes((n + 7) // 8), "little") & full]:
+            p = PauliOperator(n, x, z)
+            assert p.letters() == per_qubit_letters(p)
+    assert PauliOperator(n, 0, 0).letters() == "I" * n
+    assert PauliOperator(n, full, full).letters() == "Y" * n
+
