@@ -5,6 +5,11 @@ acting on pairwise-disjoint qubits.  Gates may carry a classical condition
 (parity of earlier measurement bits).  Measured qubits are dead for the
 rest of the circuit and are factored out of the final tableau.
 
+``simulate`` (one seeded or forced branch) and ``simulate_symbolic`` (every
+branch at once, signs as affine GF(2) forms over the random outcomes) are
+one layer walk: a concrete 0/1 outcome is a constant form, so measurement
+records, conditions and their error checks are shared.
+
 Depth counts every layer containing at least one non-merged operation;
 layers holding only ``merged`` bookkeeping gates (Hadamards absorbed into
 neighboring controlled-Pauli layers) are skipped, so reported depths match
@@ -235,30 +240,6 @@ def ancilla_count(c: AdaptiveCircuit, n_target: int) -> int:
     return c.m - n_target
 
 
-def _fire(cond: Condition | None, record: list[int | None]) -> bool:
-    if cond is None:
-        return True
-    acc = 0
-    for b in cond.bits:
-        v = record[b]
-        if v is None:
-            raise ValueError(f"condition reads unwritten classical bit {b}")
-        acc ^= v
-    return acc == cond.xor
-
-
-def _mark_measured(measured: set[int], q: int, layer: int) -> None:
-    if q in measured:
-        raise ValueError(f"layer {layer}: qubit {q} measured a second time")
-    measured.add(q)
-
-
-def _write_cbit(record: list, b: int, value) -> None:
-    if record[b] is not None:
-        raise ValueError(f"classical bit {b} written twice")
-    record[b] = value
-
-
 def simulate(
     c: AdaptiveCircuit,
     *,
@@ -268,34 +249,26 @@ def simulate(
 ) -> tuple[StabilizerTableau, list[int | None]]:
     """Run the circuit, returning (tableau on surviving qubits, outcome bits).
 
-    Outcomes come from `forced` (a 0/1 list indexed by classical bit) when
-    given, otherwise from a seeded RNG.  Forcing an impossible deterministic
-    outcome raises ContradictionError; measuring a qubit or writing a
-    classical bit twice, ValueError.
+    Outcomes come from `forced` when given, otherwise from a seeded RNG.
+    `forced` has one entry per classical bit, each read by ``int`` as 0 or 1,
+    so a report's counterexample string such as ``"10"`` replays as is.  A
+    `forced` of another length or value, measuring a qubit or writing a
+    classical bit twice raise ValueError; forcing an impossible
+    deterministic outcome, ContradictionError.
     """
     t = initial.copy() if initial is not None else zero_state(c.m)
     if t.n != c.m:
         raise ValueError("initial tableau size mismatch")
-    rng = np.random.default_rng(seed)
-    record: list[int | None] = [None] * c.cbits
-    measured: set[int] = set()
-    for li, layer in enumerate(c.layers):
-        for op in layer:
-            if isinstance(op, Measure):
-                _mark_measured(measured, op.qubit, li)
-                p = single_site(c.m, op.qubit, "Z")
-                force_sign = None
-                if forced is not None:
-                    force_sign = 1 if forced[op.cbit] == 0 else -1
-                outcome, _, _ = measure_pauli(t, p, forced=force_sign, rng=rng)
-                _write_cbit(record, op.cbit, 0 if outcome == 1 else 1)
-            else:
-                if _fire(op.cond, record):
-                    apply_gate(t, op.op, op.qubits, pauli=op.pauli)
-    if measured:
-        t = factor_out_qubits(t, measured)
+    if forced is not None:
+        forced = [int(b) for b in forced]
+        if len(forced) != c.cbits or not set(forced) <= {0, 1}:
+            raise ValueError(f"forced needs {c.cbits} outcome bits, each 0 or 1")
+    run = _walk(c, t, forced, np.random.default_rng(seed))
+    t = run.tableau
+    if run.measured:
+        t = factor_out_qubits(t, run.measured)
         validate_tableau(t)
-    return t, record
+    return t, run.record
 
 
 @dataclass
@@ -382,24 +355,51 @@ def simulate_symbolic(c: AdaptiveCircuit) -> SymbolicRun:
     if bad is not None:
         li, op = bad
         raise NotImplementedError(f"layer {li}: conditioned {op.op} gate; sign forms cover conditioned Paulis only")
-    t = zero_state(c.m)
+    return _walk(c, zero_state(c.m), None, None)
+
+
+def _walk(c: AdaptiveCircuit, t: StabilizerTableau, forced: list[int] | None, rng: np.random.Generator | None) -> SymbolicRun:
+    """The layer walk under ``simulate`` and ``simulate_symbolic``, in place on t.
+
+    With an ``rng`` each measurement takes one outcome (``forced[cbit]`` when
+    given) and records 0 or 1, which is a constant sign form; without one it
+    records the outcome's form (``tableau.measure_form``).  A condition is
+    the XOR of its record forms: a form with variables applies the Pauli on
+    the branches where it reads 1, a constant form applies the gate when 1.
+    """
     forms: list[int] = []
     record: list[int | None] = [None] * c.cbits
     measured: set[int] = set()
     for li, layer in enumerate(c.layers):
         for op in layer:
             if isinstance(op, Measure):
-                _mark_measured(measured, op.qubit, li)
-                _write_cbit(record, op.cbit, measure_form(t, forms, single_site(c.m, op.qubit, "Z")))
+                if op.qubit in measured:
+                    raise ValueError(f"layer {li}: qubit {op.qubit} measured a second time")
+                measured.add(op.qubit)
+                p = single_site(c.m, op.qubit, "Z")
+                if rng is None:
+                    bit = measure_form(t, forms, p)
+                else:
+                    sign = None if forced is None else 1 - 2 * forced[op.cbit]
+                    bit = (1 - measure_pauli(t, p, forced=sign, rng=rng)[0]) // 2  # outcome +1 -> 0, -1 -> 1
+                if record[op.cbit] is not None:
+                    raise ValueError(f"classical bit {op.cbit} written twice")
+                record[op.cbit] = bit
             elif op.cond is None:
                 apply_gate(t, op.op, op.qubits, pauli=op.pauli)
-            elif op.cond.xor in (0, 1):  # any other offset never fires
-                fire = op.cond.xor ^ 1  # fires where the parity equals xor
+            else:
+                parity = 0
                 for b in op.cond.bits:
                     if record[b] is None:
                         raise ValueError(f"condition reads unwritten classical bit {b}")
-                    fire ^= record[b]
-                apply_pauli_form(t, forms, op.op, op.qubits, fire)
+                    parity ^= record[b]
+                if op.cond.xor not in (0, 1):  # any other offset never fires
+                    continue
+                fire = parity ^ op.cond.xor ^ 1  # reads 1 where the parity equals xor
+                if fire >> 1:
+                    apply_pauli_form(t, forms, op.op, op.qubits, fire)
+                elif fire:
+                    apply_gate(t, op.op, op.qubits, pauli=op.pauli)
     return SymbolicRun(t, forms, record, measured)
 
 

@@ -76,13 +76,17 @@ __all__ = ["main"]
 _BUILTIN = "builtin:"
 
 
+class _UsageError(Exception):
+    """Bad command-line usage; ``main`` reports it as ``UsageError``, exit 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the report contract reserves 2 for
-    verification failures, so usage errors are remapped to exit 1."""
+    verification failures and asks for a report, so usage errors raise."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 # -- shared input helpers --------------------------------------------------------
@@ -496,15 +500,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    start = time.perf_counter()
+    args = inputs = results = error = None
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse printed its own message
-        return int(exc.code or 0)
-
-    start = time.perf_counter()
-    inputs = results = error = None
-    try:
         inputs, results, code, summary = args.handler(args)
+    except SystemExit as exc:  # --help printed its text
+        return int(exc.code or 0)
+    except _UsageError as exc:
+        error, code, summary = exc, 1, [f"error: {exc}"]
     except ResourceGuardError as exc:
         error, code, summary = exc, 3, [f"resource guard: {exc}"]
     except (ContradictionError, ValueError, KeyError, TypeError, OSError) as exc:
@@ -512,7 +516,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     report = {"command": ["adaptstab", *argv], "inputs": inputs, "results": results}
     if error is not None:
-        report["error"] = {"kind": type(error).__name__, "message": str(error)}
+        kind = "UsageError" if isinstance(error, _UsageError) else type(error).__name__
+        report["error"] = {"kind": kind, "message": str(error)}
     if getattr(args, "seed", None) is None:
         report["timing_s"] = round(time.perf_counter() - start, 6)
     json.dump(report, sys.stdout, indent=2)

@@ -259,19 +259,6 @@ class MeasurementSchedule:
             if not 1 <= c <= self.num_colors:
                 raise ValueError(f"edge {e} has color {c} outside 1..{self.num_colors}")
 
-    def to_json(self) -> dict:
-        rows = [
-            {"qubit": q, "check": j, "color": self.colors[(q, j)], "letter": self.letters[(q, j)]}
-            for (q, j) in sorted(self.colors)
-        ]
-        return {"num_colors": self.num_colors, "edges": rows}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "MeasurementSchedule":
-        colors = {(int(r["qubit"]), int(r["check"])): int(r["color"]) for r in d["edges"]}
-        letters = {(int(r["qubit"]), int(r["check"])): r["letter"] for r in d["edges"]}
-        return cls(colors, letters, int(d["num_colors"]))
-
 
 def edge_color_bipartite(g: TannerGraph) -> MeasurementSchedule:
     """Proper edge coloring with exactly max-degree colors.
@@ -485,7 +472,6 @@ class MeasurementFragment:
     circuit: AdaptiveCircuit
     schedule: MeasurementSchedule
     cz_colors: dict[tuple[int, int], int]
-    sparsity: int
 
     @property
     def depth(self) -> int:
@@ -539,7 +525,7 @@ def synthesize_measurement_circuit(
     layers.append([Gate("H", (a,), merged=True) for a in anc])
     layers.append([Measure(anc[j], j) for j in range(code.t)])
     circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)
-    return MeasurementFragment(circuit, schedule, cz_colors, code.s)
+    return MeasurementFragment(circuit, schedule, cz_colors)
 
 
 def pauli_correction(s_plus: Sequence[PauliOperator], s_minus: Sequence[PauliOperator]) -> PauliOperator:

@@ -522,10 +522,20 @@ def test_lightcone_missing_circuit_file_reports_error(capsys, tmp_path):
 
 
 def test_usage_errors_exit_1(capsys):
-    assert main(["bogus-subcommand"]) == 1
-    capsys.readouterr()
-    assert main([]) == 1
-    capsys.readouterr()
+    for argv, message in (
+        (["bogus-subcommand"], "invalid choice"),
+        ([], "the following arguments are required: subcommand"),
+        (["lightcone", "--circuit", "x.json", "--from", "0", "--qubits", "0"], "unrecognized arguments: --qubits 0"),
+        (["ghz-demo", "--n", "four", "--a", "2", "--k", "2"], "invalid int value"),
+    ):
+        code, report, err = run(capsys, *argv)
+        assert code == 1
+        assert report["command"] == ["adaptstab", *argv]
+        assert report["inputs"] is None and report["results"] is None
+        assert report["error"]["kind"] == "UsageError"
+        assert report["error"]["message"].startswith("adaptstab")
+        assert message in report["error"]["message"]
+        assert "usage:" in err and message in err
 
 
 def test_help_exits_0(capsys):

@@ -158,28 +158,25 @@ def test_edge_color_bipartite_deterministic():
     assert a.colors == b.colors
 
 
-def test_schedule_validation_and_json():
+def test_schedule_validation():
     code = build_code(["XXXX", "ZZZZ"])
     sched = edge_color_bipartite(tanner_graph(code))
-    blob = sched.to_json()
-    back = MeasurementSchedule.from_json(blob)
-    assert back.colors == sched.colors and back.letters == sched.letters
     bad = dict(sched.colors)
     bad[(0, 1)] = bad[(0, 0)]  # same qubit, same color
     with pytest.raises(ValueError, match="share a node"):
         MeasurementSchedule(bad, sched.letters, sched.num_colors)
 
 
-def test_schedule_from_json_rejects_conflict():
-    blob = edge_color_bipartite(tanner_graph(builtin_code("steane"))).to_json()
-    blob["edges"][3]["color"] = blob["edges"][2]["color"]  # edges 2 and 3 share qubit 1
-    a, b = blob["edges"][2], blob["edges"][3]
-    assert a["qubit"] == b["qubit"]
+def test_schedule_rejects_conflict():
+    sched = edge_color_bipartite(tanner_graph(builtin_code("steane")))
+    edges = sorted(sched.colors)
+    a, b = edges[2], edges[3]
+    assert a[0] == b[0]  # edges 2 and 3 share qubit 1
+    colors = {e: sched.colors[e] for e in edges}
+    colors[b] = colors[a]
     with pytest.raises(ValueError) as exc:
-        MeasurementSchedule.from_json(blob)
-    assert str(exc.value) == (
-        f"edges {(a['qubit'], a['check'])} and {(b['qubit'], b['check'])} share a node and a color"
-    )
+        MeasurementSchedule(colors, sched.letters, sched.num_colors)
+    assert str(exc.value) == f"edges {a} and {b} share a node and a color"
 
 
 def _pair_scan_clash(colors):

@@ -1,10 +1,12 @@
 """Symbolic all-branch verification against the forced-branch enumerator it replaced.
 
 The oracle below is the earlier exhaustive check: re-simulate the circuit
-once per forced outcome pattern, skip the patterns a deterministic
-measurement contradicts, and compare each realizable branch with the
-target.  Unlike the old loop it does not stop at the first mismatch, so
-``realizable`` is the full count on failing circuits too.  The symbolic pass
+once per forced outcome pattern with the earlier concrete loop
+(``helpers_circuit.reference_simulate``, which shares no walk with the
+symbolic pass), skip the patterns a deterministic measurement contradicts,
+and compare each realizable branch with the target.  Unlike the old loop it
+does not stop at the first mismatch, so ``realizable`` is the full count on
+failing circuits too.  The symbolic pass
 (``verify_preparation``, ``simulate_symbolic``) must agree with it on
 ``all_match``, ``realizable`` and ``branches`` for every small circuit below
 and on random adaptive circuits, and its counterexample must replay as a
@@ -36,6 +38,7 @@ from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
 from adaptstab.tableau import from_stabilizers, ghz_state, sign_form, states_equal, zero_state
+from helpers_circuit import reference_simulate
 from test_tableau_paths import adaptive_programs, random_gate
 
 # -- oracle: the replaced forced-branch loop ---------------------------------------------
@@ -47,7 +50,7 @@ def brute_force_verify(circuit, target):
     for mask in range(1 << circuit.cbits):
         forced = [(mask >> i) & 1 for i in range(circuit.cbits)]
         try:
-            tab, _ = simulate(circuit, forced=forced)
+            tab, _ = reference_simulate(circuit, forced=forced)
         except ContradictionError:
             continue
         realizable += 1
@@ -90,8 +93,7 @@ def check_wrong_branch(circuit, target):
 def symbolic_verify(circuit, target):
     report = verify_preparation(circuit, target, trials=0)
     if not report["all_match"]:
-        forced = [int(b) for b in report["counterexample"]]
-        tab, _ = simulate(circuit, forced=forced)  # a realizable branch...
+        tab, _ = simulate(circuit, forced=report["counterexample"])  # a realizable branch...
         assert not states_equal(tab, target)  # ...that ends in the wrong state
     return report["all_match"], report["realizable"], report["branches"]
 
@@ -316,6 +318,10 @@ def test_symbolic_walk_rejects_what_simulate_rejects():
     c.add_layer([Gate("X", (0,), cond=Condition((0,), 1))])
     with pytest.raises(ValueError, match="unwritten classical bit 0"):
         simulate_symbolic(c)
+    c = AdaptiveCircuit(2, 1, [[Gate("X", (0,), cond=Condition((0,), 2))]])  # an offset that never fires
+    for run in (lambda: simulate(c, seed=0), lambda: simulate_symbolic(c)):
+        with pytest.raises(ValueError, match="^condition reads unwritten classical bit 0$"):
+            run()
     c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Measure(1, 0)]])
     for run in (lambda: simulate(c, seed=0), lambda: simulate(c, forced=[0]), lambda: simulate_symbolic(c)):
         with pytest.raises(ValueError, match="^classical bit 0 written twice$"):
