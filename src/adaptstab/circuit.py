@@ -287,26 +287,30 @@ class SymbolicRun:
     record: list[int | None]
     measured: set[int]
 
+    def outcomes(self, values: int) -> list[int | None]:
+        """Record of the branch where variable v takes bit v of ``values``
+        (None for unwritten bits, as ``simulate`` records them)."""
+        return [None if f is None else ((f >> 1 & values).bit_count() ^ f) & 1 for f in self.record]
+
     def forced(self, values: int) -> list[int]:
-        """0/1 record of the branch where variable v takes bit v of ``values``;
-        unwritten bits read 0."""
-        return [0 if f is None else ((f >> 1 & values).bit_count() ^ f) & 1 for f in self.record]
+        """``outcomes`` with unwritten bits read 0, for ``simulate(c, forced=...)``."""
+        return [b or 0 for b in self.outcomes(values)]
 
-    def wrong_branch(self, target: StabilizerTableau) -> int | None:
-        """Variable values of a branch whose surviving qubits do not end in
-        ``target``'s state, or None when every branch does.
+    def sign_planes(self, target: StabilizerTableau) -> tuple[int, list[int]]:
+        """(fixed, planes): target generator i fails on the branch with variable
+        values ``values`` when bit i of ``fixed``, XORed with ``planes[v]`` for
+        each v set in ``values``, is 1.
 
-        The measured qubits are left in Z eigenstates, so the final state is
-        a product and a target generator on the survivors (in index order, as
-        after ``simulate``'s factor-out) is in the group, identity on the
-        measured qubits, with the same sign form.  Every target generator is
-        compared in one plane pass (``tableau._match_products``), and its sign
-        form's variable part is the XOR of the picks of the generators whose
-        signs carry each variable.
+        The measured qubits end in Z eigenstates, so a target generator on the
+        survivors (in index order, as after ``simulate``'s factor-out) must be
+        in the group, identity on the measured qubits, with the same sign
+        form; one plane pass (``tableau._match_products``) compares them all.
+        A measured qubit outside a Z eigenstate is named highest first, as
+        ``tableau.factor_out_qubits`` names it.
         """
         t = self.tableau
         generators = (1 << t.n) - 1
-        for q in sorted(self.measured):
+        for q in sorted(self.measured, reverse=True):
             if t.xs[q] & generators:
                 raise ValueError(f"qubit {q} is not in a definite Z eigenstate")
         live = [q for q in range(t.n) if q not in self.measured]
@@ -322,16 +326,26 @@ class SymbolicRun:
             plane = 0
             for j in _bits(rows):
                 plane ^= picks[j]
-            planes.append(plane)
-        wrong = unmatched | flipped
-        for plane in planes:
-            wrong |= plane
-        if not wrong:
-            return None
-        first = wrong & -wrong  # the first target generator to fail
-        if (unmatched | flipped) & first:  # outside the group, or wrong on the all-zero branch
-            return 0
-        return next(1 << v for v, plane in enumerate(planes) if plane & first)
+            planes.append(plane & ~unmatched)  # a generator outside the group fails on every branch
+        return unmatched | flipped, planes
+
+    def wrong_branch(self, target: StabilizerTableau) -> int | None:
+        """Variable values of a branch whose surviving qubits do not end in
+        ``target``'s state, or None when every branch does."""
+        return _first_wrong(*self.sign_planes(target))
+
+
+def _first_wrong(fixed: int, planes: Sequence[int]) -> int | None:
+    """Variable values of a branch that ``SymbolicRun.sign_planes`` marks wrong, or None."""
+    wrong = fixed
+    for plane in planes:
+        wrong |= plane
+    if not wrong:
+        return None
+    first = wrong & -wrong  # the first target generator to fail
+    if fixed & first:  # outside the group, or wrong on the all-zero branch
+        return 0
+    return next(1 << v for v, plane in enumerate(planes) if plane & first)
 
 
 def conditioned_non_pauli(c: AdaptiveCircuit) -> tuple[int, Gate] | None:
@@ -373,6 +387,8 @@ def _walk(c: AdaptiveCircuit, t: StabilizerTableau, forced: list[int] | None, rn
     for li, layer in enumerate(c.layers):
         for op in layer:
             if isinstance(op, Measure):
+                if not 0 <= op.cbit < c.cbits:
+                    raise ValueError(f"classical bit {op.cbit} out of range")
                 if op.qubit in measured:
                     raise ValueError(f"layer {li}: qubit {op.qubit} measured a second time")
                 measured.add(op.qubit)
@@ -390,6 +406,8 @@ def _walk(c: AdaptiveCircuit, t: StabilizerTableau, forced: list[int] | None, rn
             else:
                 parity = 0
                 for b in op.cond.bits:
+                    if not 0 <= b < c.cbits:
+                        raise ValueError(f"condition bit {b} out of range")
                     if record[b] is None:
                         raise ValueError(f"condition reads unwritten classical bit {b}")
                     parity ^= record[b]

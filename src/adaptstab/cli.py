@@ -473,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of target qubits")
     p.add_argument("--a", type=int, required=True, help="fan-out block size")
     p.add_argument("--k", type=int, required=True, help="gate fan-in K")
-    p.add_argument("--trials", type=int, default=20, help="random trials before the symbolic pass over every branch")
+    p.add_argument("--trials", type=int, default=20, help="seeded branches read off the symbolic pass over every branch")
     p.set_defaults(handler=_cmd_ghz_demo)
 
     p = sub.add_parser(
@@ -518,7 +518,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if error is not None:
         kind = "UsageError" if isinstance(error, _UsageError) else type(error).__name__
         report["error"] = {"kind": kind, "message": str(error)}
-    if getattr(args, "seed", None) is None:
+    if args is not None:
+        seeded = args.seed is not None
+    else:  # a usage error: read --seed N or --seed=N off the unparsed arguments
+        seeded = "--seed" in argv[:-1] or any(a.startswith("--seed=") for a in argv)
+    if not seeded:
         report["timing_s"] = round(time.perf_counter() - start, 6)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -21,12 +21,15 @@ from itertools import combinations
 from operator import xor
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
 from .circuit import (
     AdaptiveCircuit,
     Condition,
     Gate,
     Measure,
+    _first_wrong,
     ancilla_count,
     conditioned_non_pauli,
     depth,
@@ -672,7 +675,7 @@ def verify_preparation(
     trials: int = 20,
     also_exhaustive: bool = True,
 ) -> dict:
-    """Simulate the circuit against the target on random seeds and, with
+    """Check the circuit against the target on random seeds and, with
     ``also_exhaustive``, on every outcome branch; reports depth, ancilla
     usage, and the applicable trade-off bound checks.
 
@@ -683,6 +686,11 @@ def verify_preparation(
     failing branch is reported as its forced pattern, which
     ``simulate(circuit, forced=...)`` replays.  A conditioned gate other than
     a Pauli leaves both counts None and sets ``unsupported``.
+
+    Trial s checks the branch ``simulate(circuit, seed=s)`` takes; a failing
+    trial reports its record and skips the exhaustive check.  Trials are read
+    off the symbolic run when there is one (``simulate`` draws once per random
+    measurement, so draw v is variable v), and are ``simulate`` runs otherwise.
 
     ``all_match`` is True or False when something was checked, and None when
     nothing was: no random trial ran and the symbolic pass was skipped (not
@@ -701,28 +709,36 @@ def verify_preparation(
         "counterexample": None,
         "unsupported": None,
     }
+    bad = conditioned_non_pauli(circuit) if also_exhaustive else None
+    run = simulate_symbolic(circuit) if also_exhaustive and bad is None else None
+    if run is not None:
+        fixed, planes = run.sign_planes(target)
     for seed in range(trials):
-        tab, record = simulate(circuit, seed=seed)
-        if not states_equal(tab, target):
+        if run is None:
+            tab, record = simulate(circuit, seed=seed)
+            match = states_equal(tab, target)
+        else:
+            rng = np.random.default_rng(seed)
+            values = sum(int(rng.integers(0, 2)) << v for v in range(len(planes)))
+            record = run.outcomes(values)
+            match = not reduce(xor, (planes[v] for v in _bits(values)), fixed)
+        if not match:
             report["all_match"] = False
             report["counterexample"] = "".join(str(b) for b in record)
             break
-    if also_exhaustive and report["all_match"]:
-        bad = conditioned_non_pauli(circuit)
-        if bad is not None:
-            report["unsupported"] = {
-                "layer": bad[0],
-                "gate": bad[1].op,
-                "reason": "sign forms cover conditioned Pauli gates only",
-            }
-        else:
-            run = simulate_symbolic(circuit)
-            values = run.wrong_branch(target)
-            report["branches"] = 1 << circuit.cbits
-            report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
-            if values is not None:
-                report["all_match"] = False
-                report["counterexample"] = "".join(str(b) for b in run.forced(values))
+    if report["all_match"] and bad is not None:
+        report["unsupported"] = {
+            "layer": bad[0],
+            "gate": bad[1].op,
+            "reason": "sign forms cover conditioned Pauli gates only",
+        }
+    elif report["all_match"] and run is not None:
+        values = _first_wrong(fixed, planes)
+        report["branches"] = 1 << circuit.cbits
+        report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
+        if values is not None:
+            report["all_match"] = False
+            report["counterexample"] = "".join(str(b) for b in run.forced(values))
     if trials <= 0 and report["branches"] is None:
         report["all_match"] = None
     profile = ResourceProfile.from_circuit(circuit, target.n)

@@ -1,18 +1,32 @@
-"""The concrete ``simulate`` loop that the shared layer walk replaced.
+"""Earlier circuit paths, kept as oracles for the code that replaced them.
 
-``circuit.simulate`` and ``circuit.simulate_symbolic`` now run one private
-walk; this is the earlier concrete loop, with its own condition check
-(``_fire``) and bookkeeping, kept as an oracle so that tests of the walk
-do not check it against itself.
+``reference_simulate`` is the concrete ``simulate`` loop that the shared
+layer walk replaced: ``circuit.simulate`` and ``circuit.simulate_symbolic``
+now run one private walk, and this loop, with its own condition check
+(``_fire``) and bookkeeping, keeps tests of the walk from checking it
+against itself.
+
+``reference_verify`` is ``prep.verify_preparation`` as it was before its
+seeded trials were read off the symbolic pass: each trial is a
+``reference_simulate`` run compared with ``states_equal``, and the symbolic
+pass runs afterwards, only when every trial matched.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from adaptstab.circuit import Measure
+from adaptstab.bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
+from adaptstab.circuit import Measure, ancilla_count, conditioned_non_pauli, depth, simulate_symbolic
 from adaptstab.pauli import single_site
-from adaptstab.tableau import apply_gate, factor_out_qubits, measure_pauli, validate_tableau, zero_state
+from adaptstab.tableau import (
+    apply_gate,
+    factor_out_qubits,
+    measure_pauli,
+    states_equal,
+    validate_tableau,
+    zero_state,
+)
 
 
 def _fire(cond, record):
@@ -63,3 +77,46 @@ def reference_simulate(c, *, seed=None, forced=None, initial=None):
         t = factor_out_qubits(t, measured)
         validate_tableau(t)
     return t, record
+
+
+def reference_verify(circuit, target, trials=20, also_exhaustive=True):
+    """The report of ``verify_preparation`` with one simulation per trial."""
+    report = {
+        "n": target.n,
+        "m": circuit.m,
+        "n_a": ancilla_count(circuit, target.n),
+        "depth": depth(circuit),
+        "random_trials": trials,
+        "branches": None,
+        "realizable": None,
+        "all_match": True,
+        "counterexample": None,
+        "unsupported": None,
+    }
+    for seed in range(trials):
+        tab, record = reference_simulate(circuit, seed=seed)
+        if not states_equal(tab, target):
+            report["all_match"] = False
+            report["counterexample"] = "".join(str(b) for b in record)
+            break
+    if also_exhaustive and report["all_match"]:
+        bad = conditioned_non_pauli(circuit)
+        if bad is not None:
+            report["unsupported"] = {
+                "layer": bad[0],
+                "gate": bad[1].op,
+                "reason": "sign forms cover conditioned Pauli gates only",
+            }
+        else:
+            run = simulate_symbolic(circuit)
+            values = run.wrong_branch(target)
+            report["branches"] = 1 << circuit.cbits
+            report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
+            if values is not None:
+                report["all_match"] = False
+                report["counterexample"] = "".join(str(b) for b in run.forced(values))
+    if trials <= 0 and report["branches"] is None:
+        report["all_match"] = None
+    profile = ResourceProfile.from_circuit(circuit, target.n)
+    _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))
+    return report

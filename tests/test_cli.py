@@ -555,3 +555,17 @@ def test_seeded_report_drops_timing(capsys):
     code, report, _ = run(capsys, "weight", "builtin:ghz3", "--seed", "0")
     assert code == 0
     assert set(report) == {"command", "inputs", "results"}
+
+
+def test_seeded_usage_error_drops_timing(capsys):
+    for seed in (["--seed", "0"], ["--seed=0"]):
+        argv = ["prep", "builtin:steane", *seed, "--bogus"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0])
+        assert "timing_s" not in report and report["error"]["kind"] == "UsageError"
+    code, report, _ = run(capsys, "prep", "builtin:steane", "--bogus")
+    assert code == 1 and "timing_s" in report

@@ -13,10 +13,15 @@ and on random adaptive circuits, and its counterexample must replay as a
 mismatch under ``simulate(..., forced=...)``.  ``SymbolicRun.wrong_branch``
 compares every target generator in one plane pass; the per-generator
 ``sign_form`` loop it replaced is kept as an oracle, and the work the whole
-check does is counted.
+check does is counted.  ``verify_preparation`` reads its seeded trials off the
+symbolic pass; its reports and errors must match byte for byte those of
+``helpers_circuit.reference_verify``, which simulates each trial.
 """
 
 from __future__ import annotations
+
+import json
+import re
 
 import numpy as np
 import pytest
@@ -33,12 +38,13 @@ from adaptstab.circuit import (
     ghz_adaptive,
     simulate,
     simulate_symbolic,
+    validate,
 )
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
 from adaptstab.tableau import from_stabilizers, ghz_state, sign_form, states_equal, zero_state
-from helpers_circuit import reference_simulate
+from helpers_circuit import reference_simulate, reference_verify
 from test_tableau_paths import adaptive_programs, random_gate
 
 # -- oracle: the replaced forced-branch loop ---------------------------------------------
@@ -200,10 +206,10 @@ def test_wrong_branch_matches_per_generator_loop_on_ghz():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of generator_product and sign_form calls and of row-view
-    builds, the target's kept apart."""
-    counts = {"products": 0, "sign_forms": 0, "views": 0, "target_views": 0, "target": None}
-    product, form, views = tb.generator_product, tb.sign_form, tb.StabilizerTableau._row_views
+    """Counts of generator_product, sign_form and simulate calls and of
+    row-view builds, the target's kept apart."""
+    counts = {"products": 0, "sign_forms": 0, "simulations": 0, "views": 0, "target_views": 0, "target": None}
+    product, form, views, simulate_ = tb.generator_product, tb.sign_form, tb.StabilizerTableau._row_views, prep.simulate
 
     def counting_product(*args):
         counts["products"] += 1
@@ -218,7 +224,12 @@ def work(monkeypatch):
             counts["target_views" if self is counts["target"] else "views"] += 1
         return views(self)
 
+    def counting_simulate(*args, **kwargs):
+        counts["simulations"] += 1
+        return simulate_(*args, **kwargs)
+
     monkeypatch.setattr(tb, "generator_product", counting_product)
+    monkeypatch.setattr(prep, "simulate", counting_simulate)
     monkeypatch.setattr(tb, "sign_form", counting_form)
     monkeypatch.setattr(tb.StabilizerTableau, "_row_views", counting_views)
     return counts
@@ -231,6 +242,8 @@ def test_ghz_verification_work_is_pinned(work):
     # Every measurement is random, so nothing calls generator_product, and
     # no simulated tableau is read as rows; the bound report reads the target once.
     assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
+    # The 20 seeded trials are read off the symbolic pass, not re-simulated.
+    assert work["simulations"] == 0
 
 
 def test_steane_verification_work_is_pinned(work):
@@ -238,9 +251,10 @@ def test_steane_verification_work_is_pinned(work):
     work.update(products=0, sign_forms=0, views=0, target=target)  # count the check alone
     report = verify_preparation(circ, target, trials=20)
     assert report["all_match"]
-    # Three deterministic measurements in each of 20 trials and the symbolic
-    # pass: one sign_form, so one generator_product, each.
-    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (63, 63, 0, 1)
+    # Three deterministic measurements in the symbolic pass, which the 20
+    # trials are read off: one sign_form, so one generator_product, each.
+    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (3, 3, 0, 1)
+    assert work["simulations"] == 0
 
 
 # -- edge cases ------------------------------------------------------------------------
@@ -337,6 +351,26 @@ def test_symbolic_walk_rejects_what_simulate_rejects():
             run()
 
 
+@pytest.mark.parametrize(
+    "layers,message",
+    [
+        ([[Measure(0, 3)]], "classical bit 3 out of range"),
+        ([[Measure(0, -1)]], "classical bit -1 out of range"),
+        ([[Measure(0, 0)], [Gate("X", (1,), cond=Condition((1,), 1))]], "condition bit 1 out of range"),
+        ([[Measure(0, 0)], [Gate("X", (1,), cond=Condition((0, -1), 1))]], "condition bit -1 out of range"),
+    ],
+)
+def test_out_of_range_classical_bits_raise_value_error(layers, message):
+    c = AdaptiveCircuit(2, 1, layers)
+    assert any(v.endswith(message) for v in validate(c, 2).violations)
+    runs = [lambda: simulate(c, seed=0), lambda: simulate(c, forced=[0]), lambda: simulate_symbolic(c)]
+    for trials, also_exhaustive in ((0, True), (3, True), (3, False)):
+        runs.append(lambda t=trials, e=also_exhaustive: verify_preparation(c, zero_state(1), trials=t, also_exhaustive=e))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+
+
 def test_target_wider_than_circuit_fails_before_simulating(monkeypatch):
     def refuse(*_a, **_k):
         raise AssertionError("simulated before checking the width")
@@ -378,9 +412,14 @@ def program_circuit(n, ops, spare_cbits=0):
     return AdaptiveCircuit(n, len(cbit) + spare_cbits, layers)
 
 
+def nothing_survives(circ):
+    """True when every qubit is measured, so there is no state to compare."""
+    return circ.m == len({op.qubit for layer in circ.layers for op in layer if isinstance(op, Measure)})
+
+
 def check_random_circuit(circ, seed):
-    if circ.m == len({op.qubit for layer in circ.layers for op in layer if isinstance(op, Measure)}):
-        return None  # nothing survives to compare
+    if nothing_survives(circ):
+        return None
     target, _ = simulate(circ, seed=seed)
     want = brute_force_verify(circ, target)
     assert symbolic_verify(circ, target) == want
@@ -395,26 +434,134 @@ def test_random_adaptive_circuits_match_oracle(program, spare):
     check_random_circuit(program_circuit(n, ops, spare), seed)
 
 
+def random_ops(rng, n, length):
+    """A random program on n qubits: gates, Z measurements and Paulis
+    conditioned on up to two earlier measurements."""
+    ops, measured = [], 0
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.25:
+            ops.append(("M", int(rng.integers(0, n)), None))
+            measured += 1
+        elif kind < 0.45 and measured:
+            bits = tuple(sorted({int(b) for b in rng.integers(0, measured, size=2)}))
+            ops.append(("C", "XYZ"[int(rng.integers(0, 3))], int(rng.integers(0, n)), bits))
+        else:
+            ops.append(("G",) + random_gate(n, rng))
+    return ops
+
+
 def test_random_adaptive_circuits_cover_every_case():
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(150):
         n = int(rng.integers(2, 7))
-        ops, measured = [], 0
-        for _ in range(int(rng.integers(4, 20))):
-            kind = rng.random()
-            if kind < 0.25:
-                ops.append(("M", int(rng.integers(0, n)), None))
-                measured += 1
-            elif kind < 0.45 and measured:
-                bits = tuple(sorted({int(b) for b in rng.integers(0, measured, size=2)}))
-                ops.append(("C", "XYZ"[int(rng.integers(0, 3))], int(rng.integers(0, n)), bits))
-            else:
-                ops.append(("G",) + random_gate(n, rng))
+        ops = random_ops(rng, n, int(rng.integers(4, 20)))
         want = check_random_circuit(program_circuit(n, ops), int(rng.integers(0, 1000)))
         if want is not None:
             seen.add(("match" if want[0] else "mismatch", "deterministic" if want[1] < want[2] else "random"))
     assert seen == {(a, b) for a in ("match", "mismatch") for b in ("deterministic", "random")}
+
+
+# -- seeded trials read off the symbolic pass -------------------------------------------
+
+
+def verify_outcome(verify, circuit, target, trials, also_exhaustive):
+    """The report as JSON text, or the exception's type and message."""
+    try:
+        return json.dumps(verify(circuit, target, trials=trials, also_exhaustive=also_exhaustive))
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+
+
+def check_against_reference(circuit, targets, trials_set=(0, 1, 3, 20)):
+    """verify_preparation against ``reference_verify`` byte for byte; returns
+    the reference outcomes."""
+    seen = []
+    for target in targets:
+        for trials in trials_set:
+            for also_exhaustive in (True, False):
+                want = verify_outcome(reference_verify, circuit, target, trials, also_exhaustive)
+                assert verify_outcome(verify_preparation, circuit, target, trials, also_exhaustive) == want
+                seen.append(json.loads(want) if isinstance(want, str) else want)
+    return seen
+
+
+def strip_corrections(circuit):
+    """The circuit with every conditioned gate removed."""
+    layers = [[op for op in layer if not (isinstance(op, Gate) and op.cond)] for layer in circuit.layers]
+    return AdaptiveCircuit(circuit.m, circuit.cbits, [layer for layer in layers if layer])
+
+
+TRIAL_CIRCUITS = {
+    "ghz(6)": lambda: (ghz_adaptive(6, 2, 2), ghz_state(6)),
+    "ghz(9)": lambda: (ghz_adaptive(9, 3, 3), ghz_state(9)),
+    "ghz(12)": lambda: (ghz_adaptive(12, 3, 2), ghz_state(12)),
+    "ghz(16)": lambda: (ghz_adaptive(16, 2, 2), ghz_state(16)),
+    "toric(2)": lambda: prepare_state(builtin_code("toric(2)")),
+    "toric(3)": lambda: prepare_state(builtin_code("toric(3)")),
+}
+
+
+@pytest.mark.parametrize("name", TRIAL_CIRCUITS)
+def test_seeded_trials_match_reference_on_prepared_circuits(name):
+    circ, target = TRIAL_CIRCUITS[name]()
+    broken = list(without_one_correction(circ))
+    variants = [circ, strip_corrections(circ), *broken[:: max(1, len(broken) // 4)]]
+    seen = []
+    for i, c in enumerate(variants):
+        seen += check_against_reference(c, [target, sign_broken(target, i % target.n)])
+    kinds = {(r["all_match"], r["branches"] is None) for r in seen}
+    assert {(True, False), (False, True), (False, False)} <= kinds  # passed, failed a trial, failed exhaustively
+
+
+def test_seeded_trials_match_reference_on_random_circuits():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        circ = program_circuit(n, random_ops(rng, n, int(rng.integers(4, 16))), int(rng.integers(0, 2)))
+        if nothing_survives(circ):
+            continue
+        target, _ = simulate(circ, seed=int(rng.integers(0, 1000)))
+        for r in check_against_reference(circ, [target, sign_broken(target, int(rng.integers(0, target.n)))]):
+            seen.add((r["all_match"], r["branches"] is None, "None" in (r["counterexample"] or "")))
+    # Passes, trial and exhaustive failures, and a trial record with an unwritten bit.
+    assert {(True, False, False), (False, True, False), (False, False, False), (False, True, True)} <= seen
+
+
+def test_seeded_trials_match_reference_on_unsupported_circuits():
+    # The conditioned H leaves qubit 0 in |+> on the branch where qubit 1 reads 1.
+    c = AdaptiveCircuit(2, 1, [[Gate("H", (1,))], [Measure(1, 0)], [Gate("H", (0,), cond=Condition((0,), 1))]])
+    seen = check_against_reference(c, [zero_state(1), from_stabilizers([parse_pauli("X")])])
+    circ, target = prepare_state(builtin_code("toric(2)"))
+    layers = [[Gate("S", op.qubits, cond=op.cond) if isinstance(op, Gate) and op.cond else op for op in layer] for layer in circ.layers]
+    seen += check_against_reference(AdaptiveCircuit(circ.m, circ.cbits, layers), [target])
+    assert {r["unsupported"] is not None for r in seen} == {True, False}
+    assert {r["all_match"] for r in seen} == {True, False, None}
+
+
+def test_seeded_trial_fails_on_a_target_outside_the_group():
+    # Qubit 1 ends in |0>, never in -X, so -X is outside the group on every
+    # branch.  The product its destabilizer pattern picks has a sign that
+    # carries the random outcome b; on the branch b = 1 (seed 0's draw) that
+    # form must not cancel the mismatch.
+    c = AdaptiveCircuit(2, 1, [[Gate("H", (0,))], [Gate("CZ", (0, 1))], [Measure(0, 0)]])
+    seen = check_against_reference(c, [from_stabilizers([parse_pauli("-X")])], trials_set=(1,))
+    assert [(r["all_match"], r["counterexample"]) for r in seen] == [(False, "1")] * 2
+
+
+def test_seeded_trials_match_reference_on_errors():
+    # seen[1] is the run with no trial and no symbolic pass, which simulates nothing.
+    # Gates on measured qubits 0 and 1: both paths name qubit 1, the highest, as the factor-out does.
+    c = AdaptiveCircuit(3, 2, [[Measure(0, 0), Measure(1, 1)], [Gate("H", (0,)), Gate("H", (1,))]])
+    seen = check_against_reference(c, [zero_state(1)])
+    assert set(seen[:1] + seen[2:]) == {(ValueError, "qubit 1 is not in a definite Z eigenstate")}
+    seen = check_against_reference(ghz_adaptive(6, 2, 2), [ghz_state(5)])
+    assert set(seen[:1] + seen[2:]) == {(ValueError, "dimension mismatch")}
+    c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Measure(0, 0)]])
+    seen = check_against_reference(c, [zero_state(1)], trials_set=(0, 3))
+    assert set(seen[:1] + seen[2:]) == {(ValueError, "layer 1: qubit 0 measured a second time")}
 
 
 # -- code validation on planes -----------------------------------------------------------
