@@ -25,21 +25,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import _bits, single_site
+from .pauli import _bits
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
     _match_products,
+    _measure_z_run,
     apply_gate,
     apply_pauli_form,
     check_gate,
     factor_out_qubits,
-    measure_form,
-    measure_pauli,
     validate_tableau,
     zero_state,
 )
@@ -276,7 +276,7 @@ class SymbolicRun:
     """Every outcome branch of a circuit at once (see ``simulate_symbolic``).
 
     ``tableau`` holds all m qubits with the constant part of each generator's
-    sign, ``forms`` the sign-form planes (see ``tableau.measure_form``), and
+    sign, ``forms`` the sign-form planes (see ``tableau.sign_form``), and
     ``record[b]`` the outcome form of classical bit b, None when no
     measurement writes it.  Variable v is the outcome of the v-th random
     measurement.
@@ -375,35 +375,47 @@ def simulate_symbolic(c: AdaptiveCircuit) -> SymbolicRun:
 def _walk(c: AdaptiveCircuit, t: StabilizerTableau, forced: list[int] | None, rng: np.random.Generator | None) -> SymbolicRun:
     """The layer walk under ``simulate`` and ``simulate_symbolic``, in place on t.
 
-    With an ``rng`` each measurement takes one outcome (``forced[cbit]`` when
-    given) and records 0 or 1, which is a constant sign form; without one it
-    records the outcome's form (``tableau.measure_form``).  A condition is
-    the XOR of its record forms: a form with variables applies the Pauli on
-    the branches where it reads 1, a constant form applies the gate when 1.
+    A run of measurements in a layer is one ``tableau._measure_z_run`` call
+    on the ops before the first bad one: a bad bit or qubit raises before
+    its own measurement, a bit written twice after it.  With an ``rng`` each
+    measurement takes one outcome (``forced[cbit]`` when given) and records
+    0 or 1, a constant sign form; without one it records the outcome's form.
+    A condition is the XOR of its record forms: a form with variables applies
+    the Pauli on the branches where it reads 1, a constant form applies the
+    gate when 1.
     """
     forms: list[int] = []
     record: list[int | None] = [None] * c.cbits
     measured: set[int] = set()
     for li, layer in enumerate(c.layers):
-        for op in layer:
-            if isinstance(op, Measure):
-                if not 0 <= op.cbit < c.cbits:
-                    raise ValueError(f"classical bit {op.cbit} out of range")
-                if op.qubit in measured:
-                    raise ValueError(f"layer {li}: qubit {op.qubit} measured a second time")
-                measured.add(op.qubit)
-                p = single_site(c.m, op.qubit, "Z")
-                if rng is None:
-                    bit = measure_form(t, forms, p)
-                else:
-                    sign = None if forced is None else 1 - 2 * forced[op.cbit]
-                    bit = (1 - measure_pauli(t, p, forced=sign, rng=rng)[0]) // 2  # outcome +1 -> 0, -1 -> 1
-                if record[op.cbit] is not None:
-                    raise ValueError(f"classical bit {op.cbit} written twice")
-                record[op.cbit] = bit
-            elif op.cond is None:
-                apply_gate(t, op.op, op.qubits, pauli=op.pauli)
-            else:
+        for kind, ops in groupby(layer, type):
+            if kind is Measure:
+                run, error = [], None
+                for op in ops:
+                    if not 0 <= op.cbit < c.cbits:
+                        error = ValueError(f"classical bit {op.cbit} out of range")
+                    elif op.qubit in measured:
+                        error = ValueError(f"layer {li}: qubit {op.qubit} measured a second time")
+                    elif not 0 <= op.qubit < c.m:
+                        error = ValueError(f"qubit {op.qubit} out of range for n={c.m}")
+                    else:
+                        measured.add(op.qubit)
+                        if record[op.cbit] is not None:
+                            error = ValueError(f"classical bit {op.cbit} written twice")
+                        record[op.cbit] = 0  # written; the outcome lands below
+                        run.append(op)
+                    if error:
+                        break
+                picks = None if forced is None else [forced[op.cbit] for op in run]
+                for op, form in zip(run, _measure_z_run(t, [op.qubit for op in run], forms, picks, rng) if run else ()):
+                    record[op.cbit] = form
+                if error:
+                    raise error
+                continue
+            for op in ops:
+                if op.cond is None:
+                    apply_gate(t, op.op, op.qubits, pauli=op.pauli)
+                    continue
                 parity = 0
                 for b in op.cond.bits:
                     if not 0 <= b < c.cbits:
@@ -527,13 +539,22 @@ def _op_to_dict(op: Gate | Measure) -> dict:
     return d
 
 
+def _int(value: object, name: str) -> int:
+    """``value`` when it is a JSON integer; true/false and 1.0 are not."""
+    if type(value) is not int:
+        raise ValueError(f"circuit field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _op_from_dict(d: dict) -> Gate | Measure:
     if d["op"] == "MZ":
-        return Measure(d["qubit"], d["cbit"])
+        return Measure(_int(d["qubit"], "qubit"), _int(d["cbit"], "cbit"))
     cond = None
     if "cond" in d:
-        cond = Condition(tuple(d["cond"]["bits"]), d["cond"]["xor"])
-    return Gate(d["op"], tuple(d["qubits"]), d.get("pauli"), cond, d.get("merged", False))
+        bits = tuple(_int(b, "cond.bits") for b in d["cond"]["bits"])
+        cond = Condition(bits, _int(d["cond"]["xor"], "cond.xor"))
+    qubits = tuple(_int(q, "qubits") for q in d["qubits"])
+    return Gate(d["op"], qubits, d.get("pauli"), cond, d.get("merged", False))
 
 
 def to_json(c: AdaptiveCircuit, indent: int | None = None) -> str:
@@ -546,7 +567,9 @@ def to_json(c: AdaptiveCircuit, indent: int | None = None) -> str:
 
 
 def from_json(text: str) -> AdaptiveCircuit:
+    """Parse ``to_json`` output.  A qubit, classical bit or count that is not
+    a JSON integer raises ValueError naming its field."""
     d = json.loads(text)
     return AdaptiveCircuit(
-        d["m"], d["cbits"], [[_op_from_dict(o) for o in layer] for layer in d["layers"]]
+        _int(d["m"], "m"), _int(d["cbits"], "cbits"), [[_op_from_dict(o) for o in layer] for layer in d["layers"]]
     )

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContradictionError, ResourceGuardError
-from .pauli import PauliOperator, single_site
-from .tableau import StabilizerTableau, measure_pauli
+from .errors import ResourceGuardError
+from .pauli import PauliOperator
+from .tableau import StabilizerTableau, _measure_z_run
 
 __all__ = [
     "StateVector",
@@ -196,19 +196,14 @@ def from_amplitudes(values: Iterable[complex]) -> StateVector:
 def from_tableau(t: StabilizerTableau) -> StateVector:
     """Project the lowest basis state in the support onto the stabilized subspace.
 
-    Measuring Z on qubits 0..n-1 of a copy, forcing +1 wherever the outcome
-    is random, reads the lowest index with a nonzero amplitude bit by bit
-    (qubit 0 is the most significant); a deterministic -1 cannot be forced
-    and reads as bit 1.
+    Measuring Z on qubits 0..n-1 of a copy on the branch where every random
+    outcome is +1 reads the lowest index with a nonzero amplitude bit by bit
+    (qubit 0 is the most significant): one symbolic run, whose outcome forms
+    read their constants there, and a deterministic -1 reads as bit 1.
     """
     _guard(t.n)
-    probe = t.copy()
-    start = 0
-    for q in range(t.n):
-        try:
-            measure_pauli(probe, single_site(t.n, q, "Z"), forced=1)
-        except ContradictionError:
-            start |= 1 << (t.n - 1 - q)
+    forms = _measure_z_run(t.copy(), range(t.n), [])
+    start = sum((f & 1) << (t.n - 1 - q) for q, f in enumerate(forms))
     v = np.zeros(1 << t.n, dtype=complex)
     v[start] = 1.0
     for g in t.generators:

@@ -507,15 +507,25 @@ def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
 
 
 def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
-    """Largest |A| with Cor^A_w > delta (>= 1 by convention)."""
+    """Largest |A| with Cor^A_w > delta (>= 1 by convention).  A pair's value
+    does not depend on A, so each is evaluated once (as in
+    ``correlation_strength_w``); A qualifies when none of its pairs is <= delta."""
     n = s.n
     if n > 12:
         raise ResourceGuardError("subset scan capped at n <= 12")
-    if n >= 2 * w and _symmetric(s):  # every region's value is the full register's
+    if n < 2 * w:  # no region holds two disjoint size-w subsets
+        return 1
+    if not 1 <= w <= 3 or _symmetric(s):  # raises on a bad w; else every region reads as the register
         return n if correlation_strength_w(s, range(n), w).value > delta else 1
+    marginals = {a: _rdm(s, a) for a in combinations(range(n), w)}
+    weak = []  # qubit masks of the pairs reading <= delta
+    for pairs in _batches(tuple(range(n)), w):
+        table = np.abs(_pauli_tables(_connected(s, pairs, marginals), w)).reshape(len(pairs), -1)
+        weak += [sum(1 << q for q in a1 + a2) for (a1, a2), v in zip(pairs, table.max(axis=1)) if not v > delta]
     for size in range(n, 2 * w - 1, -1):
         for region in combinations(range(n), size):
-            if correlation_strength_w(s, region, w).value > delta:
+            inside = sum(1 << q for q in region)
+            if all(m & ~inside for m in weak):
                 return size
     return 1
 

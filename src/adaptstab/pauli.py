@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,63 +265,65 @@ def format_pauli(p: PauliOperator) -> str:
 
 
 class GF2Elimination:
-    """Fully reduced row echelon form of a GF(2) matrix that grows by rows.
+    """Row echelon form of a GF(2) matrix that grows by rows.
 
-    A new row is reduced by the pivot rows; if anything is left it pivots on
-    its lowest set bit, which is then cleared from every other pivot row.
-    Each pivot row carries a tag: the mask of input rows (bit ``i`` for the
-    ``i``-th row added) whose XOR it is.  The reduced rows never depend on a
-    right-hand side, so ``M x = b`` is read from the tags for any ``b``
-    without eliminating again.  ``holders`` maps each free column to the
-    mask of pivot rows that have it set, so clearing a new pivot touches only
-    those rows.  A reduced row's lowest set bit is its pivot column.
+    A new row is reduced by the row of its lowest set pivot column until no
+    pivot column is left; the rest pivots on its lowest set bit, and no row
+    already held changes.  Each row carries a tag: the mask of input rows
+    (bit ``i`` for the ``i``-th added) whose XOR it is, so ``M x = b`` is
+    read for any ``b`` by one back substitution, highest pivot first, and
+    bit-parallel over right-hand sides (``columns``).
     """
 
     def __init__(self, cols: int, rows: Iterable[int] = ()):
         self.cols = cols
-        self.pivots: dict[int, int] = {}  # column -> index into reduced
+        self.pivots: dict[int, int] = {}  # column -> index into rows
         self.pivot_mask = 0
-        self.reduced: list[int] = []
+        self.rows: list[int] = []  # in the order they pivoted; lowest set bit is the pivot
         self.tags: list[int] = []
-        self.holders: dict[int, int] = {}  # free column -> mask of reduced rows with it
         self.dependencies: list[int] = []  # tags of input combinations that vanish
         self.added = 0
         for row in rows:
             self.add(row)
 
     def add(self, row: int) -> int:
-        """Add ``row``.  Returns the null vector, before this row, of the new
-        pivot column: that column plus the pivot columns whose rows carried
-        it (the rows cleared below).  Returns 0 when the row is dependent."""
+        """Add ``row``.  Returns the tag of what is left of it once reduced,
+        or 0 when nothing is (the row is dependent)."""
         tag = 1 << self.added
         self.added += 1
-        # Pivot rows are fully reduced, so clearing one pivot column leaves
-        # the row's other pivot columns alone.
-        hits = row & self.pivot_mask
-        while hits:
-            idx = self.pivots[(hits & -hits).bit_length() - 1]
-            row ^= self.reduced[idx]
-            tag ^= self.tags[idx]
-            hits &= hits - 1
+        pivots, rows, tags = self.pivots, self.rows, self.tags
+        while hits := row & self.pivot_mask:
+            idx = pivots[(hits & -hits).bit_length() - 1]
+            row ^= rows[idx]
+            tag ^= tags[idx]
         if row == 0:
             self.dependencies.append(tag)
             return 0
-        low = null = row & -row
-        col, new = low.bit_length() - 1, len(self.reduced)
-        hits = self.holders.pop(col, 0)
-        for idx in _bits(hits):
-            r = self.reduced[idx]
-            self.reduced[idx] = r ^ row
-            self.tags[idx] ^= tag
-            null |= r & -r
-        # The rows in hits flip on every other column of row; the new row holds them all.
-        for c in _bits(row ^ low):
-            self.holders[c] = self.holders.get(c, 0) ^ hits ^ 1 << new
-        self.pivots[col] = new
+        low = row & -row
+        pivots[low.bit_length() - 1] = len(rows)
         self.pivot_mask |= low
-        self.reduced.append(row)
-        self.tags.append(tag)
-        return null
+        rows.append(row)
+        tags.append(tag)
+        return tag
+
+    def _back_substitute(self, entries: list[int], over: int) -> list[int]:
+        """Fix the pivot columns of ``entries`` (bit-parallel over solutions),
+        highest first: each takes in the entries of the other columns in
+        ``over`` its row holds, so the row meets each solution as its
+        pivot column's starting entry says."""
+        for col in sorted(self.pivots, reverse=True):
+            idx = self.pivots[col]
+            for c in _bits(self.rows[idx] & over ^ 1 << col):
+                entries[col] ^= entries[c]
+        return entries
+
+    def columns(self, mask: int) -> list[int]:
+        """Bit j of entry c is column c of the solution of ``M x = e_j``, free
+        columns zero, for each input row j in ``mask`` (e_j consistent)."""
+        entries = [0] * self.cols
+        for col, idx in self.pivots.items():
+            entries[col] = self.tags[idx] & mask
+        return self._back_substitute(entries, self.pivot_mask)
 
     def solve(self, rhs: int) -> int | None:
         """Solution of ``M x = b`` with every free column zero, or None when
@@ -329,56 +331,16 @@ class GF2Elimination:
         ``i``-th row added."""
         if any((dep & rhs).bit_count() & 1 for dep in self.dependencies):
             return None
-        x = 0
-        for col, idx in self.pivots.items():
-            if (self.tags[idx] & rhs).bit_count() & 1:
-                x |= 1 << col
-        return x
-
-    def solve_chain(self, count: int, row_of: Callable[[int], int]) -> list[int]:
-        """Solutions x_0 .. x_{count-1}, free columns zero, where x_i solves
-        ``M x = e_i`` once the rows ``row_of(x_0)`` .. ``row_of(x_{i-1})``
-        have joined M.  The rows must stay independent.
-
-        Every x_j is read from the tags by one transpose.  When row r joins
-        with null vector w (see ``add``), each later x_j with r.x_j = 1
-        becomes x_j ^ w: that still meets the earlier equations and is zero
-        on every column still free, and now meets r, so it is the new
-        free-zero solution.  The solutions are also kept by column, so the
-        x_j that meet r are found from r's columns alone.
-        """
-        if self.dependencies:
-            raise ValueError("rows are dependent")
-        rhs = (1 << count) - 1
-        # by_column[c] has bit j when x_j has column c
-        by_column = [self.tags[self.pivots[c]] & rhs if c in self.pivots else 0 for c in range(self.cols)]
-        sols = _transpose(by_column, count)
-        for i in range(count):
-            row = row_of(sols[i])
-            null = self.add(row)
-            if not null:
-                raise ValueError(f"row {i} of the chain is dependent")
-            meets = 0
-            for c in _bits(row):
-                meets ^= by_column[c]
-            meets &= -2 << i  # the later solutions
-            for j in _bits(meets):
-                sols[j] ^= null
-            for c in _bits(null):
-                by_column[c] ^= meets
-        return sols
+        return sum((v.bit_count() & 1) << c for c, v in enumerate(self.columns(rhs)))
 
     def null_basis(self) -> list[int]:
-        """One null-space vector per free column, in column order."""
-        basis = []
-        for col in range(self.cols):
-            if col in self.pivots:
-                continue
-            vec = 1 << col
-            for idx in _bits(self.holders.get(col, 0)):
-                vec |= self.reduced[idx] & -self.reduced[idx]
-            basis.append(vec)
-        return basis
+        """One null-space vector per free column, in column order: 1 on its
+        column, 0 on the other free columns."""
+        free = [c for c in range(self.cols) if not self.pivot_mask >> c & 1]
+        entries = [0] * self.cols
+        for k, c in enumerate(free):
+            entries[c] = 1 << k
+        return _transpose(self._back_substitute(entries, -1), len(free))
 
 
 @dataclass
@@ -400,7 +362,7 @@ class GF2Solution:
 
 def gf2_rank(m: Sequence[int], cols: int | None = None) -> int:
     """Rank of the rows ``m`` (``cols`` does not change it)."""
-    return len(GF2Elimination(cols or 0, m).reduced)
+    return len(GF2Elimination(cols or 0, m).pivots)
 
 
 def gf2_solve(m: Sequence[int], b: Sequence[int], cols: int) -> GF2Solution | None:

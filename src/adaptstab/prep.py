@@ -40,9 +40,9 @@ from .pauli import GF2Elimination, PauliOperator, _bits, _transpose, format_paul
 from .tableau import (
     StabilizerTableau,
     _anticommuting,
+    _from_stabilizers,
     _raise_anticommuting,
     apply_gate,
-    from_stabilizers,
     generator_product,
     is_stabilized_by,
     states_equal,
@@ -566,9 +566,7 @@ def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
         span.add(reduce(xor, (code.checks[i].x for i in _bits(lam)), 0))
     logicals = []
     for d in elim.null_basis():
-        rank = len(span.reduced)
-        span.add(d)
-        if len(span.reduced) > rank:
+        if span.add(d):
             logicals.append(PauliOperator(n, d, 0))
         if len(logicals) == code.k:
             break
@@ -579,27 +577,25 @@ def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
     return logicals
 
 
-def _correction_layers(gens: list[PauliOperator], t: int, n: int) -> list[list[Gate]]:
+def _correction_layers(columns: Sequence[int], t: int, n: int) -> list[list[Gate]]:
     """Compile outcome-dependent corrections into parity-conditioned gates.
 
     The correction Pauli solves a linear system whose right-hand side is the
-    syndrome vector, so it is GF(2)-linear in the outcome bits.  One
-    elimination answers every syndrome at once: bit j of the tag of the row
-    pivoting on column c is bit c of ``solve(1 << j)``, and a free column
-    reads zero, so each column's tag is the parity set of its correction.
-    Each qubit then carries at most one X/Y gate and one Z gate, each
-    conditioned on a parity of syndrome bits; a second layer appears only
-    when some qubit needs X- and Z-corrections with different parity sets.
+    syndrome vector, so it is GF(2)-linear in the outcome bits.  The
+    elimination ``tableau._from_stabilizers`` runs answers every syndrome at
+    once: bit j of ``columns[c]`` is column c of the solution for syndrome
+    bit j alone (free columns zero), so each column's bits below t are the
+    parity set of its correction.  Each qubit then carries at most one X/Y
+    gate and one Z gate, each conditioned on a parity of syndrome bits; a
+    second layer appears only when some qubit needs X- and Z-corrections
+    with different parity sets.
     """
-    elim = GF2Elimination(2 * n, (g.z | (g.x << n) for g in gens))
     syndrome = (1 << t) - 1
-    if any(dep & syndrome for dep in elim.dependencies):
-        raise ValueError("correction system inconsistent; generators corrupted")
-    parity = {col: tuple(_bits(elim.tags[idx] & syndrome)) for col, idx in elim.pivots.items()}
+    parity = [tuple(_bits(c & syndrome)) for c in columns]
     first: list[Gate] = []
     second: list[Gate] = []
     for q in range(n):
-        jx, jz = parity.get(q, ()), parity.get(n + q, ())
+        jx, jz = parity[q], parity[n + q]
         if jx and jx == jz:
             first.append(Gate("Y", (q,), cond=Condition(jx, 1)))
             continue
@@ -660,12 +656,12 @@ def prepare_state(
     if len(gens) != n:
         raise ValueError(f"need n={n} generators, got {len(gens)}")
 
-    target = from_stabilizers(gens)  # rejects dependent or anticommuting generators
+    target, columns = _from_stabilizers(gens)  # rejects dependent or anticommuting generators
     frag = synthesize_measurement_circuit(measured, n, schedule=schedule)
     t = len(s1)
     layers = [list(layer) for layer in phi_layers]
     layers.extend(frag.circuit.layers)
-    layers.extend(_correction_layers(gens, t, n))
+    layers.extend(_correction_layers(columns, t, n))
     return AdaptiveCircuit(n + t, t, layers), target
 
 

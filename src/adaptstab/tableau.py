@@ -11,18 +11,20 @@ is generator i, bit n + i destabilizer i).  Each row's i-exponent e (the phase
 of its X-before-Z form, see ``pauli``) is kept mod 4 in the planes ``e0`` (low
 bit) and ``e1`` (high bit), so non-hermitian rows keep their exact phase.
 A gate costs a few big-int operations on its qubits' planes, whatever n is.
-Measuring p finds the anticommuting rows as one mask in O(weight(p))
-operations; a random outcome then costs O(n), a deterministic one O(n) plus
-one O(log n) prefix XOR.  ``generators`` and ``destabilizers`` are read-only
-tuples of :class:`PauliOperator`, built on demand by one transpose and cached
-until the next in-place change.  ``factor_out_qubits`` removes any set of
-measured qubits in one pass: one transpose to rows, row products on the
-selected rows only, one transpose back.  ``from_stabilizers`` reads every
-destabilizer from one GF(2) elimination (``GF2Elimination.solve_chain``).
-``states_equal`` and ``validate_tableau`` compare a whole generator set in
-one pass over the column planes (``_match_products``): O(weight) big-int
-operations, bit-parallel over the generators, one transpose, and no row
-views; ``validate_tableau`` builds the views only to name a failure.
+Measurements run on packed rows x | z << n | e << 2n, as in Stim: a random
+outcome multiplies only the anticommuting rows by the pivot.  A run of Z
+measurements (``_measure_z_run``) transposes once each way and keeps
+current only the X columns still to measure.  ``generators`` and
+``destabilizers`` are read-only tuples of :class:`PauliOperator`, built on
+demand by one transpose and cached until the next in-place change.
+``factor_out_qubits`` removes any set of measured qubits in one pass: one
+transpose to rows, row products on the selected rows only, one transpose
+back.  ``from_stabilizers`` reads every destabilizer from one GF(2)
+elimination and one highest-bit pass over the generators.  ``states_equal``
+and ``validate_tableau`` compare a whole generator set in one pass over the
+column planes (``_match_products``): O(weight) big-int operations,
+bit-parallel over the generators, one transpose, and no row views;
+``validate_tableau`` builds the views only to name a failure.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -41,10 +43,10 @@ from .pauli import (
     _bits,
     _transpose,
     format_pauli,
-    from_bits,
     gf2_rank,
     gf2_solve,
     parse_pauli,
+    single_site,
 )
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "measure_pauli",
     "generator_product",
     "sign_form",
-    "measure_form",
     "apply_pauli_form",
     "is_stabilized_by",
     "states_equal",
@@ -173,39 +174,34 @@ def _add_exponent(t: StabilizerTableau, mask: int, k: int) -> None:
         t.e1 ^= mask
 
 
-def _row(t: StabilizerTableau, r: int) -> tuple[int, int, int]:
-    """(x, z, e) of row ``r``, read off the planes."""
-    x = z = 0
-    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
-        x |= (cx >> r & 1) << q
-        z |= (cz >> r & 1) << q
-    return x, z, (t.e0 >> r & 1) | (t.e1 >> r & 1) << 1
+def _to_rows(t: StabilizerTableau) -> list[int]:
+    """Row r of ``t`` packed as x | z << n | e << 2n, by one transpose."""
+    return _transpose([*t.xs, *t.zs, t.e0, t.e1], 2 * t.n)
 
 
-def _xor_row(t: StabilizerTableau, r: int, x: int, z: int, e: int) -> None:
-    """XOR the bits (x, z, e) into row ``r``, touching only their support."""
-    bit = 1 << r
-    for q in _bits(x):
-        t.xs[q] ^= bit
-    for q in _bits(z):
-        t.zs[q] ^= bit
-    if e & 1:
-        t.e0 ^= bit
-    if e & 2:
-        t.e1 ^= bit
+def _from_rows(t: StabilizerTableau, rows: Sequence[int]) -> None:
+    """Write packed rows back into the planes of ``t``, by one transpose."""
+    planes = _transpose(rows, 2 * t.n + 2)
+    t.xs, t.zs, t.e0, t.e1, t._rows = planes[: t.n], planes[t.n : -2], planes[-2], planes[-1], None
 
 
-def _multiply_rows(t: StabilizerTableau, mask: int, x: int, z: int, e: int) -> None:
-    """Right-multiply every row in ``mask`` by the Pauli with bits (x, z, e)."""
-    xs, zs = t.xs, t.zs
-    odd = 0  # rows whose Z part meets the factor's X part an odd number of times
-    for q in _bits(x):
-        odd ^= zs[q]
-        xs[q] ^= mask
-    for q in _bits(z):
-        zs[q] ^= mask
-    t.e1 ^= odd & mask
-    _add_exponent(t, mask, e)
+def _times(a: int, b: int, n: int) -> int:
+    """Product a * b of two packed rows x | z << n | e << 2n."""
+    odd = (a >> n & b & ((1 << n) - 1)).bit_count() & 1  # a's Z meets b's X
+    return (a ^ b) & ((1 << 2 * n) - 1) | ((a >> 2 * n) + (b >> 2 * n) + 2 * odd & 3) << 2 * n
+
+
+def _collapse(rows: list[int], n: int, anti: int, new: int) -> tuple[int, int, int]:
+    """A random outcome on packed rows: every other row in ``anti`` (those
+    anticommuting with the measured Pauli) is multiplied by its lowest
+    generator, the pivot, whose destabilizer becomes it and which becomes
+    ``new``.  Returns (pivot, its old row, its old destabilizer)."""
+    pivot = (anti & -anti).bit_length() - 1
+    p, d = rows[pivot], rows[n + pivot]
+    for r in _bits(anti & ~(1 << pivot | 1 << (n + pivot))):
+        rows[r] = _times(rows[r], p, n)
+    rows[pivot], rows[n + pivot] = new, p
+    return pivot, p, d
 
 
 def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
@@ -253,7 +249,7 @@ def conjugate_pauli(
         p.n, [p.x >> q & 1 for q in range(p.n)], [p.z >> q & 1 for q in range(p.n)], p.e & 1, p.e >> 1
     )
     apply_gate(one, name, qubits, pauli)
-    return PauliOperator.from_exponent(p.n, *_row(one, 0))
+    return one.generators[0]
 
 
 def check_gate(name: str, n_qubits: int) -> None:
@@ -345,13 +341,6 @@ def measure_pauli(
     n = t.n
     anti = _anticommuting(t.xs, t.zs, p)
     if anti & ((1 << n) - 1):
-        # The lowest anticommuting generator is the pivot; every other
-        # anticommuting row is multiplied by it.
-        pivot = (anti & -anti).bit_length() - 1
-        d = n + pivot  # its destabilizer, overwritten below
-        x, z, e = _row(t, pivot)
-        _multiply_rows(t, anti & ~(1 << pivot | 1 << d), x, z, e)
-        t._rows = None
         if forced is not None:
             outcome = int(forced)
             if outcome not in (1, -1):
@@ -360,13 +349,9 @@ def measure_pauli(
             if rng is None:
                 raise ValueError("random measurement outcome requires an rng")
             outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-        # The destabilizer becomes the old pivot generator, and the pivot
-        # generator becomes outcome * p.
-        keep = ~(1 << d)
-        t.xs, t.zs = [c & keep for c in t.xs], [c & keep for c in t.zs]
-        t.e0, t.e1 = t.e0 & keep, t.e1 & keep
-        _xor_row(t, d, x, z, e)
-        _xor_row(t, pivot, x ^ p.x, z ^ p.z, e ^ (p.e if outcome == 1 else p.e + 2) & 3)
+        rows = _to_rows(t)
+        _collapse(rows, n, anti, p.x | p.z << n | (p.e if outcome == 1 else p.e + 2) % 4 << 2 * n)
+        _from_rows(t, rows)
         return outcome, False, t
     # Deterministic: p commutes with the whole group, so +-p is in it.
     form = sign_form(t, (), p)
@@ -408,27 +393,65 @@ def sign_form(t: StabilizerTableau, forms: Sequence[int], p: PauliOperator) -> i
     return form
 
 
-def measure_form(t: StabilizerTableau, forms: list[int], p: PauliOperator) -> int:
-    """Measure hermitian ``p`` on every branch at once; returns the outcome's form.
+def _measure_z_run(
+    t: StabilizerTableau,
+    qubits: Sequence[int],
+    forms: list[int] | None = None,
+    forced: Sequence[int] | None = None,
+    rng: np.random.Generator | None = None,
+) -> list[int]:
+    """Measure Z on each of the distinct ``qubits`` in turn; returns each
+    outcome's form (a concrete outcome is the constant 0 for +1, 1 for -1).
 
-    A random outcome is a fresh variable, which becomes the pivot generator's
-    form; the other anticommuting generators, multiplied by the pivot, XOR in
-    the pivot's form.  A deterministic outcome is the form of the generator
-    product that gives +-p.
+    With an ``rng`` a random outcome is ``forced[k]`` when given, else one
+    draw, and an impossible forced deterministic one raises
+    :class:`ContradictionError`.  Without one a random outcome is a fresh
+    variable: the new pivot's form, XORed into the forms of the other
+    anticommuting generators.  One transpose each way; in between only the
+    X columns of the qubits still to measure, their anticommuting rows, are
+    kept current.  A deterministic outcome is the product of the generators
+    the destabilizers select.
     """
-    gens = _anticommuting(t.xs, t.zs, p) & ((1 << t.n) - 1)
-    if not gens:
-        form = sign_form(t, forms, p)
-        if form is None:
-            raise AssertionError("commuting Pauli outside the group; tableau corrupt")
-        return form
-    measure_pauli(t, p, forced=1)  # the constant part
-    pivot = gens & -gens
-    for v, plane in enumerate(forms):
-        if plane & pivot:
-            forms[v] = plane ^ gens
-    forms.append(pivot)
-    return 1 << len(forms)
+    n = t.n
+    gens = (1 << n) - 1
+    rows = _to_rows(t)
+    xcol = {q: t.xs[q] for q in qubits}  # rows with X on a qubit still to measure
+    pending = sum(1 << q for q in xcol)
+    out = []
+    for k, q in enumerate(qubits):
+        anti = xcol.pop(q)
+        pending ^= 1 << q
+        if g := anti & gens:
+            if rng is None:  # the new pivot's constant sign is +
+                forms[:] = [plane ^ g if plane & g & -g else plane for plane in forms] + [g & -g]
+                form, sign = 1 << len(forms), 0
+            else:
+                form = sign = int(rng.integers(0, 2)) if forced is None else forced[k]
+            pivot, p, d = _collapse(rows, n, anti, 1 << (n + q) | sign << (2 * n + 1))
+            # Rows multiplied by p flip on p's X columns; the pivot drops
+            # them and its destabilizer changes from d's to p's.
+            for c in _bits(p & pending):
+                xcol[c] ^= anti & ~(1 << (n + pivot))
+            for c in _bits((p ^ d) & pending):
+                xcol[c] ^= 1 << (n + pivot)
+        else:
+            sel, prod = anti >> n, 0
+            for i in _bits(sel):
+                prod = _times(prod, rows[i], n)
+            if prod & ~(-1 << 2 * n) != 1 << (n + q):
+                raise AssertionError("commuting Pauli outside the group; tableau corrupt")
+            form = int(prod >> 2 * n != 0)
+            if rng is None:
+                for v, plane in enumerate(forms):
+                    form |= ((plane & sel).bit_count() & 1) << (v + 1)
+            elif forced is not None and forced[k] != form:
+                raise ContradictionError(
+                    f"measurement of {format_pauli(single_site(n, q, 'Z'))} is deterministic "
+                    f"({1 - 2 * form:+d}); cannot force {1 - 2 * forced[k]:+d}"
+                )
+        out.append(form)
+    _from_rows(t, rows)
+    return out
 
 
 def apply_pauli_form(t: StabilizerTableau, forms: list[int], name: str, qubits: Sequence[int], form: int) -> None:
@@ -539,7 +562,7 @@ def states_equal(t1: StabilizerTableau, t2: StabilizerTableau) -> bool:
     # earlier one is already wrong.
     odd = _non_hermitian(t1) & ((wrong & -wrong) * 2 - 1 if wrong else full)
     if odd:
-        g = PauliOperator.from_exponent(n, *_row(t1, (odd & -odd).bit_length() - 1))
+        g = t1.generators[(odd & -odd).bit_length() - 1]
         raise ValueError(f"generator {format_pauli(g)} is not hermitian")
     return not wrong
 
@@ -593,12 +616,28 @@ def _check_widths(gens: Sequence[PauliOperator], n: int) -> None:
 def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     """Build a tableau from n independent commuting hermitian generators.
 
-    Destabilizers come from one GF(2) elimination of the symplectic
-    constraints.  Destabilizer i is the solution, free columns zero, that
-    anticommutes with generator i alone and commutes with the destabilizers
-    before it; its row then joins the elimination (``solve_chain``).  Their
-    phases are fixed to display sign +1.  The pairing holds by construction,
-    so the only commutation scan is the one over the generators.
+    Destabilizer i is the solution of ``M x = e_i``, free columns zero, where
+    M holds the symplectic constraints of the generators and of the
+    destabilizers before i (see ``_from_stabilizers``); display sign +1.
+    """
+    return _from_stabilizers(gens)[0]
+
+
+def _from_stabilizers(gens: Sequence[PauliOperator]) -> tuple[StabilizerTableau, list[int]]:
+    """``from_stabilizers``, plus ``columns``: bit j of ``columns[c]`` is
+    column c of the solution over the generators alone (``M x = e_j`` before
+    any destabilizer joins), free columns zero.
+
+    Every x_j starts as that solution (``GF2Elimination.columns``, then one
+    transpose).  When destabilizer i joins with new pivot column p, each
+    later x_j that meets its row takes the null vector of M at column p (1 on
+    p, 0 on the other free columns).  The x_j it meets are the generators in
+    the tag of its reduced row: x_j meets each input row as ``e_j`` says and
+    is zero on the free columns where the reduced row lies.  The vectors
+    meeting no generator and no destabilizer before i are the span of
+    generators i..n-1, whose free columns are its highest bits, so the null
+    vectors come from reducing each generator by those after it, highest
+    bit first.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -620,14 +659,24 @@ def from_stabilizers(gens: Sequence[PauliOperator]) -> StabilizerTableau:
     xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
     _raise_anticommuting(gens, _anticommuting_masks(xs, zs, xs, zs, n), "generators")
     low = (1 << n) - 1
-    sols = elim.solve_chain(n, lambda v: v >> n | (v & low) << n)
-    return StabilizerTableau(n, gens, [from_bits(n, v & low, v >> n, 1) for v in sols])
-
-
-def _times(a: int, b: int, n: int) -> int:
-    """Product a * b of two packed rows x | z << n | e << 2n."""
-    odd = (a >> n & b & ((1 << n) - 1)).bit_count() & 1  # a's Z meets b's X
-    return (a ^ b) & ((1 << 2 * n) - 1) | ((a >> 2 * n) + (b >> 2 * n) + 2 * odd & 3) << 2 * n
+    columns = elim.columns(low)
+    sols = _transpose(columns, n)
+    nulls, basis, tops = [0] * n, {}, 0
+    for i in reversed(range(n)):
+        u = gens[i].x | gens[i].z << n
+        while hits := u & tops:
+            u ^= basis[hits.bit_length() - 1]
+        basis[u.bit_length() - 1] = nulls[i] = u
+        tops |= 1 << (u.bit_length() - 1)
+    for i in range(n - 1):
+        v = sols[i]
+        for j in _bits(elim.add(v >> n | (v & low) << n) & low & -2 << i):
+            sols[j] ^= nulls[i]
+    ds = _transpose(sols, 2 * n)  # destabilizer planes, each with display sign +1
+    es = [g.e for g in gens] + [(v & v >> n & low).bit_count() & 3 for v in sols]
+    e0, e1 = (sum((e >> b & 1) << i for i, e in enumerate(es)) for b in (0, 1))
+    xs, zs = [a | b << n for a, b in zip(xs, ds)], [a | b << n for a, b in zip(zs, ds[n:])]
+    return StabilizerTableau._from_planes(n, xs, zs, e0, e1), columns
 
 
 def factor_out_qubits(t: StabilizerTableau, qs: Iterable[int]) -> StabilizerTableau:
@@ -650,7 +699,7 @@ def factor_out_qubits(t: StabilizerTableau, qs: Iterable[int]) -> StabilizerTabl
             raise ValueError(f"qubit {q} out of range for n={n}")
         if q == prev:
             raise ValueError(f"qubit {q} repeated")
-    rows = _transpose([*t.xs, *t.zs, t.e0, t.e1], 2 * n)  # row r: x | z << n | e << 2n
+    rows = _to_rows(t)
     xcol = {q: t.xs[q] >> n for q in order}  # destabilizers with X on q
     pending = sum(1 << q for q in order)  # measured columns not reached yet
     removed = gone = 0  # pivots and columns dropped so far

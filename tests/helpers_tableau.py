@@ -1,9 +1,10 @@
-"""Tableau builders shared by test modules."""
+"""Tableau builders shared by test modules, and the plane measurement oracle."""
 
 from __future__ import annotations
 
-from adaptstab.pauli import PauliOperator
-from adaptstab.tableau import StabilizerTableau
+from adaptstab.errors import ContradictionError
+from adaptstab.pauli import PauliOperator, _bits, format_pauli
+from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, sign_form
 
 
 def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
@@ -47,3 +48,98 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
         if pivot_row == n:
             break
     return StabilizerTableau(n, gens, destabs)
+
+
+# -- the per-measurement plane path, kept as an oracle ---------------------------
+#
+# ``measure_pauli`` once read the pivot row off the planes bit by bit, cleared
+# the destabilizer row across every plane and XORed the new rows back in, one
+# measurement at a time; ``measure_form`` built on it.  Measurement runs now
+# go through ``tableau._measure_z_run`` on packed rows.
+
+
+def plane_row(t: StabilizerTableau, r: int) -> tuple[int, int, int]:
+    """(x, z, e) of row ``r``, read off the planes."""
+    x = z = 0
+    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
+        x |= (cx >> r & 1) << q
+        z |= (cz >> r & 1) << q
+    return x, z, (t.e0 >> r & 1) | (t.e1 >> r & 1) << 1
+
+
+def _xor_row(t: StabilizerTableau, r: int, x: int, z: int, e: int) -> None:
+    bit = 1 << r
+    for q in _bits(x):
+        t.xs[q] ^= bit
+    for q in _bits(z):
+        t.zs[q] ^= bit
+    if e & 1:
+        t.e0 ^= bit
+    if e & 2:
+        t.e1 ^= bit
+
+
+def plane_multiply_rows(t: StabilizerTableau, mask: int, x: int, z: int, e: int) -> None:
+    """Right-multiply every row in ``mask`` by the Pauli with bits (x, z, e)."""
+    xs, zs = t.xs, t.zs
+    odd = 0
+    for q in _bits(x):
+        odd ^= zs[q]
+        xs[q] ^= mask
+    for q in _bits(z):
+        zs[q] ^= mask
+    t.e1 ^= odd & mask
+    _add_exponent(t, mask, e)
+
+
+def plane_measure_pauli(t: StabilizerTableau, p: PauliOperator, forced=None, rng=None):
+    """``measure_pauli`` as it was, one measurement on the planes."""
+    if not p.hermitian:
+        raise ValueError(f"{format_pauli(p)} is not hermitian")
+    n = t.n
+    anti = _anticommuting(t.xs, t.zs, p)
+    if anti & ((1 << n) - 1):
+        pivot = (anti & -anti).bit_length() - 1
+        d = n + pivot
+        x, z, e = plane_row(t, pivot)
+        plane_multiply_rows(t, anti & ~(1 << pivot | 1 << d), x, z, e)
+        t._rows = None
+        if forced is not None:
+            outcome = int(forced)
+            if outcome not in (1, -1):
+                raise ValueError("forced outcome must be +1 or -1")
+        else:
+            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
+        keep = ~(1 << d)
+        t.xs, t.zs = [c & keep for c in t.xs], [c & keep for c in t.zs]
+        t.e0, t.e1 = t.e0 & keep, t.e1 & keep
+        _xor_row(t, d, x, z, e)
+        _xor_row(t, pivot, x ^ p.x, z ^ p.z, e ^ (p.e if outcome == 1 else p.e + 2) & 3)
+        return outcome, False, t
+    form = sign_form(t, (), p)
+    if form is None:
+        raise AssertionError("commuting Pauli outside the group; tableau corrupt")
+    outcome = 1 - 2 * form
+    if forced is not None and int(forced) != outcome:
+        raise ContradictionError(
+            f"measurement of {format_pauli(p)} is deterministic ({outcome:+d}); "
+            f"cannot force {int(forced):+d}"
+        )
+    return outcome, True, t
+
+
+def plane_measure_form(t: StabilizerTableau, forms: list[int], p: PauliOperator) -> int:
+    """``measure_form`` as it was, on ``plane_measure_pauli``."""
+    gens = _anticommuting(t.xs, t.zs, p) & ((1 << t.n) - 1)
+    if not gens:
+        form = sign_form(t, forms, p)
+        if form is None:
+            raise AssertionError("commuting Pauli outside the group; tableau corrupt")
+        return form
+    plane_measure_pauli(t, p, forced=1)
+    pivot = gens & -gens
+    for v, plane in enumerate(forms):
+        if plane & pivot:
+            forms[v] = plane ^ gens
+    forms.append(pivot)
+    return 1 << len(forms)

@@ -6,10 +6,17 @@ as the JSON run report and stderr as the human summary.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptstab import circuit, metrics, prep
 from adaptstab.circuit import from_json as circuit_from_json
@@ -516,6 +523,79 @@ def test_lightcone_missing_circuit_file_reports_error(capsys, tmp_path):
     }
     assert "nonexistent.json" in report["error"]["message"]
     assert "error" in err
+
+
+# -- malformed circuit JSON --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("m", lambda d: d.update(m=float(d["m"]))),
+        ("cbits", lambda d: d.update(cbits=True)),
+        ("qubit", lambda d: d["layers"][3][0].update(qubit=4.0)),
+        ("cbit", lambda d: d["layers"][3][0].update(cbit=False)),
+        ("qubits", lambda d: d["layers"][1][0].update(qubits=[0, True])),
+        ("cond.bits", lambda d: d["layers"][4][0]["cond"].update(bits=[0.0])),
+        ("cond.xor", lambda d: d["layers"][4][0]["cond"].update(xor=True)),
+    ],
+)
+def test_circuit_from_json_rejects_non_integer_fields(field, edit):
+    doc = json.loads(circuit_to_json(ghz_adaptive(4, 2, 2)))
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^circuit field '{re.escape(field)}' must be an integer, got "):
+        circuit_from_json(json.dumps(doc))
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.floats(-3, 12),
+    st.text("MZXHCNOTP", max_size=4),
+    st.none(),
+    st.lists(st.integers(-2, 8), max_size=3),
+    st.just({}),
+)
+
+
+def _slots(node):
+    """(container, key) of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated_circuits(draw):
+    """Circuit JSON of a small adaptive GHZ circuit with a few values
+    replaced by other JSON values, or deleted."""
+    doc = json.loads(circuit_to_json(ghz_adaptive(4, 2, 2)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        if draw(st.booleans()):
+            container[key] = draw(_JSON_VALUES)
+        else:
+            del container[key]
+    return json.dumps(doc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_circuits())
+def test_mutated_circuit_json_gets_one_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, tpath = Path(tmp) / "circuit.json", Path(tmp) / "target.json"
+        cpath.write_text(text)
+        tpath.write_text(json.dumps(tableau_to_json(ghz_state(4))))
+        for argv in (["bounds", "--circuit", str(cpath), "--target", str(tpath)], ["lightcone", "--circuit", str(cpath), "--from", "0"]):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            report = json.loads(out.getvalue())
+            assert code in (0, 1, 2), (argv, report)
+            if "error" in report:
+                assert code == 1 and report["error"]["kind"] != "AssertionError", report
 
 
 # -- report contract ---------------------------------------------------------------

@@ -316,7 +316,9 @@ def test_prepare_state_matches_per_solve_paths(monkeypatch, name):
     code = builtin_code(name)
     circuit, target = prepare_state(code)
     with monkeypatch.context() as m:
-        m.setattr(prep, "from_stabilizers", per_row_from_stabilizers)
+        # The shared elimination's solutions reach the corrections as
+        # ``columns``; the per-solve oracles pass the generators instead.
+        m.setattr(prep, "_from_stabilizers", lambda gens: (per_row_from_stabilizers(gens), gens))
         m.setattr(prep, "_correction_layers", per_syndrome_correction_layers)
         m.setattr(prep, "build_tangling", pair_scan_tangling)
         m.setattr(prep, "x_type_logicals", transpose_solve_logicals)
@@ -338,13 +340,12 @@ def test_from_stabilizers_matches_per_row_solve_property(n, seed):
     assert to_json(from_stabilizers(gens)) == to_json(per_row_from_stabilizers(gens))
 
 
-def test_correction_layers_reject_dependency_on_syndrome_bits():
-    z0 = single_site(2, 0, "Z")
-    with pytest.raises(ValueError, match="^correction system inconsistent; generators corrupted$"):
-        prep._correction_layers([z0, z0], 1, 2)
-    # A dependency among the unmeasured generators alone asks nothing of any syndrome.
-    gens = [single_site(2, 1, "Z"), z0, z0]
-    assert prep._correction_layers(gens, 1, 2) == per_syndrome_correction_layers(gens, 1, 2) != []
+def test_prepare_state_rejects_dependent_generators_before_corrections():
+    # The corrections are read off the elimination that completes the
+    # destabilizers, which rejects a dependent generator set first.
+    z0 = single_site(3, 0, "Z")
+    with pytest.raises(ValueError, match="^generators are dependent$"):
+        prepare_state(builtin_code("repetition(3)"), "explicit", s1=[z0, z0], s2=[z0], phi_layers=[])
 
 
 # -- builtin codes and gf2_rank -----------------------------------------------------
@@ -435,18 +436,18 @@ def test_prepare_state_eliminates_each_matrix_once(eliminations):
     code = builtin_code("toric(8)")
     n, t = code.n, code.t
     prepare_state(code)
-    # Five matrices, each eliminated once with one add per row:
+    # Four matrices, each eliminated once with one add per row:
     # - the checks' symplectic rows (the code's independence check, t rows);
     # - the checks' z-parts (X-type logical candidates, t rows);
     # - the pure-X span: 63 pure-X group elements (one per dependency of the
     #   z-parts), then candidates until the k = 2 logicals raise its rank (9);
-    # - the symplectic system completed into destabilizers (2n rows);
-    # - the correction system (n rows).
+    # - the symplectic system completed into destabilizers (n generator rows,
+    #   then n - 1 destabilizer rows: the last meets no later destabilizer).
     # Nothing solves: the destabilizers are read from the tags once and
     # updated as each joins, and the corrections read every syndrome from
-    # the tags.
-    assert eliminations == {"eliminations": 5, "rows": t + t + 63 + 9 + 2 * n + n, "solves": 0}
-    assert (n, eliminations["rows"]) == (128, 708)
+    # the same tags.
+    assert eliminations == {"eliminations": 4, "rows": t + t + 63 + 9 + 2 * n - 1, "solves": 0}
+    assert (n, eliminations["rows"]) == (128, 579)
 
 
 # -- bit transpose --------------------------------------------------------------

@@ -536,6 +536,29 @@ def test_correlation_range_w_matches_pair_scan(name):
             assert mt.correlation_range_w(s, w, delta) == old_correlation_range_w(s, w, delta)
 
 
+@pytest.mark.parametrize(
+    "make,delta",
+    [(lambda: from_tableau(random_stabilizer_state(10, 310)), 0.2), (lambda: _random_state(10, 5), 0.05)],
+    ids=["random10", "dense10"],
+)
+def test_correlation_range_w_matches_pair_scan_at_n10(make, delta):
+    # Asymmetric, so every region is scanned; each pair is evaluated once.
+    s = make()
+    assert not mt._symmetric(s)
+    assert mt.correlation_range_w(s, 1, delta) == old_correlation_range_w(s, 1, delta)
+
+
+def test_correlation_range_w_keeps_argument_errors():
+    # The errors the first region's correlation_strength_w call raised.
+    s = _DENSE["random8"]()
+    for w in (0, -1):
+        with pytest.raises(ValueError, match="^need w >= 1$"):
+            mt.correlation_range_w(s, w, 0.1)
+    with pytest.raises(ResourceGuardError, match="^pauli-enum supports w <= 3$"):
+        mt.correlation_range_w(s, 4, 0.1)
+    assert mt.correlation_range_w(s, 5, 0.1) == old_correlation_range_w(s, 5, 0.1) == 1
+
+
 def test_batches_hold_at_most_one_first_subset(monkeypatch):
     batches = []
     connected = mt._connected

@@ -119,3 +119,50 @@ def test_counterexample_string_replays_its_branch():
 def test_forced_of_wrong_length_or_value_raises(forced):
     with pytest.raises(ValueError, match="^forced needs 2 outcome bits, each 0 or 1$"):
         simulate(ghz_adaptive(6, 2, 2), forced=forced)
+
+
+# -- errors inside one measurement layer ---------------------------------------------------
+
+
+def _one_layer(ops, prep=()):
+    """Qubits 0 and 1 in a Bell pair, qubit 2 in |0>, the ``prep`` layers,
+    then ``ops`` as one layer; three classical bits."""
+    return AdaptiveCircuit(3, 3, [[Gate("H", (0,))], [Gate("CNOT", (0, 1))], *prep, list(ops)])
+
+
+_FLIP = [[Gate("X", (1,))]]  # qubit 1 then reads the opposite of qubit 0
+_WRITE0 = [[Measure(2, 0)]]  # bit 0 written before the layer
+
+# Each case's error, as the per-measurement walk raised it: a bad classical
+# bit or qubit before its own measurement, a classical bit written twice
+# after it, so a contradiction on that op or an earlier one comes first.
+_LAYER_ERRORS = [
+    ([], [Measure(0, 0), Measure(0, 1)], None, ValueError, "layer 2: qubit 0 measured a second time"),
+    ([], [Measure(0, 0), Measure(1, 5)], None, ValueError, "classical bit 5 out of range"),
+    ([], [Measure(0, 0), Measure(1, -1)], None, ValueError, "classical bit -1 out of range"),
+    ([], [Measure(0, 0), Measure(1, 0)], None, ValueError, "classical bit 0 written twice"),
+    ([], [Measure(2, 0), Measure(7, 1)], None, ValueError, "qubit 7 out of range for n=3"),
+    (_WRITE0, [Measure(1, 0)], None, ValueError, "classical bit 0 written twice"),
+    ([], [Measure(2, 0)], [1, 0, 0], ContradictionError, "measurement of +IIZ is deterministic (+1); cannot force -1"),
+    # qubit 1 is fixed by qubit 0's outcome, so forcing the other value contradicts
+    ([], [Measure(0, 0), Measure(1, 1)], [1, 0, 0], ContradictionError, "measurement of +IZI is deterministic (-1); cannot force +1"),
+    # the contradiction on op 0 comes before op 1's repeated qubit
+    ([], [Measure(2, 0), Measure(2, 1)], [1, 0, 0], ContradictionError, "measurement of +IIZ is deterministic (+1); cannot force -1"),
+    # op 0 fails its bit check before op 1's contradiction
+    ([], [Measure(0, 4), Measure(2, 0)], [1, 0, 0], ValueError, "classical bit 4 out of range"),
+    # op 1 writes bit 0 again, but its own forced outcome contradicts first
+    (_FLIP, [Measure(0, 0), Measure(1, 0)], [1, 0, 0], ContradictionError, "measurement of +IZI is deterministic (+1); cannot force -1"),
+    # op 1 writes bit 0 again with a possible outcome: the double write is the error
+    ([], [Measure(0, 0), Measure(1, 0)], [1, 0, 0], ValueError, "classical bit 0 written twice"),
+]
+
+
+@pytest.mark.parametrize("prep,ops,forced,error,message", _LAYER_ERRORS)
+def test_errors_inside_one_measure_layer(prep, ops, forced, error, message):
+    c = _one_layer(ops, prep)
+    kwargs = {"seed": 0} if forced is None else {"forced": forced}
+    with pytest.raises(error) as info:
+        simulate(c, **kwargs)
+    assert str(info.value) == message
+    if "range" not in message:  # the reference loop has no range checks of its own
+        assert _outcome(reference_simulate, c, **kwargs) == (error, message)

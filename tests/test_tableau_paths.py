@@ -12,7 +12,9 @@ check random adaptive circuits against dense state vectors and random
 qubit subsets against that chain.  ``states_equal`` and ``validate_tableau``
 compare whole generator sets in one plane pass; the per-generator
 ``is_stabilized_by`` loop and the view-based validation they replaced are
-kept below as oracles.
+kept below as oracles.  Runs of Z measurements on packed rows
+(``_measure_z_run``) are checked against the per-measurement plane path in
+``helpers_tableau``, concrete and symbolic.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from adaptstab.tableau import (
     _anticommuting,
     _anticommuting_masks,
     _match_products,
-    _multiply_rows,
+    _measure_z_run,
     _raise_anticommuting,
-    _row,
     apply_gate,
     conjugate_pauli,
     factor_out_qubits,
@@ -53,7 +54,7 @@ from adaptstab.tableau import (
     zero_state,
 )
 from helpers_dense import dense_pauli, gate_unitary
-from helpers_tableau import canonical_form
+from helpers_tableau import canonical_form, plane_measure_form, plane_measure_pauli, plane_multiply_rows, plane_row
 
 # -- oracle: the replaced row-list path ---------------------------------------------
 
@@ -215,7 +216,7 @@ def plane_factor_out_qubit(t, q):
     pivot = (selected & -selected).bit_length() - 1
     out = t.copy()
     _add_exponent(out, t.zs[q] & ((1 << n) - 1) & ~(1 << pivot), signed_zq.e)
-    _multiply_rows(out, (selected ^ (1 << pivot)) << n, *_row(t, n + pivot))
+    plane_multiply_rows(out, (selected ^ (1 << pivot)) << n, *plane_row(t, n + pivot))
     del out.xs[q], out.zs[q]
     lo, high = (1 << pivot) - 1, -1 << (n + pivot - 1)
     mid = ~lo & ~high
@@ -760,6 +761,98 @@ def test_ghz_state_matches_parsed_generators():
     t = ghz_state(5)
     assert [format_pauli(g) for g in t.generators] == ["+XXXXX", "+ZZIII", "+IZZII", "+IIZZI", "+IIIZZ"]
     validate_tableau(t)
+
+
+# -- measurement runs against the per-measurement plane path -------------------------------
+
+
+@st.composite
+def measurement_runs(draw):
+    """A state where some qubits are untouched (deterministic outcomes) and
+    others entangled by random gates, measured in Z on a random qubit order,
+    in one or two runs; a seed, and a forced 0/1 pattern or None."""
+    n = draw(st.integers(1, 7))
+    t = zero_state(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    touched = draw(st.integers(1, n))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        name, qubits, pauli = random_gate(touched, rng)
+        apply_gate(t, name, qubits, pauli)
+    qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    split = draw(st.integers(0, len(qubits)))
+    forced = draw(st.none() | st.lists(st.integers(0, 1), min_size=len(qubits), max_size=len(qubits)))
+    return t, [qubits[:split], qubits[split:]], draw(st.integers(0, 2**31 - 1)), forced
+
+
+def outcome_or_error(f, *args):
+    """``f(*args)``, or (exception type, message) when it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ContradictionError) as exc:
+        return type(exc), str(exc)
+
+
+def _plane_measurements(t, runs, forced, rng):
+    """Outcome bits of the runs, one plane measurement at a time."""
+    bits, k = [], 0
+    for run in runs:
+        for q in run:
+            sign = None if forced is None else 1 - 2 * forced[k]
+            outcome, _, _ = plane_measure_pauli(t, single_site(t.n, q, "Z"), forced=sign, rng=rng)
+            bits.append((1 - outcome) // 2)
+            k += 1
+    return bits
+
+
+def _kernel_measurements(t, runs, forced, rng):
+    bits, k = [], 0
+    for run in runs:
+        picks = None if forced is None else forced[k : k + len(run)]
+        bits += _measure_z_run(t, run, None, picks, rng) if run else []
+        k += len(run)
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(measurement_runs())
+def test_measurement_runs_match_plane_path_property(case):
+    t, runs, seed, forced = case
+    kernel, plane = t.copy(), t.copy()
+    got = outcome_or_error(_kernel_measurements, kernel, runs, forced, np.random.default_rng(seed))
+    want = outcome_or_error(_plane_measurements, plane, runs, forced, np.random.default_rng(seed))
+    assert got == want
+    if not isinstance(got[0], type):
+        assert dumps(kernel) == dumps(plane)
+        validate_tableau(kernel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurement_runs())
+def test_symbolic_measurement_runs_match_plane_path_property(case):
+    t, runs, _, _ = case
+    kernel, plane = t.copy(), t.copy()
+    kernel_forms, plane_forms = [], []
+    got = [f for run in runs if run for f in _measure_z_run(kernel, run, kernel_forms)]
+    want = [plane_measure_form(plane, plane_forms, single_site(t.n, q, "Z")) for run in runs for q in run]
+    assert (got, kernel_forms) == (want, plane_forms)
+    assert dumps(kernel) == dumps(plane)
+
+
+def test_measurement_runs_cover_both_outcome_kinds():
+    # A Bell pair and an untouched qubit: the first pair qubit is random, and
+    # it leaves the second deterministic, read through the kept X columns.
+    t = zero_state(3)
+    apply_gate(t, "H", (0,))
+    apply_gate(t, "CNOT", (0, 1))
+    for forced in ([0, 0, 0], [1, 1, 0], None):
+        for seed in range(3):
+            kernel, plane = t.copy(), t.copy()
+            got = _measure_z_run(kernel, [0, 1, 2], None, forced, np.random.default_rng(seed))
+            assert got == _plane_measurements(plane, [[0, 1, 2]], forced, np.random.default_rng(seed))
+            assert got[0] == got[1] and got[2] == 0
+            assert dumps(kernel) == dumps(plane)
+    with pytest.raises(ContradictionError, match=r"^measurement of \+IZI is deterministic \(-1\); cannot force \+1$"):
+        _measure_z_run(t.copy(), [0, 1], None, [1, 0], np.random.default_rng(0))
 
 
 # -- property: adaptive circuits against dense state vectors ------------------------------

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptstab import circuit as ci
 from adaptstab import prep
 from adaptstab import tableau as tb
 from adaptstab.circuit import (
@@ -206,10 +207,15 @@ def test_wrong_branch_matches_per_generator_loop_on_ghz():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of generator_product, sign_form and simulate calls and of
-    row-view builds, the target's kept apart."""
-    counts = {"products": 0, "sign_forms": 0, "simulations": 0, "views": 0, "target_views": 0, "target": None}
+    """Counts of generator_product, sign_form, simulate and measurement-run
+    calls and of row-view builds, the target's kept apart."""
+    counts = {"products": 0, "sign_forms": 0, "simulations": 0, "runs": 0, "views": 0, "target_views": 0, "target": None}
     product, form, views, simulate_ = tb.generator_product, tb.sign_form, tb.StabilizerTableau._row_views, prep.simulate
+    run = ci._measure_z_run
+
+    def counting_run(*args):
+        counts["runs"] += 1
+        return run(*args)
 
     def counting_product(*args):
         counts["products"] += 1
@@ -232,6 +238,7 @@ def work(monkeypatch):
     monkeypatch.setattr(prep, "simulate", counting_simulate)
     monkeypatch.setattr(tb, "sign_form", counting_form)
     monkeypatch.setattr(tb.StabilizerTableau, "_row_views", counting_views)
+    monkeypatch.setattr(ci, "_measure_z_run", counting_run)
     return counts
 
 
@@ -242,8 +249,9 @@ def test_ghz_verification_work_is_pinned(work):
     # Every measurement is random, so nothing calls generator_product, and
     # no simulated tableau is read as rows; the bound report reads the target once.
     assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
-    # The 20 seeded trials are read off the symbolic pass, not re-simulated.
-    assert work["simulations"] == 0
+    # The 20 seeded trials are read off the symbolic pass, not re-simulated;
+    # its one measurement layer is one run.
+    assert (work["simulations"], work["runs"]) == (0, 1)
 
 
 def test_steane_verification_work_is_pinned(work):
@@ -251,10 +259,11 @@ def test_steane_verification_work_is_pinned(work):
     work.update(products=0, sign_forms=0, views=0, target=target)  # count the check alone
     report = verify_preparation(circ, target, trials=20)
     assert report["all_match"]
-    # Three deterministic measurements in the symbolic pass, which the 20
-    # trials are read off: one sign_form, so one generator_product, each.
-    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (3, 3, 0, 1)
-    assert work["simulations"] == 0
+    # One measurement run in the symbolic pass, which the 20 trials are read
+    # off.  Its three deterministic outcomes are products of packed rows in
+    # the run, so neither sign_form nor generator_product is called.
+    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
+    assert (work["simulations"], work["runs"]) == (0, 1)
 
 
 # -- edge cases ------------------------------------------------------------------------
