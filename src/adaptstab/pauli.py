@@ -55,20 +55,18 @@ def _bits(v: int) -> Iterator[int]:
 def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     """Bit j of ``vectors[i]`` becomes bit i of entry j of the result.
 
-    The unpacked bits are copied into the transpose 256 rows at a time, which
-    keeps each block's reads and writes in cache at large sizes."""
+    Vectors are unpacked, transposed and packed again 256 at a time, so only
+    one block is ever held one byte per bit: that keeps each block in cache
+    and the memory near the packed size at large sizes."""
     if not vectors or not width:
         return [0] * width
-    nbytes = (width + 7) // 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in vectors)
-    bits = np.unpackbits(
-        np.frombuffer(buf, np.uint8).reshape(len(vectors), nbytes), axis=1, count=width, bitorder="little"
-    )
-    out = np.empty((width, len(vectors)), np.uint8)
+    nbytes, k = (width + 7) // 8, (len(vectors) + 7) // 8
+    rows = np.frombuffer(b"".join([v.to_bytes(nbytes, "little") for v in vectors]), np.uint8).reshape(-1, nbytes)
+    packed = np.empty((width, k), np.uint8)
     for i in range(0, len(vectors), 256):
-        out[:, i : i + 256] = bits[i : i + 256].T
-    packed = np.packbits(out, axis=1, bitorder="little")
-    k, data = packed.shape[1], packed.tobytes()
+        bits = np.unpackbits(rows[i : i + 256], axis=1, count=width, bitorder="little")
+        packed[:, i // 8 : i // 8 + (len(bits) + 7) // 8] = np.packbits(bits.T.copy(), axis=1, bitorder="little")
+    data = packed.tobytes()
     return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
 
 
