@@ -2,9 +2,10 @@
 
 Weight machinery works on tableaux: one packed table of the whole
 stabilizer group, one ``uint64`` ``x | z << n`` per element and no phases,
-feeds a matroid greedy and an independent rank-sweep oracle.  The greedy
-adds one span byte per element, plus a weight byte and a weight-class order
-index for its scan.  Correlation machinery works on dense
+feeds a matroid greedy and an independent rank-sweep oracle.  Both read
+the table one weight class at a time, each by one comparison over a weight
+byte per element, with no sort; the greedy adds one span byte per element.
+Correlation machinery works on dense
 states and ships two estimators for the operator-norm maximization:
 
 * ``pauli-enum`` — exact maximization over Pauli strings on the chosen
@@ -54,7 +55,6 @@ from .tableau import StabilizerTableau
 __all__ = [
     "WeightVector",
     "CorrelationReport",
-    "group_elements",
     "min_weight_generators",
     "stabilizer_weight",
     "weight_vector_oracle",
@@ -137,20 +137,6 @@ def _weights(table: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_count(xz)
 
 
-def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
-    """All 2^n - 1 non-identity stabilizer group elements (generator-mask
-    order), each the product of its generators with the higher one on the
-    left."""
-    n = t.n
-    table = _group_table(t)
-    x = table & np.uint64((1 << n) - 1)
-    e = np.zeros(1 << n, np.uint8)
-    for i, g in enumerate(t.generators):
-        e[1 << i : 2 << i] = (e[: 1 << i] + g.e + 2 * np.bitwise_count(x[: 1 << i] & np.uint64(g.z))) % 4
-    rows = zip(x[1:].tolist(), (table[1:] >> np.uint64(n)).tolist(), e[1:].tolist())
-    return [PauliOperator.from_exponent(n, *xze) for xze in rows]
-
-
 def min_weight_generators(
     t: StabilizerTableau,
 ) -> tuple[list[PauliOperator], WeightVector]:
@@ -160,8 +146,9 @@ def min_weight_generators(
     whatever is independent of what came before.  The independent generators
     make mask -> element linear and one-to-one, so independence is read in
     mask space: ``span`` marks the masks spanned by the picks, and a pick m
-    adds the translate ``spanned ^ m``.  Each weight class is scanned once;
-    its smallest (x, z) not in the span is the next pick, until none is
+    adds the translate ``spanned ^ m``.  Weight classes are read in turn, each
+    as its masks outside the span in ascending order (no sort of the table);
+    a class's smallest (x, z) not in the span is the next pick, until none is
     left.  The returned list is in pick order (non-decreasing weight).
     """
     n = t.n
@@ -169,8 +156,6 @@ def min_weight_generators(
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
     weights = _weights(table, n)
-    by_weight = np.argsort(weights, kind="stable")  # a counting sort: mask order within a class
-    ends = np.cumsum(np.bincount(weights, minlength=n + 1))
     span = np.zeros(1 << n, bool)
     span[0] = True
     spanned = np.zeros(1, np.int64)
@@ -179,8 +164,7 @@ def min_weight_generators(
     for wt in range(1, n + 1):
         if len(picks) == n:
             break
-        masks = by_weight[ends[wt - 1] : ends[wt]]
-        masks = masks[~span[masks]]
+        masks = np.flatnonzero((weights == wt) & ~span)
         rows = table[masks]
         key = (rows & low) << np.uint64(n) | rows >> np.uint64(n)  # (x, z) order
         while masks.size:
@@ -211,35 +195,48 @@ def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
 
     Independent of the greedy: the k-th entry (1-indexed) is the least W such
     that elements of weight <= W span a subspace of dimension >= n - k + 1.
-    The rank is kept by column elimination, not by the greedy's pick loop.
+    The rank is kept by an echelon pass over whole weight classes, not by the
+    greedy's pick loop.
     """
     return _oracle_entries(t, k)[0]
 
 
 def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
     """Entries k..n of the minimal vector from one rank sweep, which stops
-    once the rank reaches n - k + 1 (k = 1 gives the whole vector)."""
+    once the rank reaches n - k + 1 (k = 1 gives the whole vector).
+
+    Weight classes are read in turn, each by one comparison over the table
+    (no sort).  A class is reduced by the pivot rows held so far, one numpy
+    pass each in the order they were added; then the first nonzero residual
+    row becomes a pivot and reduces the rest, until no nonzero row is left.
+    Each pivot row pivots on its lowest set bit, which no later pivot row
+    holds, so one pass per pivot clears every pivot bit.
+    """
     n = t.n
     if n > 14:
         raise ResourceGuardError("rank-sweep oracle capped at n <= 14")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    symplectic = _group_table(t)
-    weights = _weights(symplectic, n)
-    basis: list[np.uint64] = []
+    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
+        raise ValueError("generators are dependent")
+    table = _group_table(t)
+    weights = _weights(table, n)
+    pivots: list[tuple[np.uint64, np.uint64]] = []  # (row, its lowest set bit's index)
     levels: list[int] = []  # levels[r - 1]: the least weight whose elements span r dimensions
+    one = np.uint64(1)
     for wt in range(1, n + 1):
-        # Column elimination of the basis so far plus this weight class.
-        rows, basis = np.concatenate([np.array(basis, np.uint64), symplectic[weights == wt]]), []
-        for c in range(2 * n):
-            hit = (rows >> np.uint64(c)) & np.uint64(1) == 1
-            if hit.any():
-                basis.append(rows[int(np.argmax(hit))])
-                rows = np.where(hit, rows ^ basis[-1], rows)
-        levels += [wt] * (min(len(basis), n - k + 1) - len(levels))
-        if len(levels) == n - k + 1:
-            return levels[::-1]
-    raise AssertionError("group rank below n")
+        rows = table[weights == wt]
+        for row, bit in pivots:
+            rows ^= (rows >> bit & one) * row
+        while (rows := rows[rows != 0]).size:
+            row, rows = rows[0], rows[1:]
+            bit = np.uint64((int(row) & -int(row)).bit_length() - 1)
+            pivots.append((row, bit))
+            levels.append(wt)
+            if len(levels) == n - k + 1:
+                return levels[::-1]
+            rows ^= (rows >> bit & one) * row
+    raise AssertionError("unreachable: n independent generators span rank n")
 
 
 # -- correlation estimators ------------------------------------------------------

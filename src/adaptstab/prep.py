@@ -382,34 +382,41 @@ def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
 
 def edge_color_general(g: TanglingGraph) -> dict[tuple[int, int], int]:
     """Proper edge coloring of a simple graph with <= max-degree + 1 colors
-    (fan rotation plus alternating-path inversion)."""
+    (fan rotation plus alternating-path inversion).
+
+    Each vertex keeps the bitmask of the colors at it and a color -> neighbor
+    map.  Mid-walk, a recolored edge can take a color the next edge still
+    holds; the map then points at the newer edge, and recoloring the older
+    one clears a map entry or bit only while it still points at that edge."""
     if not g.edges:
         return {}
-    limit = g.max_degree + 1
     adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n_nodes)}  # neighbor -> color
+    used = [0] * g.n_nodes  # bit c: some edge at the vertex has color c
+    at: list[dict[int, int]] = [{} for _ in range(g.n_nodes)]  # color -> neighbor
     color: dict[tuple[int, int], int] = {}
 
     def key(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
     def free(v: int) -> int:
-        used = set(adj[v].values())
-        return min(c for c in range(1, limit + 1) if c not in used)
+        rest = ~used[v] & ~1  # colors start at 1
+        return (rest & -rest).bit_length() - 1
 
-    def set_color(u: int, v: int, c: int | None) -> None:
-        if c is None:
-            color.pop(key(u, v), None)
-            adj[u].pop(v, None)
-            adj[v].pop(u, None)
-        else:
-            color[key(u, v)] = c
-            adj[u][v] = c
-            adj[v][u] = c
+    def set_color(u: int, v: int, c: int) -> None:
+        old = adj[u].get(v)
+        for a, b in ((u, v), (v, u)):
+            if old is not None and at[a].get(old) == b:
+                del at[a][old]
+                used[a] &= ~(1 << old)
+            adj[a][b] = c
+            at[a][c] = b
+            used[a] |= 1 << c
+        color[key(u, v)] = c
 
     def is_fan(u: int, fan: list[int]) -> bool:
         for a, b in zip(fan, fan[1:]):
             c = adj[u].get(b)
-            if c is None or c in adj[a].values():
+            if c is None or used[a] >> c & 1:
                 return False
         return True
 
@@ -417,19 +424,13 @@ def edge_color_general(g: TanglingGraph) -> dict[tuple[int, int], int]:
         # Maximal fan of u starting at the uncolored edge (u, v).
         fan = [v]
         while True:
-            nxt = None
-            for w in sorted(adj[u]):
-                if w in fan:
-                    continue
-                if adj[u][w] not in adj[fan[-1]].values():
-                    nxt = w
-                    break
+            nxt = next((w for w in sorted(adj[u]) if w not in fan and not used[fan[-1]] >> adj[u][w] & 1), None)
             if nxt is None:
                 break
             fan.append(nxt)
         c = free(u)
         d = free(fan[-1])
-        if d not in set(adj[u].values()):
+        if not used[u] >> d & 1:
             w_idx = len(fan) - 1
         else:
             # Invert the maximal c/d alternating path from u, freeing d at u.
@@ -439,7 +440,7 @@ def edge_color_general(g: TanglingGraph) -> dict[tuple[int, int], int]:
             seen = set()
             cur, col = u, d
             while True:
-                nbr = next((x for x, cc in adj[cur].items() if cc == col), None)
+                nbr = at[cur].get(col)
                 if nbr is None or key(cur, nbr) in seen:
                     break
                 seen.add(key(cur, nbr))
@@ -448,11 +449,7 @@ def edge_color_general(g: TanglingGraph) -> dict[tuple[int, int], int]:
             for a_v, b_v, old in path:
                 set_color(a_v, b_v, c if old == d else d)
             w_idx = next(
-                (
-                    i
-                    for i in range(len(fan))
-                    if d not in adj[fan[i]].values() and is_fan(u, fan[: i + 1])
-                ),
+                (i for i in range(len(fan)) if not used[fan[i]] >> d & 1 and is_fan(u, fan[: i + 1])),
                 None,
             )
             if w_idx is None:

@@ -6,7 +6,10 @@ import math
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from adaptstab.densesim import StateVector, correlation, fidelity
+from adaptstab.metrics import _group_table
 from adaptstab.pauli import PauliOperator
 from adaptstab.tableau import StabilizerTableau, conjugate_pauli, restricted_group_elements
 
@@ -34,6 +37,20 @@ def correlation_continuity_check(
     eps = max(0.0, 1.0 - fidelity(s1, s2))
     gap = abs(correlation(s1, op1, op2) - correlation(s2, op1, op2))
     return gap <= 6 * math.sqrt(eps) + tol
+
+
+def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
+    """All 2^n - 1 non-identity stabilizer group elements (generator-mask
+    order), each the product of its generators with the higher one on the
+    left."""
+    n = t.n
+    table = _group_table(t)
+    x = table & np.uint64((1 << n) - 1)
+    e = np.zeros(1 << n, np.uint8)
+    for i, g in enumerate(t.generators):
+        e[1 << i : 2 << i] = (e[: 1 << i] + g.e + 2 * np.bitwise_count(x[: 1 << i] & np.uint64(g.z))) % 4
+    rows = zip(x[1:].tolist(), (table[1:] >> np.uint64(n)).tolist(), e[1:].tolist())
+    return [PauliOperator.from_exponent(n, *xze) for xze in rows]
 
 
 def flip_generator_sign(t: StabilizerTableau, index: int) -> StabilizerTableau:

@@ -4,7 +4,8 @@ per-solve code they replaced, plus counts of GF(2) eliminations.
 The oracles below are the earlier implementations: a fresh augmented
 elimination per right-hand side, destabilizers completed one solve at a
 time, qubit removal by rebuilding the whole tableau, one solve per syndrome
-bit, a scan over every pair of checks for tangling, the basis loop behind
+bit, a scan over every pair of checks for tangling, the CZ edge coloring
+that rebuilds a set of a vertex's colors per query, the basis loop behind
 ``gf2_rank``, builtin codes written as Pauli strings and parsed back, and
 the bit transpose that packs the whole transposed bit matrix in one call.
 The new paths must reproduce them byte for byte.
@@ -241,6 +242,74 @@ def pair_scan_tangling(schedule):
     return TanglingGraph(n_nodes, edges)
 
 
+def set_scan_edge_color(g):
+    if not g.edges:
+        return {}
+    limit = g.max_degree + 1
+    adj = {v: {} for v in range(g.n_nodes)}  # neighbor -> color
+    color = {}
+
+    def key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    def free(v):
+        used = set(adj[v].values())
+        return min(c for c in range(1, limit + 1) if c not in used)
+
+    def set_color(u, v, c):
+        color[key(u, v)] = c
+        adj[u][v] = c
+        adj[v][u] = c
+
+    def is_fan(u, fan):
+        for a, b in zip(fan, fan[1:]):
+            c = adj[u].get(b)
+            if c is None or c in adj[a].values():
+                return False
+        return True
+
+    for u, v in sorted(g.edges):
+        fan = [v]
+        while True:
+            nxt = None
+            for w in sorted(adj[u]):
+                if w in fan:
+                    continue
+                if adj[u][w] not in adj[fan[-1]].values():
+                    nxt = w
+                    break
+            if nxt is None:
+                break
+            fan.append(nxt)
+        c = free(u)
+        d = free(fan[-1])
+        if d not in set(adj[u].values()):
+            w_idx = len(fan) - 1
+        else:
+            path = []
+            seen = set()
+            cur, col = u, d
+            while True:
+                nbr = next((x for x, cc in adj[cur].items() if cc == col), None)
+                if nbr is None or key(cur, nbr) in seen:
+                    break
+                seen.add(key(cur, nbr))
+                path.append((cur, nbr, col))
+                cur, col = nbr, c if col == d else d
+            for a_v, b_v, old in path:
+                set_color(a_v, b_v, c if old == d else d)
+            w_idx = next(
+                (i for i in range(len(fan)) if d not in adj[fan[i]].values() and is_fan(u, fan[: i + 1])),
+                None,
+            )
+            if w_idx is None:
+                raise RuntimeError("edge coloring failed; this is a bug")
+        for i in range(w_idx):
+            set_color(u, fan[i], adj[u][fan[i + 1]])
+        set_color(u, fan[w_idx], d)
+    return color
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -398,6 +467,32 @@ def test_build_tangling_errors_match_pair_scan():
         new = _outcome(prep.build_tangling, sched)
         assert new[0] is kind
         assert new == _outcome(pair_scan_tangling, sched)
+
+
+# -- edge_color_general -----------------------------------------------------------
+
+
+def _assert_same_coloring(g):
+    assert list(prep.edge_color_general(g).items()) == list(set_scan_edge_color(g).items())
+
+
+@pytest.mark.parametrize(
+    "name", [f"toric({side})" for side in range(2, 17)] + ["steane", "repetition(3)", "repetition(7)", "repetition(24)"]
+)
+def test_edge_color_general_matches_set_scan_on_codes(name):
+    _assert_same_coloring(prep.build_tangling(edge_color_bipartite(tanner_graph(builtin_code(name)))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_edge_color_general_matches_set_scan_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    density = rng.choice((0.05, 0.2, 0.5, 0.9))
+    # Edges in random order and orientation: the coloring walks them sorted
+    # and keys each by (low, high).
+    edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
+    rng.shuffle(edges)
+    _assert_same_coloring(TanglingGraph(n, tuple(edges)))
 
 
 # -- complexity: GF(2) eliminations counted ---------------------------------------

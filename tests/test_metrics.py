@@ -22,6 +22,7 @@ from adaptstab.tableau import (
 from helpers_checks import (
     correlation_continuity_check,
     flip_generator_sign,
+    group_elements,
     lemma1_check,
     local_indistinguishable,
 )
@@ -64,7 +65,7 @@ def test_weight_vector_ordering():
 
 def test_group_elements():
     t = ghz_tableau(3)
-    elems = mt.group_elements(t)
+    elems = group_elements(t)
     assert len(elems) == 7
     assert all(is_stabilized_by(t, e) == 1 for e in elems)
 

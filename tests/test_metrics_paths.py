@@ -4,7 +4,9 @@ replaced.
 The oracles below are the earlier implementations: group enumeration as a
 list of ``PauliOperator`` products, the matroid greedy that reduces one
 operator at a time, the rank sweep over that list, the three-array group
-table (x, z and phase planes) with its lexsort greedy, the recursive
+table (x, z and phase planes) with its lexsort greedy, the packed-table
+greedy that sorts the whole table by weight, the rank sweep that reruns a
+column elimination over all 2n columns per weight class, the recursive
 Bron-Kerbosch clique search, and the correlation
 estimators run one subset pair at a time (moved-axis RDMs and ``np.kron``,
 the three-operand Pauli ``einsum``, the alternating-sign ascent one restart
@@ -32,6 +34,7 @@ from adaptstab.errors import ResourceGuardError
 from adaptstab.pauli import PauliOperator, gf2_rank, parse_pauli
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import StabilizerTableau, ghz_state, random_stabilizer_state, zero_state
+from helpers_checks import group_elements
 
 # -- oracles: the replaced per-object code --------------------------------------
 
@@ -118,6 +121,67 @@ def array_min_weight_generators(t):
         order, rest = order[i + 1 :], rest[i + 1 :]
         np.minimum(rest, rest ^ row, out=rest)
     return picked, tuple(sorted((p.weight() for p in picked), reverse=True))
+
+
+def argsort_min_weight_generators(t):
+    """Weight classes read off one stable argsort of the whole table."""
+    n = t.n
+    table = mt._group_table(t)
+    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
+        raise ValueError("generators are dependent")
+    weights = mt._weights(table, n)
+    by_weight = np.argsort(weights, kind="stable")
+    ends = np.cumsum(np.bincount(weights, minlength=n + 1))
+    span = np.zeros(1 << n, bool)
+    span[0] = True
+    spanned = np.zeros(1, np.int64)
+    picks = []
+    low = np.uint64((1 << n) - 1)
+    for wt in range(1, n + 1):
+        if len(picks) == n:
+            break
+        masks = by_weight[ends[wt - 1] : ends[wt]]
+        masks = masks[~span[masks]]
+        rows = table[masks]
+        key = (rows & low) << np.uint64(n) | rows >> np.uint64(n)
+        while masks.size:
+            m = int(masks[np.argmin(key)])
+            picks.append(m)
+            if len(picks) == n:
+                break
+            shifted = spanned ^ m
+            span[shifted] = True
+            spanned = np.concatenate([spanned, shifted])
+            live = ~span[masks]
+            masks, key = masks[live], key[live]
+    picked = []
+    for m in picks:
+        p = PauliOperator(n, 0, 0)
+        for i in range(n):
+            if m >> i & 1:
+                p = t.generators[i] * p
+        picked.append(p)
+    return picked, tuple(sorted((p.weight() for p in picked), reverse=True))
+
+
+def column_oracle_entries(t, k):
+    """Entries k..n of the minimal vector; each weight class is eliminated
+    together with the basis so far, column by column over all 2n columns."""
+    n = t.n
+    symplectic = mt._group_table(t)
+    weights = mt._weights(symplectic, n)
+    basis, levels = [], []
+    for wt in range(1, n + 1):
+        rows, basis = np.concatenate([np.array(basis, np.uint64), symplectic[weights == wt]]), []
+        for c in range(2 * n):
+            hit = (rows >> np.uint64(c)) & np.uint64(1) == 1
+            if hit.any():
+                basis.append(rows[int(np.argmax(hit))])
+                rows = np.where(hit, rows ^ basis[-1], rows)
+        levels += [wt] * (min(len(basis), n - k + 1) - len(levels))
+        if len(levels) == n - k + 1:
+            return levels[::-1]
+    raise AssertionError("group rank below n")
 
 
 def recursive_max_clique(adj, n):
@@ -296,13 +360,13 @@ def _texts(ops):
 @pytest.mark.parametrize("n", [2, 5, 9, 14])
 def test_group_elements_match_list_products_ghz(n):
     t = ghz_state(n)
-    assert _texts(mt.group_elements(t)) == _texts(list_group_elements(t))
+    assert _texts(group_elements(t)) == _texts(list_group_elements(t))
 
 
 @pytest.mark.parametrize("n,seed", _random_cases((1, 3, 6, 10, 14), 2))
 def test_group_elements_match_list_products_random(n, seed):
     t = random_stabilizer_state(n, seed)
-    new, old = mt.group_elements(t), list_group_elements(t)
+    new, old = group_elements(t), list_group_elements(t)
     assert _texts(new) == _texts(old)
     assert [(p.x, p.z, p.e) for p in new] == [(p.x, p.z, p.e) for p in old]
 
@@ -314,7 +378,7 @@ def test_group_elements_keep_product_order_for_unchecked_generators():
     n = 6
     gens = [PauliOperator.from_exponent(n, int(a), int(b), int(c)) for a, b, c in rng.integers(0, 1 << n, (n, 3))]
     t = StabilizerTableau(n, gens, [PauliOperator(n, 0, 0)] * n)
-    assert [(p.x, p.z, p.e) for p in mt.group_elements(t)] == [(p.x, p.z, p.e) for p in list_group_elements(t)]
+    assert [(p.x, p.z, p.e) for p in group_elements(t)] == [(p.x, p.z, p.e) for p in list_group_elements(t)]
 
 
 def test_group_enumeration_guard_raises_before_allocating(monkeypatch):
@@ -325,7 +389,7 @@ def test_group_enumeration_guard_raises_before_allocating(monkeypatch):
 
     monkeypatch.setattr(mt.np, "zeros", refuse)
     with pytest.raises(ResourceGuardError, match="n <= 20"):
-        mt.group_elements(t)
+        group_elements(t)
     with pytest.raises(ResourceGuardError, match="n <= 20"):
         mt.min_weight_generators(t)
 
@@ -350,9 +414,9 @@ def test_min_weight_generators_match_list_greedy_random(n, seed):
     _assert_same_greedy(random_stabilizer_state(n, seed))
 
 
-def _assert_same_as_array_greedy(t):
+def _assert_same_signed_picks(t, oracle=array_min_weight_generators):
     picked, vector = mt.min_weight_generators(t)
-    old_picked, old_vector = array_min_weight_generators(t)
+    old_picked, old_vector = oracle(t)
     assert _texts(picked) == _texts(old_picked)
     assert [(p.x, p.z, p.e) for p in picked] == [(p.x, p.z, p.e) for p in old_picked]
     assert vector.entries == old_vector
@@ -360,16 +424,28 @@ def _assert_same_as_array_greedy(t):
 
 @pytest.mark.parametrize("n", range(17, 21))
 def test_min_weight_generators_match_array_greedy_ghz(n):
-    _assert_same_as_array_greedy(ghz_state(n))
+    _assert_same_signed_picks(ghz_state(n))
 
 
 @pytest.mark.parametrize("n,seed", _random_cases(range(17, 21), 2))
 def test_min_weight_generators_match_array_greedy_random(n, seed):
-    _assert_same_as_array_greedy(random_stabilizer_state(n, seed))
+    _assert_same_signed_picks(random_stabilizer_state(n, seed))
 
 
 def test_min_weight_generators_match_array_greedy_toric3():
-    _assert_same_as_array_greedy(prepare_state(builtin_code("toric(3)"))[1])
+    t = prepare_state(builtin_code("toric(3)"))[1]
+    _assert_same_signed_picks(t)
+    _assert_same_signed_picks(t, argsort_min_weight_generators)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_min_weight_generators_match_argsort_greedy_ghz(n):
+    _assert_same_signed_picks(ghz_state(n), argsort_min_weight_generators)
+
+
+@pytest.mark.parametrize("n,seed", _random_cases(range(1, 21), 2))
+def test_min_weight_generators_match_argsort_greedy_random(n, seed):
+    _assert_same_signed_picks(random_stabilizer_state(n, seed), argsort_min_weight_generators)
 
 
 def _unchecked_tableau(n, seed):
@@ -388,7 +464,8 @@ def test_pick_phases_follow_product_order_for_unchecked_generators(n, seed):
     # Picks are products with the higher generator on the left, as in the
     # table, so anticommuting generators give the same signed picks.
     t = _unchecked_tableau(n, seed)
-    _assert_same_as_array_greedy(t)
+    _assert_same_signed_picks(t)
+    _assert_same_signed_picks(t, argsort_min_weight_generators)
     _assert_same_greedy(t)
 
 
@@ -397,6 +474,20 @@ def test_min_weight_generators_reject_dependent_generators():
     t = StabilizerTableau(3, gens, [PauliOperator(3, 0, 0)] * 3)
     with pytest.raises(ValueError, match="generators are dependent"):
         mt.min_weight_generators(t)
+
+
+def test_oracle_rejects_dependent_generators():
+    zi, xi, ix = (parse_pauli(p) for p in ("+ZI", "+XI", "+IX"))
+    t = StabilizerTableau(2, [zi, zi], [xi, ix])
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="generators are dependent"):
+            mt.weight_vector_oracle(t, k)
+    # The size guard and the k check come first.
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        mt.weight_vector_oracle(t, 3)
+    big = StabilizerTableau(15, [PauliOperator(15, 0, 1)] * 15, [PauliOperator(15, 0, 0)] * 15)
+    with pytest.raises(ResourceGuardError, match="n <= 14"):
+        mt.weight_vector_oracle(big, 1)
 
 
 def test_group_table_is_one_word_per_element():
@@ -413,6 +504,27 @@ def test_oracle_matches_list_rank_sweep(n, seed):
     assert [mt.weight_vector_oracle(t, k) for k in range(1, n + 1)] == [
         list_weight_vector_oracle(t, k) for k in range(1, n + 1)
     ]
+
+
+def _assert_same_oracle_entries(t):
+    for k in range(1, t.n + 1):
+        assert mt._oracle_entries(t, k) == column_oracle_entries(t, k)
+
+
+@pytest.mark.parametrize("n,seed", _random_cases(range(1, 15), 2))
+def test_oracle_matches_column_elimination_random(n, seed):
+    _assert_same_oracle_entries(random_stabilizer_state(n, seed))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_oracle_matches_column_elimination_ghz(n):
+    _assert_same_oracle_entries(ghz_state(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+def test_oracle_matches_column_elimination_property(n, seed):
+    _assert_same_oracle_entries(random_stabilizer_state(n, seed))
 
 
 def test_oracle_never_calls_the_greedy(monkeypatch):
