@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -75,7 +75,7 @@ class Condition:
     xor: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     op: str
     qubits: tuple[int, ...]
@@ -83,8 +83,17 @@ class Gate:
     cond: Condition | None = None
     merged: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+    def __init__(self, op, qubits, pauli=None, cond=None, merged=False):
+        _set_op(self, op)
+        _set_qubits(self, tuple(qubits))
+        _set_pauli(self, pauli)
+        _set_cond(self, cond)
+        _set_merged(self, merged)
+
+
+# Gate's slot setters, bound once: through object.__setattr__, as a frozen
+# dataclass sets fields, a gate takes about twice as long to build.
+_set_op, _set_qubits, _set_pauli, _set_cond, _set_merged = (getattr(Gate, f.name).__set__ for f in fields(Gate))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ differ (Steane: weights 4, participation 6) get s = max of both.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
+from numbers import Integral
 from operator import xor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,36 +231,45 @@ class TannerGraph:
 
 
 def tanner_graph(code: StabilizerCode) -> TannerGraph:
-    edges = []
-    letters = {}
+    """Edges in (qubit, check) order, read off per-qubit buckets filled check
+    by check, so nothing is sorted; ``letters`` is keyed in check order."""
+    at_qubit: list[list[int]] = [[] for _ in range(code.n)]
+    letters: dict[tuple[int, int], str] = {}
     for j, check in enumerate(code.checks):
-        for q in check.support():
-            edges.append((q, j))
-            letters[(q, j)] = check.letter(q)
-    edges.sort()
-    return TannerGraph(code.n, code.t, tuple(edges), letters)
+        x, z = check.x, check.z
+        for q in _bits(x | z):
+            at_qubit[q].append(j)
+            letters[(q, j)] = "IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]
+    edges = tuple((q, j) for q, checks in enumerate(at_qubit) for j in checks)
+    return TannerGraph(code.n, code.t, edges, letters)
 
 
 @dataclass
 class MeasurementSchedule:
     """Proper edge coloring of a Tanner graph: color c = controlled-Pauli
-    layer c; ``letters`` carries the Pauli applied along each edge."""
+    layer c; ``letters`` carries the Pauli applied along each edge.  Colors
+    are integers in 1..``num_colors``.  A clash shows as fewer distinct
+    (node, color) pairs than edges; only then does the ordered scan run."""
 
     colors: dict[tuple[int, int], int]
     letters: dict[tuple[int, int], str]
     num_colors: int
 
     def __post_init__(self) -> None:
-        edges = list(self.colors)
-        at: dict[tuple, list[int]] = {}  # (side, node, color) -> indices of its edges
-        for i, (q, j) in enumerate(edges):
-            for node in (("qubit", q), ("check", j)):
-                at.setdefault((*node, self.colors[(q, j)]), []).append(i)
-        clashes = [ids[:2] for ids in at.values() if len(ids) > 1]
-        if clashes:  # report the clash a scan over edge pairs in order meets first
-            i, k = min(clashes)
+        items = self.colors.items()
+        if len({(q, c) for (q, _), c in items}) < len(items) or len({(j, c) for (_, j), c in items}) < len(items):
+            edges = list(self.colors)
+            at: dict[tuple, list[int]] = {}  # (side, node, color) -> indices of its edges
+            for i, (q, j) in enumerate(edges):
+                for node in (("qubit", q), ("check", j)):
+                    at.setdefault((*node, self.colors[(q, j)]), []).append(i)
+            i, k = min(ids[:2] for ids in at.values() if len(ids) > 1)  # the clash a pair scan meets first
             raise ValueError(f"edges {edges[i]} and {edges[k]} share a node and a color")
-        for e, c in self.colors.items():
+        if all(isinstance(c, Integral) and 1 <= c <= self.num_colors for c in set(self.colors.values())):
+            return
+        for e, c in items:
+            if not isinstance(c, Integral):
+                raise ValueError(f"edge {e} has non-integer color {c!r}")
             if not 1 <= c <= self.num_colors:
                 raise ValueError(f"edge {e} has color {c} outside 1..{self.num_colors}")
 
@@ -269,44 +280,43 @@ def edge_color_bipartite(g: TannerGraph) -> MeasurementSchedule:
     Bipartite graphs have edge chromatic number equal to the maximum degree;
     each new edge either takes a color free at both ends or frees one up by
     swapping an alternating two-color path.  Deterministic: edges arrive in
-    (qubit, check) order and the smallest free color always wins.
+    (qubit, check) order and the smallest free color always wins.  Qubit q
+    is node q and check j node n_qubits + j; bit c of ``mask[node]`` marks
+    color c at the node, so a free color is a lowest set bit.
     """
-    delta = g.max_degree
-    used_q: list[dict[int, int]] = [dict() for _ in range(g.n_qubits)]  # color -> check
-    used_c: list[dict[int, int]] = [dict() for _ in range(g.n_checks)]  # color -> qubit
+    delta, nq = g.max_degree, g.n_qubits
+    full = (1 << delta + 1) - 2  # colors 1..delta
+    mask = [0] * (nq + g.n_checks)
+    at: list[dict[int, int]] = [{} for _ in mask]  # color -> neighbor node
     colors: dict[tuple[int, int], int] = {}
     for q, j in g.edges:
-        both = [c for c in range(1, delta + 1) if c not in used_q[q] and c not in used_c[j]]
-        if both:
-            c = both[0]
+        v = nq + j
+        free = full & ~(mask[q] | mask[v])
+        if free:
+            c = (free & -free).bit_length() - 1
         else:
-            a = min(c for c in range(1, delta + 1) if c not in used_q[q])
-            b = min(c for c in range(1, delta + 1) if c not in used_c[j])
-            # Walk the alternating a/b path starting from the check node; it
-            # can never reach q (q has no a-edge), so swapping a and b along
-            # it frees color a at j while keeping the coloring proper.
-            path: list[tuple[tuple[int, int], int]] = []
-            on_check, vertex, col = True, j, a
-            while True:
-                table = used_c[vertex] if on_check else used_q[vertex]
-                if col not in table:
-                    break
-                other = table[col]
-                edge = (other, vertex) if on_check else (vertex, other)
-                path.append((edge, col))
-                on_check, vertex, col = not on_check, other, b if col == a else a
-            for edge, old in path:
-                used_q[edge[0]].pop(old)
-                used_c[edge[1]].pop(old)
-            for edge, old in path:
-                new = a + b - old
-                colors[edge] = new
-                used_q[edge[0]][new] = edge[1]
-                used_c[edge[1]][new] = edge[0]
+            # Walk the alternating a/b path from the check node, for a free
+            # at q and b free at j; it can never reach q (q has no a-edge),
+            # so swapping a and b along it frees a at j and keeps the coloring
+            # proper.  Only the two ends of the path trade a color.
+            free_q, free_j = full & ~mask[q], full & ~mask[v]
+            a, b = (free_q & -free_q).bit_length() - 1, (free_j & -free_j).bit_length() - 1
+            path, node, col = [], v, a
+            while col in at[node]:
+                path.append((node, at[node][col], col))
+                node, col = at[node][col], a + b - col
+            for x, y, old in path:
+                del at[x][old], at[y][old]
+            for x, y, old in path:
+                at[x][a + b - old], at[y][a + b - old] = y, x
+                colors[(x, y - nq) if x < nq else (y, x - nq)] = a + b - old
+            mask[v] ^= 1 << a | 1 << b
+            mask[node] ^= 1 << a | 1 << b
             c = a
         colors[(q, j)] = c
-        used_q[q][c] = j
-        used_c[j][c] = q
+        at[q][c], at[v][c] = v, q
+        mask[q] |= 1 << c
+        mask[v] |= 1 << c
     return MeasurementSchedule(colors, dict(g.letters), delta if g.edges else 0)
 
 
@@ -319,23 +329,13 @@ def tangling_parity(schedule: MeasurementSchedule, i: int, j: int) -> bool:
     ancillas, so an odd count leaves a net CZ.  Global commutation makes the
     anticommuting-site count even, hence the parity order-independent.
     """
-    sites = []
-    for (q, jj), letter in schedule.letters.items():
-        if jj != i:
-            continue
-        other = schedule.letters.get((q, j))
-        if other is not None and other != letter:
-            sites.append(q)
-    return _odd_interleaving(schedule, i, j, sites)
-
-
-def _odd_interleaving(schedule: MeasurementSchedule, i: int, j: int, sites: list[int]) -> bool:
-    """:func:`tangling_parity` given the anticommuting sites of checks i and j."""
+    letters, colors = schedule.letters, schedule.colors
+    sites = [q for (q, jj), letter in letters.items() if jj == i and letters.get((q, j), letter) != letter]
     if len(sites) % 2 == 1:
         raise ValueError(f"checks {i} and {j} anticommute; schedule is for commuting checks")
     before = 0
     for q in sites:
-        ci, cj = schedule.colors[(q, i)], schedule.colors[(q, j)]
+        ci, cj = colors[(q, i)], colors[(q, j)]
         if ci == cj:
             raise RuntimeError(f"improper schedule: edges ({q},{i}) and ({q},{j}) share color {ci}")
         if ci < cj:
@@ -365,100 +365,100 @@ def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
     Only checks meeting on a qubit with anticommuting letters can tangle, so
     comparing each qubit's letters pairwise finds every site in O(E s) for E
     Tanner edges of a sparsity-s code, without scanning every pair of checks.
+    Bit 0 of ``parity[pair]`` counts the pair's sites, bit 1 those where the
+    lower check comes first, and bit 2 marks a site whose two edges share a
+    color or miss one.  The lowest pair with an odd count or bit 2 is handed
+    to :func:`tangling_parity` to raise its error.
     """
-    n_nodes = max((j for _, j in schedule.colors), default=-1) + 1
-    by_qubit: dict[int, list[tuple[int, str]]] = {}
+    colors = schedule.colors
+    n_nodes = max((j for _, j in colors), default=-1) + 1
+    by_qubit: dict[int, list[tuple[int, str, int]]] = {}  # qubit -> (check, letter, color)
     for (q, j), letter in schedule.letters.items():
         if j < n_nodes:
-            by_qubit.setdefault(q, []).append((j, letter))
-    sites: dict[tuple[int, int], list[int]] = {}
-    for q in sorted(by_qubit):
-        for (a, la), (b, lb) in combinations(by_qubit[q], 2):
+            by_qubit.setdefault(q, []).append((j, letter, colors.get((q, j), 0)))  # 0: uncolored
+    parity: dict[tuple[int, int], int] = {}
+    for bucket in by_qubit.values():
+        for (a, la, ca), (b, lb, cb) in combinations(bucket, 2):
             if la != lb:
-                sites.setdefault((min(a, b), max(a, b)), []).append(q)
-    edges = tuple(pair for pair in sorted(sites) if _odd_interleaving(schedule, *pair, sites[pair]))
-    return TanglingGraph(n_nodes, edges)
+                if a > b:
+                    a, b, ca, cb = b, a, cb, ca
+                parity[(a, b)] = parity.get((a, b), 0) ^ (3 if ca < cb else 1) | (ca == cb or not ca or not cb) << 2
+    bad = [pair for pair, p in parity.items() if p & 5]
+    if bad:
+        tangling_parity(schedule, *min(bad))
+    return TanglingGraph(n_nodes, tuple(sorted(pair for pair, p in parity.items() if p == 2)))
 
 
 def edge_color_general(g: TanglingGraph) -> dict[tuple[int, int], int]:
     """Proper edge coloring of a simple graph with <= max-degree + 1 colors
     (fan rotation plus alternating-path inversion).
 
-    Each vertex keeps the bitmask of the colors at it and a color -> neighbor
-    map.  Mid-walk, a recolored edge can take a color the next edge still
-    holds; the map then points at the newer edge, and recoloring the older
-    one clears a map entry or bit only while it still points at that edge."""
+    Each vertex keeps a bitmask of its colors (``used``) and maps color ->
+    neighbor (``at``) and back (``adj``).  Recoloring uncolors all edges of
+    a path or fan before coloring any, so ``at[v]`` always inverts
+    ``adj[v]``, and the fan grows by the lowest ``at[u][c]`` over colors c at
+    u free at its tip, as a scan of u's sorted neighbors would.  Edges are
+    colored in sorted order, the key order of the returned dict."""
     if not g.edges:
         return {}
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n_nodes)}  # neighbor -> color
+    adj: list[dict[int, int]] = [{} for _ in range(g.n_nodes)]  # neighbor -> color
     used = [0] * g.n_nodes  # bit c: some edge at the vertex has color c
     at: list[dict[int, int]] = [{} for _ in range(g.n_nodes)]  # color -> neighbor
-    color: dict[tuple[int, int], int] = {}
 
-    def key(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
+    def recolor(changes: list[tuple[int, int, int]]) -> None:
+        for u, v, _ in changes:
+            old = adj[u].get(v)
+            if old is not None:
+                del at[u][old], at[v][old]
+                used[u] ^= 1 << old
+                used[v] ^= 1 << old
+        for u, v, c in changes:
+            adj[u][v] = adj[v][u] = c
+            at[u][c], at[v][c] = v, u
+            used[u] |= 1 << c
+            used[v] |= 1 << c
 
-    def free(v: int) -> int:
-        rest = ~used[v] & ~1  # colors start at 1
-        return (rest & -rest).bit_length() - 1
-
-    def set_color(u: int, v: int, c: int) -> None:
-        old = adj[u].get(v)
-        for a, b in ((u, v), (v, u)):
-            if old is not None and at[a].get(old) == b:
-                del at[a][old]
-                used[a] &= ~(1 << old)
-            adj[a][b] = c
-            at[a][c] = b
-            used[a] |= 1 << c
-        color[key(u, v)] = c
-
-    def is_fan(u: int, fan: list[int]) -> bool:
-        for a, b in zip(fan, fan[1:]):
-            c = adj[u].get(b)
-            if c is None or used[a] >> c & 1:
-                return False
-        return True
-
-    for u, v in sorted(g.edges):
+    edges = sorted(g.edges)
+    for u, v in edges:
         # Maximal fan of u starting at the uncolored edge (u, v).
+        adj_u, at_u, used_u = adj[u], at[u], used[u]
         fan = [v]
         while True:
-            nxt = next((w for w in sorted(adj[u]) if w not in fan and not used[fan[-1]] >> adj[u][w] & 1), None)
+            nxt = None
+            rest = used_u & ~used[fan[-1]]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = at_u[low.bit_length() - 1]
+                if (nxt is None or w < nxt) and w not in fan:
+                    nxt = w
             if nxt is None:
                 break
             fan.append(nxt)
-        c = free(u)
-        d = free(fan[-1])
-        if not used[u] >> d & 1:
+        rest = ~used[fan[-1]] & ~1  # colors start at 1
+        d = (rest & -rest).bit_length() - 1
+        if not used_u >> d & 1:
             w_idx = len(fan) - 1
         else:
-            # Invert the maximal c/d alternating path from u, freeing d at u.
-            # Collect first, then swap: recoloring mid-walk would let the
-            # walk step back across the edge it just flipped.
+            # Invert the maximal c/d alternating path from u, freeing d at u,
+            # for c the lowest color free at u.  Missing c, u is one end of
+            # the path, so the walk runs to the other end.
+            rest = ~used_u & ~1
+            c = (rest & -rest).bit_length() - 1
             path = []
-            seen = set()
             cur, col = u, d
-            while True:
-                nbr = at[cur].get(col)
-                if nbr is None or key(cur, nbr) in seen:
-                    break
-                seen.add(key(cur, nbr))
+            while (nbr := at[cur].get(col)) is not None:
+                col = c + d - col
                 path.append((cur, nbr, col))
-                cur, col = nbr, c if col == d else d
-            for a_v, b_v, old in path:
-                set_color(a_v, b_v, c if old == d else d)
-            w_idx = next(
-                (i for i in range(len(fan)) if not used[fan[i]] >> d & 1 and is_fan(u, fan[: i + 1])),
-                None,
-            )
-            if w_idx is None:
-                raise RuntimeError("edge coloring failed; this is a bug")
-        # Rotate the fan prefix onto w, then give (u, w) color d.
-        for i in range(w_idx):
-            set_color(u, fan[i], adj[u][fan[i + 1]])
-        set_color(u, fan[w_idx], d)
-    return color
+                cur = nbr
+            recolor(path)
+            # The fan still holds up to its first vertex missing d: only u's
+            # d-edge changed, and the fan vertex before it keeps d or c free.
+            w_idx = next(i for i, w in enumerate(fan) if not used[w] >> d & 1)
+        # Rotate the fan prefix onto w: (u, fan[i]) takes the color of
+        # (u, fan[i + 1]), and (u, w) takes d.
+        recolor([(u, fan[i], adj_u[fan[i + 1]]) for i in range(w_idx)] + [(u, fan[w_idx], d)])
+    return {(u, v) if u < v else (v, u): adj[u][v] for u, v in edges}
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +478,13 @@ class MeasurementFragment:
         return depth(self.circuit)
 
 
-def _color_layers(colors: dict[tuple[int, int], int], count: int, gate) -> list[list]:
-    """Layers 1..``count``: layer c holds ``gate(*edge)`` for each edge of
-    color c, in sorted edge order (one sort, edges bucketed by color)."""
-    layers: list[list] = [[] for _ in range(count)]
-    for edge in sorted(colors):
-        layers[colors[edge] - 1].append(gate(*edge))
-    return layers
+def _color_layers(items: Iterable[tuple[tuple[int, int], int]]) -> list[list[tuple[int, int]]]:
+    """Edges of ``items`` ((edge, color) pairs) bucketed by color, buckets in
+    color order, edges in the order given; an unused color leaves no bucket."""
+    buckets: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for edge, c in items:
+        buckets[c].append(edge)
+    return [buckets[c] for c in sorted(buckets)]
 
 
 def synthesize_measurement_circuit(
@@ -501,7 +501,9 @@ def synthesize_measurement_circuit(
     layer per schedule color / CZ layers between tangled ancillas / merged
     Hadamards / one layer measuring every ancilla.  Total counted depth is
     at most 2 + s + s^2.  A custom ``schedule`` may force a different layer
-    order (and hence different tangling) than the built-in coloring.
+    order (and hence different tangling) than the built-in coloring; it must
+    match the code's Tanner edges and letters.  Gates in a layer follow edge
+    order, the key order of the built-in schedule and of the CZ coloring.
     """
     if isinstance(checks, StabilizerCode):
         code = checks
@@ -509,19 +511,23 @@ def synthesize_measurement_circuit(
         ops = tuple(checks)
         width = n if n is not None else (ops[0].n if ops else 0)
         code = StabilizerCode(width, ops, "fragment")
+    g = tanner_graph(code)
     if schedule is None:
-        schedule = edge_color_bipartite(tanner_graph(code))
+        schedule = edge_color_bipartite(g)
+        cp_items = schedule.colors.items()
     else:
-        want = {(q, j) for j, c in enumerate(code.checks) for q in c.support()}
-        if set(schedule.colors) != want:
+        if schedule.colors.keys() != set(g.edges):
             raise ValueError("schedule does not cover exactly the code's Tanner edges")
+        have, want = schedule.letters, g.letters
+        if have != want:
+            bad = min(e for e in have.keys() | want.keys() if have.get(e) != want.get(e))
+            raise ValueError(f"schedule letter {have.get(bad)!r} on edge {bad} is not the code's {want.get(bad)!r}")
+        cp_items = sorted(schedule.colors.items())
     anc = [code.n + j for j in range(code.t)]
     layers: list[list] = [[Gate("H", (a,), merged=True) for a in anc]]
-    layers += _color_layers(
-        schedule.colors, schedule.num_colors, lambda q, j: Gate("CP", (anc[j], q), pauli=schedule.letters[(q, j)])
-    )
+    layers += [[Gate("CP", (anc[j], q), schedule.letters[(q, j)]) for q, j in edges] for edges in _color_layers(cp_items)]
     cz_colors = edge_color_general(build_tangling(schedule))
-    layers += _color_layers(cz_colors, max(cz_colors.values(), default=0), lambda i, j: Gate("CZ", (anc[i], anc[j])))
+    layers += [[Gate("CZ", (anc[i], anc[j])) for i, j in edges] for edges in _color_layers(cz_colors.items())]
     layers.append([Gate("H", (a,), merged=True) for a in anc])
     layers.append([Measure(anc[j], j) for j in range(code.t)])
     circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from itertools import product
@@ -296,3 +297,18 @@ def test_json_preserves_cond_pauli_merged():
     assert c2.layers[0][0].merged is True
     assert c2.layers[2][0].pauli == "Y"
     assert c2.layers[2][0].cond == Condition((0,), 0)
+
+
+def test_gate_is_a_frozen_hashable_value():
+    g = Gate("CP", [5, 3], "X")
+    assert g.qubits == (5, 3) and isinstance(g.qubits, tuple)
+    assert g == Gate(op="CP", qubits=(5, 3), pauli="X", cond=None, merged=False)
+    assert hash(g) == hash(Gate("CP", (5, 3), pauli="X"))
+    assert g != Gate("CP", (5, 3), "X", merged=True)
+    assert repr(g) == "Gate(op='CP', qubits=(5, 3), pauli='X', cond=None, merged=False)"
+    assert [f.name for f in dataclasses.fields(Gate)] == ["op", "qubits", "pauli", "cond", "merged"]
+    assert dataclasses.replace(g, qubits=[1, 2]).qubits == (1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.op = "CZ"
+    c = Gate("X", (0,), cond=Condition((1, 2), 0))
+    assert c.cond == Condition((1, 2), 0) and c.pauli is None and not c.merged

@@ -5,14 +5,18 @@ The oracles below are the earlier implementations: a fresh augmented
 elimination per right-hand side, destabilizers completed one solve at a
 time, qubit removal by rebuilding the whole tableau, one solve per syndrome
 bit, a scan over every pair of checks for tangling, the CZ edge coloring
-that rebuilds a set of a vertex's colors per query, the basis loop behind
-``gf2_rank``, builtin codes written as Pauli strings and parsed back, and
-the bit transpose that packs the whole transposed bit matrix in one call.
-The new paths must reproduce them byte for byte.
+that rebuilds a set of a vertex's colors per query, the Tanner coloring
+that scans each node's color dicts per edge, the schedule check that
+buckets every edge by (node, color), the basis loop behind ``gf2_rank``,
+builtin codes written as Pauli strings and parsed back, and the bit
+transpose that packs the whole transposed bit matrix in one call.  The new
+paths must reproduce them byte for byte; compiled circuits are also pinned
+by hash.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -29,6 +33,7 @@ from adaptstab.errors import ContradictionError
 from adaptstab.pauli import GF2Elimination, PauliOperator, _transpose, from_bits, gf2_rank, gf2_solve, single_site
 from adaptstab.prep import (
     MeasurementSchedule,
+    TannerGraph,
     TanglingGraph,
     build_code,
     builtin_code,
@@ -310,6 +315,60 @@ def set_scan_edge_color(g):
     return color
 
 
+def dict_scan_edge_color_bipartite(g):
+    delta = g.max_degree
+    used_q = [dict() for _ in range(g.n_qubits)]  # color -> check
+    used_c = [dict() for _ in range(g.n_checks)]  # color -> qubit
+    colors = {}
+    for q, j in g.edges:
+        both = [c for c in range(1, delta + 1) if c not in used_q[q] and c not in used_c[j]]
+        if both:
+            c = both[0]
+        else:
+            a = min(c for c in range(1, delta + 1) if c not in used_q[q])
+            b = min(c for c in range(1, delta + 1) if c not in used_c[j])
+            path = []
+            on_check, vertex, col = True, j, a
+            while True:
+                table = used_c[vertex] if on_check else used_q[vertex]
+                if col not in table:
+                    break
+                other = table[col]
+                edge = (other, vertex) if on_check else (vertex, other)
+                path.append((edge, col))
+                on_check, vertex, col = not on_check, other, b if col == a else a
+            for edge, old in path:
+                used_q[edge[0]].pop(old)
+                used_c[edge[1]].pop(old)
+            for edge, old in path:
+                new = a + b - old
+                colors[edge] = new
+                used_q[edge[0]][new] = edge[1]
+                used_c[edge[1]][new] = edge[0]
+            c = a
+        colors[(q, j)] = c
+        used_q[q][c] = j
+        used_c[j][c] = q
+    return colors, delta if g.edges else 0
+
+
+def ordered_scan_schedule_error(colors, num_colors):
+    """The message schedule validation raised, or None (integer colors)."""
+    edges = list(colors)
+    at = {}  # (side, node, color) -> indices of its edges
+    for i, (q, j) in enumerate(edges):
+        for node in (("qubit", q), ("check", j)):
+            at.setdefault((*node, colors[(q, j)]), []).append(i)
+    clashes = [ids[:2] for ids in at.values() if len(ids) > 1]
+    if clashes:
+        i, k = min(clashes)
+        return f"edges {edges[i]} and {edges[k]} share a node and a color"
+    for e, c in colors.items():
+        if not 1 <= c <= num_colors:
+            return f"edge {e} has color {c} outside 1..{num_colors}"
+    return None
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -317,7 +376,7 @@ def _outcome(fn, *args, **kwargs):
     """Result or (exception type, message), so failures compare too."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, RuntimeError, ContradictionError) as exc:
+    except (ValueError, RuntimeError, KeyError, ContradictionError) as exc:
         return type(exc), str(exc)
 
 
@@ -463,7 +522,14 @@ def test_build_tangling_errors_match_pair_scan():
     improper.colors = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
     improper.letters = {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
     improper.num_colors = 2
-    for sched, kind in ((anti, ValueError), (improper, RuntimeError)):
+    # Letters on the uncolored edge (0, 1): one site reads as anticommuting
+    # checks, two as the missing color.
+    odd_uncolored = MeasurementSchedule({(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 1): "Z"}, 1)
+    even_uncolored = MeasurementSchedule(
+        {(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}, 1
+    )
+    cases = ((anti, ValueError), (improper, RuntimeError), (odd_uncolored, ValueError), (even_uncolored, KeyError))
+    for sched, kind in cases:
         new = _outcome(prep.build_tangling, sched)
         assert new[0] is kind
         assert new == _outcome(pair_scan_tangling, sched)
@@ -493,6 +559,105 @@ def test_edge_color_general_matches_set_scan_on_random_graphs(seed):
     edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
     rng.shuffle(edges)
     _assert_same_coloring(TanglingGraph(n, tuple(edges)))
+
+
+def test_edge_color_general_matches_set_scan_on_small_random_graphs():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        density = rng.choice((0.2, 0.5, 0.8))
+        edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
+        rng.shuffle(edges)
+        _assert_same_coloring(TanglingGraph(n, tuple(edges)))
+
+
+# -- edge_color_bipartite and schedule validation ---------------------------------
+
+
+def _assert_same_bipartite_coloring(g):
+    schedule = edge_color_bipartite(g)
+    colors, num_colors = dict_scan_edge_color_bipartite(g)
+    assert list(schedule.colors.items()) == list(colors.items())
+    assert schedule.num_colors == num_colors
+    assert list(schedule.letters.items()) == list(g.letters.items())
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"repetition({n})" for n in range(2, 31)] + ["steane"] + [f"toric({side})" for side in range(2, 17)],
+)
+def test_edge_color_bipartite_matches_dict_scan_on_codes(name):
+    _assert_same_bipartite_coloring(tanner_graph(builtin_code(name)))
+
+
+def _random_tanner_graph(rng):
+    n_qubits, n_checks = rng.randint(1, 30), rng.randint(1, 30)
+    density = rng.choice((0.05, 0.2, 0.5, 0.9))
+    edges = [(q, j) for q in range(n_qubits) for j in range(n_checks) if rng.random() < density]
+    if rng.random() < 0.5:
+        rng.shuffle(edges)  # the coloring walks the edges in the order given
+    letters = {e: rng.choice("XYZ") for e in edges}
+    return TannerGraph(n_qubits, n_checks, tuple(edges), letters)
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_edge_color_bipartite_matches_dict_scan_on_random_graphs(chunk):
+    for seed in range(20 * chunk, 20 * chunk + 20):
+        _assert_same_bipartite_coloring(_random_tanner_graph(random.Random(seed)))
+
+
+def test_edge_color_bipartite_matches_dict_scan_on_small_shuffled_graphs():
+    # Edges out of (qubit, check) order: a later edge can meet a qubit an
+    # alternating path has already recolored, so every node's mask must
+    # follow the swaps (in sorted order such qubits take no further edges).
+    for seed in range(1000):
+        rng = random.Random(seed)
+        n_qubits, n_checks = rng.randint(2, 12), rng.randint(2, 12)
+        edges = [(q, j) for q in range(n_qubits) for j in range(n_checks) if rng.random() < 0.4]
+        rng.shuffle(edges)
+        _assert_same_bipartite_coloring(TannerGraph(n_qubits, n_checks, tuple(edges), dict.fromkeys(edges, "Z")))
+
+
+@pytest.mark.parametrize("name", ["steane", "toric(3)", "toric(5)", "repetition(9)"])
+def test_schedule_errors_match_ordered_scan(name):
+    proper = edge_color_bipartite(tanner_graph(builtin_code(name)))
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(150):
+        order = list(proper.colors)
+        rng.shuffle(order)
+        colors = {e: proper.colors[e] for e in order}
+        for e in rng.sample(order, rng.randint(0, 3)):
+            colors[e] = rng.randint(0, proper.num_colors + 1)  # 0 and num_colors + 1 are out of range
+        want = ordered_scan_schedule_error(colors, proper.num_colors)
+        got = _outcome(MeasurementSchedule, colors, proper.letters, proper.num_colors)
+        if want is None:
+            assert isinstance(got, MeasurementSchedule)
+        else:
+            assert got == (ValueError, want)
+        outcomes.add(want is None or want.split()[0])
+    assert outcomes == {True, "edges", "edge"}  # proper, clash and range cases all met
+
+
+# Circuits compiled before the synthesis stages moved to per-node bitmasks.
+_PINNED_CIRCUITS = {
+    "toric(2)": "edbee090d1447492d32a6ba90961aca3a26461288a02aecc50b51c9d95d04c62",
+    "toric(3)": "300d89c9b88494d0fe890a4214dc0f33e5f9663768925c8c4d49d047f4b79909",
+    "toric(4)": "0d26b57652db6f09090f645d06bc2dfab57ac364bf5aef3b3b5089a894e270a1",
+    "toric(5)": "4f013f87b2ea0a7fe7cd8e05a75ea0d126c98f2bb02f96c21acefc8500af6d6c",
+    "toric(6)": "915dec110df1aa6d3d40dd89fb275519ac196dc5d78df7d612dd8c6085ff3445",
+    "toric(7)": "81b46f85abd5a41e42de42848b27b3d5fe774c39ba6c0d2656dcbdb92086534f",
+    "toric(8)": "8660e4aef9921fec0ad1614960edaede1b6f2c831a9e700431eb6c34bac5fca3",
+    "steane": "79b82ea5f950b74a27af1f40f347ef74aa580e4bd2d76abebefebdb9261c71e1",
+    "repetition(3)": "afa04f084f2fbb7b2e272acf727686f04896d0c0db3bc813b4a74d7566fb5b3b",
+    "repetition(24)": "a93884d5af44234b0e1cefde9b9f65aca525123777c60316fa18fddd70263d20",
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_CIRCUITS)
+def test_prepare_state_circuit_hash_pinned(name):
+    circuit = prepare_state(builtin_code(name))[0]
+    assert hashlib.sha256(ci.to_json(circuit).encode()).hexdigest() == _PINNED_CIRCUITS[name]
 
 
 # -- complexity: GF(2) eliminations counted ---------------------------------------

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from adaptstab.circuit import AdaptiveCircuit, Gate, Measure, depth, simulate
+from adaptstab.circuit import AdaptiveCircuit, Gate, Measure, depth, simulate, validate
+from adaptstab.circuit import to_json as ci_json
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, gf2_rank, parse_pauli
 from adaptstab.prep import (
@@ -207,6 +208,21 @@ def test_schedule_conflict_message_matches_pair_scan():
     assert 0 < clashes < 200
 
 
+def test_schedule_rejects_non_integer_colors():
+    sched = edge_color_bipartite(tanner_graph(builtin_code("steane")))
+    first = next(iter(sched.colors))
+    for bad in (float(sched.colors[first]), "2", None):
+        colors = dict(sched.colors)
+        colors[first] = bad
+        with pytest.raises(ValueError) as exc:
+            MeasurementSchedule(colors, sched.letters, sched.num_colors)
+        assert str(exc.value) == f"edge {first} has non-integer color {bad!r}"
+    colors = dict(sched.colors)
+    colors[first] = sched.num_colors + 1
+    with pytest.raises(ValueError, match=rf"outside 1\.\.{sched.num_colors}$"):
+        MeasurementSchedule(colors, sched.letters, sched.num_colors)
+
+
 def test_tangling_parity_interleavings():
     letters = {(q, 0): "X" for q in range(4)} | {(q, 1): "Z" for q in range(4)}
     even = {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 4,
@@ -284,6 +300,61 @@ def test_fragment_depth_six_with_tangled_schedule():
         synthesize_measurement_circuit(
             build_code(["XXII", "IIZZ"]), schedule=MeasurementSchedule(odd, letters, 4)
         )
+
+
+def _steane_schedule_with(letters=None, colors=None, num_colors=None):
+    base = edge_color_bipartite(tanner_graph(builtin_code("steane")))
+    return MeasurementSchedule(
+        base.colors if colors is None else colors,
+        base.letters if letters is None else letters,
+        base.num_colors if num_colors is None else num_colors,
+    )
+
+
+def test_custom_schedule_letters_must_match_the_code():
+    code = builtin_code("steane")
+    letters = dict(edge_color_bipartite(tanner_graph(code)).letters)
+    flipped = dict(letters)
+    flipped[(0, 0)] = "Z"  # the code has X there
+    missing = dict(letters)
+    del missing[(0, 0)]
+    extra = dict(letters)
+    extra[(0, 5)] = "Z"  # qubit 0 is not in check 5
+    cases = (
+        (flipped, "schedule letter 'Z' on edge (0, 0) is not the code's 'X'"),
+        (missing, "schedule letter None on edge (0, 0) is not the code's 'X'"),
+        (extra, "schedule letter 'Z' on edge (0, 5) is not the code's None"),
+    )
+    for bad, message in cases:
+        schedule = _steane_schedule_with(letters=bad)
+        for build in (synthesize_measurement_circuit, prepare_state):
+            with pytest.raises(ValueError) as exc:
+                build(code, schedule=schedule)
+            assert str(exc.value) == message
+
+
+def test_unused_schedule_colors_leave_no_empty_layer():
+    code = builtin_code("steane")
+    base = edge_color_bipartite(tanner_graph(code))
+    want = ci_json(prepare_state(code)[0])
+    gap = {e: c + 1 if c > 2 else c for e, c in base.colors.items()}  # color 3 unused
+    for schedule in (
+        _steane_schedule_with(num_colors=base.num_colors + 1),  # top color unused
+        _steane_schedule_with(colors=gap, num_colors=base.num_colors + 1),
+    ):
+        circuit, target = prepare_state(code, schedule=schedule)
+        assert validate(circuit, 4).ok
+        assert ci_json(circuit) == want  # same layers, same order
+        assert verify_preparation(circuit, target, trials=2)["all_match"] is True
+
+
+def test_custom_schedule_dict_order_does_not_change_the_circuit():
+    code = builtin_code("toric(3)")
+    base = edge_color_bipartite(tanner_graph(code))
+    edges = list(base.colors)
+    random.Random(3).shuffle(edges)
+    shuffled = MeasurementSchedule({e: base.colors[e] for e in edges}, {e: base.letters[e] for e in edges}, base.num_colors)
+    assert ci_json(prepare_state(code, schedule=shuffled)[0]) == ci_json(prepare_state(code)[0])
 
 
 def test_fragment_depth_budget():
