@@ -285,7 +285,7 @@ class SymbolicRun:
     """Every outcome branch of a circuit at once (see ``simulate_symbolic``).
 
     ``tableau`` holds all m qubits with the constant part of each generator's
-    sign, ``forms`` the sign-form planes (see ``tableau.sign_form``), and
+    sign, ``forms`` the sign-form planes (see ``tableau._measure_z_run``), and
     ``record[b]`` the outcome form of classical bit b, None when no
     measurement writes it.  Variable v is the outcome of the v-th random
     measurement.

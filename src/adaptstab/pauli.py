@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,9 +28,7 @@ __all__ = [
     "parse_pauli",
     "format_pauli",
     "gf2_rank",
-    "gf2_solve",
     "GF2Elimination",
-    "GF2Solution",
 ]
 
 _PHASES = (1, 1j, -1, -1j)
@@ -229,6 +226,8 @@ def tensor(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 
 def parse_pauli(text: str) -> PauliOperator:
     """Parse ``[+|-][i]LETTERS`` with letters from ``IXYZ``."""
+    if not isinstance(text, str):
+        raise ValueError(f"Pauli must be a string, got {text!r}")
     body = text.strip()
     sign = ""
     for prefix in ("+i", "-i", "i", "+", "-"):
@@ -323,14 +322,6 @@ class GF2Elimination:
             entries[col] = self.tags[idx] & mask
         return self._back_substitute(entries, self.pivot_mask)
 
-    def solve(self, rhs: int) -> int | None:
-        """Solution of ``M x = b`` with every free column zero, or None when
-        inconsistent.  Bit ``i`` of ``rhs`` is the entry of ``b`` for the
-        ``i``-th row added."""
-        if any((dep & rhs).bit_count() & 1 for dep in self.dependencies):
-            return None
-        return sum((v.bit_count() & 1) << c for c, v in enumerate(self.columns(rhs)))
-
     def null_basis(self) -> list[int]:
         """One null-space vector per free column, in column order: 1 on its
         column, 0 on the other free columns."""
@@ -341,39 +332,7 @@ class GF2Elimination:
         return _transpose(self._back_substitute(entries, -1), len(free))
 
 
-@dataclass
-class GF2Solution:
-    """One particular solution plus a null-space basis (free columns zeroed)."""
-
-    particular: int
-    null_basis: list[int]
-
-    def solutions(self) -> Iterable[int]:
-        """All solutions (use only when the null space is small)."""
-        for mask in range(1 << len(self.null_basis)):
-            x = self.particular
-            for i, v in enumerate(self.null_basis):
-                if (mask >> i) & 1:
-                    x ^= v
-            yield x
-
-
 def gf2_rank(m: Sequence[int], cols: int | None = None) -> int:
     """Rank of the rows ``m`` (``cols`` does not change it)."""
     return len(GF2Elimination(cols or 0, m).pivots)
 
-
-def gf2_solve(m: Sequence[int], b: Sequence[int], cols: int) -> GF2Solution | None:
-    """Solve ``M x = b`` over GF(2).
-
-    Returns ``None`` when inconsistent; otherwise the particular solution is
-    the one with every free variable set to zero, so repeated calls are
-    deterministic.
-    """
-    if len(b) != len(m):
-        raise ValueError(f"rhs length {len(b)} != row count {len(m)}")
-    elim = GF2Elimination(cols, m)
-    particular = elim.solve(sum((int(v) & 1) << i for i, v in enumerate(b)))
-    if particular is None:
-        return None
-    return GF2Solution(particular, elim.null_basis())

@@ -38,14 +38,13 @@ from .circuit import (
     simulate,
     simulate_symbolic,
 )
-from .pauli import GF2Elimination, PauliOperator, _bits, _transpose, format_pauli, gf2_rank, gf2_solve, parse_pauli
+from .pauli import GF2Elimination, PauliOperator, _bits, _transpose, format_pauli, gf2_rank, parse_pauli
 from .tableau import (
     StabilizerTableau,
     _anticommuting,
     _from_stabilizers,
     _raise_anticommuting,
     apply_gate,
-    generator_product,
     is_stabilized_by,
     states_equal,
     zero_state,
@@ -66,11 +65,9 @@ __all__ = [
     "build_tangling",
     "edge_color_general",
     "synthesize_measurement_circuit",
-    "pauli_correction",
     "x_type_logicals",
     "prepare_state",
     "verify_preparation",
-    "check_measurement_transform",
 ]
 
 
@@ -247,15 +244,20 @@ def tanner_graph(code: StabilizerCode) -> TannerGraph:
 @dataclass
 class MeasurementSchedule:
     """Proper edge coloring of a Tanner graph: color c = controlled-Pauli
-    layer c; ``letters`` carries the Pauli applied along each edge.  Colors
-    are integers in 1..``num_colors``.  A clash shows as fewer distinct
-    (node, color) pairs than edges; only then does the ordered scan run."""
+    layer c; ``letters`` carries the Pauli applied along each edge, and the
+    two cover the same edges.  Colors are integers in 1..``num_colors``.  A
+    clash shows as fewer distinct (node, color) pairs than edges; only then
+    does the ordered scan run."""
 
     colors: dict[tuple[int, int], int]
     letters: dict[tuple[int, int], str]
     num_colors: int
 
     def __post_init__(self) -> None:
+        if self.colors.keys() != self.letters.keys():
+            e = min(self.colors.keys() ^ self.letters.keys())
+            has, lacks = ("color", "letter") if e in self.colors else ("letter", "color")
+            raise ValueError(f"edge {e} has a {has} but no {lacks}")
         items = self.colors.items()
         if len({(q, c) for (q, _), c in items}) < len(items) or len({(j, c) for (_, j), c in items}) < len(items):
             edges = list(self.colors)
@@ -367,22 +369,21 @@ def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
     Tanner edges of a sparsity-s code, without scanning every pair of checks.
     Bit 0 of ``parity[pair]`` counts the pair's sites, bit 1 those where the
     lower check comes first, and bit 2 marks a site whose two edges share a
-    color or miss one.  The lowest pair with an odd count or bit 2 is handed
-    to :func:`tangling_parity` to raise its error.
+    color.  The lowest pair with an odd count or bit 2 is handed to
+    :func:`tangling_parity` to raise its error.
     """
     colors = schedule.colors
     n_nodes = max((j for _, j in colors), default=-1) + 1
     by_qubit: dict[int, list[tuple[int, str, int]]] = {}  # qubit -> (check, letter, color)
     for (q, j), letter in schedule.letters.items():
-        if j < n_nodes:
-            by_qubit.setdefault(q, []).append((j, letter, colors.get((q, j), 0)))  # 0: uncolored
+        by_qubit.setdefault(q, []).append((j, letter, colors[(q, j)]))
     parity: dict[tuple[int, int], int] = {}
     for bucket in by_qubit.values():
         for (a, la, ca), (b, lb, cb) in combinations(bucket, 2):
             if la != lb:
                 if a > b:
                     a, b, ca, cb = b, a, cb, ca
-                parity[(a, b)] = parity.get((a, b), 0) ^ (3 if ca < cb else 1) | (ca == cb or not ca or not cb) << 2
+                parity[(a, b)] = parity.get((a, b), 0) ^ (3 if ca < cb else 1) | (ca == cb) << 2
     bad = [pair for pair, p in parity.items() if p & 5]
     if bad:
         tangling_parity(schedule, *min(bad))
@@ -518,10 +519,10 @@ def synthesize_measurement_circuit(
     else:
         if schedule.colors.keys() != set(g.edges):
             raise ValueError("schedule does not cover exactly the code's Tanner edges")
-        have, want = schedule.letters, g.letters
+        have, want = schedule.letters, g.letters  # both keyed by the Tanner edges
         if have != want:
-            bad = min(e for e in have.keys() | want.keys() if have.get(e) != want.get(e))
-            raise ValueError(f"schedule letter {have.get(bad)!r} on edge {bad} is not the code's {want.get(bad)!r}")
+            bad = min(e for e in want if have[e] != want[e])
+            raise ValueError(f"schedule letter {have[bad]!r} on edge {bad} is not the code's {want[bad]!r}")
         cp_items = sorted(schedule.colors.items())
     anc = [code.n + j for j in range(code.t)]
     layers: list[list] = [[Gate("H", (a,), merged=True) for a in anc]]
@@ -532,23 +533,6 @@ def synthesize_measurement_circuit(
     layers.append([Measure(anc[j], j) for j in range(code.t)])
     circuit = AdaptiveCircuit(code.n + code.t, code.t, layers)
     return MeasurementFragment(circuit, schedule, cz_colors)
-
-
-def pauli_correction(s_plus: Sequence[PauliOperator], s_minus: Sequence[PauliOperator]) -> PauliOperator:
-    """A Pauli commuting with every ``s_plus`` and anticommuting with every
-    ``s_minus``, found by one GF(2) solve; sign fixed to +1."""
-    gens = list(s_plus) + list(s_minus)
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].n
-    rows = [g.z | (g.x << n) for g in gens]
-    b = [0] * len(s_plus) + [1] * len(s_minus)
-    sol = gf2_solve(rows, b, cols=2 * n)
-    if sol is None:
-        raise ValueError("inconsistent sign pattern: generators are not independent")
-    u = sol.particular
-    x, z = u & ((1 << n) - 1), u >> n
-    return PauliOperator.from_exponent(n, x, z, bin(x & z).count("1") % 4)
 
 
 def x_type_logicals(code: StabilizerCode) -> list[PauliOperator]:
@@ -744,35 +728,3 @@ def verify_preparation(
     _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))
     return report
 
-
-def check_measurement_transform(big: StabilizerTableau, small: StabilizerTableau) -> bool:
-    """Can measuring Z on the last m - n qubits of ``big`` yield ``small``?
-
-    True exactly when every generator S of the small state extends to a
-    group element S (x) Z^z of the big state for some ancilla pattern z.
-    Each candidate is a unique generator combination, and sign repair uses
-    the fact that pure ancilla-Z group elements multiply without phases, so
-    their signs form a linear functional over the solution space.
-    """
-    m, n = big.n, small.n
-    if m < n:
-        raise ValueError("big register must be at least as wide as small")
-    # Unknown: a mask over big's generators.  Its x-part must match s below n
-    # and vanish on the ancillas; its z-part is constrained on the data only.
-    full = (1 << m) - 1
-    elim = GF2Elimination(m, [c & full for c in big.xs] + [c & full for c in big.zs[:n]])
-    null_basis = elim.null_basis()
-    for s in small.generators:
-        particular = elim.solve(s.x | (s.z << m))
-        if particular is None:
-            return False
-        g0 = generator_product(big, particular)
-        expected = s.embed(m).multiply(PauliOperator(m, 0, (g0.z >> n) << n))
-        if g0 == expected:
-            continue
-        # Wrong sign: null-space elements are pure Z on the ancillas, whose
-        # signs compose linearly, so any negative one repairs the mismatch.
-        if any(generator_product(big, v).display_sign == -1 for v in null_basis):
-            continue
-        return False
-    return True

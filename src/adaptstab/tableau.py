@@ -1,4 +1,4 @@
-"""Stabilizer tableaux: Clifford conjugation, Pauli measurement, group queries.
+"""Stabilizer tableaux: Clifford conjugation, runs of Z measurements, group queries.
 
 A tableau stores n stabilizer generators plus n destabilizers (the
 Aaronson-Gottesman layout).  Destabilizer i anticommutes with generator i and
@@ -44,7 +44,6 @@ from .pauli import (
     _transpose,
     format_pauli,
     gf2_rank,
-    gf2_solve,
     parse_pauli,
     single_site,
 )
@@ -56,15 +55,11 @@ __all__ = [
     "ghz_state",
     "check_gate",
     "apply_gate",
-    "conjugate_pauli",
-    "measure_pauli",
     "generator_product",
-    "sign_form",
     "apply_pauli_form",
     "is_stabilized_by",
     "states_equal",
     "random_stabilizer_state",
-    "restricted_group_elements",
     "from_stabilizers",
     "factor_out_qubits",
     "validate_tableau",
@@ -241,17 +236,6 @@ def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
 # -- gate conjugation -------------------------------------------------------
 
 
-def conjugate_pauli(
-    p: PauliOperator, name: str, qubits: Sequence[int], pauli: str | None = None
-) -> PauliOperator:
-    """G p G^dagger for a single Pauli: the gate kernel on a one-row table."""
-    one = StabilizerTableau._from_planes(
-        p.n, [p.x >> q & 1 for q in range(p.n)], [p.z >> q & 1 for q in range(p.n)], p.e & 1, p.e >> 1
-    )
-    apply_gate(one, name, qubits, pauli)
-    return one.generators[0]
-
-
 def check_gate(name: str, n_qubits: int) -> None:
     """Raise ValueError unless ``name`` is a known gate on ``n_qubits`` qubits."""
     arity = GATE_ARITY.get(name)
@@ -319,54 +303,7 @@ def apply_gate(
     return t
 
 
-# -- measurement ------------------------------------------------------------
-
-
-def measure_pauli(
-    t: StabilizerTableau,
-    p: PauliOperator,
-    forced: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[int, bool, StabilizerTableau]:
-    """Measure hermitian Pauli ``p``; returns (outcome, deterministic, tableau).
-
-    When the outcome is random, ``forced`` (+1/-1) picks the branch, else a
-    fair coin from ``rng`` is used.  Forcing a deterministic measurement to
-    the impossible sign raises :class:`ContradictionError`.
-    """
-    if not p.hermitian:
-        raise ValueError(f"{format_pauli(p)} is not hermitian")
-    if p.n != t.n:
-        raise ValueError("dimension mismatch")
-    n = t.n
-    anti = _anticommuting(t.xs, t.zs, p)
-    if anti & ((1 << n) - 1):
-        if forced is not None:
-            outcome = int(forced)
-            if outcome not in (1, -1):
-                raise ValueError("forced outcome must be +1 or -1")
-        else:
-            if rng is None:
-                raise ValueError("random measurement outcome requires an rng")
-            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-        rows = _to_rows(t)
-        _collapse(rows, n, anti, p.x | p.z << n | (p.e if outcome == 1 else p.e + 2) % 4 << 2 * n)
-        _from_rows(t, rows)
-        return outcome, False, t
-    # Deterministic: p commutes with the whole group, so +-p is in it.
-    form = sign_form(t, (), p)
-    if form is None:
-        raise AssertionError("commuting Pauli outside the group; tableau corrupt")
-    outcome = 1 - 2 * form
-    if forced is not None and int(forced) != outcome:
-        raise ContradictionError(
-            f"measurement of {format_pauli(p)} is deterministic ({outcome:+d}); "
-            f"cannot force {int(forced):+d}"
-        )
-    return outcome, True, t
-
-
-# -- sign forms ---------------------------------------------------------------
+# -- Z measurement and sign forms --------------------------------------------
 #
 # A symbolic run carries every generator's sign as an affine GF(2) form over
 # the outcomes of the random measurements made so far, so one pass covers
@@ -375,22 +312,6 @@ def measure_pauli(
 # in ``e0``/``e1`` and ``forms[v]`` is the plane of generator rows whose sign
 # contains variable v.  Destabilizers carry no forms: rows are only ever
 # multiplied by generators, so their signs never reach a generator's.
-
-
-def sign_form(t: StabilizerTableau, forms: Sequence[int], p: PauliOperator) -> int | None:
-    """Form of the sign s with ``s * p`` in the group on every branch, else None.
-
-    The destabilizers anticommuting with p select the generator product;
-    with no ``forms`` the result is the constant 0 (+1) or 1 (-1).
-    """
-    sel = _anticommuting(t.xs, t.zs, p) >> t.n
-    prod = generator_product(t, sel)
-    if (prod.x, prod.z) != (p.x, p.z):
-        return None
-    form = int(prod.e != p.e)
-    for v, plane in enumerate(forms):
-        form |= ((plane & sel).bit_count() & 1) << (v + 1)
-    return form
 
 
 def _measure_z_run(
@@ -466,11 +387,19 @@ def apply_pauli_form(t: StabilizerTableau, forms: list[int], name: str, qubits: 
 
 
 def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
-    """+1/-1 when ``sign * p`` is in the stabilizer group, else None."""
+    """+1/-1 when ``sign * p`` is in the stabilizer group, else None.
+
+    The destabilizers anticommuting with p select the generator product,
+    which is +-p exactly when +-p is in the group.
+    """
+    if p.n != t.n:
+        raise ValueError("dimension mismatch")
     if not p.hermitian:
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    form = sign_form(t, (), p)
-    return None if form is None else 1 - 2 * form
+    prod = generator_product(t, _anticommuting(t.xs, t.zs, p) >> t.n)
+    if (prod.x, prod.z) != (p.x, p.z):
+        return None
+    return 1 if prod.e == p.e else -1
 
 
 # -- whole generator sets -----------------------------------------------------
@@ -505,7 +434,7 @@ def _match_products(
     t: StabilizerTableau, pxs: Sequence[int], pzs: Sequence[int], e0: int, e1: int, k: int
 ) -> tuple[list[int], int, int]:
     """Compare k Paulis with the generator products their destabilizer
-    patterns select (as in ``sign_form``), all at once.
+    patterns select (as in ``is_stabilized_by``), all at once.
 
     Returns (picks, unmatched, flipped): bit i of ``picks[j]`` is set when
     Pauli i's product takes generator j, of ``unmatched`` when that product
@@ -762,37 +691,6 @@ def random_stabilizer_state(n: int, seed: int) -> StabilizerTableau:
             else:
                 apply_gate(t, g, (a, b))
     return t
-
-
-# -- group queries ------------------------------------------------------------
-
-
-def restricted_group_elements(
-    t: StabilizerTableau, subset: Iterable[int]
-) -> list[PauliOperator]:
-    """All group elements (signs included) supported inside ``subset``.
-
-    The combinations form a linear subspace: a product has trivial letters on
-    qubit q iff the XOR of the chosen generators' x and z bits at q vanish,
-    and those bits are the generator part of q's planes.
-    """
-    region = sorted(set(subset))
-    n = t.n
-    for q in region:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
-    full = (1 << n) - 1
-    system = []
-    for q in sorted(set(range(n)) - set(region)):
-        system += [t.xs[q] & full, t.zs[q] & full]
-    sol = gf2_solve(system, [0] * len(system), cols=n)
-    assert sol is not None
-    dim = len(sol.null_basis)
-    if dim > 20:
-        raise ResourceGuardError(f"restricted group has 2^{dim} elements")
-    elements = [generator_product(t, mask) for mask in sol.solutions()]
-    elements.sort(key=lambda p: (p.weight(), p.x, p.z))
-    return elements
 
 
 # -- serialization ------------------------------------------------------------

@@ -22,11 +22,11 @@ from adaptstab.pauli import single_site
 from adaptstab.tableau import (
     apply_gate,
     factor_out_qubits,
-    measure_pauli,
     states_equal,
     validate_tableau,
     zero_state,
 )
+from helpers_tableau import plane_measure_pauli
 
 
 def _fire(cond, record):
@@ -69,7 +69,7 @@ def reference_simulate(c, *, seed=None, forced=None, initial=None):
                 force_sign = None
                 if forced is not None:
                     force_sign = 1 if forced[op.cbit] == 0 else -1
-                outcome, _, _ = measure_pauli(t, p, forced=force_sign, rng=rng)
+                outcome, _, _ = plane_measure_pauli(t, p, forced=force_sign, rng=rng)
                 _write_cbit(record, op.cbit, 0 if outcome == 1 else 1)
             elif _fire(op.cond, record):
                 apply_gate(t, op.op, op.qubits, pauli=op.pauli)

@@ -1,10 +1,15 @@
-"""Tableau builders shared by test modules, and the plane measurement oracle."""
+"""Tableau builders shared by test modules, and oracles for removed paths:
+the plane measurement, single-Pauli conjugation and sign forms, and the
+restricted group."""
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
+
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import PauliOperator, _bits, format_pauli
-from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, sign_form
+from adaptstab.pauli import GF2Elimination, PauliOperator, _bits, format_pauli
+from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, generator_product
 
 
 def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
@@ -54,8 +59,27 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
 #
 # ``measure_pauli`` once read the pivot row off the planes bit by bit, cleared
 # the destabilizer row across every plane and XORed the new rows back in, one
-# measurement at a time; ``measure_form`` built on it.  Measurement runs now
-# go through ``tableau._measure_z_run`` on packed rows.
+# measurement at a time; ``measure_form`` built on it.  Measurements now go
+# through ``tableau._measure_z_run``, runs of Z measurements on packed rows,
+# and a deterministic sign through ``tableau.is_stabilized_by``.
+
+
+def sign_form(t: StabilizerTableau, forms, p: PauliOperator) -> int | None:
+    """Form of the sign s with ``s * p`` in the group on every branch, else None.
+
+    The destabilizers anticommuting with p select the generator product;
+    bit v + 1 of the form is the parity of the selected rows in ``forms[v]``
+    (see ``tableau._measure_z_run``), and with no ``forms`` the result is the
+    constant 0 (+1) or 1 (-1).
+    """
+    sel = _anticommuting(t.xs, t.zs, p) >> t.n
+    prod = generator_product(t, sel)
+    if (prod.x, prod.z) != (p.x, p.z):
+        return None
+    form = int(prod.e != p.e)
+    for v, plane in enumerate(forms):
+        form |= ((plane & sel).bit_count() & 1) << (v + 1)
+    return form
 
 
 def plane_row(t: StabilizerTableau, r: int) -> tuple[int, int, int]:
@@ -93,23 +117,33 @@ def plane_multiply_rows(t: StabilizerTableau, mask: int, x: int, z: int, e: int)
 
 
 def plane_measure_pauli(t: StabilizerTableau, p: PauliOperator, forced=None, rng=None):
-    """``measure_pauli`` as it was, one measurement on the planes."""
+    """Measure hermitian Pauli ``p``; returns (outcome, deterministic, tableau).
+
+    ``measure_pauli`` as it was, one measurement on the planes.  When the
+    outcome is random, ``forced`` (+1/-1) picks the branch, else a fair coin
+    from ``rng``.  Forcing a deterministic measurement to the impossible sign
+    raises :class:`ContradictionError`.
+    """
     if not p.hermitian:
         raise ValueError(f"{format_pauli(p)} is not hermitian")
+    if p.n != t.n:
+        raise ValueError("dimension mismatch")
     n = t.n
     anti = _anticommuting(t.xs, t.zs, p)
     if anti & ((1 << n) - 1):
+        if forced is not None:
+            outcome = int(forced)
+            if outcome not in (1, -1):
+                raise ValueError("forced outcome must be +1 or -1")
+        elif rng is None:
+            raise ValueError("random measurement outcome requires an rng")
+        else:
+            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
         pivot = (anti & -anti).bit_length() - 1
         d = n + pivot
         x, z, e = plane_row(t, pivot)
         plane_multiply_rows(t, anti & ~(1 << pivot | 1 << d), x, z, e)
         t._rows = None
-        if forced is not None:
-            outcome = int(forced)
-            if outcome not in (1, -1):
-                raise ValueError("forced outcome must be +1 or -1")
-        else:
-            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
         keep = ~(1 << d)
         t.xs, t.zs = [c & keep for c in t.xs], [c & keep for c in t.zs]
         t.e0, t.e1 = t.e0 & keep, t.e1 & keep
@@ -143,3 +177,94 @@ def plane_measure_form(t: StabilizerTableau, forms: list[int], p: PauliOperator)
             forms[v] = plane ^ gens
     forms.append(pivot)
     return 1 << len(forms)
+
+
+# -- single-Pauli conjugation, row by row ----------------------------------------
+
+_LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
+
+
+def conjugate_row(p: PauliOperator, name: str, qubits, pauli=None) -> None:
+    """G p G^dagger in place, one conjugation rule per gate (the row path)."""
+    x, z, e = p.x, p.z, p.e
+    if name == "H":
+        (q,) = qubits
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        e += 2 * (xq & zq)
+        x ^= (xq ^ zq) << q
+        z ^= (xq ^ zq) << q
+    elif name == "S":
+        (q,) = qubits
+        xq = (x >> q) & 1
+        e += xq
+        z ^= xq << q
+    elif name == "SDG":
+        (q,) = qubits
+        xq = (x >> q) & 1
+        e += 3 * xq
+        z ^= xq << q
+    elif name == "X":
+        (q,) = qubits
+        e += 2 * ((z >> q) & 1)
+    elif name == "Y":
+        (q,) = qubits
+        e += 2 * (((x >> q) ^ (z >> q)) & 1)
+    elif name == "Z":
+        (q,) = qubits
+        e += 2 * ((x >> q) & 1)
+    elif name == "SWAP":
+        a, b = qubits
+        xa, xb = (x >> a) & 1, (x >> b) & 1
+        za, zb = (z >> a) & 1, (z >> b) & 1
+        x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
+        z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
+    else:
+        letter = {"CNOT": "X", "CZ": "Z", "CP": pauli}[name]
+        px, pz, pe = _LETTER_BITS[letter]
+        a = qubits[0]
+        for q in qubits[1:]:
+            xa = (x >> a) & 1
+            xq, zq = (x >> q) & 1, (z >> q) & 1
+            tau = (xq & pz) ^ (zq & px)
+            if xa:
+                e += pe + 2 * (pz & xq)
+                x ^= px << q
+                z ^= pz << q
+            z ^= tau << a
+    p.x, p.z, p.e = x, z, e % 4
+
+
+def row_conjugate_pauli(p: PauliOperator, name: str, qubits, pauli=None) -> PauliOperator:
+    """G p G^dagger for a single Pauli, as a new operator."""
+    out = PauliOperator.from_exponent(p.n, p.x, p.z, p.e)
+    conjugate_row(out, name, qubits, pauli)
+    return out
+
+
+# -- group queries ------------------------------------------------------------------
+
+
+def restricted_group_elements(t, subset) -> list[PauliOperator]:
+    """All group elements (signs included) supported inside ``subset``, by
+    (weight, x, z); ``t`` is anything with ``n`` and ``generators``.
+
+    A generator combination is trivial on qubit q iff its x and z bits there
+    cancel, so the combinations form the null space of the outside columns.
+    """
+    n, gens = t.n, t.generators
+    region = set(subset)
+    system = []
+    for q in range(n):
+        if q not in region:
+            system.append(sum((g.x >> q & 1) << i for i, g in enumerate(gens)))
+            system.append(sum((g.z >> q & 1) << i for i, g in enumerate(gens)))
+    basis = GF2Elimination(n, system).null_basis()
+    elements = []
+    for combo in range(1 << len(basis)):
+        mask = reduce(xor, (basis[i] for i in _bits(combo)), 0)
+        prod = PauliOperator(n, 0, 0)
+        for i in _bits(mask):
+            prod = prod * gens[i]
+        elements.append(prod)
+    elements.sort(key=lambda p: (p.weight(), p.x, p.z))
+    return elements

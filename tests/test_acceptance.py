@@ -41,12 +41,11 @@ from adaptstab.metrics import (
     stabilizer_weight,
     weight_vector_oracle,
 )
-from adaptstab.pauli import PauliOperator, gf2_rank, gf2_solve, parse_pauli
+from adaptstab.pauli import PauliOperator, gf2_rank, parse_pauli
 from adaptstab.prep import (
     MeasurementSchedule,
     builtin_code,
     build_code,
-    pauli_correction,
     prepare_state,
     synthesize_measurement_circuit,
     verify_preparation,
@@ -54,19 +53,19 @@ from adaptstab.prep import (
 )
 from adaptstab.tableau import (
     ghz_state,
-    measure_pauli,
     random_stabilizer_state,
-    restricted_group_elements,
     states_equal,
     zero_state,
 )
 from helpers_checks import (
     correlation_continuity_check,
     flip_generator_sign,
+    gf2_solve,
     lemma1_check,
     local_indistinguishable,
+    pauli_correction,
 )
-from helpers_tableau import tensor_tableau
+from helpers_tableau import plane_measure_pauli, restricted_group_elements, tensor_tableau
 
 
 def _report(num: int, errs: list, detail: str) -> None:
@@ -153,7 +152,7 @@ def test_criterion_02_stabilizer_weight_greedy_vs_oracle():
 def _sequential(code, t0, forced):
     seq = t0.copy()
     for j, ch in enumerate(code.checks):
-        measure_pauli(
+        plane_measure_pauli(
             seq, ch, forced=1 if forced[j] == 0 else -1, rng=np.random.default_rng(0)
         )
     return seq

@@ -104,6 +104,15 @@ def test_prep_partition_file(capsys, tmp_path):
     assert states_equal(tableau_from_json(report["results"]["target"]), ghz_state(3))
 
 
+def test_prep_partition_with_wide_s2_element_exits_1(capsys, tmp_path):
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps({"s1": ["ZZII", "IZZI", "IIZZ"], "s2": ["XXXXX"], "phi": "plus"}))
+    code, report, err = run(capsys, "prep", "builtin:repetition4", "--partition", str(part))
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": "dimension mismatch"}
+    assert "error: dimension mismatch" in err
+
+
 def test_prep_random_trials_only(capsys):
     code, report, _ = run(capsys, "prep", "builtin:repetition5", "--verify", "6")
     assert code == 0
@@ -207,6 +216,14 @@ def test_weight_generator_width_mismatch_exits_1(capsys, tmp_path):
     assert code == 1 and report["results"] is None
     assert report["error"] == {"kind": "ValueError", "message": "generator +IIZZ acts on 4 qubits, expected 3"}
     assert "error" in err
+
+
+def test_weight_non_string_generator_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "generators": [1, 2]}))
+    code, report, _ = run(capsys, "weight", str(bad))
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": "Pauli must be a string, got 1"}
 
 
 # -- cor / crange ----------------------------------------------------------------

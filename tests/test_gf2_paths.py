@@ -30,7 +30,7 @@ from adaptstab import circuit as ci
 from adaptstab import prep
 from adaptstab.circuit import Condition, Gate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import GF2Elimination, PauliOperator, _transpose, from_bits, gf2_rank, gf2_solve, single_site
+from adaptstab.pauli import GF2Elimination, PauliOperator, _transpose, from_bits, gf2_rank, single_site
 from adaptstab.prep import (
     MeasurementSchedule,
     TannerGraph,
@@ -51,6 +51,7 @@ from adaptstab.tableau import (
     to_json,
     validate_tableau,
 )
+from helpers_checks import gf2_solve
 
 # -- oracles: the replaced per-solve code ------------------------------------
 
@@ -522,17 +523,16 @@ def test_build_tangling_errors_match_pair_scan():
     improper.colors = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
     improper.letters = {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
     improper.num_colors = 2
-    # Letters on the uncolored edge (0, 1): one site reads as anticommuting
-    # checks, two as the missing color.
-    odd_uncolored = MeasurementSchedule({(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 1): "Z"}, 1)
-    even_uncolored = MeasurementSchedule(
-        {(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}, 1
-    )
-    cases = ((anti, ValueError), (improper, RuntimeError), (odd_uncolored, ValueError), (even_uncolored, KeyError))
-    for sched, kind in cases:
+    for sched, kind in ((anti, ValueError), (improper, RuntimeError)):
         new = _outcome(prep.build_tangling, sched)
         assert new[0] is kind
         assert new == _outcome(pair_scan_tangling, sched)
+    # Letters on the uncolored edge (0, 1), with one site or two: the
+    # schedule itself is refused, naming that edge.
+    odd_uncolored = ({(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 1): "Z"}, 1)
+    even_uncolored = ({(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}, 1)
+    for args in (odd_uncolored, even_uncolored):
+        assert _outcome(MeasurementSchedule, *args) == (ValueError, "edge (0, 1) has a letter but no color")
 
 
 # -- edge_color_general -----------------------------------------------------------
@@ -665,8 +665,8 @@ def test_prepare_state_circuit_hash_pinned(name):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    counts = {"eliminations": 0, "rows": 0, "solves": 0}
-    init, add, solve = GF2Elimination.__init__, GF2Elimination.add, GF2Elimination.solve
+    counts = {"eliminations": 0, "rows": 0}
+    init, add = GF2Elimination.__init__, GF2Elimination.add
 
     def counting_init(self, *args, **kwargs):
         counts["eliminations"] += 1
@@ -676,20 +676,15 @@ def eliminations(monkeypatch):
         counts["rows"] += 1
         return add(self, row)
 
-    def counting_solve(self, rhs):
-        counts["solves"] += 1
-        return solve(self, rhs)
-
     monkeypatch.setattr(GF2Elimination, "__init__", counting_init)
     monkeypatch.setattr(GF2Elimination, "add", counting_add)
-    monkeypatch.setattr(GF2Elimination, "solve", counting_solve)
     return counts
 
 
 def test_simulate_makes_no_gf2_elimination(eliminations):
     tab, record = ci.simulate(ci.ghz_adaptive(128, 8, 2), seed=0)
     assert tab.n == 128 and len(record) == 15
-    assert eliminations == {"eliminations": 0, "rows": 0, "solves": 0}
+    assert eliminations == {"eliminations": 0, "rows": 0}
 
 
 def test_prepare_state_eliminates_each_matrix_once(eliminations):
@@ -703,10 +698,9 @@ def test_prepare_state_eliminates_each_matrix_once(eliminations):
     #   z-parts), then candidates until the k = 2 logicals raise its rank (9);
     # - the symplectic system completed into destabilizers (n generator rows,
     #   then n - 1 destabilizer rows: the last meets no later destabilizer).
-    # Nothing solves: the destabilizers are read from the tags once and
-    # updated as each joins, and the corrections read every syndrome from
-    # the same tags.
-    assert eliminations == {"eliminations": 4, "rows": t + t + 63 + 9 + 2 * n - 1, "solves": 0}
+    # The destabilizers are read from the tags once and updated as each
+    # joins, and the corrections read every syndrome from the same tags.
+    assert eliminations == {"eliminations": 4, "rows": t + t + 63 + 9 + 2 * n - 1}
     assert (n, eliminations["rows"]) == (128, 579)
 
 

@@ -11,13 +11,12 @@ from adaptstab.pauli import (
     format_pauli,
     from_bits,
     gf2_rank,
-    gf2_solve,
     identity,
     parse_pauli,
     single_site,
     tensor,
 )
-from helpers_checks import restrict
+from helpers_checks import gf2_solve, restrict, solve_rhs
 
 _I = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -142,6 +141,9 @@ def test_parse_format():
         parse_pauli("")
     with pytest.raises(ValueError):
         parse_pauli("XQ")
+    for value in (1, None, 2.5, ["X"], b"XZ"):
+        with pytest.raises(ValueError, match=r"^Pauli must be a string, got "):
+            parse_pauli(value)
     rng = np.random.default_rng(13)
     for _ in range(1000):
         n = int(rng.integers(1, 10))
@@ -219,7 +221,7 @@ def test_gf2_elimination_solves_every_rhs_from_tags():
             for x in range(1 << ncols)
         }
         for rhs in range(1 << nrows):
-            x = elim.solve(rhs)
+            x = solve_rhs(elim, rhs)
             if rhs not in images:
                 assert x is None
                 continue

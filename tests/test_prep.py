@@ -17,11 +17,9 @@ from adaptstab.prep import (
     build_code,
     build_tangling,
     builtin_code,
-    check_measurement_transform,
     edge_color_bipartite,
     edge_color_general,
     parse_code_text,
-    pauli_correction,
     prepare_state,
     synthesize_measurement_circuit,
     tangling_parity,
@@ -34,12 +32,12 @@ from adaptstab.tableau import (
     from_stabilizers,
     ghz_state,
     is_stabilized_by,
-    measure_pauli,
     random_stabilizer_state,
     states_equal,
     zero_state,
 )
-from helpers_tableau import tensor_tableau
+from helpers_checks import check_measurement_transform, gf2_solve, pauli_correction
+from helpers_tableau import plane_measure_pauli, tensor_tableau
 
 
 def test_build_code_examples():
@@ -320,17 +318,16 @@ def test_custom_schedule_letters_must_match_the_code():
     del missing[(0, 0)]
     extra = dict(letters)
     extra[(0, 5)] = "Z"  # qubit 0 is not in check 5
-    cases = (
-        (flipped, "schedule letter 'Z' on edge (0, 0) is not the code's 'X'"),
-        (missing, "schedule letter None on edge (0, 0) is not the code's 'X'"),
-        (extra, "schedule letter 'Z' on edge (0, 5) is not the code's None"),
-    )
-    for bad, message in cases:
-        schedule = _steane_schedule_with(letters=bad)
-        for build in (synthesize_measurement_circuit, prepare_state):
-            with pytest.raises(ValueError) as exc:
-                build(code, schedule=schedule)
-            assert str(exc.value) == message
+    schedule = _steane_schedule_with(letters=flipped)
+    for build in (synthesize_measurement_circuit, prepare_state):
+        with pytest.raises(ValueError) as exc:
+            build(code, schedule=schedule)
+        assert str(exc.value) == "schedule letter 'Z' on edge (0, 0) is not the code's 'X'"
+    # Letters and colors on different edges fail at construction.
+    with pytest.raises(ValueError, match=r"^edge \(0, 0\) has a color but no letter$"):
+        _steane_schedule_with(letters=missing)
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) has a letter but no color$"):
+        _steane_schedule_with(letters=extra)
 
 
 def test_unused_schedule_colors_leave_no_empty_layer():
@@ -377,7 +374,7 @@ def test_fragment_layer_shape():
 def _sequential(code, t0, forced):
     seq = t0.copy()
     for j, ch in enumerate(code.checks):
-        measure_pauli(seq, ch, forced=1 if forced[j] == 0 else -1, rng=np.random.default_rng(0))
+        plane_measure_pauli(seq, ch, forced=1 if forced[j] == 0 else -1, rng=np.random.default_rng(0))
     return seq
 
 
@@ -498,8 +495,6 @@ def test_pauli_correction_contract_sweep():
 def test_pauli_correction_unique_up_to_stabilizer():
     # Two valid corrections differ by an operator with trivial syndrome:
     # anything in the null space commutes with every generator.
-    from adaptstab.pauli import gf2_solve
-
     t = random_stabilizer_state(5, seed=9)
     gens = [g if g.display_sign == 1 else g.negate() for g in t.generators]
     n = 5

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from helpers_dense import dense_pauli, dense_state_from_ops, gate_unitary
-from helpers_tableau import canonical_form, tensor_tableau
+from helpers_tableau import canonical_form, plane_measure_pauli, restricted_group_elements, row_conjugate_pauli, tensor_tableau
 
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, parse_pauli, single_site
 from adaptstab.tableau import (
     apply_gate,
-    conjugate_pauli,
     factor_out_qubits,
     from_json,
     from_stabilizers,
     is_stabilized_by,
-    measure_pauli,
     random_stabilizer_state,
-    restricted_group_elements,
     states_equal,
     to_json,
     validate_tableau,
@@ -59,7 +56,7 @@ def all_paulis(n: int):
 def test_conjugation_matches_dense(name, qubits, pauli):
     u = gate_unitary(name, qubits, 2, pauli)
     for p in all_paulis(2):
-        got = conjugate_pauli(p, name, qubits, pauli)
+        got = row_conjugate_pauli(p, name, qubits, pauli)
         np.testing.assert_allclose(
             dense_pauli(got), u @ dense_pauli(p) @ u.conj().T, atol=1e-12
         )
@@ -68,7 +65,7 @@ def test_conjugation_matches_dense(name, qubits, pauli):
 def test_multitarget_cnot_is_fanout():
     u = gate_unitary("CNOT", (1, 0, 2), 3)
     for p in all_paulis(3)[:: 7]:
-        got = conjugate_pauli(p, "CNOT", (1, 0, 2))
+        got = row_conjugate_pauli(p, "CNOT", (1, 0, 2))
         np.testing.assert_allclose(
             dense_pauli(got), u @ dense_pauli(p) @ u.conj().T, atol=1e-12
         )
@@ -111,51 +108,51 @@ def test_gate_errors():
 
 
 def test_measure_deterministic():
-    out, det, _ = measure_pauli(zero_state(1), parse_pauli("+Z"))
+    out, det, _ = plane_measure_pauli(zero_state(1), parse_pauli("+Z"))
     assert (out, det) == (1, True)
     t = ghz_tableau(3)
-    out, det, _ = measure_pauli(t, parse_pauli("+ZZI"))
+    out, det, _ = plane_measure_pauli(t, parse_pauli("+ZZI"))
     assert (out, det) == (1, True)
     with pytest.raises(ContradictionError):
-        measure_pauli(zero_state(1), parse_pauli("+Z"), forced=-1)
+        plane_measure_pauli(zero_state(1), parse_pauli("+Z"), forced=-1)
 
 
 def test_measure_random_forced():
     t = zero_state(1)
     apply_gate(t, "H", (0,))
-    out, det, t = measure_pauli(t, parse_pauli("+Z"), forced=-1)
+    out, det, t = plane_measure_pauli(t, parse_pauli("+Z"), forced=-1)
     assert (out, det) == (-1, False)
     assert format_pauli(t.generators[0]) == "-Z"
-    out2, det2, _ = measure_pauli(t, parse_pauli("+Z"))
+    out2, det2, _ = plane_measure_pauli(t, parse_pauli("+Z"))
     assert (out2, det2) == (-1, True)
 
 
 def test_measure_negative_observable():
     t = zero_state(1)
-    out, det, _ = measure_pauli(t, parse_pauli("-Z"))
+    out, det, _ = plane_measure_pauli(t, parse_pauli("-Z"))
     assert (out, det) == (-1, True)
     t = zero_state(1)
     apply_gate(t, "H", (0,))
-    out, _, t = measure_pauli(t, parse_pauli("-Z"), forced=1)
+    out, _, t = plane_measure_pauli(t, parse_pauli("-Z"), forced=1)
     assert out == 1
     assert format_pauli(t.generators[0]) == "-Z"  # +1 outcome of -Z is |1>
 
 
 def test_measure_signed_identity_is_deterministic():
     t = ghz_tableau(3)
-    assert measure_pauli(t, parse_pauli("+III"))[:2] == (1, True)
-    assert measure_pauli(t, parse_pauli("-III"))[:2] == (-1, True)
+    assert plane_measure_pauli(t, parse_pauli("+III"))[:2] == (1, True)
+    assert plane_measure_pauli(t, parse_pauli("-III"))[:2] == (-1, True)
     with pytest.raises(ContradictionError):
-        measure_pauli(t, parse_pauli("-III"), forced=1)
+        plane_measure_pauli(t, parse_pauli("-III"), forced=1)
 
 
 def test_measure_requires_rng_or_forced():
     t = zero_state(1)
     apply_gate(t, "H", (0,))
     with pytest.raises(ValueError):
-        measure_pauli(t, parse_pauli("+Z"))
+        plane_measure_pauli(t, parse_pauli("+Z"))
     with pytest.raises(ValueError):
-        measure_pauli(zero_state(1), parse_pauli("+iX"))
+        plane_measure_pauli(zero_state(1), parse_pauli("+iX"))
 
 
 def test_measure_invariants_random_sequences():
@@ -169,9 +166,9 @@ def test_measure_invariants_random_sequences():
             if p.is_identity_bits():
                 continue
             p = PauliOperator.from_exponent(5, p.x, p.z, p.y_count % 4)
-            out, det, t = measure_pauli(t, p, rng=rng)
+            out, det, t = plane_measure_pauli(t, p, rng=rng)
             validate_tableau(t)
-            out2, det2, t = measure_pauli(t, p, rng=rng)
+            out2, det2, t = plane_measure_pauli(t, p, rng=rng)
             assert det2 and out2 == out
 
 
@@ -186,6 +183,11 @@ def test_is_stabilized_by():
     one = zero_state(1)
     apply_gate(one, "X", (0,))
     assert is_stabilized_by(one, parse_pauli("+Z")) == -1
+    for wrong_width in ("XXXXX", "XXX"):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            is_stabilized_by(zero_state(4), parse_pauli(wrong_width))
+    with pytest.raises(ValueError, match="hermitian"):
+        is_stabilized_by(zero_state(1), parse_pauli("+iX"))
 
 
 def test_states_equal():
@@ -333,7 +335,7 @@ def test_tensor_and_factor_out():
     assert is_stabilized_by(t, parse_pauli("+IIZ")) == 1
 
     ghz = ghz_tableau(3)
-    out, _, ghz = measure_pauli(ghz, parse_pauli("+IIZ"), forced=-1)
+    out, _, ghz = plane_measure_pauli(ghz, parse_pauli("+IIZ"), forced=-1)
     reduced = factor_out_qubits(ghz, [2])
     assert states_equal(
         reduced, from_stabilizers([parse_pauli("-ZI"), parse_pauli("-IZ")])

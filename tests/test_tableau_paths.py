@@ -2,7 +2,7 @@
 
 The oracle below is the earlier implementation: a tableau held as two lists
 of ``PauliOperator`` rows, one conjugation rule applied row by row
-(``_conjugate_row``), measurement by row products against the lowest
+(``helpers_tableau.conjugate_row``), measurement by row products against the lowest
 anticommuting generator, and qubit factor-out by row operations.  Every
 tableau the plane kernels produce must serialize byte-identically to the
 oracle's, phases of non-hermitian rows included.  The one-pass
@@ -12,9 +12,10 @@ check random adaptive circuits against dense state vectors and random
 qubit subsets against that chain.  ``states_equal`` and ``validate_tableau``
 compare whole generator sets in one plane pass; the per-generator
 ``is_stabilized_by`` loop and the view-based validation they replaced are
-kept below as oracles.  Runs of Z measurements on packed rows
-(``_measure_z_run``) are checked against the per-measurement plane path in
-``helpers_tableau``, concrete and symbolic.
+kept below as oracles, and ``is_stabilized_by`` itself is checked against
+the ``sign_form`` it folded in and the row product.  Runs of Z measurements
+on packed rows (``_measure_z_run``) are checked against the per-measurement
+plane path in ``helpers_tableau``, concrete and symbolic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from adaptstab.circuit import Measure, ghz_adaptive, simulate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_rank, gf2_solve, parse_pauli, single_site
+from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_rank, parse_pauli, single_site
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import (
     StabilizerTableau,
@@ -39,13 +40,10 @@ from adaptstab.tableau import (
     _measure_z_run,
     _raise_anticommuting,
     apply_gate,
-    conjugate_pauli,
     factor_out_qubits,
     from_stabilizers,
     ghz_state,
-    measure_pauli,
     random_stabilizer_state,
-    restricted_group_elements,
     generator_product,
     is_stabilized_by,
     states_equal,
@@ -54,12 +52,20 @@ from adaptstab.tableau import (
     zero_state,
 )
 from helpers_dense import dense_pauli, gate_unitary
-from helpers_tableau import canonical_form, plane_measure_form, plane_measure_pauli, plane_multiply_rows, plane_row
+from helpers_checks import group_elements
+from helpers_tableau import (
+    canonical_form,
+    conjugate_row,
+    plane_measure_form,
+    plane_measure_pauli,
+    plane_multiply_rows,
+    plane_row,
+    restricted_group_elements,
+    row_conjugate_pauli,
+    sign_form,
+)
 
 # -- oracle: the replaced row-list path ---------------------------------------------
-
-_LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
-
 
 class RowTableau:
     def __init__(self, n, generators, destabilizers):
@@ -81,64 +87,9 @@ class RowTableau:
         )
 
 
-def _conjugate_row(p, name, qubits, pauli):
-    x, z, e = p.x, p.z, p.e
-    if name == "H":
-        (q,) = qubits
-        xq, zq = (x >> q) & 1, (z >> q) & 1
-        e += 2 * (xq & zq)
-        x ^= (xq ^ zq) << q
-        z ^= (xq ^ zq) << q
-    elif name == "S":
-        (q,) = qubits
-        xq = (x >> q) & 1
-        e += xq
-        z ^= xq << q
-    elif name == "SDG":
-        (q,) = qubits
-        xq = (x >> q) & 1
-        e += 3 * xq
-        z ^= xq << q
-    elif name == "X":
-        (q,) = qubits
-        e += 2 * ((z >> q) & 1)
-    elif name == "Y":
-        (q,) = qubits
-        e += 2 * (((x >> q) ^ (z >> q)) & 1)
-    elif name == "Z":
-        (q,) = qubits
-        e += 2 * ((x >> q) & 1)
-    elif name == "SWAP":
-        a, b = qubits
-        xa, xb = (x >> a) & 1, (x >> b) & 1
-        za, zb = (z >> a) & 1, (z >> b) & 1
-        x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
-        z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
-    else:
-        letter = {"CNOT": "X", "CZ": "Z", "CP": pauli}[name]
-        px, pz, pe = _LETTER_BITS[letter]
-        a = qubits[0]
-        for q in qubits[1:]:
-            xa = (x >> a) & 1
-            xq, zq = (x >> q) & 1, (z >> q) & 1
-            tau = (xq & pz) ^ (zq & px)
-            if xa:
-                e += pe + 2 * (pz & xq)
-                x ^= px << q
-                z ^= pz << q
-            z ^= tau << a
-    p.x, p.z, p.e = x, z, e % 4
-
-
 def row_apply_gate(t, name, qubits, pauli=None):
     for row in t.generators + t.destabilizers:
-        _conjugate_row(row, name, qubits, pauli)
-
-
-def row_conjugate_pauli(p, name, qubits, pauli=None):
-    out = PauliOperator.from_exponent(p.n, p.x, p.z, p.e)
-    _conjugate_row(out, name, qubits, pauli)
-    return out
+        conjugate_row(row, name, qubits, pauli)
 
 
 def row_group_product(t, p):
@@ -278,26 +229,6 @@ def row_canonical_form(t):
     return out
 
 
-def row_restricted_group_elements(t, subset):
-    region = sorted(set(subset))
-    n = t.n
-    outside = [q for q in range(n) if q not in set(region)]
-    system = []
-    for q in outside:
-        system.append(sum(((t.generators[i].x >> q) & 1) << i for i in range(n)))
-        system.append(sum(((t.generators[i].z >> q) & 1) << i for i in range(n)))
-    sol = gf2_solve(system, [0] * len(system), cols=n)
-    elements = []
-    for mask in sol.solutions():
-        prod = PauliOperator(n, 0, 0)
-        for i in range(n):
-            if (mask >> i) & 1:
-                prod = prod * t.generators[i]
-        elements.append(prod)
-    elements.sort(key=lambda p: (p.weight(), p.x, p.z))
-    return elements
-
-
 def per_generator_states_equal(t1, t2):
     """The replaced comparison: one ``is_stabilized_by`` per generator view."""
     if t1.n != t2.n:
@@ -401,12 +332,18 @@ def test_gate_kernel_covers_every_gate_and_fanout():
 
 
 def test_conjugate_pauli_matches_row_path():
+    # The gate kernel on a one-row plane table, as the removed
+    # ``conjugate_pauli`` ran it, against the row rule.
     rng = np.random.default_rng(13)
     for _ in range(300):
         n = int(rng.integers(1, 7))
         (p,) = random_rows(n, 1, rng)
         name, qubits, pauli = random_gate(n, rng)
-        assert conjugate_pauli(p, name, qubits, pauli) == row_conjugate_pauli(p, name, qubits, pauli)
+        one = StabilizerTableau._from_planes(
+            n, [p.x >> q & 1 for q in range(n)], [p.z >> q & 1 for q in range(n)], p.e & 1, p.e >> 1
+        )
+        apply_gate(one, name, qubits, pauli)
+        assert one.generators[0] == row_conjugate_pauli(p, name, qubits, pauli)
 
 
 # -- measurement and factor-out --------------------------------------------------------
@@ -425,7 +362,7 @@ def test_measure_pauli_matches_row_path():
             forced = (1, -1, None)[int(rng.integers(0, 3))]
             seed = int(rng.integers(0, 2**31))
             try:
-                got = measure_pauli(t, p, forced=forced, rng=np.random.default_rng(seed))[:2]
+                got = plane_measure_pauli(t, p, forced=forced, rng=np.random.default_rng(seed))[:2]
             except ContradictionError:
                 with pytest.raises(ContradictionError):
                     row_measure_pauli(oracle, p, forced=forced, rng=np.random.default_rng(seed))
@@ -440,7 +377,7 @@ def test_factor_out_qubit_matches_row_path():
         n = int(rng.integers(1, 8))
         t = random_stabilizer_state(n, 100 + trial)
         q = int(rng.integers(0, n))
-        measure_pauli(t, single_site(n, q, "Z"), rng=rng)
+        plane_measure_pauli(t, single_site(n, q, "Z"), rng=rng)
         # a random gate elsewhere keeps q in its Z eigenstate
         if n >= 2:
             others = [r for r in range(n) if r != q]
@@ -474,7 +411,7 @@ def measured_states(draw):
     t = random_stabilizer_state(n, draw(st.integers(0, 2**31 - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     for q in draw(st.permutations(qs)):
-        measure_pauli(t, single_site(n, q, "Z"), rng=rng)
+        plane_measure_pauli(t, single_site(n, q, "Z"), rng=rng)
     for q in qs:  # S, Z, X and CZ keep measured qubits in Z eigenstates
         name = ("S", "Z", "X", None)[int(rng.integers(0, 4))]
         if name:
@@ -508,7 +445,7 @@ def test_factor_out_qubits_error_parity():
         assert str(batch_error.value) == str(chain_error.value)
     assert str(batch_error.value) == "qubit 2 is not in a definite Z eigenstate"
     t = ghz_state(3)
-    measure_pauli(t, single_site(3, 1, "Z"), forced=-1)
+    plane_measure_pauli(t, single_site(3, 1, "Z"), forced=-1)
     with pytest.raises(ValueError, match=r"^qubit 3 out of range for n=3$"):
         factor_out_qubits(t, [0, 3])
     with pytest.raises(ValueError, match=r"^qubit -1 out of range for n=3$"):
@@ -565,12 +502,46 @@ def test_canonical_form_matches_row_path():
 
 
 def test_restricted_group_elements_match_row_path():
+    # The null-space oracle against the whole group, filtered by support.
     rng = np.random.default_rng(16)
     for seed in range(40):
         n = 1 + seed % 7
         t = random_stabilizer_state(n, seed)
         subset = [q for q in range(n) if rng.random() < 0.6]
-        assert restricted_group_elements(t, subset) == row_restricted_group_elements(RowTableau.of(t), subset)
+        outside = sum(1 << q for q in range(n) if q not in subset)
+        inside = [PauliOperator(n, 0, 0)] + [g for g in group_elements(t) if not (g.x | g.z) & outside]
+        want = sorted(inside, key=lambda p: (p.weight(), p.x, p.z))
+        assert restricted_group_elements(t, subset) == want
+        assert restricted_group_elements(RowTableau.of(t), subset) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_stabilized_by_matches_sign_form(seed):
+    rng = np.random.default_rng(30 + seed)
+    kinds = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 13))
+        t = random_stabilizer_state(n, 1000 * seed + trial)
+        oracle = RowTableau.of(t)
+        members = [PauliOperator(n, 0, 0), PauliOperator(n, 0, 0).negate()]
+        for _ in range(3):
+            mask = int(rng.integers(0, 1 << n))
+            prod = PauliOperator(n, 0, 0)
+            for i in range(n):
+                if mask >> i & 1:
+                    prod = prod * oracle.generators[i]
+            members += [prod, prod.negate()]
+        cases = [("member", p) for p in members] + [("other", random_hermitian(n, rng)) for _ in range(4)]
+        for kind, p in cases:
+            form = sign_form(t, (), p)
+            want = None if form is None else 1 - 2 * form
+            assert is_stabilized_by(t, p) == want
+            if want is not None:
+                prod = row_group_product(oracle, p)
+                assert (prod.x, prod.z) == (p.x, p.z) and want == (1 if prod.e == p.e else -1)
+            kinds.add((kind, want, p.is_identity_bits()))
+    assert {("member", 1, False), ("member", -1, False), ("other", None, False)} <= kinds
+    assert {("member", 1, True), ("member", -1, True)} <= kinds
 
 
 # -- whole generator sets -------------------------------------------------------------------
@@ -902,13 +873,15 @@ def test_adaptive_circuits_match_dense_vectors(program):
             proj_plus = (psi + dense_pauli(zq) @ psi) / 2
             p_plus = float(np.vdot(proj_plus, proj_plus).real)
             forced = None if forced_bit is None else 1 - 2 * forced_bit
+            deterministic = not t.xs[q] & ((1 << n) - 1)  # no generator has X on q
             try:
-                outcome, deterministic, _ = measure_pauli(t, zq, forced=forced, rng=rng)
+                (bit,) = _measure_z_run(t, [q], None, None if forced_bit is None else [forced_bit], rng)
             except ContradictionError:
                 assert min(p_plus, 1 - p_plus) < 1e-9
                 assert (p_plus > 0.5) == (forced == -1)
                 record.append(0 if forced == -1 else 1)  # the possible outcome happened
                 continue
+            outcome = 1 - 2 * bit
             assert deterministic == (min(p_plus, 1 - p_plus) < 1e-9)
             if not deterministic:
                 assert abs(p_plus - 0.5) < 1e-9

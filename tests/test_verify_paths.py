@@ -44,8 +44,9 @@ from adaptstab.circuit import (
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
-from adaptstab.tableau import from_stabilizers, ghz_state, sign_form, states_equal, zero_state
+from adaptstab.tableau import from_stabilizers, ghz_state, states_equal, zero_state
 from helpers_circuit import reference_simulate, reference_verify
+from helpers_tableau import sign_form
 from test_tableau_paths import adaptive_programs, random_gate
 
 # -- oracle: the replaced forced-branch loop ---------------------------------------------
@@ -207,23 +208,14 @@ def test_wrong_branch_matches_per_generator_loop_on_ghz():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of generator_product, sign_form, simulate and measurement-run
-    calls and of row-view builds, the target's kept apart."""
-    counts = {"products": 0, "sign_forms": 0, "simulations": 0, "runs": 0, "views": 0, "target_views": 0, "target": None}
-    product, form, views, simulate_ = tb.generator_product, tb.sign_form, tb.StabilizerTableau._row_views, prep.simulate
-    run = ci._measure_z_run
+    """Counts of simulate and measurement-run calls and of row-view builds,
+    the target's kept apart."""
+    counts = {"simulations": 0, "runs": 0, "views": 0, "target_views": 0, "target": None}
+    views, simulate_, run = tb.StabilizerTableau._row_views, prep.simulate, ci._measure_z_run
 
     def counting_run(*args):
         counts["runs"] += 1
         return run(*args)
-
-    def counting_product(*args):
-        counts["products"] += 1
-        return product(*args)
-
-    def counting_form(*args):
-        counts["sign_forms"] += 1
-        return form(*args)
 
     def counting_views(self):
         if self._rows is None:
@@ -234,9 +226,7 @@ def work(monkeypatch):
         counts["simulations"] += 1
         return simulate_(*args, **kwargs)
 
-    monkeypatch.setattr(tb, "generator_product", counting_product)
     monkeypatch.setattr(prep, "simulate", counting_simulate)
-    monkeypatch.setattr(tb, "sign_form", counting_form)
     monkeypatch.setattr(tb.StabilizerTableau, "_row_views", counting_views)
     monkeypatch.setattr(ci, "_measure_z_run", counting_run)
     return counts
@@ -246,9 +236,8 @@ def test_ghz_verification_work_is_pinned(work):
     target = work["target"] = ghz_state(16)
     report = verify_preparation(ghz_adaptive(16, 2, 2), target, trials=20)
     assert report["all_match"] and report["realizable"] == 1 << 7
-    # Every measurement is random, so nothing calls generator_product, and
-    # no simulated tableau is read as rows; the bound report reads the target once.
-    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
+    # No simulated tableau is read as rows; the bound report reads the target once.
+    assert (work["views"], work["target_views"]) == (0, 1)
     # The 20 seeded trials are read off the symbolic pass, not re-simulated;
     # its one measurement layer is one run.
     assert (work["simulations"], work["runs"]) == (0, 1)
@@ -256,13 +245,13 @@ def test_ghz_verification_work_is_pinned(work):
 
 def test_steane_verification_work_is_pinned(work):
     circ, target = prepare_state(builtin_code("steane"))
-    work.update(products=0, sign_forms=0, views=0, target=target)  # count the check alone
+    work.update(views=0, target=target)  # count the check alone
     report = verify_preparation(circ, target, trials=20)
     assert report["all_match"]
     # One measurement run in the symbolic pass, which the 20 trials are read
     # off.  Its three deterministic outcomes are products of packed rows in
-    # the run, so neither sign_form nor generator_product is called.
-    assert (work["products"], work["sign_forms"], work["views"], work["target_views"]) == (0, 0, 0, 1)
+    # the run.
+    assert (work["views"], work["target_views"]) == (0, 1)
     assert (work["simulations"], work["runs"]) == (0, 1)
 
 
