@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -34,6 +35,7 @@ from .pauli import _bits
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
+    _json_int,
     _match_products,
     _measure_z_run,
     apply_gate,
@@ -548,11 +550,7 @@ def _op_to_dict(op: Gate | Measure) -> dict:
     return d
 
 
-def _int(value: object, name: str) -> int:
-    """``value`` when it is a JSON integer; true/false and 1.0 are not."""
-    if type(value) is not int:
-        raise ValueError(f"circuit field {name!r} must be an integer, got {json.dumps(value)}")
-    return value
+_int = partial(_json_int, owner="circuit")
 
 
 def _op_from_dict(d: dict) -> Gate | Measure:

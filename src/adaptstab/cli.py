@@ -30,6 +30,7 @@ import json
 import re
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -398,6 +399,7 @@ def _cmd_lightcone(args) -> tuple:
 # -- parser / dispatch -----------------------------------------------------------
 
 
+@cache  # one parser per process: parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -1,10 +1,12 @@
 """State-complexity indicators: generator weights, correlations, anti-shallowness.
 
 Weight machinery works on tableaux: one packed table of the whole
-stabilizer group, one ``uint64`` ``x | z << n`` per element and no phases,
+stabilizer group, one ``uint64`` ``z | x << 32`` per element and no phases,
 feeds a matroid greedy and an independent rank-sweep oracle.  Both read
 the table one weight class at a time, each by one comparison over a weight
-byte per element, with no sort; the greedy adds one span byte per element.
+byte per element, with no sort.  The greedy marks spanned elements by
+writing n + 1 into their weight bytes, so besides the table it holds only
+that byte per element, the span's masks and the current class.
 Correlation machinery works on dense
 states and ships two estimators for the operator-norm maximization:
 
@@ -116,25 +118,27 @@ class CorrelationReport:
 
 
 def _group_table(t: StabilizerTableau) -> np.ndarray:
-    """Every stabilizer group element's bits ``x | z << n`` as one ``uint64``,
-    indexed by generator mask; entry 0 is the identity.  Doubles over the
-    generators: the block of masks whose highest bit is i is generator i
-    times the block below it.  Phases are not kept."""
+    """Every stabilizer group element's bits ``z | x << 32`` as one
+    ``uint64``, indexed by generator mask; entry 0 is the identity.  A word's
+    value order is the (x, z) order.  Doubles over the generators: the block
+    of masks whose highest bit is i is generator i times the block below it.
+    Phases are not kept."""
     n = t.n
     if n > 20:
         raise ResourceGuardError("group enumeration capped at n <= 20")
     table = np.zeros(1 << n, np.uint64)
     for i, g in enumerate(t.generators):
-        np.bitwise_xor(table[: 1 << i], np.uint64(g.symplectic_row()), out=table[1 << i : 2 << i])
+        np.bitwise_xor(table[: 1 << i], np.uint64(g.z | g.x << 32), out=table[1 << i : 2 << i])
     return table
 
 
-def _weights(table: np.ndarray, n: int) -> np.ndarray:
-    """Weight of each element of a group table, as ``uint8``."""
-    xz = table >> np.uint64(n)
-    xz |= table
-    xz &= np.uint64((1 << n) - 1)
-    return np.bitwise_count(xz)
+def _weights(table: np.ndarray) -> np.ndarray:
+    """Weight of each element of a group table, as ``uint8``: the popcount of
+    the OR of a word's two 32-bit halves (x | z), whichever half is first in
+    memory.  At most n, so the greedy marks a spanned element by writing
+    n + 1 into its byte."""
+    halves = table.view(np.uint32)
+    return np.bitwise_count(halves[0::2] | halves[1::2])
 
 
 def min_weight_generators(
@@ -145,38 +149,38 @@ def min_weight_generators(
     Matroid greedy over the whole group in (weight, x, z) order, keeping
     whatever is independent of what came before.  The independent generators
     make mask -> element linear and one-to-one, so independence is read in
-    mask space: ``span`` marks the masks spanned by the picks, and a pick m
-    adds the translate ``spanned ^ m``.  Weight classes are read in turn, each
-    as its masks outside the span in ascending order (no sort of the table);
-    a class's smallest (x, z) not in the span is the next pick, until none is
-    left.  The returned list is in pick order (non-decreasing weight).
+    mask space: ``spanned`` lists the masks spanned by the picks, and a pick
+    m doubles it with the translate ``spanned ^ m``, whose weight bytes are
+    set to n + 1 so no class reads them again.  Weight classes are read in
+    turn, each as its masks of that weight in ascending order (no sort of the
+    table); a class's smallest word (its smallest (x, z)) not in the span is
+    the next pick, until none is left.  The returned list is in pick order
+    (non-decreasing weight).
     """
     n = t.n
     table = _group_table(t)
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
-    weights = _weights(table, n)
-    span = np.zeros(1 << n, bool)
-    span[0] = True
-    spanned = np.zeros(1, np.int64)
+    weights = _weights(table)
+    spanned = np.zeros(1 << n >> 1, np.int32)  # doubled by each pick but the last
+    size = 1
     picks: list[int] = []
-    low = np.uint64((1 << n) - 1)
     for wt in range(1, n + 1):
         if len(picks) == n:
             break
-        masks = np.flatnonzero((weights == wt) & ~span)
-        rows = table[masks]
-        key = (rows & low) << np.uint64(n) | rows >> np.uint64(n)  # (x, z) order
+        masks = np.flatnonzero(weights == wt)
+        keys = table[masks]
         while masks.size:
-            m = int(masks[np.argmin(key)])
+            m = int(masks[np.argmin(keys)])
             picks.append(m)
             if len(picks) == n:
                 break
-            shifted = spanned ^ m
-            span[shifted] = True
-            spanned = np.concatenate([spanned, shifted])
-            live = ~span[masks]
-            masks, key = masks[live], key[live]
+            weights[np.bitwise_xor(spanned[:size], m, out=spanned[size : 2 * size])] = n + 1
+            size *= 2
+            if len(picks) == n - 1:
+                del spanned  # not read again: free it before the last pick's class
+            live = weights[masks] == wt
+            masks, keys = masks[live], keys[live]
     picked = []
     for m in picks:
         p = PauliOperator(n, 0, 0)
@@ -220,7 +224,7 @@ def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
     table = _group_table(t)
-    weights = _weights(table, n)
+    weights = _weights(table)
     pivots: list[tuple[np.uint64, np.uint64]] = []  # (row, its lowest set bit's index)
     levels: list[int] = []  # levels[r - 1]: the least weight whose elements span r dimensions
     one = np.uint64(1)

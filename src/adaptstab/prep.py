@@ -43,6 +43,7 @@ from .tableau import (
     StabilizerTableau,
     _anticommuting,
     _from_stabilizers,
+    _json_int,
     _raise_anticommuting,
     apply_gate,
     is_stabilized_by,
@@ -193,7 +194,7 @@ def parse_code_text(text: str, name: str = "") -> StabilizerCode:
     if stripped.startswith("{"):
         d = json.loads(stripped)
         code = build_code(d["checks"], d.get("name", name))
-        if "n" in d and d["n"] != code.n:
+        if "n" in d and _json_int(d["n"], "n", "code") != code.n:
             raise ValueError(f"declared n={d['n']} but checks act on {code.n} qubits")
         return code
     lines = []

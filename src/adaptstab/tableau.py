@@ -32,6 +32,7 @@ Qubit indices are 0-based everywhere.
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -704,8 +705,15 @@ def to_json(t: StabilizerTableau) -> dict:
     }
 
 
+def _json_int(value: object, name: str, owner: str) -> int:
+    """``value`` when it is a JSON integer; true/false and 1.0 are not."""
+    if type(value) is not int:
+        raise ValueError(f"{owner} field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def from_json(data: dict) -> StabilizerTableau:
-    n = int(data["n"])
+    n = _json_int(data["n"], "n", "tableau")
     gens = [parse_pauli(s) for s in data["generators"]]
     _check_widths(gens, n)
     if "destabilizers" in data and data["destabilizers"]:

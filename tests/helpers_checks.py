@@ -47,12 +47,12 @@ def group_elements(t: StabilizerTableau) -> list[PauliOperator]:
     order), each the product of its generators with the higher one on the
     left."""
     n = t.n
-    table = _group_table(t)
-    x = table & np.uint64((1 << n) - 1)
+    table = _group_table(t)  # z | x << 32
+    x = table >> np.uint64(32)
     e = np.zeros(1 << n, np.uint8)
     for i, g in enumerate(t.generators):
         e[1 << i : 2 << i] = (e[: 1 << i] + g.e + 2 * np.bitwise_count(x[: 1 << i] & np.uint64(g.z))) % 4
-    rows = zip(x[1:].tolist(), (table[1:] >> np.uint64(n)).tolist(), e[1:].tolist())
+    rows = zip(x[1:].tolist(), (table[1:] & np.uint64(0xFFFFFFFF)).tolist(), e[1:].tolist())
     return [PauliOperator.from_exponent(n, *xze) for xze in rows]
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptstab import circuit, metrics, prep
+from adaptstab import circuit, cli, metrics, prep
 from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
@@ -129,6 +129,17 @@ def test_prep_parse_error_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("declared,shown", [(True, "true"), (1.0, "1.0"), (2.9, "2.9")])
+def test_prep_non_integer_declared_n_exits_1(capsys, tmp_path, declared, shown):
+    # A JSON code file's "n" must be an integer: true and 1.0 are not 1.
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": declared, "checks": ["Z"]}))
+    code, report, err = run(capsys, "prep", str(path))
+    assert code == 1 and report["inputs"] is None and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": f"code field 'n' must be an integer, got {shown}"}
+    assert err.splitlines() == [f"error: code field 'n' must be an integer, got {shown}"]
+
+
 def test_prep_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "prep", str(tmp_path / "nope.txt"))
     assert code == 1
@@ -224,6 +235,19 @@ def test_weight_non_string_generator_exits_1(capsys, tmp_path):
     code, report, _ = run(capsys, "weight", str(bad))
     assert code == 1 and report["results"] is None
     assert report["error"] == {"kind": "ValueError", "message": "Pauli must be a string, got 1"}
+
+
+@pytest.mark.parametrize(
+    "doc,shown",
+    [({"n": True, "generators": ["Z"]}, "true"), ({"n": 2.9, "generators": ["ZI", "IZ"]}, "2.9"), ({"n": 1.0, "generators": ["Z"]}, "1.0")],
+)
+def test_weight_non_integer_n_exits_1(capsys, tmp_path, doc, shown):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "weight", str(path))
+    assert code == 1 and report["inputs"] is None and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": f"tableau field 'n' must be an integer, got {shown}"}
+    assert err.splitlines() == [f"error: tableau field 'n' must be an integer, got {shown}"]
 
 
 # -- cor / crange ----------------------------------------------------------------
@@ -639,6 +663,24 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "prep" in out and "lightcone" in out
+
+
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; a usage error must leave nothing
+    # behind that changes the reports of later calls.
+    calls = (
+        ["weight", "builtin:ghz3", "--bogus", "--seed", "0"],
+        ["weight", "builtin:ghz4", "--oracle", "--seed", "0"],
+        ["cor", "ghz:4", "--w", "1", "--seed", "0"],
+    )
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert cli._build_parser() is cli._build_parser()
+    assert [(main(argv), capsys.readouterr()) for argv in calls] == fresh
+    assert [code for code, _ in fresh] == [1, 0, 0]
+    assert main(["--help"]) == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_report_shape_and_timing(capsys):

@@ -20,6 +20,7 @@ give byte-identical reports for both methods.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -126,10 +127,11 @@ def array_min_weight_generators(t):
 def argsort_min_weight_generators(t):
     """Weight classes read off one stable argsort of the whole table."""
     n = t.n
-    table = mt._group_table(t)
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
-    weights = mt._weights(table, n)
+    x, z, _ = array_group_table(t)
+    table = x | z << np.uint64(n)
+    weights = np.bitwise_count(x | z)
     by_weight = np.argsort(weights, kind="stable")
     ends = np.cumsum(np.bincount(weights, minlength=n + 1))
     span = np.zeros(1 << n, bool)
@@ -168,8 +170,9 @@ def column_oracle_entries(t, k):
     """Entries k..n of the minimal vector; each weight class is eliminated
     together with the basis so far, column by column over all 2n columns."""
     n = t.n
-    symplectic = mt._group_table(t)
-    weights = mt._weights(symplectic, n)
+    x, z, _ = array_group_table(t)
+    symplectic = x | z << np.uint64(n)
+    weights = np.bitwise_count(x | z)
     basis, levels = [], []
     for wt in range(1, n + 1):
         rows, basis = np.concatenate([np.array(basis, np.uint64), symplectic[weights == wt]]), []
@@ -495,7 +498,26 @@ def test_group_table_is_one_word_per_element():
     table = mt._group_table(t)
     assert table.dtype == np.uint64 and table.shape == (1 << 9,)
     x, z, _ = array_group_table(t)
-    assert np.array_equal(table, x | z << np.uint64(9))
+    assert np.array_equal(table, z | x << np.uint64(32))
+    assert np.array_equal(mt._weights(table), np.bitwise_count(x | z))
+    # The same values stored in the other byte order, as on a big-endian host.
+    swapped = table.astype(table.dtype.newbyteorder())
+    assert np.array_equal(mt._weights(swapped), np.bitwise_count(x | z))
+
+
+@pytest.mark.parametrize("n,mib", [(18, 6), (20, 20)])
+def test_greedy_peak_memory(n, mib):
+    # The table (8 bytes per element), one weight byte per element, the span's
+    # masks and one weight class: no other array of 2^n 64-bit words.
+    t = ghz_state(n)
+    mt.min_weight_generators(t)
+    tracemalloc.start()
+    try:
+        mt.min_weight_generators(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib << 20
 
 
 @pytest.mark.parametrize("n,seed", _random_cases((1, 2, 4, 7, 9, 12), 2))
