@@ -20,7 +20,7 @@ from .circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, validate
 from .densesim import dicke_correlation_formula, make_state
 from .errors import ResourceGuardError
 from .metrics import WeightVector, global_correlation, min_weight_generators
-from .tableau import StabilizerTableau
+from .tableau import StabilizerTableau, _split_name
 
 __all__ = [
     "ResourceProfile",
@@ -188,11 +188,8 @@ def weight_checks(
 
 
 def _parse_family(family: str, k: int | None) -> tuple[str, int | None]:
-    name = family.strip().lower()
-    if "(" in name and name.endswith(")"):
-        base, arg = name[:-1].split("(", 1)
-        name = base.strip()
-        k = int(arg)
+    name, size = _split_name(family)
+    k = k if size is None else size
     if name not in ("ghz", "w", "dicke", "hypergraph"):
         raise ValueError(f"unknown state family: {family!r}")
     if name == "dicke" and k is None:
@@ -212,7 +209,7 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
     a constant factor (the closed forms are not always the tightest choice
     of delta).
 
-    Families: ``ghz``, ``w``, ``dicke(k)``, ``hypergraph``.
+    Families: ``ghz``, ``w``, ``dicke(k)`` (or ``dickeK``), ``hypergraph``.
     """
     name, k = _parse_family(family, k)
     if n < 2:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import _bits
+from .pauli import _PAULI_LETTERS, _bits
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
@@ -200,7 +200,7 @@ def validate(c: AdaptiveCircuit, K: int, geometry: Geometry | None = None) -> Va
                     check_gate(op.op, len(qs))
                 except ValueError as exc:
                     bad.append(f"layer {li}: {exc}")
-                if op.op == "CP" and op.pauli not in ("X", "Y", "Z"):
+                if op.op == "CP" and op.pauli not in _PAULI_LETTERS:
                     bad.append(f"layer {li}: CP gate needs pauli X/Y/Z")
                 if len(qs) > K:
                     bad.append(f"layer {li}: gate {op.op} fan-in {len(qs)} exceeds K={K}")
@@ -264,12 +264,15 @@ def simulate(
     `forced` has one entry per classical bit, each read by ``int`` as 0 or 1,
     so a report's counterexample string such as ``"10"`` replays as is.  A
     `forced` of another length or value, measuring a qubit or writing a
-    classical bit twice raise ValueError; forcing an impossible
-    deterministic outcome, ContradictionError.
+    classical bit twice raise ValueError, as does an ``initial`` tableau
+    that ``validate_tableau`` rejects; forcing an impossible deterministic
+    outcome, ContradictionError.
     """
     t = initial.copy() if initial is not None else zero_state(c.m)
     if t.n != c.m:
         raise ValueError("initial tableau size mismatch")
+    if initial is not None:
+        validate_tableau(t)
     if forced is not None:
         forced = [int(b) for b in forced]
         if len(forced) != c.cbits or not set(forced) <= {0, 1}:
@@ -340,11 +343,6 @@ class SymbolicRun:
             planes.append(plane & ~unmatched)  # a generator outside the group fails on every branch
         return unmatched | flipped, planes
 
-    def wrong_branch(self, target: StabilizerTableau) -> int | None:
-        """Variable values of a branch whose surviving qubits do not end in
-        ``target``'s state, or None when every branch does."""
-        return _first_wrong(*self.sign_planes(target))
-
 
 def _first_wrong(fixed: int, planes: Sequence[int]) -> int | None:
     """Variable values of a branch that ``SymbolicRun.sign_planes`` marks wrong, or None."""
@@ -363,7 +361,7 @@ def conditioned_non_pauli(c: AdaptiveCircuit) -> tuple[int, Gate] | None:
     """(layer, gate) of the first conditioned gate that is not X, Y or Z."""
     for li, layer in enumerate(c.layers):
         for op in layer:
-            if isinstance(op, Gate) and op.cond is not None and op.op not in ("X", "Y", "Z"):
+            if isinstance(op, Gate) and op.cond is not None and op.op not in _PAULI_LETTERS:
                 return li, op
     return None
 
@@ -444,28 +442,23 @@ def _walk(c: AdaptiveCircuit, t: StabilizerTableau, forced: list[int] | None, rn
     return SymbolicRun(t, forms, record, measured)
 
 
-def _op_qubits(op: Gate | Measure) -> tuple[int, ...]:
-    return (op.qubit,) if isinstance(op, Measure) else op.qubits
-
-
-def forward_lightcone(c: AdaptiveCircuit, qubits: Iterable[int], from_layer: int = 0) -> set[int]:
+def _cone(layers: Iterable[list[Gate | Measure]], qubits: Iterable[int]) -> set[int]:
+    """The qubits reached from ``qubits`` through gate supports, in layer order."""
     cone = set(qubits)
-    for layer in c.layers[from_layer:]:
+    for layer in layers:
         for op in layer:
-            qs = _op_qubits(op)
+            qs = (op.qubit,) if isinstance(op, Measure) else op.qubits
             if cone.intersection(qs):
                 cone.update(qs)
     return cone
+
+
+def forward_lightcone(c: AdaptiveCircuit, qubits: Iterable[int]) -> set[int]:
+    return _cone(c.layers, qubits)
 
 
 def backward_lightcone(c: AdaptiveCircuit, qubits: Iterable[int]) -> set[int]:
-    cone = set(qubits)
-    for layer in reversed(c.layers):
-        for op in layer:
-            qs = _op_qubits(op)
-            if cone.intersection(qs):
-                cone.update(qs)
-    return cone
+    return _cone(reversed(c.layers), qubits)
 
 
 def g_value(K: int, D: int, geometry: Geometry | None = None) -> int:

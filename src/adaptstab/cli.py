@@ -18,8 +18,8 @@ Conventions
 * with ``--seed`` the JSON report is bit-for-bit reproducible; the
   wall-clock ``timing_s`` field is only emitted for unseeded runs.
 * ``builtin:`` prefixes name a built-in code or tableau instead of a file;
-  trailing digits are shorthand for a size parameter (``repetition3`` for
-  ``repetition(3)``, ``ghz6`` for a six-qubit GHZ tableau).
+  a size is written ``repetition(3)`` or ``repetition3``, ``ghz(6)`` or
+  ``ghz6``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .metrics import (
 )
 from .pauli import PauliOperator, format_pauli, parse_pauli
 from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
-from .tableau import StabilizerTableau
+from .tableau import StabilizerTableau, _split_name
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
 from .tableau import ghz_state, zero_state
@@ -98,19 +98,10 @@ def _digest_file(path: str) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()[:16]}
 
 
-def _normalize_name(name: str) -> str:
-    """Accept ``repetition3`` as shorthand for ``repetition(3)``."""
-    name = name.strip().lower()
-    m = re.fullmatch(r"([a-z]+)(\d+)", name)
-    return f"{m.group(1)}({m.group(2)})" if m else name
-
-
 def _builtin_tableau(name: str) -> StabilizerTableau:
-    name = name.strip().lower()
-    m = re.fullmatch(r"([a-z]+)(\d+)", name)
-    if not m:
-        raise ValueError(f"unknown builtin tableau {name!r}; try ghzN, plusN, or zeroN")
-    family, n = m.group(1), int(m.group(2))
+    family, n = _split_name(name)
+    if n is None:
+        raise ValueError(f"unknown builtin tableau {family!r}; try ghzN, plusN, or zeroN")
     if n < 1:
         raise ValueError("builtin tableau needs n >= 1")
     if family == "zero":
@@ -169,10 +160,19 @@ def _parse_geometry(text: str) -> Geometry:
 
 def _load_code(source: str) -> tuple:
     if source.startswith(_BUILTIN):
-        code = builtin_code(_normalize_name(source[len(_BUILTIN):]))
-        return code, {"source": source}
+        return builtin_code(source[len(_BUILTIN):]), {"source": source}
     code = parse_code_text(Path(source).read_text(), name=Path(source).stem)
     return code, _digest_file(source)
+
+
+def _load_tableau(source: str) -> tuple:
+    if source.startswith(_BUILTIN):
+        return _builtin_tableau(source[len(_BUILTIN):]), {"source": source}
+    return tableau_from_json(json.loads(Path(source).read_text())), _digest_file(source)
+
+
+def _load_circuit(path: str) -> tuple:
+    return circuit_from_json(Path(path).read_text()), _digest_file(path)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -243,13 +243,8 @@ def _cmd_prep(args) -> tuple:
 
 
 def _cmd_weight(args) -> tuple:
-    if args.tableau.startswith(_BUILTIN):
-        t = _builtin_tableau(args.tableau[len(_BUILTIN):])
-        inputs = {"tableau": {"source": args.tableau}}
-    else:
-        t = tableau_from_json(json.loads(Path(args.tableau).read_text()))
-        inputs = {"tableau": _digest_file(args.tableau)}
-
+    t, tableau_input = _load_tableau(args.tableau)
+    inputs = {"tableau": tableau_input}
     picked, vector = min_weight_generators(t)
     results = {
         "n": t.n,
@@ -290,10 +285,10 @@ def _cmd_crange(args) -> tuple:
 
 
 def _cmd_bounds(args) -> tuple:
-    circ = circuit_from_json(Path(args.circuit).read_text())
-    target = tableau_from_json(json.loads(Path(args.target).read_text()))
+    circ, circuit_input = _load_circuit(args.circuit)
+    target, target_input = _load_tableau(args.target)
     geometry = _parse_geometry(args.geometry)
-    inputs = {"circuit": _digest_file(args.circuit), "target": _digest_file(args.target)}
+    inputs = {"circuit": circuit_input, "target": target_input}
 
     profile = ResourceProfile.from_circuit(circ, target.n, geometry=geometry)
     weight = [check_nonadaptive] if profile.n_a == 0 else []
@@ -325,7 +320,7 @@ def _cmd_bounds(args) -> tuple:
 
 def _cmd_ghz_demo(args) -> tuple:
     circ = ghz_adaptive(args.n, args.a, args.k)
-    target = _builtin_tableau(f"ghz{args.n}")
+    target = ghz_state(args.n)
     report = verify_preparation(circ, target, trials=args.trials)
     results = {
         "n": args.n,
@@ -365,9 +360,9 @@ def _cmd_antishallow(args) -> tuple:
 
 
 def _cmd_lightcone(args) -> tuple:
-    circ = circuit_from_json(Path(args.circuit).read_text())
+    circ, circuit_input = _load_circuit(args.circuit)
     sources = sorted(set(_parse_qubits(args.sources)))
-    inputs = {"circuit": _digest_file(args.circuit)}
+    inputs = {"circuit": circuit_input}
     direction = "backward" if args.backward else "forward"
     k = max([2] + [len(op.qubits) for layer in circ.layers for op in layer if isinstance(op, Gate)])
     violations = validate(circ, k).violations + [
@@ -465,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds", parents=[common], help="resource inequalities for a circuit/target pair"
     )
     p.add_argument("--circuit", required=True, help="circuit JSON file")
-    p.add_argument("--target", required=True, help="target tableau JSON file")
+    p.add_argument("--target", required=True, help="target tableau JSON file or builtin:{ghz,plus,zero}N")
     p.add_argument("--geometry", default="all", help="'all' or 'grid:R'")
     p.set_defaults(handler=_cmd_bounds)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ResourceGuardError
 from .pauli import PauliOperator
-from .tableau import StabilizerTableau, _measure_z_run
+from .tableau import StabilizerTableau, _measure_z_run, validate_tableau
 
 __all__ = [
     "StateVector",
@@ -200,8 +200,10 @@ def from_tableau(t: StabilizerTableau) -> StateVector:
     outcome is +1 reads the lowest index with a nonzero amplitude bit by bit
     (qubit 0 is the most significant): one symbolic run, whose outcome forms
     read their constants there, and a deterministic -1 reads as bit 1.
+    A tableau that ``validate_tableau`` rejects raises its ValueError.
     """
     _guard(t.n)
+    validate_tableau(t)
     forms = _measure_z_run(t.copy(), range(t.n), [])
     start = sum((f & 1) << (t.n - 1 - q) for q, f in enumerate(forms))
     v = np.zeros(1 << t.n, dtype=complex)

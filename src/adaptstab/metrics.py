@@ -151,23 +151,23 @@ def min_weight_generators(
     make mask -> element linear and one-to-one, so independence is read in
     mask space: ``spanned`` lists the masks spanned by the picks, and a pick
     m doubles it with the translate ``spanned ^ m``, whose weight bytes are
-    set to n + 1 so no class reads them again.  Weight classes are read in
-    turn, each as its masks of that weight in ascending order (no sort of the
-    table); a class's smallest word (its smallest (x, z)) not in the span is
-    the next pick, until none is left.  The returned list is in pick order
-    (non-decreasing weight).
+    set to n + 1 so no class reads them again, as the identity's is.  The next
+    class is the least weight left, read as its masks in ascending order (no
+    sort of the table); a class's smallest word (its smallest (x, z)) not in
+    the span is the next pick, until none is left.  The returned list is in
+    pick order (non-decreasing weight).
     """
     n = t.n
     table = _group_table(t)
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
     weights = _weights(table)
+    weights[0] = n + 1  # the identity is in every span
     spanned = np.zeros(1 << n >> 1, np.int32)  # doubled by each pick but the last
     size = 1
     picks: list[int] = []
-    for wt in range(1, n + 1):
-        if len(picks) == n:
-            break
+    while len(picks) < n:
+        wt = weights.min()  # the lightest class with an element left
         masks = np.flatnonzero(weights == wt)
         keys = table[masks]
         while masks.size:

@@ -34,7 +34,15 @@ __all__ = [
 _PHASES = (1, 1j, -1, -1j)
 _SIGN_TEXT = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _TEXT_SIGN = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
-_DIGIT_LETTERS = str.maketrans("0123", "IXZY")
+# The one letter table: a qubit's bits (x, z) print as _LETTERS[x + 2z], and
+# parse_pauli reads them back by translating each letter to a binary digit.
+_LETTERS = "IXZY"
+_PAULI_BITS = {letter: (k & 1, k >> 1) for k, letter in enumerate(_LETTERS) if k}  # (x, z) of a Pauli gate
+_PAULI_LETTERS = tuple(_PAULI_BITS)  # compared, not hashed: a gate's pauli may be any JSON value
+_DIGIT_LETTERS = str.maketrans("0123", _LETTERS)
+_X_DIGITS = str.maketrans(_LETTERS, "0101")  # each letter's x, then z, as a binary digit
+_Z_DIGITS = str.maketrans(_LETTERS, "0011")
+_NOT_LETTERS = str.maketrans("", "", _LETTERS)  # leaves only the illegal letters
 
 
 def _popcount(v: int) -> int:
@@ -127,8 +135,7 @@ class PauliOperator:
         return tuple(_bits(self.x | self.z))
 
     def letter(self, q: int) -> str:
-        xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
-        return "IXZY"[xb + 2 * zb]
+        return _LETTERS[(self.x >> q & 1) + 2 * (self.z >> q & 1)]
 
     def letters(self) -> str:
         # Each bit string read as hex puts qubit q's x_q + 2 z_q in hex digit q.
@@ -205,8 +212,8 @@ def single_site(n: int, q: int, letter: str) -> PauliOperator:
     """``letter`` on qubit ``q``, identity elsewhere, display sign +1."""
     if not 0 <= q < n:
         raise ValueError(f"qubit {q} out of range for n={n}")
-    x, z, e = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}[letter]
-    return PauliOperator.from_exponent(n, x << q, z << q, e)
+    x, z = (0, 0) if letter == "I" else _PAULI_BITS[letter]
+    return PauliOperator.from_exponent(n, x << q, z << q, x & z)
 
 
 def from_bits(n: int, x: int, z: int, sign: int = 1) -> PauliOperator:
@@ -236,22 +243,12 @@ def parse_pauli(text: str) -> PauliOperator:
             break
     if not body:
         raise ValueError(f"empty Pauli string in {text!r}")
-    x = z = y = 0
-    for j, ch in enumerate(body):
-        if ch == "I":
-            continue
-        elif ch == "X":
-            x |= 1 << j
-        elif ch == "Z":
-            z |= 1 << j
-        elif ch == "Y":
-            x |= 1 << j
-            z |= 1 << j
-            y += 1
-        else:
-            raise ValueError(f"illegal Pauli letter {ch!r} in {text!r}")
-    e = (_TEXT_SIGN[sign] + y) % 4
-    return PauliOperator.from_exponent(len(body), x, z, e)
+    illegal = body.translate(_NOT_LETTERS)
+    if illegal:
+        raise ValueError(f"illegal Pauli letter {illegal[0]!r} in {text!r}")
+    digits = body[::-1]  # qubit 0 is the last binary digit
+    x, z = int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+    return PauliOperator.from_exponent(len(body), x, z, _TEXT_SIGN[sign] + _popcount(x & z))
 
 
 def format_pauli(p: PauliOperator) -> str:
@@ -332,7 +329,7 @@ class GF2Elimination:
         return _transpose(self._back_substitute(entries, -1), len(free))
 
 
-def gf2_rank(m: Sequence[int], cols: int | None = None) -> int:
-    """Rank of the rows ``m`` (``cols`` does not change it)."""
-    return len(GF2Elimination(cols or 0, m).pivots)
+def gf2_rank(m: Sequence[int]) -> int:
+    """Rank of the rows ``m``."""
+    return len(GF2Elimination(0, m).pivots)
 

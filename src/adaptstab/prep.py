@@ -45,6 +45,7 @@ from .tableau import (
     _from_stabilizers,
     _json_int,
     _raise_anticommuting,
+    _split_name,
     apply_gate,
     is_stabilized_by,
     states_equal,
@@ -102,7 +103,7 @@ class StabilizerCode:
         zs = _transpose([c.z for c in self.checks], self.n)
         _raise_anticommuting(self.checks, [_anticommuting(xs, zs, c) for c in self.checks], "checks")
         rows = [c.symplectic_row() for c in self.checks]
-        r = gf2_rank(rows, cols=2 * self.n)
+        r = gf2_rank(rows)
         if r != len(self.checks):
             raise ValueError(f"checks are dependent: symplectic rank {r} < {len(self.checks)}")
 
@@ -172,12 +173,9 @@ def _toric(side: int) -> StabilizerCode:
 
 
 def builtin_code(name: str) -> StabilizerCode:
-    """Named codes: ``repetition(n)``, ``steane``, ``toric(l)``."""
-    key = name.strip().lower()
-    arg = None
-    if "(" in key and key.endswith(")"):
-        base, raw = key[:-1].split("(", 1)
-        key, arg = base.strip(), int(raw)
+    """Named codes: ``repetition(n)``, ``steane``, ``toric(l)``; ``toric4``
+    is ``toric(4)``."""
+    key, arg = _split_name(name)
     if key == "repetition":
         return _repetition(arg if arg is not None else 3)
     if key == "steane":
@@ -234,10 +232,9 @@ def tanner_graph(code: StabilizerCode) -> TannerGraph:
     at_qubit: list[list[int]] = [[] for _ in range(code.n)]
     letters: dict[tuple[int, int], str] = {}
     for j, check in enumerate(code.checks):
-        x, z = check.x, check.z
-        for q in _bits(x | z):
+        for q in _bits(check.x | check.z):
             at_qubit[q].append(j)
-            letters[(q, j)] = "IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]
+            letters[(q, j)] = check.letter(q)
     edges = tuple((q, j) for q, checks in enumerate(at_qubit) for j in checks)
     return TannerGraph(code.n, code.t, edges, letters)
 

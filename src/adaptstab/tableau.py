@@ -33,6 +33,7 @@ Qubit indices are 0-based everywhere.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import ContradictionError, ResourceGuardError
 from .pauli import (
     GF2Elimination,
     PauliOperator,
+    _PAULI_BITS,
     _bits,
     _transpose,
     format_pauli,
@@ -70,9 +72,6 @@ __all__ = [
 
 # Qubits each gate acts on; CNOT is a fan-out taking this many or more.
 GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2, "CZ": 2, "SWAP": 2, "CP": 2}
-
-# (x bit, z bit, i-exponent) of the controlled letter for CP gates.
-_LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 
 
 class StabilizerTableau:
@@ -275,9 +274,9 @@ def apply_gate(
         (q,) = qubits
         _add_exponent(t, xs[q], 1 if name == "S" else 3)
         zs[q] ^= xs[q]
-    elif name in _LETTER_BITS:  # a Pauli gate negates the rows it anticommutes with
+    elif name in _PAULI_BITS:  # a Pauli gate negates the rows it anticommutes with
         (q,) = qubits
-        px, pz, _ = _LETTER_BITS[name]
+        px, pz = _PAULI_BITS[name]
         t.e1 ^= (zs[q] if px else 0) ^ (xs[q] if pz else 0)
     elif name == "SWAP":
         a, b = qubits
@@ -285,15 +284,16 @@ def apply_gate(
         zs[a], zs[b] = zs[b], zs[a]
     else:  # CNOT (a fan-out over every target), CZ, CP
         letter = {"CNOT": "X", "CZ": "Z"}.get(name, pauli)
-        if letter not in _LETTER_BITS:
+        if letter not in _PAULI_BITS:
             raise ValueError(f"CP needs a pauli in X/Y/Z, got {letter!r}")
-        px, pz, pe = _LETTER_BITS[letter]
+        px, pz = _PAULI_BITS[letter]
+        y = px & pz  # Y = i X Z
         a = qubits[0]
         xa = xs[a]  # rows with X on the control pick up the letter on each target
         for q in qubits[1:]:
             xq, zq = xs[q], zs[q]
-            if pe:
-                _add_exponent(t, xa, pe)
+            if y:
+                _add_exponent(t, xa, 1)
             if pz:
                 t.e1 ^= xa & xq
                 zs[q] = zq ^ xa
@@ -710,6 +710,18 @@ def _json_int(value: object, name: str, owner: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{owner} field {name!r} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _split_name(name: str) -> tuple[str, int | None]:
+    """``(name, N)`` of ``name(N)`` or ``nameN``, ``(name, None)`` of a bare
+    name; lower-cased and stripped.  The one reader of the size syntax of
+    built-in codes, tableaus and tolerance-table families."""
+    key = name.strip().lower()
+    if "(" in key and key.endswith(")"):
+        base, size = key[:-1].split("(", 1)
+        return base.strip(), int(size)
+    m = re.fullmatch(r"([a-z]+)(\d+)", key)
+    return (m.group(1), int(m.group(2))) if m else (key, None)
 
 
 def from_json(data: dict) -> StabilizerTableau:

@@ -10,6 +10,10 @@ against itself.
 seeded trials were read off the symbolic pass: each trial is a
 ``reference_simulate`` run compared with ``states_equal``, and the symbolic
 pass runs afterwards, only when every trial matched.
+
+``wrong_branch`` is the ``SymbolicRun`` method of that name: it reads a
+failing branch off ``sign_planes`` through ``circuit._first_wrong``, the
+step ``verify_preparation`` takes inline.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from adaptstab.bounds import ResourceProfile, check_adaptive_weight, check_clifford_adaptive, weight_checks
-from adaptstab.circuit import Measure, ancilla_count, conditioned_non_pauli, depth, simulate_symbolic
+from adaptstab.circuit import Measure, _first_wrong, ancilla_count, conditioned_non_pauli, depth, simulate_symbolic
 from adaptstab.pauli import single_site
 from adaptstab.tableau import (
     apply_gate,
@@ -79,6 +83,12 @@ def reference_simulate(c, *, seed=None, forced=None, initial=None):
     return t, record
 
 
+def wrong_branch(run, target):
+    """Variable values of a branch of ``run`` whose surviving qubits do not
+    end in ``target``'s state, or None when every branch does."""
+    return _first_wrong(*run.sign_planes(target))
+
+
 def reference_verify(circuit, target, trials=20, also_exhaustive=True):
     """The report of ``verify_preparation`` with one simulation per trial."""
     report = {
@@ -109,7 +119,7 @@ def reference_verify(circuit, target, trials=20, also_exhaustive=True):
             }
         else:
             run = simulate_symbolic(circuit)
-            values = run.wrong_branch(target)
+            values = wrong_branch(run, target)
             report["branches"] = 1 << circuit.cbits
             report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
             if values is not None:

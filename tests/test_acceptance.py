@@ -501,7 +501,7 @@ def test_criterion_09_corrections_and_logicals():
                 errs.append(f"{name}: logical anticommutes with a check")
         stacked = [c.symplectic_row() for c in code.checks]
         stacked += [lg.symplectic_row() for lg in logicals]
-        if gf2_rank(stacked, 2 * code.n) != code.n:
+        if gf2_rank(stacked) != code.n:
             errs.append(f"{name}: checks + logicals not full rank")
 
     _report(

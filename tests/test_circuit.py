@@ -243,7 +243,9 @@ def test_lightcones_basic():
     assert ci.forward_lightcone(c, [0]) == {0, 1}
     assert ci.forward_lightcone(c, [2]) == {2, 3}
     assert ci.backward_lightcone(c, [1]) == {0, 1}
-    assert ci.forward_lightcone(c, [1], from_layer=1) == {1}
+    c.add_layer([Gate("CZ", (1, 2))])
+    assert ci.forward_lightcone(c, [0]) == {0, 1, 2}
+    assert ci.backward_lightcone(c, [0]) == {0, 1}  # the CZ comes after the CNOT reaches 1
 
 
 def test_lightcone_brickwork_growth():

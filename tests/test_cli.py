@@ -163,6 +163,17 @@ def test_weight_ghz6(capsys):
     assert r["vector"] == [6, 2, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("spelling", ["ghz(6)", " GHZ6 ", "ghz( 6 )"])
+def test_weight_builtin_size_spellings(capsys, spelling):
+    """Every spelling of a sized name reads as ``ghz6``; only the command
+    line and the recorded source keep the spelling given."""
+    _, want, _ = run(capsys, "weight", "builtin:ghz6", "--seed", "0")
+    code, report, _ = run(capsys, "weight", f"builtin:{spelling}", "--seed", "0")
+    assert code == 0
+    assert report["results"] == want["results"]
+    assert report["inputs"] == {"tableau": {"source": f"builtin:{spelling}"}}
+
+
 def test_weight_zero_state(capsys):
     code, report, _ = run(capsys, "weight", "builtin:zero3")
     assert code == 0
@@ -360,6 +371,15 @@ def test_bounds_ghz_circuit_all_satisfied(capsys, ghz8_files):
     assert len(r["checks"]) == 3
     assert r["weight_vector"][0] == 8
     assert "all satisfied" in err
+
+
+def test_bounds_builtin_target_matches_file(capsys, ghz8_files):
+    cpath, tpath = ghz8_files
+    _, want, _ = run(capsys, "bounds", "--circuit", cpath, "--target", tpath, "--seed", "0")
+    code, report, _ = run(capsys, "bounds", "--circuit", cpath, "--target", "builtin:ghz8", "--seed", "0")
+    assert code == 0
+    assert report["results"] == want["results"]
+    assert report["inputs"]["target"] == {"source": "builtin:ghz8"}
 
 
 def test_bounds_missing_target_exits_1(capsys, ghz8_files):

@@ -527,7 +527,7 @@ def test_x_type_logicals_stacked_rank():
         code = builtin_code(name)
         logs = x_type_logicals(code)
         rows = [g.symplectic_row() for g in code.checks] + [l.symplectic_row() for l in logs]
-        assert gf2_rank(rows, cols=2 * code.n) == code.n
+        assert gf2_rank(rows) == code.n
         for l in logs:
             for c in code.checks:
                 assert l.commutes(c)
@@ -545,7 +545,7 @@ def test_x_type_logicals_random_codes():
         logs = x_type_logicals(code)
         assert len(logs) == code.k == 2
         rows = [g.symplectic_row() for g in gens] + [l.symplectic_row() for l in logs]
-        assert gf2_rank(rows, cols=10) == 5
+        assert gf2_rank(rows) == 5
 
 
 def test_prepare_repetition_gives_ghz3():

@@ -8,9 +8,12 @@ import pytest
 from helpers_dense import dense_pauli, dense_state_from_ops, gate_unitary
 from helpers_tableau import canonical_form, plane_measure_pauli, restricted_group_elements, row_conjugate_pauli, tensor_tableau
 
+from adaptstab.circuit import AdaptiveCircuit, Measure, simulate
+from adaptstab.densesim import from_tableau
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, parse_pauli, single_site
 from adaptstab.tableau import (
+    StabilizerTableau,
     apply_gate,
     factor_out_qubits,
     from_json,
@@ -353,3 +356,16 @@ def test_json_roundtrip():
         t3 = from_json({"n": data["n"], "generators": data["generators"]})
         assert states_equal(t, t3)
     assert to_json(zero_state(2))["generators"] == ["+ZI", "+IZ"]
+
+
+@pytest.mark.parametrize("entry", ["simulate", "from_tableau"])
+def test_mispaired_destabilizers_rejected_by_name(entry):
+    """A tableau whose destabilizers pair wrongly is named as such before a
+    measurement would reach it, not met as a corrupt group mid-run."""
+    t = StabilizerTableau(2, [parse_pauli("ZI"), parse_pauli("IZ")], [parse_pauli("IX"), parse_pauli("XI")])
+    run = {
+        "simulate": lambda: simulate(AdaptiveCircuit(2, 1, [[Measure(0, 0)]]), initial=t),
+        "from_tableau": lambda: from_tableau(t),
+    }[entry]
+    with pytest.raises(ValueError, match="^destabilizer 0 pairs incorrectly with generator 0$"):
+        run()

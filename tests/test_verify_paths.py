@@ -10,7 +10,7 @@ failing circuits too.  The symbolic pass
 (``verify_preparation``, ``simulate_symbolic``) must agree with it on
 ``all_match``, ``realizable`` and ``branches`` for every small circuit below
 and on random adaptive circuits, and its counterexample must replay as a
-mismatch under ``simulate(..., forced=...)``.  ``SymbolicRun.wrong_branch``
+mismatch under ``simulate(..., forced=...)``.  ``helpers_circuit.wrong_branch``
 compares every target generator in one plane pass; the per-generator
 ``sign_form`` loop it replaced is kept as an oracle, and the work the whole
 check does is counted.  ``verify_preparation`` reads its seeded trials off the
@@ -45,7 +45,7 @@ from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
 from adaptstab.tableau import from_stabilizers, ghz_state, states_equal, zero_state
-from helpers_circuit import reference_simulate, reference_verify
+from helpers_circuit import reference_simulate, reference_verify, wrong_branch
 from helpers_tableau import sign_form
 from test_tableau_paths import adaptive_programs, random_gate
 
@@ -93,7 +93,7 @@ def check_wrong_branch(circuit, target):
     seen = []
     for t in [target, *(sign_broken(target, k) for k in range(target.n))]:
         want = per_generator_wrong_branch(run, t)
-        assert run.wrong_branch(t) == want
+        assert wrong_branch(run, t) == want
         seen.append(want)
     return seen
 
@@ -202,7 +202,7 @@ def test_wrong_branch_matches_per_generator_loop_on_ghz():
         values.update(check_wrong_branch(circ, ghz_state(n)))
         values.update(check_wrong_branch(next(without_one_correction(circ)), ghz_state(n)))
         unrelated = from_stabilizers([PauliOperator(n, 1 << q, 0) for q in range(n)])
-        assert simulate_symbolic(circ).wrong_branch(unrelated) == 0
+        assert wrong_branch(simulate_symbolic(circ), unrelated) == 0
     assert None in values and 0 in values and any(v for v in values)
 
 
@@ -342,7 +342,7 @@ def test_symbolic_walk_rejects_what_simulate_rejects():
     with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
         simulate(c, seed=0)
     with pytest.raises(ValueError, match="qubit 0 is not in a definite Z eigenstate"):
-        simulate_symbolic(c).wrong_branch(zero_state(1))
+        wrong_branch(simulate_symbolic(c), zero_state(1))
     c = AdaptiveCircuit(2, 2, [[Measure(0, 0)], [Measure(0, 1)]])
     for run in (lambda: simulate(c, seed=0), lambda: simulate(c, forced=[0, 0]), lambda: simulate_symbolic(c)):
         with pytest.raises(ValueError, match="^layer 1: qubit 0 measured a second time$"):
