@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, validate
 from .densesim import dicke_correlation_formula, make_state
 from .errors import ResourceGuardError
-from .metrics import WeightVector, global_correlation, min_weight_generators
+from .metrics import WeightVector, _min_weight_picks, global_correlation
 from .tableau import StabilizerTableau, _split_name
 
 __all__ = [
@@ -173,7 +173,7 @@ def weight_checks(
     each says ``"wt_s_exact": false``.
     """
     try:
-        vector = min_weight_generators(target)[1]
+        vector = _min_weight_picks(target)[1]
         wt_s = vector[0]
     except ResourceGuardError:
         vector, wt_s = None, max(g.weight() for g in target.generators)

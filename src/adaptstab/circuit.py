@@ -35,7 +35,7 @@ from .pauli import _PAULI_LETTERS, _bits
 from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
-    _json_int,
+    _json_field,
     _match_products,
     _measure_z_run,
     apply_gate,
@@ -193,7 +193,7 @@ def validate(c: AdaptiveCircuit, K: int, geometry: Geometry | None = None) -> Va
                     newly_written.add(op.cbit)
             else:
                 qs = op.qubits
-                if op.op not in GATE_ARITY:
+                if not isinstance(op.op, str) or op.op not in GATE_ARITY:
                     bad.append(f"layer {li}: unknown gate {op.op!r}")
                     continue
                 try:
@@ -543,18 +543,30 @@ def _op_to_dict(op: Gate | Measure) -> dict:
     return d
 
 
-_int = partial(_json_int, owner="circuit")
+_value = partial(_json_field, owner="circuit")
+
+
+def _field(d: dict, key: str, kind: type = int, name: str | None = None) -> object:
+    """``d[key]``, a JSON ``kind``; ValueError naming the field when it is missing or of another type."""
+    if key not in d:
+        raise ValueError(f"circuit field {name or key!r} is missing")
+    return _value(d[key], name or key, kind=kind)
 
 
 def _op_from_dict(d: dict) -> Gate | Measure:
-    if d["op"] == "MZ":
-        return Measure(_int(d["qubit"], "qubit"), _int(d["cbit"], "cbit"))
+    op = _field(d, "op", str)
+    if op == "MZ":
+        return Measure(_field(d, "qubit"), _field(d, "cbit"))
     cond = None
     if "cond" in d:
-        bits = tuple(_int(b, "cond.bits") for b in d["cond"]["bits"])
-        cond = Condition(bits, _int(d["cond"]["xor"], "cond.xor"))
-    qubits = tuple(_int(q, "qubits") for q in d["qubits"])
-    return Gate(d["op"], qubits, d.get("pauli"), cond, d.get("merged", False))
+        spec = _field(d, "cond", dict)
+        bits = tuple(_value(b, "cond.bits") for b in _field(spec, "bits", list, "cond.bits"))
+        cond = Condition(bits, _field(spec, "xor", int, "cond.xor"))
+    qubits = tuple(_value(q, "qubits") for q in _field(d, "qubits", list))
+    pauli = d.get("pauli")
+    if pauli is not None:
+        _value(pauli, "pauli", kind=str)
+    return Gate(op, qubits, pauli, cond, _value(d.get("merged", False), "merged", kind=bool))
 
 
 def to_json(c: AdaptiveCircuit, indent: int | None = None) -> str:
@@ -567,9 +579,15 @@ def to_json(c: AdaptiveCircuit, indent: int | None = None) -> str:
 
 
 def from_json(text: str) -> AdaptiveCircuit:
-    """Parse ``to_json`` output.  A qubit, classical bit or count that is not
-    a JSON integer raises ValueError naming its field."""
+    """Parse ``to_json`` output.  A field that is missing or of another JSON
+    type (a qubit, classical bit or count that is not an integer, an op or
+    pauli that is not a string, a layer that is not a list) raises
+    ValueError naming it."""
     d = json.loads(text)
-    return AdaptiveCircuit(
-        _int(d["m"], "m"), _int(d["cbits"], "cbits"), [[_op_from_dict(o) for o in layer] for layer in d["layers"]]
-    )
+    if type(d) is not dict:
+        raise ValueError(f"a circuit must be a JSON object, got {json.dumps(d)}")
+    m, cbits = _field(d, "m"), _field(d, "cbits")
+    layers = [_value(layer, f"layers[{li}]", kind=list) for li, layer in enumerate(_field(d, "layers", list))]
+    for li, layer in enumerate(layers):
+        layers[li] = [_op_from_dict(_value(op, f"layers[{li}][{k}]", kind=dict)) for k, op in enumerate(layer)]
+    return AdaptiveCircuit(m, cbits, layers)

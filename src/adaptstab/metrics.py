@@ -125,7 +125,7 @@ def _group_table(t: StabilizerTableau) -> np.ndarray:
     Phases are not kept."""
     n = t.n
     if n > 20:
-        raise ResourceGuardError("group enumeration capped at n <= 20")
+        raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}")
     table = np.zeros(1 << n, np.uint64)
     for i, g in enumerate(t.generators):
         np.bitwise_xor(table[: 1 << i], np.uint64(g.z | g.x << 32), out=table[1 << i : 2 << i])
@@ -144,7 +144,21 @@ def _weights(table: np.ndarray) -> np.ndarray:
 def min_weight_generators(
     t: StabilizerTableau,
 ) -> tuple[list[PauliOperator], WeightVector]:
-    """Generators realizing the minimal non-increasing weight vector.
+    """Generators realizing the minimal non-increasing weight vector, in pick
+    order (non-decreasing weight); the picks of ``_min_weight_picks``."""
+    picks, vector = _min_weight_picks(t)
+    picked = []
+    for m in picks:
+        p = PauliOperator(t.n, 0, 0)
+        for i in _bits(m):
+            p = t.generators[i] * p
+        picked.append(p)
+    return picked, vector
+
+
+def _min_weight_picks(t: StabilizerTableau) -> tuple[list[int], WeightVector]:
+    """Generator masks of the minimal-weight generators, in pick order, and
+    the minimal weight vector read off their classes.
 
     Matroid greedy over the whole group in (weight, x, z) order, keeping
     whatever is independent of what came before.  The independent generators
@@ -154,8 +168,8 @@ def min_weight_generators(
     set to n + 1 so no class reads them again, as the identity's is.  The next
     class is the least weight left, read as its masks in ascending order (no
     sort of the table); a class's smallest word (its smallest (x, z)) not in
-    the span is the next pick, until none is left.  The returned list is in
-    pick order (non-decreasing weight).
+    the span is the next pick, until none is left.  The masks are not
+    multiplied out here: callers that read only the weights skip that.
     """
     n = t.n
     table = _group_table(t)
@@ -166,6 +180,7 @@ def min_weight_generators(
     spanned = np.zeros(1 << n >> 1, np.int32)  # doubled by each pick but the last
     size = 1
     picks: list[int] = []
+    picked_weights: list[int] = []
     while len(picks) < n:
         wt = weights.min()  # the lightest class with an element left
         masks = np.flatnonzero(weights == wt)
@@ -173,6 +188,7 @@ def min_weight_generators(
         while masks.size:
             m = int(masks[np.argmin(keys)])
             picks.append(m)
+            picked_weights.append(int(wt))
             if len(picks) == n:
                 break
             weights[np.bitwise_xor(spanned[:size], m, out=spanned[size : 2 * size])] = n + 1
@@ -181,17 +197,11 @@ def min_weight_generators(
                 del spanned  # not read again: free it before the last pick's class
             live = weights[masks] == wt
             masks, keys = masks[live], keys[live]
-    picked = []
-    for m in picks:
-        p = PauliOperator(n, 0, 0)
-        for i in _bits(m):
-            p = t.generators[i] * p
-        picked.append(p)
-    return picked, WeightVector(tuple(p.weight() for p in picked))
+    return picks, WeightVector(tuple(picked_weights))
 
 
 def stabilizer_weight(t: StabilizerTableau) -> int:
-    return min_weight_generators(t)[1][0]
+    return _min_weight_picks(t)[1][0]
 
 
 def weight_vector_oracle(t: StabilizerTableau, k: int) -> int:
@@ -218,7 +228,7 @@ def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
     """
     n = t.n
     if n > 14:
-        raise ResourceGuardError("rank-sweep oracle capped at n <= 14")
+        raise ResourceGuardError(f"rank-sweep oracle capped at n <= 14, got n = {n}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
@@ -400,7 +410,7 @@ def correlation_strength_w(
     if len(region) < 2 * w:
         raise ValueError("region cannot hold two disjoint size-w subsets")
     if method == "pauli-enum" and w > 3:
-        raise ResourceGuardError("pauli-enum supports w <= 3")
+        raise ResourceGuardError(f"pauli-enum supports w <= 3, got w = {w}")
     if method not in ("pauli-enum", "alternating-sign"):
         raise ValueError(f"unknown method {method!r}")
     names = _pauli_stack(w)[0]
@@ -489,7 +499,7 @@ def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
     """Largest region where every qubit pair shows a Pauli correlation > tol."""
     n = s.n
     if n > 16:
-        raise ResourceGuardError("correlation range capped at n <= 16")
+        raise ResourceGuardError(f"correlation range capped at n <= 16, got n = {n}")
     if n < 2:
         return 1
     symmetric = _symmetric(s)
@@ -513,7 +523,7 @@ def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
     ``correlation_strength_w``); A qualifies when none of its pairs is <= delta."""
     n = s.n
     if n > 12:
-        raise ResourceGuardError("subset scan capped at n <= 12")
+        raise ResourceGuardError(f"subset scan capped at n <= 12, got n = {n}")
     if n < 2 * w:  # no region holds two disjoint size-w subsets
         return 1
     if not 1 <= w <= 3 or _symmetric(s):  # raises on a bad w; else every region reads as the register
@@ -612,7 +622,7 @@ def anti_shallowness_continuity(log_fidelity: float, eps: float) -> float:
 def lemma2_check(t: StabilizerTableau) -> bool:
     """wt_s >= CR_P / sqrt(n) on the tableau's state."""
     if t.n > 12:
-        raise ResourceGuardError("lemma2 check capped at n <= 12")
+        raise ResourceGuardError(f"lemma2 check capped at n <= 12, got n = {t.n}")
     wt_s = stabilizer_weight(t)
     cr = pauli_correlation_range(from_tableau(t))
     return wt_s >= cr / math.sqrt(t.n) - 1e-12

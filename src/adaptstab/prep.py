@@ -43,7 +43,7 @@ from .tableau import (
     StabilizerTableau,
     _anticommuting,
     _from_stabilizers,
-    _json_int,
+    _json_field,
     _raise_anticommuting,
     _split_name,
     apply_gate,
@@ -192,7 +192,7 @@ def parse_code_text(text: str, name: str = "") -> StabilizerCode:
     if stripped.startswith("{"):
         d = json.loads(stripped)
         code = build_code(d["checks"], d.get("name", name))
-        if "n" in d and _json_int(d["n"], "n", "code") != code.n:
+        if "n" in d and _json_field(d["n"], "n", "code") != code.n:
             raise ValueError(f"declared n={d['n']} but checks act on {code.n} qubits")
         return code
     lines = []

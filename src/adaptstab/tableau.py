@@ -10,7 +10,10 @@ qubit q, ``xs[q]`` and ``zs[q]`` are Python-int planes over the 2n rows (bit i
 is generator i, bit n + i destabilizer i).  Each row's i-exponent e (the phase
 of its X-before-Z form, see ``pauli``) is kept mod 4 in the planes ``e0`` (low
 bit) and ``e1`` (high bit), so non-hermitian rows keep their exact phase.
-A gate costs a few big-int operations on its qubits' planes, whatever n is.
+A gate costs a few big-int operations on its qubits' planes, whatever n is:
+``apply_gate`` looks its name up in ``_GATES``, a table of one small kernel
+per gate, after one inline test of the call; the full checks run only when
+that test fails (a fan-out CNOT, or an error).
 Measurements run on packed rows x | z << n | e << 2n, as in Stim: a random
 outcome multiplies only the anticommuting rows by the pivot.  A run of Z
 measurements (``_measure_z_run``) transposes once each way and keeps
@@ -238,7 +241,7 @@ def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
 
 def check_gate(name: str, n_qubits: int) -> None:
     """Raise ValueError unless ``name`` is a known gate on ``n_qubits`` qubits."""
-    arity = GATE_ARITY.get(name)
+    arity = GATE_ARITY.get(name) if isinstance(name, str) else None
     if arity is None:
         raise ValueError(f"unknown gate {name!r}")
     if name == "CNOT":
@@ -248,58 +251,102 @@ def check_gate(name: str, n_qubits: int) -> None:
         raise ValueError(f"{name} expects {arity} qubits, got {n_qubits}")
 
 
-def apply_gate(
-    t: StabilizerTableau,
-    name: str,
-    qubits: Sequence[int],
-    pauli: str | None = None,
-) -> StabilizerTableau:
+# One kernel per gate, ``kernel(t, qubits, pauli)``: the CHP update of the
+# planes of its qubits, on a call ``apply_gate`` has checked.
+
+
+def _h(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+    q = qs[0]
+    x, z = t.xs[q], t.zs[q]
+    t.e1 ^= x & z
+    t.xs[q], t.zs[q] = z, x
+
+
+def _phase(k: int):
+    def kernel(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+        x = t.xs[qs[0]]
+        _add_exponent(t, x, k)
+        t.zs[qs[0]] ^= x
+
+    return kernel
+
+
+def _pauli(px: int, pz: int):
+    def kernel(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+        q = qs[0]  # a Pauli gate negates the rows it anticommutes with
+        t.e1 ^= (t.zs[q] if px else 0) ^ (t.xs[q] if pz else 0)
+
+    return kernel
+
+
+def _swap(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+    a, b = qs
+    xs, zs = t.xs, t.zs
+    xs[a], xs[b] = xs[b], xs[a]
+    zs[a], zs[b] = zs[b], zs[a]
+
+
+def _cnot(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+    xs, zs = t.xs, t.zs
+    a = qs[0]
+    xa, za = xs[a], zs[a]  # rows with X on the control pick up X on each target
+    for q in qs[1:]:
+        xs[q] ^= xa
+        za ^= zs[q]
+    zs[a] = za
+
+
+def _controlled(letter: str | None):
+    """Controlled-``letter`` (CZ), or controlled-``pauli`` when None (CP)."""
+
+    def kernel(t: StabilizerTableau, qs: Sequence[int], pauli: str | None) -> None:
+        p = letter or pauli
+        if not isinstance(p, str) or p not in _PAULI_BITS:
+            raise ValueError(f"CP needs a pauli in X/Y/Z, got {p!r}")
+        px, pz = _PAULI_BITS[p]
+        a, b = qs
+        xs, zs = t.xs, t.zs
+        xa, xb, zb = xs[a], xs[b], zs[b]  # rows with X on a pick up the letter on b
+        if px & pz:  # Y = i X Z
+            _add_exponent(t, xa, 1)
+        if pz:
+            t.e1 ^= xa & xb
+            zs[b] = zb ^ xa
+        if px:
+            xs[b] = xb ^ xa
+        zs[a] ^= (xb if pz else 0) ^ (zb if px else 0)
+
+    return kernel
+
+
+_GATES = {"H": _h, "S": _phase(1), "SDG": _phase(3), **{p: _pauli(*bits) for p, bits in _PAULI_BITS.items()}}
+_GATES |= {"CNOT": _cnot, "CZ": _controlled("Z"), "SWAP": _swap, "CP": _controlled(None)}
+
+
+def apply_gate(t: StabilizerTableau, name: str, qubits: Sequence[int], pauli: str | None = None) -> StabilizerTableau:
     """Conjugate every row by the named Clifford gate (in place).
 
     The CHP update rules act on whole columns: a few big-int operations on
-    the planes of ``qubits``, whatever the number of rows.
+    the planes of ``qubits``, whatever the number of rows.  Each gate is one
+    kernel of ``_GATES``.  A call with the gate's arity on qubits in range
+    and distinct is checked by one inline test; only any other call (a
+    fan-out CNOT, or an error) runs the full checks, whose order sets which
+    error a bad call raises.
     """
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"repeated qubit in {qubits}")
-    for q in qubits:
-        if not 0 <= q < t.n:
-            raise ValueError(f"qubit {q} out of range for n={t.n}")
-    check_gate(name, len(qubits))
-    xs, zs = t.xs, t.zs
-    if name == "H":
-        (q,) = qubits
-        t.e1 ^= xs[q] & zs[q]
-        xs[q], zs[q] = zs[q], xs[q]
-    elif name in ("S", "SDG"):
-        (q,) = qubits
-        _add_exponent(t, xs[q], 1 if name == "S" else 3)
-        zs[q] ^= xs[q]
-    elif name in _PAULI_BITS:  # a Pauli gate negates the rows it anticommutes with
-        (q,) = qubits
-        px, pz = _PAULI_BITS[name]
-        t.e1 ^= (zs[q] if px else 0) ^ (xs[q] if pz else 0)
-    elif name == "SWAP":
-        a, b = qubits
-        xs[a], xs[b] = xs[b], xs[a]
-        zs[a], zs[b] = zs[b], zs[a]
-    else:  # CNOT (a fan-out over every target), CZ, CP
-        letter = {"CNOT": "X", "CZ": "Z"}.get(name, pauli)
-        if letter not in _PAULI_BITS:
-            raise ValueError(f"CP needs a pauli in X/Y/Z, got {letter!r}")
-        px, pz = _PAULI_BITS[letter]
-        y = px & pz  # Y = i X Z
-        a = qubits[0]
-        xa = xs[a]  # rows with X on the control pick up the letter on each target
-        for q in qubits[1:]:
-            xq, zq = xs[q], zs[q]
-            if y:
-                _add_exponent(t, xa, 1)
-            if pz:
-                t.e1 ^= xa & xq
-                zs[q] = zq ^ xa
-            if px:
-                xs[q] = xq ^ xa
-            zs[a] ^= (xq if pz else 0) ^ (zq if px else 0)
+    kernel = _GATES.get(name) if isinstance(name, str) else None
+    n, k = t.n, len(qubits)
+    if not (
+        kernel is not None
+        and GATE_ARITY[name] == k
+        and (0 <= qubits[0] < n if k == 1 else qubits[0] != qubits[1] and 0 <= qubits[0] < n and 0 <= qubits[1] < n)
+    ):  # every check, in order; only a valid fan-out CNOT passes them
+        if len(set(qubits)) != k:
+            raise ValueError(f"repeated qubit in {qubits}")
+        for q in qubits:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for n={n}")
+        check_gate(name, k)
+    kernel(t, qubits, pauli)
     t._rows = None
     return t
 
@@ -666,7 +713,7 @@ def factor_out_qubits(t: StabilizerTableau, qs: Iterable[int]) -> StabilizerTabl
 def random_stabilizer_state(n: int, seed: int) -> StabilizerTableau:
     """Seed-reproducible random stabilizer state (depth-2n random circuit)."""
     if n > 64:
-        raise ResourceGuardError("random_stabilizer_state supports n <= 64")
+        raise ResourceGuardError(f"random_stabilizer_state supports n <= 64, got n = {n}")
     rng = np.random.default_rng(seed)
     t = zero_state(n)
     one_q = ("I", "H", "S", "SDG", "X", "Y", "Z")
@@ -705,10 +752,13 @@ def to_json(t: StabilizerTableau) -> dict:
     }
 
 
-def _json_int(value: object, name: str, owner: str) -> int:
-    """``value`` when it is a JSON integer; true/false and 1.0 are not."""
-    if type(value) is not int:
-        raise ValueError(f"{owner} field {name!r} must be an integer, got {json.dumps(value)}")
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object", bool: "a boolean"}
+
+
+def _json_field(value: object, name: str, owner: str, kind: type = int) -> object:
+    """``value`` when it is a JSON ``kind``; true/false and 1.0 are not integers."""
+    if type(value) is not kind:
+        raise ValueError(f"{owner} field {name!r} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     return value
 
 
@@ -725,7 +775,7 @@ def _split_name(name: str) -> tuple[str, int | None]:
 
 
 def from_json(data: dict) -> StabilizerTableau:
-    n = _json_int(data["n"], "n", "tableau")
+    n = _json_field(data["n"], "n", "tableau")
     gens = [parse_pauli(s) for s in data["generators"]]
     _check_widths(gens, n)
     if "destabilizers" in data and data["destabilizers"]:

@@ -1,6 +1,6 @@
 """Tableau builders shared by test modules, and oracles for removed paths:
-the plane measurement, single-Pauli conjugation and sign forms, and the
-restricted group."""
+the gate if-chain, the plane measurement, single-Pauli conjugation and sign
+forms, and the restricted group."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from functools import reduce
 from operator import xor
 
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import GF2Elimination, PauliOperator, _bits, format_pauli
-from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, generator_product
+from adaptstab.pauli import _PAULI_BITS, GF2Elimination, PauliOperator, _bits, format_pauli
+from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, check_gate, generator_product
 
 
 def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
@@ -53,6 +53,60 @@ def canonical_form(t: StabilizerTableau) -> StabilizerTableau:
         if pivot_row == n:
             break
     return StabilizerTableau(n, gens, destabs)
+
+
+# -- the gate if-chain, kept as an oracle -----------------------------------------
+#
+# ``apply_gate`` once ran every check on every call and then picked the gate's
+# update from a chain of name tests.  It now runs one inline test of the call
+# and one kernel of ``tableau._GATES``, the full checks only on the error path.
+
+
+def reference_apply_gate(t: StabilizerTableau, name: str, qubits, pauli: str | None = None) -> StabilizerTableau:
+    """``apply_gate`` as it was: the three checks, then the if-chain."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in {qubits}")
+    for q in qubits:
+        if not 0 <= q < t.n:
+            raise ValueError(f"qubit {q} out of range for n={t.n}")
+    check_gate(name, len(qubits))
+    xs, zs = t.xs, t.zs
+    if name == "H":
+        (q,) = qubits
+        t.e1 ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
+    elif name in ("S", "SDG"):
+        (q,) = qubits
+        _add_exponent(t, xs[q], 1 if name == "S" else 3)
+        zs[q] ^= xs[q]
+    elif name in _PAULI_BITS:  # a Pauli gate negates the rows it anticommutes with
+        (q,) = qubits
+        px, pz = _PAULI_BITS[name]
+        t.e1 ^= (zs[q] if px else 0) ^ (xs[q] if pz else 0)
+    elif name == "SWAP":
+        a, b = qubits
+        xs[a], xs[b] = xs[b], xs[a]
+        zs[a], zs[b] = zs[b], zs[a]
+    else:  # CNOT (a fan-out over every target), CZ, CP
+        letter = {"CNOT": "X", "CZ": "Z"}.get(name, pauli)
+        if letter not in _PAULI_BITS:
+            raise ValueError(f"CP needs a pauli in X/Y/Z, got {letter!r}")
+        px, pz = _PAULI_BITS[letter]
+        y = px & pz  # Y = i X Z
+        a = qubits[0]
+        xa = xs[a]  # rows with X on the control pick up the letter on each target
+        for q in qubits[1:]:
+            xq, zq = xs[q], zs[q]
+            if y:
+                _add_exponent(t, xa, 1)
+            if pz:
+                t.e1 ^= xa & xq
+                zs[q] = zq ^ xa
+            if px:
+                xs[q] = xq ^ xa
+            zs[a] ^= (xq if pz else 0) ^ (zq if px else 0)
+    t._rows = None
+    return t
 
 
 # -- the per-measurement plane path, kept as an oracle ---------------------------

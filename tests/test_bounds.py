@@ -12,11 +12,13 @@ from adaptstab.bounds import (
     check_clifford_adaptive,
     check_correlation,
     check_nonadaptive,
+    weight_checks,
 )
 from adaptstab.circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, ghz_adaptive
 from adaptstab.densesim import dicke_correlation_formula, make_state
 from adaptstab.errors import ResourceGuardError
-from adaptstab.metrics import WeightVector, global_correlation
+from adaptstab.metrics import WeightVector, global_correlation, min_weight_generators
+from adaptstab.tableau import ghz_state, random_stabilizer_state
 
 
 def test_profile_validation():
@@ -143,6 +145,18 @@ def test_ghz_circuits_satisfy_all_applicable_bounds():
         assert check_adaptive_weight(p, n)["satisfied"]
         assert check_clifford_adaptive(p, n)["satisfied"]
         assert check_correlation(p, 1, float(n))["satisfied"]
+
+
+def test_weight_checks_vector_is_the_generators_weights():
+    # weight_checks reads the weights of the greedy's classes and multiplies
+    # out no generator; the generators min_weight_generators builds from the
+    # same picks must weigh the same.
+    targets = [random_stabilizer_state(n, seed) for n in range(1, 13) for seed in range(3)]
+    for t in targets + [ghz_state(16), ghz_state(20)]:
+        vector, records = weight_checks(ResourceProfile(n=t.n, m=t.n, K=2, L=1), t, ())
+        picked, generator_vector = min_weight_generators(t)
+        assert records == []
+        assert vector == generator_vector == WeightVector(tuple(p.weight() for p in picked))
 
 
 def test_tolerance_table_ghz():

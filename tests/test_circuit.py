@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from itertools import product
 
 import pytest
@@ -77,6 +78,25 @@ def test_validate_flags_violations():
     c.add_layer([Measure(0, 0)])
     c.add_layer([Measure(1, 0)])  # cbit written twice
     assert any("written twice" in v for v in ci.validate(c, K=2).violations)
+
+
+@pytest.mark.parametrize(
+    "gate,violation,message",
+    [
+        (Gate(["H"], (0,)), "unknown gate ['H']", "unknown gate ['H']"),
+        (Gate("CP", (0, 1), pauli=["X"]), "CP gate needs pauli X/Y/Z", "CP needs a pauli in X/Y/Z, got ['X']"),
+    ],
+)
+def test_unhashable_gate_name_or_letter_is_rejected_alike(gate, violation, message):
+    # validate, simulate and apply_gate each test a name's or letter's type
+    # before a lookup would hash it.
+    c = AdaptiveCircuit(2)
+    c.add_layer([gate])
+    assert ci.validate(c, K=2).violations == [f"layer 0: {violation}"]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ci.simulate(c, seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_gate(zero_state(2), gate.op, gate.qubits, gate.pauli)
 
 
 def test_sdg_circuit_validates_and_simulates():

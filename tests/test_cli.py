@@ -218,7 +218,7 @@ def test_weight_tableau_file(capsys, tmp_path):
 def test_weight_size_guard_exits_3(capsys):
     code, report, err = run(capsys, "weight", "builtin:ghz25")
     assert code == 3 and report["results"] is None
-    assert report["error"] == {"kind": "ResourceGuardError", "message": "group enumeration capped at n <= 20"}
+    assert report["error"] == {"kind": "ResourceGuardError", "message": "group enumeration capped at n <= 20, got n = 25"}
     assert "resource guard" in err
 
 
@@ -608,6 +608,28 @@ def test_circuit_from_json_rejects_non_integer_fields(field, edit):
         circuit_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("qubits", lambda d: d["layers"][1][0].update(qubits=0)),
+        ("qubits", lambda d: d["layers"][1][0].pop("qubits")),
+        ("cond.bits", lambda d: d["layers"][4][0]["cond"].update(bits=0)),
+        ("layers[2]", lambda d: d["layers"].__setitem__(2, {"op": "CNOT", "qubits": [2, 4]})),
+        ("op", lambda d: d["layers"][0][0].update(op=["H"])),
+        ("pauli", lambda d: d["layers"][1][0].update(op="CP", pauli=["X"])),
+    ],
+)
+def test_lightcone_reports_misshapen_circuit_field_as_value_error(capsys, tmp_path, field, edit):
+    doc = json.loads(circuit_to_json(ghz_adaptive(4, 2, 2)))
+    edit(doc)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "lightcone", "--circuit", str(cpath), "--from", "0")
+    assert code == 1 and report["results"] is None
+    assert report["error"]["kind"] == "ValueError"
+    assert report["error"]["message"].startswith(f"circuit field '{field}' ")
+
+
 _JSON_VALUES = st.one_of(
     st.integers(-3, 12),
     st.booleans(),
@@ -656,7 +678,7 @@ def test_mutated_circuit_json_gets_one_report(text):
             report = json.loads(out.getvalue())
             assert code in (0, 1, 2), (argv, report)
             if "error" in report:
-                assert code == 1 and report["error"]["kind"] != "AssertionError", report
+                assert code == 1 and report["error"]["kind"] == "ValueError", report
 
 
 # -- report contract ---------------------------------------------------------------

@@ -688,7 +688,7 @@ def test_correlation_range_w_keeps_argument_errors():
     for w in (0, -1):
         with pytest.raises(ValueError, match="^need w >= 1$"):
             mt.correlation_range_w(s, w, 0.1)
-    with pytest.raises(ResourceGuardError, match="^pauli-enum supports w <= 3$"):
+    with pytest.raises(ResourceGuardError, match="^pauli-enum supports w <= 3, got w = 4$"):
         mt.correlation_range_w(s, 4, 0.1)
     assert mt.correlation_range_w(s, 5, 0.1) == old_correlation_range_w(s, 5, 0.1) == 1
 

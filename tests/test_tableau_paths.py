@@ -32,7 +32,9 @@ from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_rank, parse_pauli, single_site
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import (
+    GATE_ARITY,
     StabilizerTableau,
+    _GATES,
     _add_exponent,
     _anticommuting,
     _anticommuting_masks,
@@ -60,6 +62,7 @@ from helpers_tableau import (
     plane_measure_pauli,
     plane_multiply_rows,
     plane_row,
+    reference_apply_gate,
     restricted_group_elements,
     row_conjugate_pauli,
     sign_form,
@@ -319,6 +322,44 @@ def test_gate_kernel_matches_row_path_on_arbitrary_rows():
             apply_gate(t, name, qubits, pauli)
             row_apply_gate(oracle, name, qubits, pauli)
         assert dumps(t) == oracle.to_json()
+
+
+def test_gate_table_has_one_kernel_per_gate():
+    assert _GATES.keys() == GATE_ARITY.keys()
+
+
+@st.composite
+def gate_calls(draw):
+    """A tableau of arbitrary rows and a few gate calls, valid or not: any
+    known or unknown (hashable) name, 0-4 qubits that may repeat or fall
+    out of range, and any CP letter."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+    names = st.sampled_from([*GATE_ARITY, "T", "cnot", "", None, 2])
+    valid = st.permutations(range(n)).flatmap(lambda p: st.integers(1, n).map(lambda k: tuple(p[:k])))
+    loose = st.lists(st.integers(-2, n + 1), max_size=4).map(tuple)
+    letters = st.sampled_from([None, "X", "Y", "Z", "I", "x", "XY", 1])
+    calls = st.tuples(names, st.one_of(valid, loose), letters)
+    return t, draw(st.lists(calls, min_size=1, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gate_calls())
+def test_gate_table_matches_if_chain(case):
+    t, calls = case
+    ref = t.copy()
+    for name, qubits, pauli in calls:
+        try:
+            reference_apply_gate(ref, name, qubits, pauli)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                apply_gate(t, name, qubits, pauli)
+            assert str(got.value) == str(exc)
+        else:
+            apply_gate(t, name, qubits, pauli)
+        assert (t.xs, t.zs, t.e0, t.e1) == (ref.xs, ref.zs, ref.e0, ref.e1)
+        assert t._rows is None
 
 
 def test_gate_kernel_covers_every_gate_and_fanout():
