@@ -36,6 +36,8 @@ from .tableau import (
     GATE_ARITY,
     StabilizerTableau,
     _json_field,
+    _json_key,
+    _json_object,
     _match_products,
     _measure_z_run,
     apply_gate,
@@ -544,13 +546,7 @@ def _op_to_dict(op: Gate | Measure) -> dict:
 
 
 _value = partial(_json_field, owner="circuit")
-
-
-def _field(d: dict, key: str, kind: type = int, name: str | None = None) -> object:
-    """``d[key]``, a JSON ``kind``; ValueError naming the field when it is missing or of another type."""
-    if key not in d:
-        raise ValueError(f"circuit field {name or key!r} is missing")
-    return _value(d[key], name or key, kind=kind)
+_field = partial(_json_key, owner="circuit")
 
 
 def _op_from_dict(d: dict) -> Gate | Measure:
@@ -583,9 +579,7 @@ def from_json(text: str) -> AdaptiveCircuit:
     type (a qubit, classical bit or count that is not an integer, an op or
     pauli that is not a string, a layer that is not a list) raises
     ValueError naming it."""
-    d = json.loads(text)
-    if type(d) is not dict:
-        raise ValueError(f"a circuit must be a JSON object, got {json.dumps(d)}")
+    d = _json_object(json.loads(text), "circuit")
     m, cbits = _field(d, "m"), _field(d, "cbits")
     layers = [_value(layer, f"layers[{li}]", kind=list) for li, layer in enumerate(_field(d, "layers", list))]
     for li, layer in enumerate(layers):

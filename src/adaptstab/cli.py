@@ -67,7 +67,7 @@ from .metrics import (
 )
 from .pauli import PauliOperator, format_pauli, parse_pauli
 from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
-from .tableau import StabilizerTableau, _split_name
+from .tableau import StabilizerTableau, _json_key, _json_object, _split_name
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
 from .tableau import ghz_state, zero_state
@@ -188,10 +188,9 @@ def _cmd_prep(args) -> tuple:
     if args.partition == "auto":
         circ, target = prepare_state(code)
     else:
-        spec = json.loads(Path(args.partition).read_text())
+        spec = _json_object(json.loads(Path(args.partition).read_text()), "partition")
         inputs["partition"] = _digest_file(args.partition)
-        s1 = [parse_pauli(p) for p in spec["s1"]]
-        s2 = [parse_pauli(p) for p in spec["s2"]]
+        s1, s2 = ([parse_pauli(p) for p in _json_key(spec, key, list, owner="partition")] for key in ("s1", "s2"))
         phi = spec.get("phi", "plus")
         if phi == "plus":
             phi_layers = [[Gate("H", (q,)) for q in range(code.n)]]

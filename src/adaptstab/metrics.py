@@ -122,10 +122,12 @@ def _group_table(t: StabilizerTableau) -> np.ndarray:
     ``uint64``, indexed by generator mask; entry 0 is the identity.  A word's
     value order is the (x, z) order.  Doubles over the generators: the block
     of masks whose highest bit is i is generator i times the block below it.
-    Phases are not kept."""
+    Phases are not kept.  Dependent generators raise ValueError."""
     n = t.n
     if n > 20:
         raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}")
+    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
+        raise ValueError("generators are dependent")
     table = np.zeros(1 << n, np.uint64)
     for i, g in enumerate(t.generators):
         np.bitwise_xor(table[: 1 << i], np.uint64(g.z | g.x << 32), out=table[1 << i : 2 << i])
@@ -173,8 +175,6 @@ def _min_weight_picks(t: StabilizerTableau) -> tuple[list[int], WeightVector]:
     """
     n = t.n
     table = _group_table(t)
-    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
-        raise ValueError("generators are dependent")
     weights = _weights(table)
     weights[0] = n + 1  # the identity is in every span
     spanned = np.zeros(1 << n >> 1, np.int32)  # doubled by each pick but the last
@@ -231,8 +231,6 @@ def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
         raise ResourceGuardError(f"rank-sweep oracle capped at n <= 14, got n = {n}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
-        raise ValueError("generators are dependent")
     table = _group_table(t)
     weights = _weights(table)
     pivots: list[tuple[np.uint64, np.uint64]] = []  # (row, its lowest set bit's index)

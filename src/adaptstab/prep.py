@@ -41,9 +41,10 @@ from .circuit import (
 from .pauli import GF2Elimination, PauliOperator, _bits, _transpose, format_pauli, gf2_rank, parse_pauli
 from .tableau import (
     StabilizerTableau,
-    _anticommuting,
+    _anticommuting_masks,
     _from_stabilizers,
     _json_field,
+    _json_key,
     _raise_anticommuting,
     _split_name,
     apply_gate,
@@ -101,7 +102,7 @@ class StabilizerCode:
                 raise ValueError(f"check {format_pauli(c)} must be hermitian with sign +1")
         xs = _transpose([c.x for c in self.checks], self.n)
         zs = _transpose([c.z for c in self.checks], self.n)
-        _raise_anticommuting(self.checks, [_anticommuting(xs, zs, c) for c in self.checks], "checks")
+        _raise_anticommuting(self.checks, _anticommuting_masks(xs, zs, xs, zs, len(self.checks)), "checks")
         rows = [c.symplectic_row() for c in self.checks]
         r = gf2_rank(rows)
         if r != len(self.checks):
@@ -191,8 +192,9 @@ def parse_code_text(text: str, name: str = "") -> StabilizerCode:
     stripped = text.strip()
     if stripped.startswith("{"):
         d = json.loads(stripped)
-        code = build_code(d["checks"], d.get("name", name))
-        if "n" in d and _json_field(d["n"], "n", "code") != code.n:
+        checks = _json_key(d, "checks", list, owner="code")
+        code = build_code(checks, _json_field(d.get("name", name), "name", str, owner="code"))
+        if "n" in d and _json_field(d["n"], "n", owner="code") != code.n:
             raise ValueError(f"declared n={d['n']} but checks act on {code.n} qubits")
         return code
     lines = []

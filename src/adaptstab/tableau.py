@@ -28,6 +28,7 @@ and ``validate_tableau`` compare a whole generator set in one pass over the
 column planes (``_match_products``): O(weight) big-int operations,
 bit-parallel over the generators, one transpose, and no row views;
 ``validate_tableau`` builds the views only to name a failure.
+``is_stabilized_by`` is the same plane pass on one Pauli.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -61,7 +62,6 @@ __all__ = [
     "ghz_state",
     "check_gate",
     "apply_gate",
-    "generator_product",
     "apply_pauli_form",
     "is_stabilized_by",
     "states_equal",
@@ -153,16 +153,6 @@ def ghz_state(n: int) -> StabilizerTableau:
 # -- plane kernels ----------------------------------------------------------------
 
 
-def _anticommuting(xs: Sequence[int], zs: Sequence[int], p: PauliOperator) -> int:
-    """Mask of the rows (of planes ``xs``, ``zs``) that anticommute with ``p``."""
-    mask = 0
-    for q in _bits(p.x):
-        mask ^= zs[q]
-    for q in _bits(p.z):
-        mask ^= xs[q]
-    return mask
-
-
 def _add_exponent(t: StabilizerTableau, mask: int, k: int) -> None:
     """e += k (mod 4) on every row in ``mask``."""
     if k & 1:
@@ -200,40 +190,6 @@ def _collapse(rows: list[int], n: int, anti: int, new: int) -> tuple[int, int, i
         rows[r] = _times(rows[r], p, n)
     rows[pivot], rows[n + pivot] = new, p
     return pivot, p, d
-
-
-def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
-    """Ordered product g_i g_j ... (i < j < ...) of the generators in ``mask``.
-
-    Bits are column parities.  The phase is the exponent sum plus 2 for every
-    pair i < j and qubit where g_i has Z and g_j has X (moving X before Z).
-    Those pairs are counted for all columns at once: the selected Z and X
-    parts of every column are packed into two ints, and a prefix XOR turns
-    each Z block into "odd number of Z rows above this row".
-    """
-    x = z = 0
-    e = (t.e0 & mask).bit_count() + 2 * (t.e1 & mask).bit_count()
-    width = mask.bit_length()
-    span = 1
-    while span < width:
-        span <<= 1
-    stride = width + span  # the prefix XOR spills at most span - 1 bits past a block
-    packed_z = packed_x = 0
-    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
-        a, b = cz & mask, cx & mask
-        if a:
-            z |= (a.bit_count() & 1) << q
-            if b:
-                packed_z |= a << (q * stride)
-                packed_x |= b << (q * stride)
-        if b:
-            x |= (b.bit_count() & 1) << q
-    s = 1
-    while s < span:
-        packed_z ^= packed_z << s
-        s <<= 1
-    e += 2 * (packed_x & packed_z << 1).bit_count()
-    return PauliOperator.from_exponent(t.n, x, z, e)
 
 
 # -- gate conjugation -------------------------------------------------------
@@ -438,16 +394,16 @@ def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
     """+1/-1 when ``sign * p`` is in the stabilizer group, else None.
 
     The destabilizers anticommuting with p select the generator product,
-    which is +-p exactly when +-p is in the group.
+    which is +-p exactly when +-p is in the group: ``_match_products`` on
+    the one-Pauli column planes of p.
     """
     if p.n != t.n:
         raise ValueError("dimension mismatch")
     if not p.hermitian:
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    prod = generator_product(t, _anticommuting(t.xs, t.zs, p) >> t.n)
-    if (prod.x, prod.z) != (p.x, p.z):
-        return None
-    return 1 if prod.e == p.e else -1
+    pxs, pzs = [p.x >> q & 1 for q in range(t.n)], [p.z >> q & 1 for q in range(t.n)]
+    _, unmatched, flipped = _match_products(t, pxs, pzs, p.e & 1, p.e >> 1, 1)
+    return None if unmatched else -1 if flipped else 1
 
 
 # -- whole generator sets -----------------------------------------------------
@@ -468,7 +424,8 @@ def _non_hermitian(t: StabilizerTableau) -> int:
 def _anticommuting_masks(
     xs: Sequence[int], zs: Sequence[int], pxs: Sequence[int], pzs: Sequence[int], k: int
 ) -> list[int]:
-    """``_anticommuting`` for each of k Paulis given by column planes."""
+    """Mask of the rows (of planes ``xs``, ``zs``) that anticommute with
+    each of k Paulis given by column planes."""
     masks = [0] * k
     for cx, cz, px, pz in zip(xs, zs, pxs, pzs):
         for i in _bits(px):
@@ -488,9 +445,9 @@ def _match_products(
     Pauli i's product takes generator j, of ``unmatched`` when that product
     has other X/Z bits than Pauli i, and of ``flipped`` when it has another
     exponent.  One transpose turns the anticommutation masks into picks.
-    The products are then built column by column for every Pauli at once,
-    with the phase of ``generator_product``: an X of generator j meets the
-    Z parity of the selected generators before j on the same column.
+    The products, ordered g_i g_j ... (i < j < ...), are then built column
+    by column for every Pauli at once: an X of generator j meets the Z
+    parity of the selected generators before j on the same column.
     """
     n = t.n
     full = (1 << n) - 1
@@ -755,10 +712,24 @@ def to_json(t: StabilizerTableau) -> dict:
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object", bool: "a boolean"}
 
 
-def _json_field(value: object, name: str, owner: str, kind: type = int) -> object:
+def _json_field(value: object, name: str, kind: type = int, *, owner: str) -> object:
     """``value`` when it is a JSON ``kind``; true/false and 1.0 are not integers."""
     if type(value) is not kind:
         raise ValueError(f"{owner} field {name!r} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _json_key(d: dict, key: str, kind: type = int, name: str | None = None, *, owner: str) -> object:
+    """``d[key]``, a JSON ``kind``; ValueError naming the field when it is missing or of another type."""
+    if key not in d:
+        raise ValueError(f"{owner} field {name or key!r} is missing")
+    return _json_field(d[key], name or key, kind, owner=owner)
+
+
+def _json_object(value: object, owner: str) -> dict:
+    """``value`` when it is a JSON object, the one shape of every input document."""
+    if type(value) is not dict:
+        raise ValueError(f"a {owner} must be a JSON object, got {json.dumps(value)}")
     return value
 
 
@@ -775,11 +746,15 @@ def _split_name(name: str) -> tuple[str, int | None]:
 
 
 def from_json(data: dict) -> StabilizerTableau:
-    n = _json_field(data["n"], "n", "tableau")
-    gens = [parse_pauli(s) for s in data["generators"]]
+    """Read ``to_json`` output; without destabilizers (the field left out or
+    empty) they come from ``from_stabilizers``.  A field that is missing or
+    of another JSON type raises ValueError naming it."""
+    data = _json_object(data, "tableau")
+    n = _json_key(data, "n", owner="tableau")
+    gens = [parse_pauli(s) for s in _json_key(data, "generators", list, owner="tableau")]
     _check_widths(gens, n)
-    if "destabilizers" in data and data["destabilizers"]:
-        destabs = [parse_pauli(s) for s in data["destabilizers"]]
+    if destabs := _json_field(data.get("destabilizers", []), "destabilizers", list, owner="tableau"):
+        destabs = [parse_pauli(s) for s in destabs]
         t = StabilizerTableau(n, gens, destabs)
         validate_tableau(t)
         return t

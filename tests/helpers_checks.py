@@ -13,8 +13,8 @@ import numpy as np
 from adaptstab.densesim import StateVector, correlation, fidelity
 from adaptstab.metrics import _group_table
 from adaptstab.pauli import GF2Elimination, PauliOperator
-from adaptstab.tableau import StabilizerTableau, generator_product
-from helpers_tableau import restricted_group_elements, row_conjugate_pauli
+from adaptstab.tableau import StabilizerTableau
+from helpers_tableau import generator_product, restricted_group_elements, row_conjugate_pauli
 
 
 def restrict(p: PauliOperator, qubits: Sequence[int]) -> PauliOperator:

@@ -1,6 +1,7 @@
 """Tableau builders shared by test modules, and oracles for removed paths:
-the gate if-chain, the plane measurement, single-Pauli conjugation and sign
-forms, and the restricted group."""
+the gate if-chain, the single-Pauli anticommutation mask ``_anticommuting``
+and generator product ``generator_product``, the plane measurement,
+single-Pauli conjugation and sign forms, and the restricted group."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from operator import xor
 
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import _PAULI_BITS, GF2Elimination, PauliOperator, _bits, format_pauli
-from adaptstab.tableau import StabilizerTableau, _add_exponent, _anticommuting, check_gate, generator_product
+from adaptstab.tableau import StabilizerTableau, _add_exponent, check_gate
 
 
 def tensor_tableau(t1: StabilizerTableau, t2: StabilizerTableau) -> StabilizerTableau:
@@ -107,6 +108,58 @@ def reference_apply_gate(t: StabilizerTableau, name: str, qubits, pauli: str | N
             zs[a] ^= (xq if pz else 0) ^ (zq if px else 0)
     t._rows = None
     return t
+
+
+# -- the single-Pauli generator product, kept as an oracle -------------------------
+#
+# ``is_stabilized_by`` once built its product with its own kernel: the
+# destabilizers anticommuting with p, then their generators multiplied out
+# by a prefix-XOR packing of the columns.  It now reads
+# ``tableau._match_products`` on one Pauli, as ``states_equal`` does on many.
+
+
+def _anticommuting(xs, zs, p: PauliOperator) -> int:
+    """Mask of the rows (of planes ``xs``, ``zs``) that anticommute with ``p``."""
+    mask = 0
+    for q in _bits(p.x):
+        mask ^= zs[q]
+    for q in _bits(p.z):
+        mask ^= xs[q]
+    return mask
+
+
+def generator_product(t: StabilizerTableau, mask: int) -> PauliOperator:
+    """Ordered product g_i g_j ... (i < j < ...) of the generators in ``mask``.
+
+    Bits are column parities.  The phase is the exponent sum plus 2 for every
+    pair i < j and qubit where g_i has Z and g_j has X (moving X before Z).
+    Those pairs are counted for all columns at once: the selected Z and X
+    parts of every column are packed into two ints, and a prefix XOR turns
+    each Z block into "odd number of Z rows above this row".
+    """
+    x = z = 0
+    e = (t.e0 & mask).bit_count() + 2 * (t.e1 & mask).bit_count()
+    width = mask.bit_length()
+    span = 1
+    while span < width:
+        span <<= 1
+    stride = width + span  # the prefix XOR spills at most span - 1 bits past a block
+    packed_z = packed_x = 0
+    for q, (cx, cz) in enumerate(zip(t.xs, t.zs)):
+        a, b = cz & mask, cx & mask
+        if a:
+            z |= (a.bit_count() & 1) << q
+            if b:
+                packed_z |= a << (q * stride)
+                packed_x |= b << (q * stride)
+        if b:
+            x |= (b.bit_count() & 1) << q
+    s = 1
+    while s < span:
+        packed_z ^= packed_z << s
+        s <<= 1
+    e += 2 * (packed_x & packed_z << 1).bit_count()
+    return PauliOperator.from_exponent(t.n, x, z, e)
 
 
 # -- the per-measurement plane path, kept as an oracle ---------------------------

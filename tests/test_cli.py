@@ -630,6 +630,33 @@ def test_lightcone_reports_misshapen_circuit_field_as_value_error(capsys, tmp_pa
     assert report["error"]["message"].startswith(f"circuit field '{field}' ")
 
 
+_BAD_TABLEAU = '{"n": 2, "generators": 5}'
+
+
+@pytest.mark.parametrize(
+    "argv,text,needle",
+    [
+        (["weight"], _BAD_TABLEAU, "tableau field 'generators' must be a list"),
+        (["weight"], '{"generators": ["ZI", "IZ"]}', "tableau field 'n' is missing"),
+        (["weight"], '{"n": 2, "generators": ["ZI", "IZ"], "destabilizers": 7}', "tableau field 'destabilizers'"),
+        (["weight"], '["ZI", "IZ"]', "a tableau must be a JSON object"),
+        (["bounds", "--circuit", "CIRCUIT", "--target"], _BAD_TABLEAU, "tableau field 'generators' must be a list"),
+        (["prep"], '{"name": "x"}', "code field 'checks' is missing"),
+        (["prep", "builtin:repetition3", "--partition"], '{"s2": []}', "partition field 's1' is missing"),
+        (["prep", "builtin:repetition3", "--partition"], '[["ZZI", "IZZ"], ["XXX"]]', "a partition must be a JSON object"),
+    ],
+    ids=["generators", "n", "destabilizers", "tableau-doc", "bounds-target", "checks", "s1", "partition-doc"],
+)
+def test_misshapen_input_file_field_is_a_value_error(capsys, tmp_path, argv, text, needle):
+    cpath, path = tmp_path / "c.json", tmp_path / "input.json"
+    cpath.write_text(circuit_to_json(ghz_adaptive(4, 2, 2)))
+    path.write_text(text)
+    code, report, _ = run(capsys, *[str(cpath) if a == "CIRCUIT" else a for a in argv], str(path))
+    assert code == 1 and report["results"] is None
+    assert report["error"]["kind"] == "ValueError"
+    assert needle in report["error"]["message"]
+
+
 _JSON_VALUES = st.one_of(
     st.integers(-3, 12),
     st.booleans(),

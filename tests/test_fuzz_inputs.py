@@ -6,7 +6,9 @@ spliced or given stray characters.  Each input runs through ``cli.main``
 (``weight``, ``bounds``, ``lightcone``, ``prep --partition``).  Every run
 exits 0-3 and writes exactly one JSON report; a failure is reported as an
 ``error`` object, never escapes as a traceback, and is never an
-``AssertionError``.  The tableau and circuit serializers must round-trip.
+``AssertionError``, ``KeyError`` or ``TypeError`` (a missing or misshapen
+field is a ``ValueError`` naming it).  The tableau and circuit serializers
+must round-trip.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ _PAULI_TEXT = st.tuples(st.sampled_from(("", "+", "-", "i", "-i")), st.text("IXY
 _VALUES = st.one_of(_PAULI_TEXT, st.lists(_PAULI_TEXT, max_size=4), st.text("+-iIXYZ", max_size=5), _JSON_VALUES)
 
 
+# A misshapen field is a ValueError naming it; these kinds mean one was read
+# unchecked, or an internal check failed.
+_UNEXPECTED = ("AssertionError", "KeyError", "TypeError")
+
+
 def run_cli(argv: list[str]) -> tuple[int, dict]:
     """Exit code and the one JSON report of ``main(argv)``."""
     out = io.StringIO()
@@ -40,7 +47,7 @@ def run_cli(argv: list[str]) -> tuple[int, dict]:
     report = json.loads(out.getvalue())  # one document: trailing text would not parse
     assert code in (0, 1, 2, 3), (argv, report)
     if "error" in report:
-        assert code in (1, 3) and report["error"]["kind"] != "AssertionError", report
+        assert code in (1, 3) and report["error"]["kind"] not in _UNEXPECTED, report
     return code, report
 
 

@@ -36,7 +36,6 @@ from adaptstab.tableau import (
     StabilizerTableau,
     _GATES,
     _add_exponent,
-    _anticommuting,
     _anticommuting_masks,
     _match_products,
     _measure_z_run,
@@ -46,7 +45,6 @@ from adaptstab.tableau import (
     from_stabilizers,
     ghz_state,
     random_stabilizer_state,
-    generator_product,
     is_stabilized_by,
     states_equal,
     to_json,
@@ -56,8 +54,10 @@ from adaptstab.tableau import (
 from helpers_dense import dense_pauli, gate_unitary
 from helpers_checks import group_elements
 from helpers_tableau import (
+    _anticommuting,
     canonical_form,
     conjugate_row,
+    generator_product,
     plane_measure_form,
     plane_measure_pauli,
     plane_multiply_rows,
@@ -583,6 +583,30 @@ def test_is_stabilized_by_matches_sign_form(seed):
             kinds.add((kind, want, p.is_identity_bits()))
     assert {("member", 1, False), ("member", -1, False), ("other", None, False)} <= kinds
     assert {("member", 1, True), ("member", -1, True)} <= kinds
+    # Arbitrary rows: generators need not commute, so the order of the
+    # product sets its sign.  Every hermitian p of n <= 4 is tried, and the
+    # kernel must keep the ascending order g_i g_j ... (i < j) of the oracles.
+    for trial in range(20):
+        n = int(rng.integers(1, 5))
+        t = StabilizerTableau(n, random_rows(n, n, rng), random_rows(n, n, rng))
+        oracle = RowTableau.of(t)
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for sign in (1, -1):
+                    p = from_bits(n, x, z, sign)
+                    form = sign_form(t, (), p)
+                    want = None if form is None else 1 - 2 * form
+                    assert is_stabilized_by(t, p) == want
+                    if want is None:
+                        continue
+                    prod = row_group_product(oracle, p)
+                    assert (prod.x, prod.z) == (p.x, p.z) and want == (1 if prod.e == p.e else -1)
+                    descending = PauliOperator(n, 0, 0)
+                    for d, g in reversed(list(zip(oracle.destabilizers, oracle.generators))):
+                        if not d.commutes(p):
+                            descending = descending * g
+                    kinds.add(("arbitrary", want, descending.e != prod.e))
+    assert {("arbitrary", 1, True), ("arbitrary", -1, True)} <= kinds
 
 
 # -- whole generator sets -------------------------------------------------------------------
