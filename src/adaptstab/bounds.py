@@ -32,9 +32,6 @@ __all__ = [
     "approximate_tolerance_table",
 ]
 
-_COMPUTE_LIMIT = 12  # dense-simulation cutoff for tolerance-table deltas
-
-
 @dataclass(frozen=True)
 class ResourceProfile:
     """Resource usage of a circuit: qubit counts, fan-in, depth, geometry.
@@ -203,11 +200,12 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
     A state within infidelity delta^2/36 of the target inherits the
     target's correlation-range bound, so each table row reports the closed
     form from the literature together with the correlation strength delta
-    behind it.  When ``compute`` is set and the register is small enough,
-    the row also carries the exactly computed global correlation and the
-    tolerance it implies, which may differ from the quoted closed form by
-    a constant factor (the closed forms are not always the tightest choice
-    of delta).
+    behind it.  When ``compute`` is set, the row also carries the exactly
+    computed global correlation and the tolerance it implies, which may
+    differ from the quoted closed form by a constant factor (the closed
+    forms are not always the tightest choice of delta).  Every family is
+    permutation-symmetric, so that costs one qubit pair; only the dense
+    state's own cap applies.
 
     Families: ``ghz``, ``w``, ``dicke(k)`` (or ``dickeK``), ``hypergraph``.
     """
@@ -243,11 +241,6 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
         "tolerance_computed": None,
     }
     if compute:
-        if n > _COMPUTE_LIMIT:
-            raise ResourceGuardError(
-                f"tolerance table computes a dense global correlation; n={n} exceeds {_COMPUTE_LIMIT} "
-                "(pass compute=False for the closed forms only)"
-            )
         state = make_state(name, n, k) if name == "dicke" else make_state(name, n)
         delta = global_correlation(state)
         row["delta_computed"] = delta

@@ -60,7 +60,6 @@ from .metrics import (
     _oracle_entries,
     anti_shallowness_lower,
     anti_shallowness_upper,
-    correlation_range_w,
     correlation_strength_w,
     min_weight_generators,
     pauli_correlation_range,
@@ -198,9 +197,7 @@ def _cmd_prep(args) -> tuple:
             phi_layers = []
         else:
             raise ValueError("partition 'phi' must be 'plus' or 'zero'")
-        circ, target = prepare_state(
-            code, "explicit", s1=s1, s2=s2, phi_layers=phi_layers
-        )
+        circ, target = prepare_state(code, s1=s1, s2=s2, phi_layers=phi_layers)
 
     if args.verify == "exhaustive":
         report = verify_preparation(circ, target, trials=0, also_exhaustive=True)
@@ -274,10 +271,7 @@ def _cmd_cor(args) -> tuple:
 
 def _cmd_crange(args) -> tuple:
     s = _parse_family(args.family)
-    if args.delta is None:
-        value = pauli_correlation_range(s)
-    else:
-        value = correlation_range_w(s, 1, args.delta)
+    value = pauli_correlation_range(s, 1e-9 if args.delta is None else args.delta)
     results = {"family": args.family, "n": s.n, "delta": args.delta, "crange": value}
     summary = [f"crange: {args.family} -> {value}"]
     return {"family": args.family}, results, 0, summary

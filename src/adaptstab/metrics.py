@@ -35,8 +35,13 @@ bitwise equal to itself with any two adjacent qubits swapped.  Every subset
 pair's transposed amplitude matrix is then byte-identical, and so are its
 tensor, Pauli table and ascent.  On such a state ``correlation_strength_w``
 builds pair 0 only (two marginals, one tensor), ``pauli_correlation_range``
-reads the pair (0, 1) and ``correlation_range_w`` one full-region value; the
-two ranges are n or 1.
+reads the pair (0, 1) and ``correlation_range_w`` at w >= 2 one full-region
+value; the ranges are n or 1.
+
+At w = 1 a region's Cor exceeds delta exactly when each of its qubit pairs
+does, so the range is the largest clique of that pair graph, found by
+``pauli_correlation_range`` for both range functions under the dense state's
+own cap.  Only w >= 2 scans regions, capped at n <= 12.
 """
 
 from __future__ import annotations
@@ -496,8 +501,6 @@ def _max_clique(adj: list[int], n: int) -> int:
 def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
     """Largest region where every qubit pair shows a Pauli correlation > tol."""
     n = s.n
-    if n > 16:
-        raise ResourceGuardError(f"correlation range capped at n <= 16, got n = {n}")
     if n < 2:
         return 1
     symmetric = _symmetric(s)
@@ -518,7 +521,11 @@ def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
 def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
     """Largest |A| with Cor^A_w > delta (>= 1 by convention).  A pair's value
     does not depend on A, so each is evaluated once (as in
-    ``correlation_strength_w``); A qualifies when none of its pairs is <= delta."""
+    ``correlation_strength_w``); A qualifies when none of its pairs is <= delta.
+    At w = 1 that is a clique of the qubit-pair graph, so
+    ``pauli_correlation_range`` answers it; only w >= 2 scans subsets."""
+    if w == 1:
+        return pauli_correlation_range(s, delta)
     n = s.n
     if n > 12:
         raise ResourceGuardError(f"subset scan capped at n <= 12, got n = {n}")

@@ -45,10 +45,6 @@ _Z_DIGITS = str.maketrans(_LETTERS, "0011")
 _NOT_LETTERS = str.maketrans("", "", _LETTERS)  # leaves only the illegal letters
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
-
-
 def _bits(v: int) -> Iterator[int]:
     """Indices of the set bits of ``v``, lowest first."""
     while v:
@@ -117,7 +113,7 @@ class PauliOperator:
     @property
     def y_count(self) -> int:
         """Number of sites carrying both an X and a Z factor."""
-        return _popcount(self.x & self.z)
+        return (self.x & self.z).bit_count()
 
     @property
     def display_sign(self) -> complex:
@@ -129,7 +125,7 @@ class PauliOperator:
         return (self.e - self.y_count) % 2 == 0
 
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def support(self) -> tuple[int, ...]:
         return tuple(_bits(self.x | self.z))
@@ -155,7 +151,7 @@ class PauliOperator:
         """
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        e = (self.e + other.e + 2 * _popcount(self.z & other.x)) % 4
+        e = (self.e + other.e + 2 * (self.z & other.x).bit_count()) % 4
         return PauliOperator.from_exponent(
             self.n, self.x ^ other.x, self.z ^ other.z, e
         )
@@ -165,7 +161,7 @@ class PauliOperator:
     def commutes(self, other: "PauliOperator") -> bool:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return (_popcount(self.x & other.z) + _popcount(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def dagger(self) -> "PauliOperator":
         return PauliOperator.from_exponent(
@@ -220,7 +216,7 @@ def from_bits(n: int, x: int, z: int, sign: int = 1) -> PauliOperator:
     """Hermitian Pauli with the given bit sets and display sign ``sign``."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    e = (_popcount(x & z) + (0 if sign == 1 else 2)) % 4
+    e = ((x & z).bit_count() + (0 if sign == 1 else 2)) % 4
     return PauliOperator.from_exponent(n, x, z, e)
 
 
@@ -248,7 +244,7 @@ def parse_pauli(text: str) -> PauliOperator:
         raise ValueError(f"illegal Pauli letter {illegal[0]!r} in {text!r}")
     digits = body[::-1]  # qubit 0 is the last binary digit
     x, z = int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
-    return PauliOperator.from_exponent(len(body), x, z, _TEXT_SIGN[sign] + _popcount(x & z))
+    return PauliOperator.from_exponent(len(body), x, z, _TEXT_SIGN[sign] + (x & z).bit_count())
 
 
 def format_pauli(p: PauliOperator) -> str:

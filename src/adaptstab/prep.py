@@ -595,7 +595,6 @@ def _correction_layers(columns: Sequence[int], t: int, n: int) -> list[list[Gate
 
 def prepare_state(
     code: StabilizerCode,
-    policy: str = "auto",
     *,
     s1: Sequence[PauliOperator] | None = None,
     s2: Sequence[PauliOperator] | None = None,
@@ -604,25 +603,23 @@ def prepare_state(
 ) -> tuple[AdaptiveCircuit, StabilizerTableau]:
     """Compile a code into (adaptive circuit, target tableau).
 
-    ``auto`` measures every check on the all-plus state and completes the
-    generator set with X-type logicals, so the target is the code state
-    stabilized by checks and logical-X representatives.  ``explicit`` takes
-    a caller-chosen split: S1 is measured, S2 must already stabilize the
-    product state prepared by ``phi_layers``.
+    With none of ``s1``, ``s2`` and ``phi_layers`` the split is automatic:
+    every check is measured on the all-plus state and X-type logicals
+    complete the generator set, so the target is the code state stabilized
+    by checks and logical-X representatives.  With all three the split is
+    the caller's: S1 is measured, S2 must already stabilize the product
+    state prepared by ``phi_layers``.  Any other mix raises ValueError.
     """
     n = code.n
-    if policy == "auto":
+    if s1 is s2 is phi_layers is None:
         measured: StabilizerCode | list[PauliOperator] = code
-        s1 = list(code.checks)
-        s2 = x_type_logicals(code)
+        s1, s2 = list(code.checks), x_type_logicals(code)
         phi_layers = [[Gate("H", (q,)) for q in range(n)]]
-    elif policy == "explicit":
-        if s1 is None or s2 is None or phi_layers is None:
-            raise ValueError("explicit policy needs s1, s2, and phi_layers")
+    elif s1 is None or s2 is None or phi_layers is None:
+        raise ValueError("a caller's split needs s1, s2, and phi_layers")
+    else:
         s1, s2 = list(s1), list(s2)
         measured = s1  # the synthesizer validates a caller's checks
-    else:
-        raise ValueError(f"unknown partition policy: {policy!r}")
 
     s = code.s
     for g in s1:

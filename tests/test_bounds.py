@@ -189,6 +189,22 @@ def test_tolerance_table_dicke_and_w():
     assert roww["delta_computed"] == pytest.approx(2 / 6, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_tolerance_table_computes_up_to_the_dense_cap(monkeypatch, n):
+    # Every family is permutation-symmetric, so the computed delta costs one
+    # qubit pair; only the dense state's own cap applies.
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    for family, state in (("ghz", ("ghz", n)), ("w", ("w", n)), ("dicke(2)", ("dicke", n, 2)), ("hypergraph", ("hypergraph", n))):
+        assert approximate_tolerance_table(family, n)["delta_computed"] == global_correlation(make_state(*state)), family
+
+
+def test_tolerance_table_compute_stops_at_the_dense_cap(monkeypatch):
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    for family in ("ghz", "w", "dicke(2)", "hypergraph"):
+        with pytest.raises(ResourceGuardError, match="^dense simulation of 17 qubits exceeds the cap of 16"):
+            approximate_tolerance_table(family, 17)
+
+
 def test_tolerance_table_guards():
     with pytest.raises(ValueError, match="unknown state family"):
         approximate_tolerance_table("cluster", 4)

@@ -343,6 +343,12 @@ def test_crange_ghz_with_delta(capsys):
     assert report["results"]["crange"] == 6
 
 
+def test_crange_with_delta_runs_above_the_subset_scan_cap(capsys):
+    code, report, _ = run(capsys, "crange", "w:14", "--delta", "0.1")
+    assert code == 0
+    assert report["results"]["crange"] == 14 and report["results"]["delta"] == 0.1
+
+
 def test_crange_guard_exits_3(capsys):
     code, _, err = run(capsys, "crange", "w:20")
     assert code == 3

@@ -474,7 +474,7 @@ def test_prepare_state_rejects_dependent_generators_before_corrections():
     # destabilizers, which rejects a dependent generator set first.
     z0 = single_site(3, 0, "Z")
     with pytest.raises(ValueError, match="^generators are dependent$"):
-        prepare_state(builtin_code("repetition(3)"), "explicit", s1=[z0, z0], s2=[z0], phi_layers=[])
+        prepare_state(builtin_code("repetition(3)"), s1=[z0, z0], s2=[z0], phi_layers=[])
 
 
 # -- builtin codes and gf2_rank -----------------------------------------------------

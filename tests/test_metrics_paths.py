@@ -682,6 +682,54 @@ def test_correlation_range_w_matches_pair_scan_at_n10(make, delta):
     assert mt.correlation_range_w(s, 1, delta) == old_correlation_range_w(s, 1, delta)
 
 
+def _pair_values(s):
+    return {old_pair_max_pauli(old_delta4(s, (i,), (j,)), 1)[0] for i, j in combinations(range(s.n), 2)}
+
+
+def _boundary_deltas(values):
+    return sorted({d for v in values for d in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))})
+
+
+_ASYMMETRIC_DENSE = [name for name in sorted(_DENSE) if name.startswith(("random", "dense"))]
+_STABILIZER_CASES = [(n, 4099 * n + 17) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_DENSE[name] for name in _ASYMMETRIC_DENSE]
+    + [lambda n=n, seed=seed: from_tableau(random_stabilizer_state(n, seed)) for n, seed in _STABILIZER_CASES],
+    ids=_ASYMMETRIC_DENSE + [f"stabilizer{n}" for n, _ in _STABILIZER_CASES],
+)
+def test_w1_range_matches_subset_scan_at_every_pair_value(make):
+    # Each distinct pair value and one ulp either side, so each pair is read
+    # at the `not v > delta` boundary.
+    s = make()
+    assert not mt._symmetric(s)
+    for delta in _boundary_deltas(_pair_values(s)):
+        assert mt.correlation_range_w(s, 1, delta) == old_correlation_range_w(s, 1, delta), delta
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: from_tableau(random_stabilizer_state(13, 1301)),
+        lambda: _random_state(13, 7),
+        lambda: from_tableau(random_stabilizer_state(14, 1401)),
+        lambda: w_state(14),
+        lambda: from_tableau(random_stabilizer_state(16, 3)),
+    ],
+    ids=["stabilizer13", "dense13", "stabilizer14", "w14", "stabilizer16"],
+)
+def test_w1_range_runs_above_the_subset_scan_cap(make):
+    # The subset scan stops at n = 12; at w = 1 only the dense state's cap applies.
+    s = make()
+    values = sorted(_pair_values(s))
+    for delta in (0.0, 1e-9, values[len(values) // 2], 0.5):
+        assert mt.correlation_range_w(s, 1, delta) == old_pauli_correlation_range(s, delta), delta
+    with pytest.raises(ResourceGuardError, match="^subset scan capped at n <= 12"):
+        mt.correlation_range_w(s, 2, 0.1)
+
+
 def test_correlation_range_w_keeps_argument_errors():
     # The errors the first region's correlation_strength_w call raised.
     s = _DENSE["random8"]()
@@ -959,10 +1007,22 @@ def test_symmetric_state_builds_one_tensor_and_two_marginals(monkeypatch):
 def test_symmetric_correlation_range_w_reads_one_region(monkeypatch):
     calls = []
     strength = mt.correlation_strength_w
-    monkeypatch.setattr(mt, "correlation_strength_w", lambda s, region, w: calls.append(tuple(region)) or strength(s, region, w))
-    assert mt.correlation_range_w(w_state(12), 1, 0.5) == 1
-    assert mt.correlation_range_w(w_state(12), 1, 0.1) == 12
-    assert calls == [tuple(range(12))] * 2
+    monkeypatch.setattr(mt, "correlation_strength_w", lambda s, region, w: calls.append((tuple(region), w)) or strength(s, region, w))
+    assert mt.correlation_range_w(w_state(12), 2, 0.5) == 1
+    assert mt.correlation_range_w(w_state(12), 2, 0.01) == 12
+    assert calls == [(tuple(range(12)), 2)] * 2
+    # At w = 1 the range reads pair (0, 1): one tensor from two marginals.
+    calls.clear()
+    pairs, rdms = [], []
+    connected, rdm = mt._connected, mt._rdm
+    monkeypatch.setattr(mt, "_connected", lambda s, p, m: pairs.extend(p) or connected(s, p, m))
+    monkeypatch.setattr(mt, "_rdm", lambda s, q: rdms.append(q) or rdm(s, q))
+    for delta, expected in ((0.5, 1), (0.1, 12)):
+        pairs.clear()
+        rdms.clear()
+        assert mt.correlation_range_w(w_state(12), 1, delta) == expected
+        assert (pairs, rdms) == ([((0,), (1,))], [(0,), (1,)])
+    assert calls == []
 
 
 @settings(max_examples=30, deadline=None)

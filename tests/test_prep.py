@@ -119,7 +119,6 @@ def test_prepare_state_does_not_revalidate_the_code(monkeypatch):
     with pytest.raises(ValueError, match=r"^check -ZZI must be hermitian with sign \+1$"):
         prepare_state(
             rep,
-            "explicit",
             s1=[parse_pauli("-ZZI"), parse_pauli("IZZ")],
             s2=[parse_pauli("XXX")],
             phi_layers=[[Gate("H", (q,)) for q in range(3)]],
@@ -585,7 +584,6 @@ def test_prepare_explicit_policy():
     rep = builtin_code("repetition(3)")
     circ, target = prepare_state(
         rep,
-        "explicit",
         s1=rep.checks,
         s2=[parse_pauli("XXX")],
         phi_layers=[[Gate("H", (q,)) for q in range(3)]],
@@ -594,15 +592,22 @@ def test_prepare_explicit_policy():
     with pytest.raises(ValueError, match="stabilize"):
         prepare_state(
             rep,
-            "explicit",
             s1=rep.checks,
             s2=[parse_pauli("ZZZ")],  # does not stabilize |+++>
             phi_layers=[[Gate("H", (q,)) for q in range(3)]],
         )
     with pytest.raises(ValueError, match="needs s1"):
-        prepare_state(rep, "explicit")
-    with pytest.raises(ValueError, match="unknown partition"):
-        prepare_state(rep, "greedy")
+        prepare_state(rep, s1=rep.checks, s2=[parse_pauli("XXX")])
+
+
+def test_prepare_state_keeps_a_callers_split():
+    # A full split is the caller's and is checked, never swapped for the auto split.
+    rep = builtin_code("repetition(3)")
+    with pytest.raises(ValueError, match="^need n=3 generators, got 2$"):
+        prepare_state(rep, s1=[parse_pauli("ZZI")], s2=[parse_pauli("ZZZ")], phi_layers=[])
+    for partial in ({"s1": rep.checks}, {"s2": [parse_pauli("XXX")]}, {"phi_layers": []}, {"s1": rep.checks, "phi_layers": []}):
+        with pytest.raises(ValueError, match="^a caller's split needs s1, s2, and phi_layers$"):
+            prepare_state(rep, **partial)
 
 
 def test_sabotaged_correction_detected():
