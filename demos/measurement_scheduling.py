@@ -15,7 +15,6 @@ from adaptstab.prep import (
     edge_color_bipartite,
     synthesize_measurement_circuit,
     tanner_graph,
-    tangling_parity,
 )
 
 
@@ -23,7 +22,7 @@ def main():
     code = build_code(["XXXX", "ZZZZ"], name="xz4")
     sched = edge_color_bipartite(tanner_graph(code))
     print(f"{code.name}: bipartite coloring uses {sched.num_colors} colors")
-    print(f"  tangled check pair: {tangling_parity(sched, 0, 1)}")
+    print(f"  tangled check pair: {(0, 1) in build_tangling(sched).edges}")
     frag = synthesize_measurement_circuit(code)
     print(f"  fragment depth {frag.depth} (no CZ layer needed)")
 
@@ -32,7 +31,7 @@ def main():
     odd = {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 4,
            (0, 1): 2, (1, 1): 3, (2, 1): 4, (3, 1): 1}
     tangled = MeasurementSchedule(odd, letters, 4)
-    print(f"  forced schedule tangles the pair: {tangling_parity(tangled, 0, 1)}")
+    print(f"  forced schedule tangles the pair: {(0, 1) in build_tangling(tangled).edges}")
     frag = synthesize_measurement_circuit(code, schedule=tangled)
     print(f"  fragment depth {frag.depth} (CZ colors: {frag.cz_colors})")
 

@@ -625,9 +625,8 @@ def anti_shallowness_continuity(log_fidelity: float, eps: float) -> float:
 
 
 def lemma2_check(t: StabilizerTableau) -> bool:
-    """wt_s >= CR_P / sqrt(n) on the tableau's state."""
-    if t.n > 12:
-        raise ResourceGuardError(f"lemma2 check capped at n <= 12, got n = {t.n}")
+    """wt_s >= CR_P / sqrt(n) on the tableau's state; the group-table and
+    dense-state caps of the two calls bound n."""
     wt_s = stabilizer_weight(t)
     cr = pauli_correlation_range(from_tableau(t))
     return wt_s >= cr / math.sqrt(t.n) - 1e-12

@@ -3,8 +3,10 @@
 The pipeline: build a code from check strings or supports, edge-color its
 Tanner graph so commuting checks are measured in parallel through ancillas,
 insert CZ gates between ancilla pairs whose controlled-Pauli interleaving is
-odd ("tangled" pairs), then fix the random measurement signs with one round
-of parity-conditioned Pauli corrections.  The synthesized circuit for a
+odd ("tangled" pairs, all found in one pass by ``build_tangling``), then fix
+the random measurement signs with one round of parity-conditioned Pauli
+corrections.  The synthesizer measures the checks of one code; a caller's
+measured set S1 is wrapped as a code first.  The synthesized circuit for a
 sparsity-s code has depth at most 2 + s + s^2.
 
 Sparsity note: the depth bound uses a single ``s`` for both the maximum
@@ -64,7 +66,6 @@ __all__ = [
     "parse_code_text",
     "tanner_graph",
     "edge_color_bipartite",
-    "tangling_parity",
     "build_tangling",
     "edge_color_general",
     "synthesize_measurement_circuit",
@@ -322,29 +323,6 @@ def edge_color_bipartite(g: TannerGraph) -> MeasurementSchedule:
     return MeasurementSchedule(colors, dict(g.letters), delta if g.edges else 0)
 
 
-def tangling_parity(schedule: MeasurementSchedule, i: int, j: int) -> bool:
-    """True when ancillas i and j need a CZ to undo odd interleaving.
-
-    Over shared qubits where the two checks apply anticommuting letters,
-    count the sites where check i's controlled Pauli is scheduled before
-    check j's.  Swapping one anticommuting pair costs a CZ between the two
-    ancillas, so an odd count leaves a net CZ.  Global commutation makes the
-    anticommuting-site count even, hence the parity order-independent.
-    """
-    letters, colors = schedule.letters, schedule.colors
-    sites = [q for (q, jj), letter in letters.items() if jj == i and letters.get((q, j), letter) != letter]
-    if len(sites) % 2 == 1:
-        raise ValueError(f"checks {i} and {j} anticommute; schedule is for commuting checks")
-    before = 0
-    for q in sites:
-        ci, cj = colors[(q, i)], colors[(q, j)]
-        if ci == cj:
-            raise RuntimeError(f"improper schedule: edges ({q},{i}) and ({q},{j}) share color {ci}")
-        if ci < cj:
-            before += 1
-    return before % 2 == 1
-
-
 @dataclass
 class TanglingGraph:
     """Ancilla pairs (one node per check) that need a correcting CZ."""
@@ -362,15 +340,22 @@ class TanglingGraph:
 
 
 def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
-    """Tangled pairs by :func:`tangling_parity`, with sites found per qubit.
+    """Ancilla pairs whose controlled-Pauli interleaving is odd.
+
+    Over the qubits where checks i < j apply anticommuting letters, count
+    the sites where check i's controlled Pauli is scheduled before check
+    j's.  Swapping one anticommuting pair costs a CZ between the two
+    ancillas, so an odd count leaves a net CZ.  Global commutation makes the
+    number of sites even, hence the parity order-independent.
 
     Only checks meeting on a qubit with anticommuting letters can tangle, so
     comparing each qubit's letters pairwise finds every site in O(E s) for E
     Tanner edges of a sparsity-s code, without scanning every pair of checks.
     Bit 0 of ``parity[pair]`` counts the pair's sites, bit 1 those where the
     lower check comes first, and bit 2 marks a site whose two edges share a
-    color.  The lowest pair with an odd count or bit 2 is handed to
-    :func:`tangling_parity` to raise its error.
+    color.  The lowest pair with an odd count raises ValueError; otherwise
+    the lowest pair with bit 2 raises RuntimeError naming its first shared
+    color site, in ``letters`` order, as a scan of that pair alone would.
     """
     colors = schedule.colors
     n_nodes = max((j for _, j in colors), default=-1) + 1
@@ -386,7 +371,16 @@ def build_tangling(schedule: MeasurementSchedule) -> TanglingGraph:
                 parity[(a, b)] = parity.get((a, b), 0) ^ (3 if ca < cb else 1) | (ca == cb) << 2
     bad = [pair for pair, p in parity.items() if p & 5]
     if bad:
-        tangling_parity(schedule, *min(bad))
+        a, b = min(bad)
+        if parity[(a, b)] & 1:
+            raise ValueError(f"checks {a} and {b} anticommute; schedule is for commuting checks")
+        letters = schedule.letters
+        q, c = next(
+            (q, colors[(q, a)])
+            for (q, j), letter in letters.items()
+            if j == a and letters.get((q, b), letter) != letter and colors[(q, a)] == colors[(q, b)]
+        )
+        raise RuntimeError(f"improper schedule: edges ({q},{a}) and ({q},{b}) share color {c}")
     return TanglingGraph(n_nodes, tuple(sorted(pair for pair, p in parity.items() if p == 2)))
 
 
@@ -489,10 +483,7 @@ def _color_layers(items: Iterable[tuple[tuple[int, int], int]]) -> list[list[tup
 
 
 def synthesize_measurement_circuit(
-    checks: StabilizerCode | Sequence[PauliOperator],
-    n: int | None = None,
-    *,
-    schedule: MeasurementSchedule | None = None,
+    code: StabilizerCode, *, schedule: MeasurementSchedule | None = None
 ) -> MeasurementFragment:
     """Measure all checks in parallel through one ancilla each.
 
@@ -506,12 +497,6 @@ def synthesize_measurement_circuit(
     match the code's Tanner edges and letters.  Gates in a layer follow edge
     order, the key order of the built-in schedule and of the CZ coloring.
     """
-    if isinstance(checks, StabilizerCode):
-        code = checks
-    else:
-        ops = tuple(checks)
-        width = n if n is not None else (ops[0].n if ops else 0)
-        code = StabilizerCode(width, ops, "fragment")
     g = tanner_graph(code)
     if schedule is None:
         schedule = edge_color_bipartite(g)
@@ -611,15 +596,18 @@ def prepare_state(
     state prepared by ``phi_layers``.  Any other mix raises ValueError.
     """
     n = code.n
-    if s1 is s2 is phi_layers is None:
-        measured: StabilizerCode | list[PauliOperator] = code
+    auto = s1 is s2 is phi_layers is None
+    if auto:
         s1, s2 = list(code.checks), x_type_logicals(code)
         phi_layers = [[Gate("H", (q,)) for q in range(n)]]
     elif s1 is None or s2 is None or phi_layers is None:
         raise ValueError("a caller's split needs s1, s2, and phi_layers")
     else:
         s1, s2 = list(s1), list(s2)
-        measured = s1  # the synthesizer validates a caller's checks
+        for label, ops in (("S1", s1), ("S2", s2)):
+            for g in ops:
+                if g.n != n:
+                    raise ValueError(f"{label} element {format_pauli(g)} acts on {g.n} qubits, code has {n}")
 
     s = code.s
     for g in s1:
@@ -636,12 +624,13 @@ def prepare_state(
     for g in s2:
         if is_stabilized_by(phi, g) != 1:
             raise ValueError(f"S2 element {format_pauli(g)} does not stabilize the initial state")
-    gens = list(s1) + list(s2)
+    gens = s1 + s2
     if len(gens) != n:
         raise ValueError(f"need n={n} generators, got {len(gens)}")
 
     target, columns = _from_stabilizers(gens)  # rejects dependent or anticommuting generators
-    frag = synthesize_measurement_circuit(measured, n, schedule=schedule)
+    measured = code if auto else StabilizerCode(n, tuple(s1), "fragment")  # validates a caller's checks
+    frag = synthesize_measurement_circuit(measured, schedule=schedule)
     t = len(s1)
     layers = [list(layer) for layer in phi_layers]
     layers.extend(frag.circuit.layers)

@@ -104,13 +104,25 @@ def test_prep_partition_file(capsys, tmp_path):
     assert states_equal(tableau_from_json(report["results"]["target"]), ghz_state(3))
 
 
-def test_prep_partition_with_wide_s2_element_exits_1(capsys, tmp_path):
+def _wide_partition_error(capsys, tmp_path, s1, s2):
     part = tmp_path / "partition.json"
-    part.write_text(json.dumps({"s1": ["ZZII", "IZZI", "IIZZ"], "s2": ["XXXXX"], "phi": "plus"}))
+    part.write_text(json.dumps({"s1": s1, "s2": s2, "phi": "plus"}))
     code, report, err = run(capsys, "prep", "builtin:repetition4", "--partition", str(part))
     assert code == 1 and report["results"] is None
-    assert report["error"] == {"kind": "ValueError", "message": "dimension mismatch"}
-    assert "error: dimension mismatch" in err
+    assert report["error"]["kind"] == "ValueError"
+    assert f"error: {report['error']['message']}" in err
+    return report["error"]["message"]
+
+
+def test_prep_partition_with_wide_s2_element_exits_1(capsys, tmp_path):
+    message = _wide_partition_error(capsys, tmp_path, ["ZZII", "IZZI", "IIZZ"], ["XXXXX"])
+    assert message == "S2 element +XXXXX acts on 5 qubits, code has 4"
+
+
+def test_prep_partition_with_wide_s1_element_exits_1(capsys, tmp_path):
+    # The wide element is named, not the first correct one read against it.
+    message = _wide_partition_error(capsys, tmp_path, ["ZZIII", "IZZI", "IIZZ"], ["XXXX"])
+    assert message == "S1 element +ZZIII acts on 5 qubits, code has 4"
 
 
 def test_prep_random_trials_only(capsys):

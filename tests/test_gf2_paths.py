@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +40,6 @@ from adaptstab.prep import (
     builtin_code,
     edge_color_bipartite,
     prepare_state,
-    tangling_parity,
     tanner_graph,
 )
 from adaptstab.tableau import (
@@ -238,6 +238,29 @@ def string_toric(side):
             sup = {h(r, c), h((r + 1) % side, c), v(r, c), v(r, (c + 1) % side)}
             rows.append("".join("Z" if q in sup else "I" for q in range(n)))
     return build_code(rows, f"toric({side})")
+
+
+def tangling_parity(schedule: MeasurementSchedule, i: int, j: int) -> bool:
+    """True when ancillas i and j need a CZ to undo odd interleaving.
+
+    Over shared qubits where the two checks apply anticommuting letters,
+    count the sites where check i's controlled Pauli is scheduled before
+    check j's.  Swapping one anticommuting pair costs a CZ between the two
+    ancillas, so an odd count leaves a net CZ.  Global commutation makes the
+    anticommuting-site count even, hence the parity order-independent.
+    """
+    letters, colors = schedule.letters, schedule.colors
+    sites = [q for (q, jj), letter in letters.items() if jj == i and letters.get((q, j), letter) != letter]
+    if len(sites) % 2 == 1:
+        raise ValueError(f"checks {i} and {j} anticommute; schedule is for commuting checks")
+    before = 0
+    for q in sites:
+        ci, cj = colors[(q, i)], colors[(q, j)]
+        if ci == cj:
+            raise RuntimeError(f"improper schedule: edges ({q},{i}) and ({q},{j}) share color {ci}")
+        if ci < cj:
+            before += 1
+    return before % 2 == 1
 
 
 def pair_scan_tangling(schedule):
@@ -514,15 +537,20 @@ def test_build_tangling_matches_pair_scan(name):
         assert prep.build_tangling(sched) == pair_scan_tangling(sched)
 
 
+def _unvalidated_schedule(colors, letters):
+    sched = object.__new__(MeasurementSchedule)
+    sched.colors, sched.letters, sched.num_colors = colors, letters, max(colors.values(), default=0)
+    return sched
+
+
 def test_build_tangling_errors_match_pair_scan():
     # XX and ZI anticommute on qubit 0 only.
     anti = MeasurementSchedule(
         {(0, 0): 1, (1, 0): 2, (0, 1): 2}, {(0, 0): "X", (1, 0): "X", (0, 1): "Z"}, 2
     )
-    improper = object.__new__(MeasurementSchedule)
-    improper.colors = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
-    improper.letters = {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
-    improper.num_colors = 2
+    improper = _unvalidated_schedule(
+        {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}, {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
+    )
     for sched, kind in ((anti, ValueError), (improper, RuntimeError)):
         new = _outcome(prep.build_tangling, sched)
         assert new[0] is kind
@@ -533,6 +561,42 @@ def test_build_tangling_errors_match_pair_scan():
     even_uncolored = ({(0, 0): 1, (1, 1): 1}, {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}, 1)
     for args in (odd_uncolored, even_uncolored):
         assert _outcome(MeasurementSchedule, *args) == (ValueError, "edge (0, 1) has a letter but no color")
+
+
+def test_build_tangling_names_the_first_clash_in_letters_order():
+    # Qubit 1 is met first, but check 0's sites in ``letters`` order start
+    # at qubit 0, which the pair scan names.
+    letters = {(1, 1): "Z", (0, 0): "X", (0, 1): "Z", (1, 0): "X"}
+    sched = _unvalidated_schedule({(1, 1): 2, (0, 0): 1, (0, 1): 1, (1, 0): 2}, letters)
+    expected = (RuntimeError, "improper schedule: edges (0,0) and (0,1) share color 1")
+    assert _outcome(prep.build_tangling, sched) == _outcome(pair_scan_tangling, sched) == expected
+
+
+def _commuting(letters, n_checks):
+    return all(
+        sum(letters.get((q, a), letter) != letter for (q, b), letter in letters.items() if b == c) % 2 == 0
+        for a, c in combinations(range(n_checks), 2)
+    )
+
+
+def test_build_tangling_matches_pair_scan_on_unvalidated_schedules():
+    # Random letters and colors 1..3 on edges in random order, so clashes
+    # are common; every other draw redraws letters until the checks commute.
+    # The tangled pairs or the error must match the pair scan.
+    rng = random.Random(2024)
+    kinds = Counter()
+    for i in range(3000):
+        n_qubits, n_checks = rng.randint(1, 4), rng.randint(2, 4)
+        edges = [(q, j) for q in range(n_qubits) for j in range(n_checks) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        letters = {e: rng.choice("XYZ") for e in edges}
+        while i % 2 and not _commuting(letters, n_checks):
+            letters = {e: rng.choice("XYZ") for e in edges}
+        sched = _unvalidated_schedule({e: rng.randint(1, 3) for e in edges}, letters)
+        new = _outcome(prep.build_tangling, sched)
+        assert new == _outcome(pair_scan_tangling, sched), (sched.colors, letters)
+        kinds[new[0] if isinstance(new, tuple) else bool(new.edges)] += 1
+    assert min(kinds[k] for k in (ValueError, RuntimeError, True, False)) >= 50, kinds
 
 
 # -- edge_color_general -----------------------------------------------------------

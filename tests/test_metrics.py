@@ -350,5 +350,8 @@ def test_lemma2_bound():
     assert mt.lemma2_check(zero_state(5))
     for s in range(30):
         assert mt.lemma2_check(random_stabilizer_state(2 + s % 7, seed=s))
-    with pytest.raises(ResourceGuardError):
-        mt.lemma2_check(zero_state(13))
+    # No cap of its own: the dense state's cap (n <= 16) is the limit.
+    for n in range(13, 17):
+        assert mt.lemma2_check(random_stabilizer_state(n, seed=n))
+    with pytest.raises(ResourceGuardError, match="^dense simulation of 17 qubits"):
+        mt.lemma2_check(zero_state(17))

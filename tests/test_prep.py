@@ -22,7 +22,6 @@ from adaptstab.prep import (
     parse_code_text,
     prepare_state,
     synthesize_measurement_circuit,
-    tangling_parity,
     tanner_graph,
     verify_preparation,
     x_type_logicals,
@@ -113,9 +112,7 @@ def test_prepare_state_does_not_revalidate_the_code(monkeypatch):
     monkeypatch.setattr(StabilizerCode, "__post_init__", lambda self: calls.append(self.name) or post_init(self))
     prepare_state(code)
     assert calls == []
-    # A plain check list from a caller is still wrapped and validated.
-    with pytest.raises(ValueError, match=r"^checks \+XX and \+ZI anticommute$"):
-        synthesize_measurement_circuit([parse_pauli("XX"), parse_pauli("ZI")])
+    # A caller's S1 is still wrapped in a code and validated.
     with pytest.raises(ValueError, match=r"^check -ZZI must be hermitian with sign \+1$"):
         prepare_state(
             rep,
@@ -123,7 +120,7 @@ def test_prepare_state_does_not_revalidate_the_code(monkeypatch):
             s2=[parse_pauli("XXX")],
             phi_layers=[[Gate("H", (q,)) for q in range(3)]],
         )
-    assert calls == ["fragment", "fragment"]
+    assert calls == ["fragment"]
 
 
 def _assert_proper(colors):
@@ -224,14 +221,14 @@ def test_tangling_parity_interleavings():
     letters = {(q, 0): "X" for q in range(4)} | {(q, 1): "Z" for q in range(4)}
     even = {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 4,
             (0, 1): 3, (1, 1): 4, (2, 1): 1, (3, 1): 2}
-    assert not tangling_parity(MeasurementSchedule(even, letters, 4), 0, 1)
+    assert build_tangling(MeasurementSchedule(even, letters, 4)).edges == ()
     odd = {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 4,
            (0, 1): 2, (1, 1): 3, (2, 1): 4, (3, 1): 1}
-    assert tangling_parity(MeasurementSchedule(odd, letters, 4), 0, 1)
+    assert build_tangling(MeasurementSchedule(odd, letters, 4)).edges == ((0, 1),)
     # Disjoint supports never tangle.
     code = build_code(["XXII", "IIZZ"])
     sched = edge_color_bipartite(tanner_graph(code))
-    assert not tangling_parity(sched, 0, 1)
+    assert build_tangling(sched).edges == ()
 
 
 def test_tangling_same_color_is_internal_error():
@@ -240,11 +237,11 @@ def test_tangling_same_color_is_internal_error():
     sched.letters = {(0, 0): "X", (0, 1): "Z"}
     sched.num_colors = 1
     with pytest.raises(ValueError, match="anticommute"):
-        tangling_parity(sched, 0, 1)  # one anticommuting site: not commuting
+        build_tangling(sched)  # one anticommuting site: not commuting
     sched.colors = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}
     sched.letters = {(0, 0): "X", (0, 1): "Z", (1, 0): "X", (1, 1): "Z"}
     with pytest.raises(RuntimeError, match="improper"):
-        tangling_parity(sched, 0, 1)
+        build_tangling(sched)
 
 
 def test_edge_color_general_small_graphs():
