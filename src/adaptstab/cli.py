@@ -17,9 +17,9 @@ Conventions
   parse or input validation error, 2 verification failure, 3 resource guard tripped.
 * with ``--seed`` the JSON report is bit-for-bit reproducible; the
   wall-clock ``timing_s`` field is only emitted for unseeded runs.
-* ``builtin:`` prefixes name a built-in code or tableau instead of a file;
-  a size is written ``repetition(3)`` or ``repetition3``, ``ghz(6)`` or
-  ``ghz6``.
+* a state is a spec ``family:params`` (``ghz:6``, ``dicke:6:2``, ``basis:01``),
+  ``builtin:NAME`` (``ghz6`` or ``ghz(6)`` is ``ghz:6``; a code such as ``toric4``
+  names its target state) or a tableau file; a code is ``builtin:NAME`` or a file.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ from .metrics import (
 )
 from .pauli import PauliOperator, format_pauli, parse_pauli
 from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
-from .tableau import StabilizerTableau, _json_key, _json_object, _split_name
+from .tableau import _json_key, _json_object, _split_name
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
-from .tableau import ghz_state, zero_state
+from .tableau import from_stabilizers, ghz_state, zero_state
 
 __all__ = ["main"]
 
@@ -97,48 +97,51 @@ def _digest_file(path: str) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()[:16]}
 
 
-def _builtin_tableau(name: str) -> StabilizerTableau:
-    family, n = _split_name(name)
-    if n is None:
-        raise ValueError(f"unknown builtin tableau {family!r}; try ghzN, plusN, or zeroN")
-    if n < 1:
-        raise ValueError("builtin tableau needs n >= 1")
-    if family == "zero":
-        return zero_state(n)
-    if family == "plus":
-        return StabilizerTableau(
-            n,
-            [PauliOperator(n, 1 << q, 0) for q in range(n)],
-            [PauliOperator(n, 0, 1 << q) for q in range(n)],
-        )
-    if family == "ghz":
-        return ghz_state(n)
-    raise ValueError(f"unknown builtin tableau family {family!r}")
-
-
-# The form of each state spec; every parameter but basis's bit string is an int.
-_STATE_SPECS = {
-    "ghz": "ghz:N",
-    "w": "w:N",
-    "dicke": "dicke:N:K",
-    "hypergraph": "hypergraph:N",
-    "plus": "plus:N",
-    "basis": "basis:BITS",
+# Each state family: its spec form, and its tableau builder or None where the
+# family has only a dense state.
+_FAMILIES = {
+    "ghz": ("ghz:N", ghz_state),
+    "w": ("w:N", None),
+    "dicke": ("dicke:N:K", None),
+    "hypergraph": ("hypergraph:N", None),
+    "plus": ("plus:N", lambda n: from_stabilizers([PauliOperator(n, 1 << q, 0) for q in range(n)])),
+    "zero": ("zero:N", zero_state),
+    "basis": (
+        "basis:BITS",
+        lambda bits: from_stabilizers([PauliOperator(len(bits), 0, 1 << q, (-1) ** int(b)) for q, b in enumerate(bits)]),
+    ),
 }
 
 
-def _parse_family(spec: str):
-    """``ghz:8`` / ``dicke:6:2`` / ``basis:0101`` -> dense state."""
-    parts = [p.strip() for p in spec.split(":")]
-    family = parts[0].lower()
-    form = _STATE_SPECS.get(family)
-    if form is None:
-        raise ValueError(f"unknown state family {family!r}; specs are {', '.join(_STATE_SPECS.values())}")
-    if len(parts) != form.count(":") + 1:
-        raise ValueError(f"state spec {spec!r} does not have the form {form}")
-    if family == "basis":
-        return make_state("basis", parts[1])
-    return make_state(family, *[int(p) for p in parts[1:]])
+def _load_state(spec: str, form: str) -> tuple:
+    """The state ``spec`` names, as a ``"tableau"`` or a ``"dense"`` state, and
+    its report entry.  ``builtin:NAME`` is ``family:N`` for a one-size family,
+    else a built-in code's target; text without a colon is a tableau file."""
+    family = spec.split(":", 1)[0].strip().lower()
+    if family in _FAMILIES:
+        text, params = _FAMILIES[family][0], [p.strip() for p in spec.split(":")[1:]]
+        pattern = "[01]+" if family == "basis" else r"[+-]?\d+"
+        if len(params) != text.count(":") or not all(re.fullmatch(pattern, p) for p in params):
+            raise ValueError(f"state spec {spec!r} does not have the form {text}")
+        params = params if family == "basis" else [int(p) for p in params]
+    elif spec.startswith(_BUILTIN):
+        family, size = _split_name(spec[len(_BUILTIN):])
+        if size is None or _FAMILIES.get(family, ("",))[0] != f"{family}:N":  # not ghz6 or plus(4): a code
+            target = prepare_state(builtin_code(spec[len(_BUILTIN):]))[1]
+            return (target if form == "tableau" else from_tableau(target)), {"source": spec}
+        params = [size]
+    elif ":" in spec:
+        forms = ", ".join(text for text, _ in _FAMILIES.values())
+        raise ValueError(f"unknown state family {family!r}; specs are {forms}")
+    else:
+        t = tableau_from_json(json.loads(Path(spec).read_text()))
+        return (t if form == "tableau" else from_tableau(t)), _digest_file(spec)
+    if form == "dense" and family != "zero":  # make_state has every family but zero
+        return make_state(family, *params), {"source": spec}
+    if _FAMILIES[family][1] is None:
+        raise ValueError(f"state family {family!r} has no stabilizer tableau")
+    t = _FAMILIES[family][1](*params)
+    return (t if form == "tableau" else from_tableau(t)), {"source": spec}
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -162,12 +165,6 @@ def _load_code(source: str) -> tuple:
         return builtin_code(source[len(_BUILTIN):]), {"source": source}
     code = parse_code_text(Path(source).read_text(), name=Path(source).stem)
     return code, _digest_file(source)
-
-
-def _load_tableau(source: str) -> tuple:
-    if source.startswith(_BUILTIN):
-        return _builtin_tableau(source[len(_BUILTIN):]), {"source": source}
-    return tableau_from_json(json.loads(Path(source).read_text())), _digest_file(source)
 
 
 def _load_circuit(path: str) -> tuple:
@@ -239,7 +236,7 @@ def _cmd_prep(args) -> tuple:
 
 
 def _cmd_weight(args) -> tuple:
-    t, tableau_input = _load_tableau(args.tableau)
+    t, tableau_input = _load_state(args.tableau, "tableau")
     inputs = {"tableau": tableau_input}
     picked, vector = min_weight_generators(t)
     results = {
@@ -260,7 +257,7 @@ def _cmd_weight(args) -> tuple:
 
 
 def _cmd_cor(args) -> tuple:
-    s = _parse_family(args.family)
+    s = _load_state(args.family, "dense")[0]
     region = _parse_qubits(args.region) if args.region else tuple(range(s.n))
     method = {"pauli": "pauli-enum", "alt": "alternating-sign"}[args.method]
     rep = correlation_strength_w(s, region, args.w, method, seed=args.seed or 0)
@@ -270,7 +267,7 @@ def _cmd_cor(args) -> tuple:
 
 
 def _cmd_crange(args) -> tuple:
-    s = _parse_family(args.family)
+    s = _load_state(args.family, "dense")[0]
     value = pauli_correlation_range(s, 1e-9 if args.delta is None else args.delta)
     results = {"family": args.family, "n": s.n, "delta": args.delta, "crange": value}
     summary = [f"crange: {args.family} -> {value}"]
@@ -279,7 +276,7 @@ def _cmd_crange(args) -> tuple:
 
 def _cmd_bounds(args) -> tuple:
     circ, circuit_input = _load_circuit(args.circuit)
-    target, target_input = _load_tableau(args.target)
+    target, target_input = _load_state(args.target, "tableau")
     geometry = _parse_geometry(args.geometry)
     inputs = {"circuit": circuit_input, "target": target_input}
 
@@ -335,7 +332,7 @@ def _cmd_ghz_demo(args) -> tuple:
 
 
 def _cmd_antishallow(args) -> tuple:
-    s = _parse_family(args.family)
+    s = _load_state(args.family, "dense")[0]
     lower = anti_shallowness_lower(s)
     candidates = [basis_state([0] * s.n), plus_state(s.n)]
     upper = anti_shallowness_upper(
@@ -422,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "weight", parents=[common], help="minimal generator weights of a stabilizer state"
     )
-    p.add_argument("tableau", help="tableau JSON file or builtin:{ghz,plus,zero}N")
+    p.add_argument("tableau", help="stabilizer state: ghz:6, plus:4, zero:3, basis:01, builtin:NAME or a tableau file")
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -433,14 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cor", parents=[common], help="minimum pairwise correlation strength"
     )
-    p.add_argument("family", help="state spec, e.g. ghz:8, w:8, dicke:6:2, hypergraph:4")
+    p.add_argument("family", help="state, e.g. ghz:8, w:8, dicke:6:2, builtin:steane or a tableau file")
     p.add_argument("--w", type=int, default=1, help="subset size (default 1)")
     p.add_argument("--region", default=None, help="comma-separated qubits (default all)")
     p.add_argument("--method", choices=("pauli", "alt"), default="pauli")
     p.set_defaults(handler=_cmd_cor)
 
     p = sub.add_parser("crange", parents=[common], help="correlation range of a state")
-    p.add_argument("family", help="state spec, e.g. w:8")
+    p.add_argument("family", help="state, as for cor")
     p.add_argument(
         "--delta",
         type=float,
@@ -453,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds", parents=[common], help="resource inequalities for a circuit/target pair"
     )
     p.add_argument("--circuit", required=True, help="circuit JSON file")
-    p.add_argument("--target", required=True, help="target tableau JSON file or builtin:{ghz,plus,zero}N")
+    p.add_argument("--target", required=True, help="target stabilizer state, as for weight")
     p.add_argument("--geometry", default="all", help="'all' or 'grid:R'")
     p.set_defaults(handler=_cmd_bounds)
 
@@ -469,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "antishallow", parents=[common], help="anti-shallowness interval of a state"
     )
-    p.add_argument("family", help="state spec, e.g. ghz:8")
+    p.add_argument("family", help="state, as for cor")
     p.set_defaults(handler=_cmd_antishallow)
 
     p = sub.add_parser(

@@ -555,8 +555,8 @@ def global_correlation(s: StateVector) -> float:
 
 
 def anti_shallowness_lower(s: StateVector) -> float:
-    cor = global_correlation(s)
-    return -math.log2(1 - cor**2 / 36)
+    """-log2(1 - Cor^2/36) >= 0; 0 below two qubits, which hold no pair."""
+    return 0.0 if s.n < 2 else max(0.0, -math.log2(1 - global_correlation(s) ** 2 / 36))
 
 
 def _best_product_fidelity(s: StateVector, restarts: int, seed: int) -> float:
@@ -600,7 +600,7 @@ def anti_shallowness_upper(
     restarts: int = 8,
     seed: int = 0,
 ) -> float:
-    """min over candidate states of -log2 fidelity; optional product search."""
+    """min over candidate states of -log2 fidelity (>= 0); optional product search."""
     values = []
     for c in candidates:
         f = fidelity(s, c)
@@ -610,7 +610,7 @@ def anti_shallowness_upper(
         values.append(math.inf if f == 0 else -math.log2(f))
     if not values:
         raise ValueError("no candidates and product search disabled")
-    return min(values)
+    return max(0.0, min(values))
 
 
 def anti_shallowness_continuity(log_fidelity: float, eps: float) -> float:

@@ -734,13 +734,16 @@ def _json_object(value: object, owner: str) -> dict:
 
 
 def _split_name(name: str) -> tuple[str, int | None]:
-    """``(name, N)`` of ``name(N)`` or ``nameN``, ``(name, None)`` of a bare
-    name; lower-cased and stripped.  The one reader of the size syntax of
-    built-in codes, tableaus and tolerance-table families."""
+    """``(name, N)`` of ``name(N)`` or ``nameN``, ``(name, None)`` of a bare name;
+    lower-cased and stripped, a non-integer N a ValueError naming ``name``.  The
+    one reader of the size syntax of codes, tableaus and tolerance-table families."""
     key = name.strip().lower()
     if "(" in key and key.endswith(")"):
         base, size = key[:-1].split("(", 1)
-        return base.strip(), int(size)
+        try:
+            return base.strip(), int(size)
+        except ValueError:
+            raise ValueError(f"size in {name!r} is not an integer: {size.strip()!r}") from None
     m = re.fullmatch(r"([a-z]+)(\d+)", key)
     return (m.group(1), int(m.group(2))) if m else (key, None)
 

@@ -14,6 +14,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
 from adaptstab.cli import main
+from adaptstab.densesim import from_tableau
 from adaptstab.tableau import from_json as tableau_from_json
 from adaptstab.tableau import ghz_state, random_stabilizer_state, states_equal
 from adaptstab.tableau import to_json as tableau_to_json
@@ -367,6 +369,97 @@ def test_crange_guard_exits_3(capsys):
     assert "resource guard" in err
 
 
+# -- one state loader ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,alias", [("ghz:6", "builtin:ghz6"), ("plus:4", "builtin:plus4"), ("zero:3", "builtin:zero3")])
+def test_weight_reads_a_spec_as_its_builtin_alias(capsys, spec, alias):
+    _, want, _ = run(capsys, "weight", alias, "--seed", "0")
+    code, report, _ = run(capsys, "weight", spec, "--seed", "0")
+    assert code == 0
+    assert report["results"] == want["results"]
+    assert report["inputs"] == {"tableau": {"source": spec}}
+
+
+def test_weight_basis_spec_reads_signed_z_generators(capsys):
+    code, report, _ = run(capsys, "weight", "basis:0110", "--seed", "0")
+    assert code == 0
+    assert report["results"]["vector"] == [1, 1, 1, 1]
+    assert sorted(report["results"]["generators"]) == sorted(["+ZIII", "-IZII", "-IIZI", "+IIIZ"])
+
+
+@pytest.mark.parametrize("family", ["ghz", "plus", "zero"])
+def test_dense_commands_read_a_builtin_alias_as_its_spec(capsys, family):
+    for n in range(2, 9):
+        alt = [["cor", "--w", "2", "--method", "alt"]] if n >= 4 else []
+        for argv in (["cor"], *alt, ["crange"], ["crange", "--delta", "0.1"], ["antishallow"]):
+            _, want, _ = run(capsys, *argv, f"{family}:{n}", "--seed", "0")
+            code, report, _ = run(capsys, *argv, f"builtin:{family}{n}", "--seed", "0")
+            assert code == 0, report
+            assert report["inputs"] == {"family": f"builtin:{family}{n}"}
+            assert report["results"] == {**want["results"], "family": f"builtin:{family}{n}"}
+
+
+@pytest.mark.parametrize("spec", ["ghz:1", "ghz:7", "plus:5", "basis:1", "basis:0110", "zero:3"])
+def test_tableau_and_dense_forms_of_a_spec_are_one_state(spec):
+    t, entry = cli._load_state(spec, "tableau")
+    s, _ = cli._load_state(spec, "dense")
+    assert entry == {"source": spec}
+    assert np.array_equal(from_tableau(t).amps, s.amps)
+
+
+def test_weight_builtin_code_is_its_prepared_target(capsys, tmp_path):
+    _, prepped, _ = run(capsys, "prep", "builtin:toric2", "--seed", "0")
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(prepped["results"]["target"]))
+    _, want, _ = run(capsys, "weight", str(path), "--seed", "0")
+    code, report, _ = run(capsys, "weight", "builtin:toric2", "--seed", "0")
+    assert code == 0
+    assert report["results"] == want["results"]
+    assert report["inputs"] == {"tableau": {"source": "builtin:toric2"}}
+
+
+def test_cor_reads_a_builtin_code_target_and_a_tableau_file(capsys, tmp_path):
+    _, want, _ = run(capsys, "cor", "ghz:3", "--seed", "0")
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(tableau_to_json(ghz_state(3))))
+    for spec in ("builtin:repetition3", str(path)):
+        code, report, _ = run(capsys, "cor", spec, "--seed", "0")
+        assert code == 0
+        assert report["results"] == {**want["results"], "family": spec}
+
+
+@pytest.mark.parametrize("spec,family", [("w:8", "w"), ("builtin:w8", "w"), ("dicke:6:2", "dicke"), ("hypergraph:4", "hypergraph")])
+def test_weight_of_a_dense_only_family_exits_1(capsys, spec, family):
+    code, report, err = run(capsys, "weight", spec)
+    assert code == 1 and report["results"] is None
+    message = f"state family {family!r} has no stabilizer tableau"
+    assert report["error"] == {"kind": "ValueError", "message": message}
+    assert message in err
+
+
+def test_dense_form_of_a_large_tableau_trips_the_dense_guard(capsys):
+    for spec in ("zero:17", "builtin:repetition17"):
+        code, report, _ = run(capsys, "cor", spec)
+        assert code == 3 and report["error"]["kind"] == "ResourceGuardError"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["weight", "builtin:ghz(x)"], "size in 'ghz(x)' is not an integer: 'x'"),
+        (["prep", "builtin:toric(x)"], "size in 'toric(x)' is not an integer: 'x'"),
+        (["cor", "ghz:x"], "state spec 'ghz:x' does not have the form ghz:N"),
+        (["weight", "basis:012"], "state spec 'basis:012' does not have the form basis:BITS"),
+    ],
+)
+def test_non_integer_size_names_the_spec(capsys, argv, message):
+    code, report, err = run(capsys, *argv)
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": message}
+    assert message in err
+
+
 # -- bounds ----------------------------------------------------------------------
 
 
@@ -540,6 +633,15 @@ def test_antishallow_ghz8_interval(capsys):
     assert r["lower"] == pytest.approx(math.log2(36 / 35))
     assert r["upper"] == pytest.approx(1.0)
     assert r["interval"] == [r["lower"], r["upper"]]
+
+
+@pytest.mark.parametrize("spec", ["basis:00", "plus:4", "zero:4", "w:1"])
+def test_antishallow_product_state_interval_is_zero(capsys, spec):
+    code, report, _ = run(capsys, "antishallow", spec, "--seed", "0")
+    assert code == 0
+    r = report["results"]
+    assert r["interval"] == [r["lower"], r["upper"]] == [0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in r["interval"])  # not -0.0
 
 
 # -- lightcone -------------------------------------------------------------------

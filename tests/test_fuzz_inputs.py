@@ -3,7 +3,8 @@
 Valid tableau JSON, circuit JSON, code text and partition JSON are mutated
 by hypothesis: values swapped for other JSON values or deleted, text cut,
 spliced or given stray characters.  Each input runs through ``cli.main``
-(``weight``, ``bounds``, ``lightcone``, ``prep --partition``).  Every run
+(``weight``, ``bounds``, ``lightcone``, ``prep --partition``), as do state
+specs built from the loader's tokens (``weight``, ``cor``).  Every run
 exits 0-3 and writes exactly one JSON report; a failure is reported as an
 ``error`` object, never escapes as a traceback, and is never an
 ``AssertionError``, ``KeyError`` or ``TypeError`` (a missing or misshapen
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptstab import circuit as ci
+from adaptstab import cli
 from adaptstab import tableau as tb
 from adaptstab.circuit import AdaptiveCircuit, Condition, Gate, Measure
 from adaptstab.cli import main
@@ -146,6 +149,28 @@ def test_mutated_code_text_gets_one_report(text):
 def test_mutated_partition_json_gets_one_report(text):
     with tempfile.TemporaryDirectory() as tmp:
         run_cli(["prep", "builtin:repetition3", "--partition", _write(tmp, "p.json", text), "--seed", "0"])
+
+
+# State specs from the loader's family names (and two code names), the
+# ``builtin:`` alias, colons, digits and parentheses: any mix of them, or a
+# name followed by the rest, so that many are well formed.  At most two digits
+# in a row keep every size small.
+_SPEC_NAMES = (*cli._FAMILIES, "steane", "repetition")
+_SPEC_MARKS = (":", "(", ")", *"0123456789")
+_SPECS = st.one_of(
+    st.lists(st.sampled_from((*_SPEC_NAMES, "builtin:", *_SPEC_MARKS)), max_size=6).map("".join),
+    st.tuples(
+        st.sampled_from(("", "builtin:")), st.sampled_from(_SPEC_NAMES), st.lists(st.sampled_from(_SPEC_MARKS), max_size=5).map("".join)
+    ).map("".join),
+).filter(lambda s: not re.search(r"\d{3}", s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPECS)
+def test_state_specs_get_one_report(spec):
+    for command in ("weight", "cor"):
+        _, report = run_cli([command, spec, "--seed", "0"])
+        assert report.get("error", {}).get("kind") != "IndexError", report
 
 
 # -- round trips --------------------------------------------------------------------

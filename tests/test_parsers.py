@@ -6,7 +6,9 @@ message, as the per-letter parser on any text: signs, whitespace, letters
 and illegal characters mixed.  ``tableau._split_name`` must read ``name(N)``
 and bare names as ``prep.builtin_code`` and ``bounds._parse_family`` did,
 and ``nameN`` as the command line did, so both spellings name the same
-code, tableau or tolerance-table row everywhere.
+code, tableau or tolerance-table row everywhere.  Where the old readers
+raised int()'s bare ValueError on a size that is not an integer, the new
+message names the text it read.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ def test_split_name_reads_both_spellings_as_the_old_splitters(name):
     old = outcome(reference_code_split, name)
     assert outcome(lambda text: reference_family_split(text, None), name) == old
     cli = reference_cli_split(name)
-    if cli is None:
+    if cli is None and old[0] == "ValueError" and isinstance(old[1], str):
+        # The old readers passed int()'s message on; the size is named with its text.
+        size = name.strip().lower()[:-1].split("(", 1)[1].strip()
+        assert outcome(_split_name, name) == ("ValueError", f"size in {name!r} is not an integer: {size!r}")
+    elif cli is None:
         assert outcome(_split_name, name) == old
     else:  # nameN: the parenthesis readers took it for a bare name
         assert old == (name.strip().lower(), None)
@@ -76,3 +82,10 @@ def test_both_spellings_name_the_same_thing():
     assert builtin_code(" Repetition5") == builtin_code("repetition(5)")
     assert approximate_tolerance_table("dicke2", 8) == approximate_tolerance_table("dicke(2)", 8)
     assert approximate_tolerance_table("dicke(3)", 8, k=1)["k"] == 3  # a written size wins over k
+
+
+def test_non_integer_size_names_the_text():
+    for call in (lambda: approximate_tolerance_table("dicke(x)", 8), lambda: builtin_code("toric( x)")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) in ("size in 'dicke(x)' is not an integer: 'x'", "size in 'toric( x)' is not an integer: 'x'")
