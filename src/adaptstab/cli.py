@@ -54,9 +54,10 @@ from .circuit import (
 )
 from .circuit import from_json as circuit_from_json
 from .circuit import to_json as circuit_to_json
-from .densesim import basis_state, from_tableau, make_state, plus_state
+from .densesim import _guard as _dense_cap, basis_state, from_tableau, make_state, plus_state
 from .errors import ContradictionError, ResourceGuardError
 from .metrics import (
+    _group_cap,
     _oracle_entries,
     anti_shallowness_lower,
     anti_shallowness_upper,
@@ -113,10 +114,11 @@ _FAMILIES = {
 }
 
 
-def _load_state(spec: str, form: str) -> tuple:
+def _load_state(spec: str, form: str, guard=lambda n: None) -> tuple:
     """The state ``spec`` names, as a ``"tableau"`` or a ``"dense"`` state, and
     its report entry.  ``builtin:NAME`` is ``family:N`` for a one-size family,
-    else a built-in code's target; text without a colon is a tableau file."""
+    else a built-in code's target; text without a colon is a tableau file.
+    ``guard(n)`` (for a dense state, the dense cap) refuses a spec unbuilt."""
     family = spec.split(":", 1)[0].strip().lower()
     if family in _FAMILIES:
         text, params = _FAMILIES[family][0], [p.strip() for p in spec.split(":")[1:]]
@@ -127,7 +129,9 @@ def _load_state(spec: str, form: str) -> tuple:
     elif spec.startswith(_BUILTIN):
         family, size = _split_name(spec[len(_BUILTIN):])
         if size is None or _FAMILIES.get(family, ("",))[0] != f"{family}:N":  # not ghz6 or plus(4): a code
-            target = prepare_state(builtin_code(spec[len(_BUILTIN):]))[1]
+            code = builtin_code(spec[len(_BUILTIN):])
+            (_dense_cap if form == "dense" else guard)(code.n)
+            target = prepare_state(code)[1]
             return (target if form == "tableau" else from_tableau(target)), {"source": spec}
         params = [size]
     elif ":" in spec:
@@ -136,12 +140,12 @@ def _load_state(spec: str, form: str) -> tuple:
     else:
         t = tableau_from_json(json.loads(Path(spec).read_text()))
         return (t if form == "tableau" else from_tableau(t)), _digest_file(spec)
-    if form == "dense" and family != "zero":  # make_state has every family but zero
+    if form == "dense":  # make_state trips the dense cap before it builds
         return make_state(family, *params), {"source": spec}
     if _FAMILIES[family][1] is None:
         raise ValueError(f"state family {family!r} has no stabilizer tableau")
-    t = _FAMILIES[family][1](*params)
-    return (t if form == "tableau" else from_tableau(t)), {"source": spec}
+    guard(len(params[0]) if family == "basis" else params[0])
+    return _FAMILIES[family][1](*params), {"source": spec}
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -196,14 +200,12 @@ def _cmd_prep(args) -> tuple:
             raise ValueError("partition 'phi' must be 'plus' or 'zero'")
         circ, target = prepare_state(code, s1=s1, s2=s2, phi_layers=phi_layers)
 
-    if args.verify == "exhaustive":
-        report = verify_preparation(circ, target, trials=0, also_exhaustive=True)
-    else:
-        try:
-            trials = int(args.verify)
-        except ValueError:
-            raise ValueError("--verify takes a trial count or 'exhaustive'") from None
-        report = verify_preparation(circ, target, trials=trials, also_exhaustive=False)
+    exhaustive = args.verify == "exhaustive"
+    try:
+        trials = 0 if exhaustive else int(args.verify)
+    except ValueError:
+        raise ValueError("--verify takes a trial count or 'exhaustive'") from None
+    report = verify_preparation(circ, target, trials=trials, also_exhaustive=exhaustive)
 
     if args.out:
         Path(args.out).write_text(circuit_to_json(circ, indent=2))
@@ -223,7 +225,7 @@ def _cmd_prep(args) -> tuple:
     ok = bool(report["all_match"])
     mode = (
         f"exhaustive over all 2^{circ.cbits} branches"
-        if args.verify == "exhaustive"
+        if exhaustive
         else f"{report['random_trials']} random trials"
     )
     verdict = {True: "PASS", False: "FAIL", None: "NOTHING CHECKED"}[report["all_match"]]
@@ -236,7 +238,7 @@ def _cmd_prep(args) -> tuple:
 
 
 def _cmd_weight(args) -> tuple:
-    t, tableau_input = _load_state(args.tableau, "tableau")
+    t, tableau_input = _load_state(args.tableau, "tableau", _group_cap)
     inputs = {"tableau": tableau_input}
     picked, vector = min_weight_generators(t)
     results = {
@@ -410,8 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         default="20",
-        help="random trial count, or 'exhaustive': one symbolic pass over every outcome"
-        " branch, at any cbit count, and no random trials",
+        help="seeded trial count, read off one symbolic pass with no all-branch verdict, or"
+        " 'exhaustive': that pass's verdict on every outcome branch, at any cbit count, and no trials",
     )
     p.add_argument("--out", default=None, help="write the circuit JSON to this path")
     p.set_defaults(handler=_cmd_prep)

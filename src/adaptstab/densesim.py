@@ -222,6 +222,7 @@ def make_state(family: str, *params) -> StateVector:
         "hypergraph": hypergraph,
         "basis": basis_state,
         "plus": plus_state,
+        "zero": lambda n: basis_state("0" * n),
         "from_tableau": from_tableau,
         "from_amplitudes": from_amplitudes,
     }

@@ -122,6 +122,11 @@ class CorrelationReport:
 # -- stabilizer weight ---------------------------------------------------------
 
 
+def _group_cap(n: int) -> None:
+    if n > 20:
+        raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}")
+
+
 def _group_table(t: StabilizerTableau) -> np.ndarray:
     """Every stabilizer group element's bits ``z | x << 32`` as one
     ``uint64``, indexed by generator mask; entry 0 is the identity.  A word's
@@ -129,8 +134,7 @@ def _group_table(t: StabilizerTableau) -> np.ndarray:
     of masks whose highest bit is i is generator i times the block below it.
     Phases are not kept.  Dependent generators raise ValueError."""
     n = t.n
-    if n > 20:
-        raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}")
+    _group_cap(n)
     if gf2_rank([g.symplectic_row() for g in t.generators]) < n:
         raise ValueError("generators are dependent")
     table = np.zeros(1 << n, np.uint64)

@@ -49,8 +49,8 @@ from .tableau import (
     _json_key,
     _raise_anticommuting,
     _split_name,
+    _stabilized,
     apply_gate,
-    is_stabilized_by,
     states_equal,
     zero_state,
 )
@@ -621,9 +621,9 @@ def prepare_state(
             if any(q >= n for q in gate.qubits):
                 raise ValueError("phi_layers must act on data qubits only")
             apply_gate(phi, gate.op, gate.qubits, pauli=gate.pauli)
-    for g in s2:
-        if is_stabilized_by(phi, g) != 1:
-            raise ValueError(f"S2 element {format_pauli(g)} does not stabilize the initial state")
+    if wrong := _stabilized(phi, s2)[1]:  # one plane pass; a non-hermitian element raises
+        g = s2[(wrong & -wrong).bit_length() - 1]
+        raise ValueError(f"S2 element {format_pauli(g)} does not stabilize the initial state")
     gens = s1 + s2
     if len(gens) != n:
         raise ValueError(f"need n={n} generators, got {len(gens)}")
@@ -656,10 +656,10 @@ def verify_preparation(
     ``simulate(circuit, forced=...)`` replays.  A conditioned gate other than
     a Pauli leaves both counts None and sets ``unsupported``.
 
-    Trial s checks the branch ``simulate(circuit, seed=s)`` takes; a failing
-    trial reports its record and skips the exhaustive check.  Trials are read
-    off the symbolic run when there is one (``simulate`` draws once per random
-    measurement, so draw v is variable v), and are ``simulate`` runs otherwise.
+    Trial s checks the branch ``simulate(circuit, seed=s)`` takes, read off
+    the symbolic run (draw v is variable v) unless a conditioned non-Pauli
+    gate leaves no run, and then simulated; a failing trial reports its
+    record and skips the exhaustive check.
 
     ``all_match`` is True or False when something was checked, and None when
     nothing was: no random trial ran and the symbolic pass was skipped (not
@@ -678,8 +678,8 @@ def verify_preparation(
         "counterexample": None,
         "unsupported": None,
     }
-    bad = conditioned_non_pauli(circuit) if also_exhaustive else None
-    run = simulate_symbolic(circuit) if also_exhaustive and bad is None else None
+    bad = conditioned_non_pauli(circuit)
+    run = simulate_symbolic(circuit) if bad is None and (trials > 0 or also_exhaustive) else None
     if run is not None:
         fixed, planes = run.sign_planes(target)
     for seed in range(trials):
@@ -695,13 +695,13 @@ def verify_preparation(
             report["all_match"] = False
             report["counterexample"] = "".join(str(b) for b in record)
             break
-    if report["all_match"] and bad is not None:
+    if report["all_match"] and also_exhaustive and bad is not None:
         report["unsupported"] = {
             "layer": bad[0],
             "gate": bad[1].op,
             "reason": "sign forms cover conditioned Pauli gates only",
         }
-    elif report["all_match"] and run is not None:
+    elif report["all_match"] and also_exhaustive and run is not None:
         values = _first_wrong(fixed, planes)
         report["branches"] = 1 << circuit.cbits
         report["realizable"] = 1 << (len(run.forms) + run.record.count(None))

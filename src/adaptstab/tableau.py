@@ -28,7 +28,7 @@ and ``validate_tableau`` compare a whole generator set in one pass over the
 column planes (``_match_products``): O(weight) big-int operations,
 bit-parallel over the generators, one transpose, and no row views;
 ``validate_tableau`` builds the views only to name a failure.
-``is_stabilized_by`` is the same plane pass on one Pauli.
+``is_stabilized_by`` is the same plane pass on one Pauli, ``_stabilized`` on a list.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -391,19 +391,24 @@ def apply_pauli_form(t: StabilizerTableau, forms: list[int], name: str, qubits: 
 
 
 def is_stabilized_by(t: StabilizerTableau, p: PauliOperator) -> int | None:
-    """+1/-1 when ``sign * p`` is in the stabilizer group, else None.
+    """+1/-1 when ``sign * p`` is in the stabilizer group, else None."""
+    unmatched, wrong = _stabilized(t, [p])
+    return None if unmatched else -1 if wrong else 1
 
-    The destabilizers anticommuting with p select the generator product,
-    which is +-p exactly when +-p is in the group: ``_match_products`` on
-    the one-Pauli column planes of p.
-    """
-    if p.n != t.n:
+
+def _stabilized(t: StabilizerTableau, ops: Sequence[PauliOperator]) -> tuple[int, int]:
+    """(unmatched, wrong): bit i of each is set when neither sign of ``ops[i]``,
+    or when not +ops[i], is in the group (one ``_match_products`` pass).  A
+    non-hermitian Pauli raises ValueError unless an earlier one is wrong."""
+    if any(p.n != t.n for p in ops):
         raise ValueError("dimension mismatch")
-    if not p.hermitian:
+    e0, e1 = (sum((p.e >> b & 1) << i for i, p in enumerate(ops)) for b in (0, 1))
+    planes = _transpose([p.x for p in ops], t.n), _transpose([p.z for p in ops], t.n)
+    _, unmatched, flipped = _match_products(t, *planes, e0, e1, len(ops))
+    wrong = unmatched | flipped
+    if not all(p.hermitian for p in ops[: (wrong & -wrong).bit_length() or None]):
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
-    pxs, pzs = [p.x >> q & 1 for q in range(t.n)], [p.z >> q & 1 for q in range(t.n)]
-    _, unmatched, flipped = _match_products(t, pxs, pzs, p.e & 1, p.e >> 1, 1)
-    return None if unmatched else -1 if flipped else 1
+    return unmatched, wrong
 
 
 # -- whole generator sets -----------------------------------------------------

@@ -444,6 +444,31 @@ def test_dense_form_of_a_large_tableau_trips_the_dense_guard(capsys):
         assert code == 3 and report["error"]["kind"] == "ResourceGuardError"
 
 
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built a state that its size guard refuses")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["weight", "zero:100000"], "group enumeration capped at n <= 20, got n = 100000"),
+        (["weight", "ghz:4000"], "group enumeration capped at n <= 20, got n = 4000"),
+        (["weight", "builtin:toric24"], "group enumeration capped at n <= 20, got n = 1152"),
+        (["cor", "builtin:toric24"], "dense simulation of 1152 qubits exceeds the cap of 16 (set ADAPTSTAB_MAX_QUBITS to override)"),
+    ],
+)
+def test_size_guards_trip_before_the_state_is_built(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    for family in ("ghz", "zero"):
+        monkeypatch.setitem(cli._FAMILIES, family, (cli._FAMILIES[family][0], _refuse))
+    for builder in ("prepare_state", "from_tableau", "make_state"):
+        monkeypatch.setattr(cli, builder, _refuse)
+    code, report, err = run(capsys, *argv, "--seed", "0")
+    assert code == 3 and report["results"] is None
+    assert report["error"] == {"kind": "ResourceGuardError", "message": message}
+    assert f"resource guard: {message}" in err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

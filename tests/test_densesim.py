@@ -247,3 +247,11 @@ def test_make_state_dispatch():
     assert ds.fidelity(ds.make_state("basis", "10"), ds.basis_state("10")) == 1.0
     with pytest.raises(ValueError):
         ds.make_state("cat", 3)
+
+
+def test_zero_family_is_the_zero_tableau_byte_for_byte(monkeypatch):
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    for n in range(1, 17):
+        assert ds.make_state("zero", n).amps.tobytes() == ds.from_tableau(zero_state(n)).amps.tobytes()
+    with pytest.raises(ResourceGuardError, match="dense simulation of 17 qubits"):
+        ds.make_state("zero", 17)

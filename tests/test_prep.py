@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
+from adaptstab import tableau as tb
 from adaptstab.circuit import AdaptiveCircuit, Gate, Measure, depth, simulate, validate
 from adaptstab.circuit import to_json as ci_json
 from adaptstab.errors import ContradictionError
@@ -595,6 +597,29 @@ def test_prepare_explicit_policy():
         )
     with pytest.raises(ValueError, match="needs s1"):
         prepare_state(rep, s1=rep.checks, s2=[parse_pauli("XXX")])
+
+
+@pytest.mark.parametrize(
+    "s2,message",
+    [
+        (["+ZZZ", "+iXXX"], "S2 element +ZZZ does not stabilize the initial state"),
+        (["+iXXX", "+ZZZ"], "is_stabilized_by expects a hermitian Pauli"),
+    ],
+)
+def test_s2_check_names_the_first_failing_element(s2, message):
+    # The whole S2 list is one plane pass, read in order: a non-hermitian
+    # element raises unless an earlier element already failed.
+    rep = builtin_code("repetition(3)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        prepare_state(rep, s1=rep.checks, s2=[parse_pauli(p) for p in s2], phi_layers=[[Gate("H", (q,)) for q in range(3)]])
+
+
+def test_s2_check_is_one_pass(monkeypatch):
+    calls, match_products = [], tb._match_products
+    monkeypatch.setattr(tb, "_match_products", lambda *a: calls.append(a[-1]) or match_products(*a))
+    rep = builtin_code("repetition(3)")
+    prepare_state(rep, s1=rep.checks[:1], s2=[parse_pauli("XXX"), parse_pauli("IZZ")], phi_layers=[[Gate("H", (0,)), Gate("CNOT", (0, 1, 2))]])
+    assert calls == [2]
 
 
 def test_prepare_state_keeps_a_callers_split():

@@ -27,9 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptstab import tableau as tb
 from adaptstab.circuit import Measure, ghz_adaptive, simulate
 from adaptstab.errors import ContradictionError
-from adaptstab.pauli import PauliOperator, format_pauli, from_bits, gf2_rank, parse_pauli, single_site
+from adaptstab.pauli import PauliOperator, _bits, format_pauli, from_bits, gf2_rank, parse_pauli, single_site
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import (
     GATE_ARITY,
@@ -554,6 +555,44 @@ def test_restricted_group_elements_match_row_path():
         want = sorted(inside, key=lambda p: (p.weight(), p.x, p.z))
         assert restricted_group_elements(t, subset) == want
         assert restricted_group_elements(RowTableau.of(t), subset) == want
+
+
+def test_stabilized_list_matches_a_sign_form_per_pauli():
+    # One plane pass over a list of Paulis against the per-Pauli sign form:
+    # the masks agree on each hermitian Pauli, and the list raises exactly
+    # when its first Pauli that is not a +1 member is non-hermitian.
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for trial in range(120):
+        n = int(rng.integers(1, 10))
+        t = random_stabilizer_state(n, 5000 + trial)
+        oracle = RowTableau.of(t)
+        ops = []
+        for _ in range(int(rng.integers(1, 7))):
+            kind = rng.random()
+            if kind < 0.5:
+                p = PauliOperator(n, 0, 0)
+                for i in _bits(int(rng.integers(0, 1 << n))):
+                    p = p * oracle.generators[i]
+                ops.append(p if rng.random() < 0.7 else p.negate())
+            elif kind < 0.85:
+                ops.append(random_hermitian(n, rng))
+            else:
+                ops.append(random_rows(n, 1, rng)[0])
+        forms = [sign_form(t, (), p) if p.hermitian else "raise" for p in ops]
+        first = next((f for f in forms if f != 0), None)
+        try:
+            unmatched, wrong = tb._stabilized(t, ops)
+        except ValueError as exc:
+            assert str(exc) == "is_stabilized_by expects a hermitian Pauli" and first == "raise"
+            outcomes.add("raise")
+            continue
+        assert first != "raise"
+        for i, form in enumerate(forms):
+            if form != "raise":
+                assert (unmatched >> i & 1, wrong >> i & 1) == (form is None, form != 0)
+        outcomes.add("wrong" if wrong else "all +1")
+    assert outcomes == {"raise", "wrong", "all +1"}
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -208,10 +208,11 @@ def test_wrong_branch_matches_per_generator_loop_on_ghz():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of simulate and measurement-run calls and of row-view builds,
-    the target's kept apart."""
-    counts = {"simulations": 0, "runs": 0, "views": 0, "target_views": 0, "target": None}
+    """Counts of simulate, symbolic-pass and measurement-run calls and of
+    row-view builds, the target's kept apart."""
+    counts = {"simulations": 0, "symbolic": 0, "runs": 0, "views": 0, "target_views": 0, "target": None}
     views, simulate_, run = tb.StabilizerTableau._row_views, prep.simulate, ci._measure_z_run
+    symbolic_ = prep.simulate_symbolic
 
     def counting_run(*args):
         counts["runs"] += 1
@@ -226,7 +227,12 @@ def work(monkeypatch):
         counts["simulations"] += 1
         return simulate_(*args, **kwargs)
 
+    def counting_symbolic(*args):
+        counts["symbolic"] += 1
+        return symbolic_(*args)
+
     monkeypatch.setattr(prep, "simulate", counting_simulate)
+    monkeypatch.setattr(prep, "simulate_symbolic", counting_symbolic)
     monkeypatch.setattr(tb.StabilizerTableau, "_row_views", counting_views)
     monkeypatch.setattr(ci, "_measure_z_run", counting_run)
     return counts
@@ -526,6 +532,48 @@ def test_seeded_trials_match_reference_on_random_circuits():
             seen.add((r["all_match"], r["branches"] is None, "None" in (r["counterexample"] or "")))
     # Passes, trial and exhaustive failures, and a trial record with an unwritten bit.
     assert {(True, False, False), (False, True, False), (False, False, False), (False, True, True)} <= seen
+
+
+def test_seeded_trials_without_the_exhaustive_verdict_read_one_pass(work, monkeypatch):
+    circ, target = prepare_state(builtin_code("toric(3)"))
+
+    def refuse(*_a, **_k):
+        raise AssertionError("a seeded trial was simulated")
+
+    monkeypatch.setattr(prep, "simulate", refuse)
+    report = verify_preparation(circ, target, trials=20, also_exhaustive=False)
+    assert report["all_match"] is True and report["branches"] is None and report["realizable"] is None
+    assert work["symbolic"] == 1
+
+
+def test_no_trials_and_no_verdict_run_nothing(work):
+    report = verify_preparation(*prepare_state(builtin_code("toric(2)")), trials=0, also_exhaustive=False)
+    assert report["all_match"] is None
+    assert (work["simulations"], work["symbolic"]) == (0, 0)
+
+
+def test_conditioned_non_pauli_simulates_each_trial(work):
+    # Two conditioned H gates cancel, so every trial ends in |0>.
+    cond_h = Gate("H", (0,), cond=Condition((0,), 1))
+    c = AdaptiveCircuit(2, 1, [[Gate("H", (1,))], [Measure(1, 0)], [cond_h], [cond_h]])
+    for also_exhaustive in (True, False):
+        work.update(simulations=0)
+        report = verify_preparation(c, zero_state(1), trials=5, also_exhaustive=also_exhaustive)
+        assert (work["simulations"], work["symbolic"]) == (5, 0)
+        assert report["all_match"] is True and (report["unsupported"] is not None) == also_exhaustive
+
+
+def test_invalid_circuit_fails_in_the_symbolic_walk():
+    # A conditioned X on a qubit past the register: seed 0 never fires it,
+    # so a simulated trial would pass and leave the error to the resource
+    # profile.  The trial is read off the symbolic walk, which names the
+    # qubit whatever also_exhaustive says.
+    c = AdaptiveCircuit(2, 1, [[Gate("H", (0,))], [Measure(0, 0)], [Gate("X", (5,), cond=Condition((0,), 0))]])
+    assert validate(c, 2).violations
+    assert simulate(c, seed=0)[1] == [1]
+    for also_exhaustive in (True, False):
+        with pytest.raises(ValueError, match="^qubit 5 out of range for n=2$"):
+            verify_preparation(c, zero_state(1), trials=1, also_exhaustive=also_exhaustive)
 
 
 def test_seeded_trials_match_reference_on_unsupported_circuits():
