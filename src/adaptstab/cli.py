@@ -12,7 +12,8 @@ Conventions
 * stdout carries exactly one JSON run report; every human-readable line
   goes to stderr, so reports can be piped safely.  When a handler fails,
   the report has null ``inputs`` / ``results`` and an ``error`` object
-  ``{"kind": exception class, "message": text}`` (exit codes 1 and 3).
+  ``{"kind": exception class, "message": text}`` (exit codes 1 and 3); a
+  tripped guard adds ``"guard": {"name", "limit", "value"}``.
 * exit codes: 0 success (verification passed where applicable), 1 usage,
   parse or input validation error, 2 verification failure, 3 resource guard tripped.
 * with ``--seed`` the JSON report is bit-for-bit reproducible; the
@@ -25,7 +26,6 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -94,6 +94,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest_file(path: str) -> dict:
+    import hashlib  # here, not at module level: only file inputs need it, and every run would pay for it
+
     data = Path(path).read_bytes()
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()[:16]}
 
@@ -412,8 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         default="20",
-        help="seeded trial count, read off one symbolic pass with no all-branch verdict, or"
-        " 'exhaustive': that pass's verdict on every outcome branch, at any cbit count, and no trials",
+        help="seeded trial count (>= 0), read off one symbolic pass with no all-branch verdict and"
+        " drawn only when that pass finds a wrong branch, or 'exhaustive': that pass's verdict"
+        " on every outcome branch, at any cbit count, and no trials",
     )
     p.add_argument("--out", default=None, help="write the circuit JSON to this path")
     p.set_defaults(handler=_cmd_prep)
@@ -462,7 +465,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of target qubits")
     p.add_argument("--a", type=int, required=True, help="fan-out block size")
     p.add_argument("--k", type=int, required=True, help="gate fan-in K")
-    p.add_argument("--trials", type=int, default=20, help="seeded branches read off the symbolic pass over every branch")
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=20,
+        help="seeded branches (>= 0) read off the symbolic pass over every branch, drawn only when it finds a wrong one",
+    )
     p.set_defaults(handler=_cmd_ghz_demo)
 
     p = sub.add_parser(
@@ -507,6 +515,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if error is not None:
         kind = "UsageError" if isinstance(error, _UsageError) else type(error).__name__
         report["error"] = {"kind": kind, "message": str(error)}
+    if isinstance(error, ResourceGuardError):
+        report["guard"] = {"name": error.name, "limit": error.limit, "value": error.value}
     if args is not None:
         seeded = args.seed is not None
     else:  # a usage error: read --seed N or --seed=N off the unparsed arguments

@@ -67,7 +67,10 @@ def _guard(n: int) -> None:
     if n > cap:
         raise ResourceGuardError(
             f"dense simulation of {n} qubits exceeds the cap of {cap} "
-            "(set ADAPTSTAB_MAX_QUBITS to override)"
+            "(set ADAPTSTAB_MAX_QUBITS to override)",
+            name="dense",
+            limit=cap,
+            value=n,
         )
     if n < 1:
         raise ValueError("need n >= 1")

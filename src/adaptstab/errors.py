@@ -10,4 +10,11 @@ class ContradictionError(RuntimeError):
 
 
 class ResourceGuardError(RuntimeError):
-    """An operation was refused because its input exceeds a size guard."""
+    """An operation was refused because its input exceeds a size guard.
+
+    ``name`` names the guard, ``limit`` is its cap and ``value`` the size asked for.
+    """
+
+    def __init__(self, message: str, *, name: str, limit: int, value: int):
+        super().__init__(message)
+        self.name, self.limit, self.value = name, limit, value

@@ -124,7 +124,7 @@ class CorrelationReport:
 
 def _group_cap(n: int) -> None:
     if n > 20:
-        raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}")
+        raise ResourceGuardError(f"group enumeration capped at n <= 20, got n = {n}", name="group_table", limit=20, value=n)
 
 
 def _group_table(t: StabilizerTableau) -> np.ndarray:
@@ -237,7 +237,7 @@ def _oracle_entries(t: StabilizerTableau, k: int) -> list[int]:
     """
     n = t.n
     if n > 14:
-        raise ResourceGuardError(f"rank-sweep oracle capped at n <= 14, got n = {n}")
+        raise ResourceGuardError(f"rank-sweep oracle capped at n <= 14, got n = {n}", name="oracle", limit=14, value=n)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     table = _group_table(t)
@@ -417,7 +417,7 @@ def correlation_strength_w(
     if len(region) < 2 * w:
         raise ValueError("region cannot hold two disjoint size-w subsets")
     if method == "pauli-enum" and w > 3:
-        raise ResourceGuardError(f"pauli-enum supports w <= 3, got w = {w}")
+        raise ResourceGuardError(f"pauli-enum supports w <= 3, got w = {w}", name="pauli_enum_w", limit=3, value=w)
     if method not in ("pauli-enum", "alternating-sign"):
         raise ValueError(f"unknown method {method!r}")
     names = _pauli_stack(w)[0]
@@ -532,7 +532,7 @@ def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
         return pauli_correlation_range(s, delta)
     n = s.n
     if n > 12:
-        raise ResourceGuardError(f"subset scan capped at n <= 12, got n = {n}")
+        raise ResourceGuardError(f"subset scan capped at n <= 12, got n = {n}", name="subset_scan", limit=12, value=n)
     if n < 2 * w:  # no region holds two disjoint size-w subsets
         return 1
     if not 1 <= w <= 3 or _symmetric(s):  # raises on a bad w; else every region reads as the register

@@ -659,12 +659,17 @@ def verify_preparation(
     Trial s checks the branch ``simulate(circuit, seed=s)`` takes, read off
     the symbolic run (draw v is variable v) unless a conditioned non-Pauli
     gate leaves no run, and then simulated; a failing trial reports its
-    record and skips the exhaustive check.
+    record and skips the exhaustive check.  Outcomes are drawn only when the
+    run finds a wrong branch; with none, every trial matches without a draw,
+    so a large ``trials`` costs nothing.  A negative ``trials`` raises
+    ValueError.
 
     ``all_match`` is True or False when something was checked, and None when
     nothing was: no random trial ran and the symbolic pass was skipped (not
     asked for, or unsupported).
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     n_a = ancilla_count(circuit, target.n)
     report: dict = {
         "n": target.n,
@@ -680,9 +685,11 @@ def verify_preparation(
     }
     bad = conditioned_non_pauli(circuit)
     run = simulate_symbolic(circuit) if bad is None and (trials > 0 or also_exhaustive) else None
+    wrong = None
     if run is not None:
         fixed, planes = run.sign_planes(target)
-    for seed in range(trials):
+        wrong = _first_wrong(fixed, planes)
+    for seed in range(trials if run is None or wrong is not None else 0):  # no wrong branch: every trial matches
         if run is None:
             tab, record = simulate(circuit, seed=seed)
             match = states_equal(tab, target)
@@ -702,13 +709,12 @@ def verify_preparation(
             "reason": "sign forms cover conditioned Pauli gates only",
         }
     elif report["all_match"] and also_exhaustive and run is not None:
-        values = _first_wrong(fixed, planes)
         report["branches"] = 1 << circuit.cbits
         report["realizable"] = 1 << (len(run.forms) + run.record.count(None))
-        if values is not None:
+        if wrong is not None:
             report["all_match"] = False
-            report["counterexample"] = "".join(str(b) for b in run.forced(values))
-    if trials <= 0 and report["branches"] is None:
+            report["counterexample"] = "".join(str(b) for b in run.forced(wrong))
+    if trials == 0 and report["branches"] is None:
         report["all_match"] = None
     profile = ResourceProfile.from_circuit(circuit, target.n)
     _, report["bounds"] = weight_checks(profile, target, (check_adaptive_weight, check_clifford_adaptive))

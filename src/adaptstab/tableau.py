@@ -675,7 +675,9 @@ def factor_out_qubits(t: StabilizerTableau, qs: Iterable[int]) -> StabilizerTabl
 def random_stabilizer_state(n: int, seed: int) -> StabilizerTableau:
     """Seed-reproducible random stabilizer state (depth-2n random circuit)."""
     if n > 64:
-        raise ResourceGuardError(f"random_stabilizer_state supports n <= 64, got n = {n}")
+        raise ResourceGuardError(
+            f"random_stabilizer_state supports n <= 64, got n = {n}", name="random_state", limit=64, value=n
+        )
     rng = np.random.default_rng(seed)
     t = zero_state(n)
     one_q = ("I", "H", "S", "SDG", "X", "Y", "Z")

@@ -9,7 +9,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -104,6 +107,31 @@ def test_prep_partition_file(capsys, tmp_path):
     )
     assert code == 0
     assert states_equal(tableau_from_json(report["results"]["target"]), ghz_state(3))
+    assert report["inputs"]["partition"] == {"path": str(part), "sha256": "b80b4f64fe7ca0b4"}
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adaptstab.cli; print('hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize(
+    "argv", [["ghz-demo", "--n", "8", "--a", "2", "--k", "2", "--trials", "-3"], ["prep", "builtin:toric2", "--verify", "-3"]]
+)
+def test_negative_trial_count_exits_1(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 1 and report["results"] is None and "guard" not in report
+    assert report["error"] == {"kind": "ValueError", "message": "trials must be >= 0, got -3"}
+    assert "error: trials must be >= 0, got -3" in err
 
 
 def _wide_partition_error(capsys, tmp_path, s1, s2):
@@ -233,7 +261,22 @@ def test_weight_size_guard_exits_3(capsys):
     code, report, err = run(capsys, "weight", "builtin:ghz25")
     assert code == 3 and report["results"] is None
     assert report["error"] == {"kind": "ResourceGuardError", "message": "group enumeration capped at n <= 20, got n = 25"}
+    assert report["guard"] == {"name": "group_table", "limit": 20, "value": 25}
     assert "resource guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv,guard",
+    [
+        (["weight", "builtin:ghz24"], {"name": "group_table", "limit": 20, "value": 24}),
+        (["crange", "ghz:20"], {"name": "dense", "limit": 16, "value": 20}),
+    ],
+)
+def test_guard_report_names_the_guard(capsys, monkeypatch, argv, guard):
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    code, report, _ = run(capsys, *argv, "--seed", "0")
+    assert code == 3 and report["guard"] == guard
+    assert list(report) == ["command", "inputs", "results", "error", "guard"]
 
 
 def test_weight_unknown_builtin_exits_1(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adaptstab.pauli import format_pauli, parse_pauli
 from adaptstab.tableau import (
     apply_gate,
     from_stabilizers,
+    ghz_state,
     is_stabilized_by,
     random_stabilizer_state,
     zero_state,
@@ -208,6 +210,25 @@ def test_correlation_strength_w_rejects_region_outside_register(region, bad, mon
     monkeypatch.setattr(mt, "_rdm", refuse)
     with pytest.raises(ValueError, match=rf"^region qubit {bad} outside 0\.\.3$"):
         mt.correlation_strength_w(ds.ghz(4), region, 1)
+
+
+@pytest.mark.parametrize(
+    "call,name,limit,value,message",
+    [
+        (lambda: mt.min_weight_generators(ghz_state(21)), "group_table", 20, 21, "group enumeration capped at n <= 20, got n = 21"),
+        (lambda: mt.weight_vector_oracle(ghz_state(15), 1), "oracle", 14, 15, "rank-sweep oracle capped at n <= 14, got n = 15"),
+        (lambda: mt.correlation_strength_w(ds.ghz(8), range(8), 4), "pauli_enum_w", 3, 4, "pauli-enum supports w <= 3, got w = 4"),
+        (lambda: mt.correlation_range_w(ds.ghz(13), 2, 0.1), "subset_scan", 12, 13, "subset scan capped at n <= 12, got n = 13"),
+        (lambda: ds.make_state("ghz", 17), "dense", 16, 17, "dense simulation of 17 qubits exceeds the cap of 16 (set ADAPTSTAB_MAX_QUBITS to override)"),
+        (lambda: random_stabilizer_state(65, seed=0), "random_state", 64, 65, "random_stabilizer_state supports n <= 64, got n = 65"),
+    ],
+    ids=["group_table", "oracle", "pauli_enum_w", "subset_scan", "dense", "random_state"],
+)
+def test_resource_guards_name_their_cap(monkeypatch, call, name, limit, value, message):
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    with pytest.raises(ResourceGuardError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert (info.value.name, info.value.limit, info.value.value) == (name, limit, value)
 
 
 def test_correlation_range_w():

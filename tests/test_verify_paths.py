@@ -15,7 +15,8 @@ compares every target generator in one plane pass; the per-generator
 ``sign_form`` loop it replaced is kept as an oracle, and the work the whole
 check does is counted.  ``verify_preparation`` reads its seeded trials off the
 symbolic pass; its reports and errors must match byte for byte those of
-``helpers_circuit.reference_verify``, which simulates each trial.
+``helpers_circuit.reference_verify``, which simulates each trial, and it
+draws no trial's outcomes when the pass finds every branch right.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from adaptstab.circuit import (
     simulate_symbolic,
     validate,
 )
+from adaptstab.cli import main
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import PauliOperator, _bits, parse_pauli
 from adaptstab.prep import StabilizerCode, build_code, builtin_code, prepare_state, verify_preparation
@@ -608,6 +610,91 @@ def test_seeded_trials_match_reference_on_errors():
     c = AdaptiveCircuit(2, 1, [[Measure(0, 0)], [Measure(0, 0)]])
     seen = check_against_reference(c, [zero_state(1)], trials_set=(0, 3))
     assert set(seen[:1] + seen[2:]) == {(ValueError, "layer 1: qubit 0 measured a second time")}
+
+
+# -- no outcome draws when every branch matches ---------------------------------------
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts of ``np.random.default_rng`` calls."""
+    counts = {"rngs": 0}
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        counts["rngs"] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return counts
+
+
+def first_failing_seed(circuit, target, trials):
+    """The first seed whose simulated branch ends off the target, or None."""
+    return next((s for s in range(trials) if not states_equal(simulate(circuit, seed=s)[0], target)), None)
+
+
+def test_matching_circuit_draws_no_outcomes(draws):
+    for circ, target in (TRIAL_CIRCUITS["ghz(16)"](), TRIAL_CIRCUITS["toric(3)"]()):
+        for also_exhaustive in (True, False):
+            report = verify_preparation(circ, target, trials=20, also_exhaustive=also_exhaustive)
+            assert report["all_match"] is True and report["random_trials"] == 20
+    assert draws["rngs"] == 0
+
+
+def test_broken_circuit_draws_one_generator_per_seed_to_the_first_failure(draws):
+    circ, target = ghz_adaptive(16, 2, 2), ghz_state(16)
+    firsts = [first_failing_seed(broken, target, 20) for broken in without_one_correction(circ)]
+    assert None not in firsts and max(firsts) > 0
+    for broken, first in zip(without_one_correction(circ), firsts):
+        draws["rngs"] = 0
+        report = verify_preparation(broken, target, trials=20)
+        assert report["all_match"] is False and report["branches"] is None
+        assert draws["rngs"] == first + 1
+
+
+def rare_wrong_branch():
+    """Data qubit 0 is flipped when ancilla outcomes 1 and 2 differ; seeds
+    0-4 draw them equal, seed 5 first draws them apart."""
+    c = AdaptiveCircuit(4, 3)
+    c.add_layer([Gate("H", (q,)) for q in (1, 2, 3)])
+    c.add_layer([Measure(q, q - 1) for q in (1, 2, 3)])
+    c.add_layer([Gate("X", (0,), cond=Condition((1, 2), 1))])
+    return c, zero_state(1)
+
+
+def test_wrong_branch_the_first_trials_miss_matches_reference(draws):
+    circ, target = rare_wrong_branch()
+    assert first_failing_seed(circ, target, 20) == 5
+    draws["rngs"] = 0
+    report = verify_preparation(circ, target, trials=5)
+    assert draws["rngs"] == 5  # every trial drew, and none failed
+    assert report["all_match"] is False and report["branches"] == 8
+    tab, _ = simulate(circ, forced=report["counterexample"])
+    assert not states_equal(tab, target)
+    seen = check_against_reference(circ, [target], trials_set=(0, 1, 5, 6, 20))
+    # Trials 0-4 miss the wrong branch, which the exhaustive verdict finds; trial 5 hits it.
+    missed, hit = [(False, 8), (True, None)], [(False, None)] * 2
+    assert [(r["all_match"], r["branches"]) for r in seen] == [(False, 8), (None, None), *missed, *missed, *hit, *hit]
+
+
+def test_ghz_demo_with_a_million_trials_draws_nothing(capsys, draws):
+    code = main(["ghz-demo", "--n", "16", "--a", "2", "--k", "2", "--trials", "1000000", "--seed", "0"])
+    verify = json.loads(capsys.readouterr().out)["results"]["verify"]
+    assert code == 0 and verify["all_match"] is True and verify["random_trials"] == 1000000
+    assert draws["rngs"] == 0
+
+
+def test_negative_trial_count_is_refused_before_any_work(monkeypatch):
+    def refuse(*_a, **_k):
+        raise AssertionError("simulated a negative trial count")
+
+    monkeypatch.setattr(prep, "simulate", refuse)
+    monkeypatch.setattr(prep, "simulate_symbolic", refuse)
+    monkeypatch.setattr(prep, "ancilla_count", refuse)
+    for also_exhaustive in (True, False):
+        with pytest.raises(ValueError, match="^trials must be >= 0, got -3$"):
+            verify_preparation(ghz_adaptive(8, 2, 2), ghz_state(8), trials=-3, also_exhaustive=also_exhaustive)
 
 
 # -- code validation on planes -----------------------------------------------------------
