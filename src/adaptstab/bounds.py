@@ -20,6 +20,7 @@ from .circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, validate
 from .densesim import dicke_correlation_formula, make_state
 from .errors import ResourceGuardError
 from .metrics import WeightVector, _min_weight_picks, global_correlation
+from .pauli import _transpose
 from .tableau import StabilizerTableau, _split_name
 
 __all__ = [
@@ -172,8 +173,10 @@ def weight_checks(
     try:
         vector = _min_weight_picks(target)[1]
         wt_s = vector[0]
-    except ResourceGuardError:
-        vector, wt_s = None, max(g.weight() for g in target.generators)
+    except ResourceGuardError:  # one transpose of the support planes, no row views
+        n = target.n
+        support = _transpose([(x | z) & ((1 << n) - 1) for x, z in zip(target.xs, target.zs)], n)
+        vector, wt_s = None, max(s.bit_count() for s in support)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         records = [check(profile, wt_s) for check in checks]

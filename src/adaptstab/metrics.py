@@ -502,8 +502,14 @@ def _max_clique(adj: list[int], n: int) -> int:
     return best
 
 
+def _check_threshold(value: float) -> None:
+    if not value >= 0:  # NaN too; inf is a threshold no pair exceeds
+        raise ValueError(f"correlation threshold must be >= 0, got {value}")
+
+
 def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
-    """Largest region where every qubit pair shows a Pauli correlation > tol."""
+    """Largest region where every qubit pair shows a Pauli correlation > tol >= 0."""
+    _check_threshold(tol)
     n = s.n
     if n < 2:
         return 1
@@ -528,6 +534,7 @@ def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
     ``correlation_strength_w``); A qualifies when none of its pairs is <= delta.
     At w = 1 that is a clique of the qubit-pair graph, so
     ``pauli_correlation_range`` answers it; only w >= 2 scans subsets."""
+    _check_threshold(delta)
     if w == 1:
         return pauli_correlation_range(s, delta)
     n = s.n

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,7 +59,11 @@ def _transpose(vectors: Sequence[int], width: int) -> list[int]:
 
     Vectors are unpacked, transposed and packed again 256 at a time, so only
     one block is ever held one byte per bit: that keeps each block in cache
-    and the memory near the packed size at large sizes."""
+    and the memory near the packed size at large sizes.  Each output row is
+    read off the packed ``(width, k)`` result as one bytes object through an
+    ``S{k}`` view, whose dropped trailing NULs are high-order zeros of a
+    little-endian int; 256 rows at a time, so a block's bytes are still in
+    cache when ``int.from_bytes`` reads them."""
     if not vectors or not width:
         return [0] * width
     nbytes, k = (width + 7) // 8, (len(vectors) + 7) // 8
@@ -67,8 +72,10 @@ def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     for i in range(0, len(vectors), 256):
         bits = np.unpackbits(rows[i : i + 256], axis=1, count=width, bitorder="little")
         packed[:, i // 8 : i // 8 + (len(bits) + 7) // 8] = np.packbits(bits.T.copy(), axis=1, bitorder="little")
-    data = packed.tobytes()
-    return [int.from_bytes(data[j * k : (j + 1) * k], "little") for j in range(width)]
+    block, out = packed.view(f"S{k}").ravel(), []
+    for j in range(0, width, 256):
+        out += map(int.from_bytes, block[j : j + 256].tolist(), repeat("little"))
+    return out
 
 
 class PauliOperator:

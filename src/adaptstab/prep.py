@@ -101,10 +101,10 @@ class StabilizerCode:
                 raise ValueError(f"check {format_pauli(c)} acts on {c.n} qubits, code has {self.n}")
             if not c.hermitian or c.display_sign != 1:
                 raise ValueError(f"check {format_pauli(c)} must be hermitian with sign +1")
-        xs = _transpose([c.x for c in self.checks], self.n)
-        zs = _transpose([c.z for c in self.checks], self.n)
-        _raise_anticommuting(self.checks, _anticommuting_masks(xs, zs, xs, zs, len(self.checks)), "checks")
         rows = [c.symplectic_row() for c in self.checks]
+        planes = _transpose(rows, 2 * self.n)
+        xs, zs = planes[: self.n], planes[self.n :]
+        _raise_anticommuting(self.checks, _anticommuting_masks(xs, zs, xs, zs, len(self.checks)), "checks")
         r = gf2_rank(rows)
         if r != len(self.checks):
             raise ValueError(f"checks are dependent: symplectic rank {r} < {len(self.checks)}")

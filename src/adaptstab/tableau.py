@@ -19,16 +19,18 @@ outcome multiplies only the anticommuting rows by the pivot.  A run of Z
 measurements (``_measure_z_run``) transposes once each way and keeps
 current only the X columns still to measure.  ``generators`` and
 ``destabilizers`` are read-only tuples of :class:`PauliOperator`, built on
-demand by one transpose and cached until the next in-place change.
-``factor_out_qubits`` removes any set of measured qubits in one pass: one
-transpose to rows, row products on the selected rows only, one transpose
-back.  ``from_stabilizers`` reads every destabilizer from one GF(2)
-elimination and one highest-bit pass over the generators.  ``states_equal``
-and ``validate_tableau`` compare a whole generator set in one pass over the
-column planes (``_match_products``): O(weight) big-int operations,
-bit-parallel over the generators, one transpose, and no row views;
-``validate_tableau`` builds the views only to name a failure.
-``is_stabilized_by`` is the same plane pass on one Pauli, ``_stabilized`` on a list.
+demand by one transpose (as the constructor reads its rows) and cached
+until the next in-place change.  ``factor_out_qubits`` removes any set of
+measured qubits in one pass: one transpose to rows, row products on the
+selected rows only, one transpose back.  ``from_stabilizers`` reads every
+destabilizer from one GF(2) elimination, one highest-bit pass over the
+generators and two transposes (generators to planes, solutions to rows).
+``states_equal`` compares a whole generator set in one pass over the column
+planes (``_match_products``): O(weight) big-int operations, bit-parallel
+over the generators, one transpose, and no row views; ``validate_tableau``
+reads its masks with none, and builds the views only to name a failure.
+``is_stabilized_by`` is the same plane pass on one Pauli, ``_stabilized`` on
+a list, with one more transpose to read the Paulis' planes.
 
 Gates mutate the tableau in place and also return it, so calls chain.
 Qubit indices are 0-based everywhere.
@@ -94,8 +96,8 @@ class StabilizerTableau:
         if any(r.n != n for r in rows):
             raise ValueError(f"every row must act on n={n} qubits")
         self.n = n
-        self.xs = _transpose([r.x for r in rows], n)
-        self.zs = _transpose([r.z for r in rows], n)
+        planes = _transpose([r.x | r.z << n for r in rows], 2 * n)
+        self.xs, self.zs = planes[:n], planes[n:]
         self.e0 = sum((r.e & 1) << i for i, r in enumerate(rows))
         self.e1 = sum((r.e >> 1) << i for i, r in enumerate(rows))
         self._rows = None
@@ -108,12 +110,11 @@ class StabilizerTableau:
 
     def _row_views(self) -> tuple[tuple[PauliOperator, ...], tuple[PauliOperator, ...]]:
         if self._rows is None:
-            n = self.n
-            xr, zr = _transpose(self.xs, 2 * n), _transpose(self.zs, 2 * n)
+            n, low = self.n, (1 << self.n) - 1
             e0, e1 = self.e0, self.e1
             rows = [
-                PauliOperator.from_exponent(n, x, z, (e0 >> i & 1) | (e1 >> i & 1) << 1)
-                for i, (x, z) in enumerate(zip(xr, zr))
+                PauliOperator.from_exponent(n, r & low, r >> n, (e0 >> i & 1) | (e1 >> i & 1) << 1)
+                for i, r in enumerate(_transpose([*self.xs, *self.zs], 2 * n))
             ]
             self._rows = (tuple(rows[:n]), tuple(rows[n:]))
         return self._rows
@@ -403,8 +404,8 @@ def _stabilized(t: StabilizerTableau, ops: Sequence[PauliOperator]) -> tuple[int
     if any(p.n != t.n for p in ops):
         raise ValueError("dimension mismatch")
     e0, e1 = (sum((p.e >> b & 1) << i for i, p in enumerate(ops)) for b in (0, 1))
-    planes = _transpose([p.x for p in ops], t.n), _transpose([p.z for p in ops], t.n)
-    _, unmatched, flipped = _match_products(t, *planes, e0, e1, len(ops))
+    planes = _transpose([p.x | p.z << t.n for p in ops], 2 * t.n)
+    _, unmatched, flipped = _match_products(t, planes[: t.n], planes[t.n :], e0, e1, len(ops))
     wrong = unmatched | flipped
     if not all(p.hermitian for p in ops[: (wrong & -wrong).bit_length() or None]):
         raise ValueError("is_stabilized_by expects a hermitian Pauli")
@@ -567,16 +568,16 @@ def _from_stabilizers(gens: Sequence[PauliOperator]) -> tuple[StabilizerTableau,
     column c of the solution over the generators alone (``M x = e_j`` before
     any destabilizer joins), free columns zero.
 
-    Every x_j starts as that solution (``GF2Elimination.columns``, then one
-    transpose).  When destabilizer i joins with new pivot column p, each
-    later x_j that meets its row takes the null vector of M at column p (1 on
-    p, 0 on the other free columns).  The x_j it meets are the generators in
-    the tag of its reduced row: x_j meets each input row as ``e_j`` says and
-    is zero on the free columns where the reduced row lies.  The vectors
-    meeting no generator and no destabilizer before i are the span of
-    generators i..n-1, whose free columns are its highest bits, so the null
-    vectors come from reducing each generator by those after it, highest
-    bit first.
+    Every x_j starts as that solution, in planes (``GF2Elimination.columns``)
+    and rows (one transpose).  When destabilizer i joins with new pivot
+    column p, each later x_j that meets its row takes the null vector of M at
+    column p (1 on p, 0 on the other free columns), in both.  The x_j it meets
+    are the generators in the tag of its reduced row: x_j meets each input
+    row as ``e_j`` says and is zero on the free columns where the reduced row
+    lies.  The vectors meeting no generator and no destabilizer before i are
+    the span of generators i..n-1, whose free columns are its highest bits,
+    so the null vectors come from reducing each generator by those after it,
+    highest bit first.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -595,23 +596,27 @@ def _from_stabilizers(gens: Sequence[PauliOperator]) -> tuple[StabilizerTableau,
     elim = GF2Elimination(2 * n, (w.z | (w.x << n) for w in gens))
     if elim.dependencies:
         raise ValueError("generators are dependent")
-    xs, zs = _transpose([g.x for g in gens], n), _transpose([g.z for g in gens], n)
+    rows = [g.x | g.z << n for g in gens]
+    planes = _transpose(rows, 2 * n)
+    xs, zs = planes[:n], planes[n:]
     _raise_anticommuting(gens, _anticommuting_masks(xs, zs, xs, zs, n), "generators")
     low = (1 << n) - 1
     columns = elim.columns(low)
-    sols = _transpose(columns, n)
+    sols, ds = _transpose(columns, n), list(columns)  # the x_j as rows and as planes
     nulls, basis, tops = [0] * n, {}, 0
     for i in reversed(range(n)):
-        u = gens[i].x | gens[i].z << n
+        u = rows[i]
         while hits := u & tops:
             u ^= basis[hits.bit_length() - 1]
         basis[u.bit_length() - 1] = nulls[i] = u
         tops |= 1 << (u.bit_length() - 1)
     for i in range(n - 1):
         v = sols[i]
-        for j in _bits(elim.add(v >> n | (v & low) << n) & low & -2 << i):
+        tag = elim.add(v >> n | (v & low) << n) & low & -2 << i
+        for j in _bits(tag):
             sols[j] ^= nulls[i]
-    ds = _transpose(sols, 2 * n)  # destabilizer planes, each with display sign +1
+        for c in _bits(nulls[i]):
+            ds[c] ^= tag
     es = [g.e for g in gens] + [(v & v >> n & low).bit_count() & 3 for v in sols]
     e0, e1 = (sum((e >> b & 1) << i for i, e in enumerate(es)) for b in (0, 1))
     xs, zs = [a | b << n for a, b in zip(xs, ds)], [a | b << n for a, b in zip(zs, ds[n:])]

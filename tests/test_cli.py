@@ -406,6 +406,21 @@ def test_crange_with_delta_runs_above_the_subset_scan_cap(capsys):
     assert report["results"]["crange"] == 14 and report["results"]["delta"] == 0.1
 
 
+@pytest.mark.parametrize("delta,shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_crange_negative_or_nan_delta_exits_1(capsys, delta, shown):
+    # A product state has range 1; no threshold below 0 or NaN reads it as 4.
+    code, report, err = run(capsys, "crange", "zero:4", "--delta", delta)
+    message = f"correlation threshold must be >= 0, got {shown}"
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": message}
+    assert f"error: {message}" in err
+
+
+def test_crange_infinite_delta_gives_1(capsys):
+    code, report, _ = run(capsys, "crange", "ghz:6", "--delta", "inf")
+    assert code == 0 and report["results"]["crange"] == 1
+
+
 def test_crange_guard_exits_3(capsys):
     code, _, err = run(capsys, "crange", "w:20")
     assert code == 3

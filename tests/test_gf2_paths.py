@@ -1,5 +1,6 @@
 """Row-operation factor-out and single-elimination GF(2) paths against the
-per-solve code they replaced, plus counts of GF(2) eliminations.
+per-solve code they replaced, plus counts of GF(2) eliminations and of bit
+transposes.
 
 The oracles below are the earlier implementations: a fresh augmented
 elimination per right-hand side, destabilizers completed one solve at a
@@ -27,8 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptstab import bounds as bd
 from adaptstab import circuit as ci
+from adaptstab import pauli as pa
 from adaptstab import prep
+from adaptstab import tableau as tb
 from adaptstab.circuit import Condition, Gate
 from adaptstab.errors import ContradictionError
 from adaptstab.pauli import GF2Elimination, PauliOperator, _transpose, from_bits, gf2_rank, single_site
@@ -771,13 +775,39 @@ def test_prepare_state_eliminates_each_matrix_once(eliminations):
 # -- bit transpose --------------------------------------------------------------
 
 
+def _vector(rng, width, kind):
+    """A random vector, one whose high or low half is zero, or zero."""
+    half = width // 2
+    if kind == "high-zero":
+        return rng.getrandbits(half)
+    if kind == "low-zero":
+        return rng.getrandbits(width - half) << half
+    return rng.getrandbits(width) if kind == "random" else 0
+
+
+# Besides random matrices: vectors whose high bytes are zero (output rows,
+# and round-trip rows, that end in zero bytes, which the bytes view drops),
+# vectors whose low bytes are zero (round-trip rows that start with them),
+# all-zero vectors, output widths at the 256-row conversion block, and one
+# output byte per row (at most 8 vectors) next to more than 128.
+_TRANSPOSE_CASES = [
+    *((count, width, "random") for count, width in [(0, 0), (0, 5), (3, 0), (1, 1), (8, 8), (5, 13), (46, 23)]),
+    *((count, width, "random") for count, width in [(255, 9), (256, 64), (257, 3), (600, 77), (1030, 260)]),
+    (300, 64, "high-zero"), (300, 64, "low-zero"), (1100, 40, "high-zero"), (1100, 40, "low-zero"),
+    (12, 40, "zero"), (1100, 300, "zero"),
+    (40, 255, "random"), (40, 256, "random"), (40, 257, "random"), (40, 513, "random"), (3, 513, "high-zero"),
+    (1, 257, "random"), (8, 257, "random"), (8, 513, "low-zero"), (1100, 257, "random"), (1100, 513, "random"),
+]
+
+
 @pytest.mark.parametrize(
-    "count,width",
-    [(0, 0), (0, 5), (3, 0), (1, 1), (8, 8), (5, 13), (46, 23), (255, 9), (256, 64), (257, 3), (600, 77), (1030, 260)],
+    "count,width,kind",
+    _TRANSPOSE_CASES,
+    ids=[f"{c}-{w}" if kind == "random" else f"{c}-{w}-{kind}" for c, w, kind in _TRANSPOSE_CASES],
 )
-def test_transpose_matches_unblocked_transpose(count, width):
+def test_transpose_matches_unblocked_transpose(count, width, kind):
     rng = random.Random(count * 1000 + width)
-    vectors = [rng.getrandbits(width) if width else 0 for _ in range(count)]
+    vectors = [_vector(rng, width, kind) for _ in range(count)]
     got = _transpose(vectors, width)
     assert got == unblocked_transpose(vectors, width)
     assert _transpose(got, count) == vectors
@@ -788,3 +818,82 @@ def test_transpose_matches_unblocked_transpose(count, width):
 def test_transpose_matches_unblocked_transpose_property(case):
     width, vectors = case
     assert _transpose(vectors, width) == unblocked_transpose(vectors, width)
+
+
+# -- complexity: bit transposes counted -----------------------------------------
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    calls = []
+
+    def counting(vectors, width):
+        calls.append((len(vectors), width))
+        return _transpose(vectors, width)
+
+    for module in (pa, tb, prep, bd):
+        monkeypatch.setattr(module, "_transpose", counting)
+    return calls
+
+
+def test_from_stabilizers_makes_two_transposes(transposes):
+    # One turns the generators' x | z << n rows into planes, one the
+    # solutions' columns into rows; the destabilizer planes are kept current
+    # as the chain runs, so none is read back.
+    n = 40
+    cases = [[PauliOperator(n, (1 << n) - 1, 0)] + [PauliOperator(n, 0, 3 << i) for i in range(n - 1)]]
+    cases += [list(random_stabilizer_state(m, seed).generators) for m, seed in ((1, 0), (12, 5), (33, 7))]
+    for gens in cases:
+        transposes.clear()
+        t = from_stabilizers(gens)
+        assert len(transposes) == 2, len(gens)
+        assert to_json(t) == to_json(per_row_from_stabilizers(gens))
+
+
+def test_row_views_make_one_transpose(transposes):
+    t = random_stabilizer_state(20, 3)
+    assert transposes == []  # gates only
+    t.generators, t.destabilizers
+    assert transposes == [(40, 40)]
+
+
+def test_stabilized_makes_two_transposes(transposes):
+    # One reads the Paulis' x | z << n rows into planes, one the picks of
+    # _match_products.
+    t = random_stabilizer_state(16, 4)
+    ops = [*t.generators, *t.destabilizers]
+    transposes.clear()
+    destabilizers = ((1 << 16) - 1) << 16  # no destabilizer is in the group
+    assert tb._stabilized(t, ops) == (destabilizers, destabilizers)
+    assert len(transposes) == 2
+    transposes.clear()
+    assert is_stabilized_by(t, ops[3]) == 1
+    assert len(transposes) == 2
+
+
+def test_stabilizer_code_makes_one_transpose(transposes):
+    code = builtin_code("toric(3)")
+    transposes.clear()
+    assert prep.StabilizerCode(code.n, code.checks, code.name) == code
+    assert transposes == [(code.t, 2 * code.n)]
+
+
+def test_stabilizer_tableau_constructor_makes_one_transpose(transposes):
+    t = random_stabilizer_state(12, 9)
+    gens, destabs = t.generators, t.destabilizers
+    transposes.clear()
+    built = StabilizerTableau(12, gens, destabs)
+    assert transposes == [(24, 24)]
+    assert (built.xs, built.zs, built.e0, built.e1) == (t.xs, t.zs, t.e0, t.e1)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: tb.ghz_state(24), lambda: random_stabilizer_state(24, 11)], ids=["ghz24", "random24"]
+)
+def test_weight_checks_above_the_cap_makes_one_transpose_and_no_rows(transposes, make):
+    target = make()
+    transposes.clear()
+    read = [lambda profile, wt: {"satisfied": True, "wt": wt}]
+    vector, records = bd.weight_checks(bd.ResourceProfile(n=24, m=24, K=2, L=1), target, read)
+    assert vector is None and len(transposes) == 1 and target._rows is None
+    assert records[0]["wt"] == max(g.weight() for g in target.generators)

@@ -240,6 +240,25 @@ def test_correlation_range_w():
     assert mt.correlation_range_w(w8, 1, 0.2) <= mt.correlation_range_w(w8, 2, 0.2)
 
 
+@pytest.mark.parametrize("bad,shown", [(-1.0, "-1.0"), (-1e-12, "-1e-12"), (float("nan"), "nan")])
+def test_correlation_ranges_reject_a_negative_or_nan_threshold(bad, shown):
+    message = f"^correlation threshold must be >= 0, got {re.escape(shown)}$"
+    for s in (ds.basis_state("0"), ds.basis_state("0000"), ds.ghz(6)):
+        with pytest.raises(ValueError, match=message):
+            mt.pauli_correlation_range(s, bad)
+        for w in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                mt.correlation_range_w(s, w, bad)
+
+
+def test_correlation_ranges_take_an_infinite_threshold():
+    # No pair value exceeds inf, so every state reads as range 1.
+    inf = float("inf")
+    assert mt.pauli_correlation_range(ds.ghz(6), inf) == 1
+    assert mt.correlation_range_w(ds.ghz(6), 1, inf) == mt.correlation_range_w(ds.w_state(6), 2, inf) == 1
+    assert mt.pauli_correlation_range(ds.basis_state("0000"), 0.0) == 1
+
+
 def test_anti_shallowness_lower():
     for n in (3, 6):
         assert mt.anti_shallowness_lower(ds.ghz(n)) == pytest.approx(

@@ -712,11 +712,16 @@ _STABILIZER_CASES = [(n, 4099 * n + 17) for n in range(2, 9)]
 )
 def test_w1_range_matches_subset_scan_at_every_pair_value(make):
     # Each distinct pair value and one ulp either side, so each pair is read
-    # at the `not v > delta` boundary.
+    # at the `not v > delta` boundary.  One ulp below a pair value of 0 is
+    # negative, which is no threshold: it raises.
     s = make()
     assert not mt._symmetric(s)
     for delta in _boundary_deltas(_pair_values(s)):
-        assert mt.correlation_range_w(s, 1, delta) == old_correlation_range_w(s, 1, delta), delta
+        if delta < 0:
+            with pytest.raises(ValueError, match="^correlation threshold must be >= 0, got -5e-324$"):
+                mt.correlation_range_w(s, 1, delta)
+        else:
+            assert mt.correlation_range_w(s, 1, delta) == old_correlation_range_w(s, 1, delta), delta
 
 
 @pytest.mark.parametrize(
