@@ -91,14 +91,6 @@ class ResourceProfile:
         return cls(n=n_target, m=c.m, K=K, L=depth(c), geometry=geometry or Geometry.all_to_all())
 
 
-def _weight_value(wt_or_wts) -> int:
-    if isinstance(wt_or_wts, WeightVector):
-        return wt_or_wts.entries[0]
-    if isinstance(wt_or_wts, (list, tuple)):
-        return max(wt_or_wts)
-    return int(wt_or_wts)
-
-
 def _record(check: str, lhs: float, rhs: float, profile: ResourceProfile) -> dict:
     return {
         "check": check,
@@ -109,8 +101,8 @@ def _record(check: str, lhs: float, rhs: float, profile: ResourceProfile) -> dic
     }
 
 
-def check_nonadaptive(profile: ResourceProfile, wt_or_wts) -> dict:
-    """Lightcone bound for measurement-free circuits: g(K, L) >= wt.
+def check_nonadaptive(profile: ResourceProfile, wt_s: int) -> dict:
+    """Lightcone bound for measurement-free circuits: g(K, L) >= wt_s.
 
     A depth-L non-adaptive circuit maps any single-site operator into the
     lightcone of one qubit, so no stabilizer generator of the output state
@@ -119,11 +111,11 @@ def check_nonadaptive(profile: ResourceProfile, wt_or_wts) -> dict:
     if profile.n_a != 0:
         raise ValueError("non-adaptive check applies only to profiles without measurements (n_a = 0)")
     lhs = g_value(profile.K, profile.L, profile.geometry)
-    return _record("nonadaptive", lhs, _weight_value(wt_or_wts), profile)
+    return _record("nonadaptive", lhs, wt_s, profile)
 
 
-def check_adaptive_weight(profile: ResourceProfile, wt) -> dict:
-    """Ancilla/depth trade-off: (n_a + 1) * g(K, 2L-1) >= wt.
+def check_adaptive_weight(profile: ResourceProfile, wt_s: int) -> dict:
+    """Ancilla/depth trade-off: (n_a + 1) * g(K, 2L-1) >= wt_s.
 
     The record carries an advisory ``conjectured`` entry evaluating the
     sharper (n_a + 1) * g(K, L) form.  It is informational only and never
@@ -134,18 +126,17 @@ def check_adaptive_weight(profile: ResourceProfile, wt) -> dict:
             "check_adaptive_weight with n_a = 0 is loose; check_nonadaptive gives the tighter g(K, L) bound",
             stacklevel=2,
         )
-    rhs = _weight_value(wt)
     lhs = (profile.n_a + 1) * g_value(profile.K, max(0, 2 * profile.L - 1), profile.geometry)
-    rec = _record("adaptive_weight", lhs, rhs, profile)
+    rec = _record("adaptive_weight", lhs, wt_s, profile)
     lhs_c = (profile.n_a + 1) * g_value(profile.K, profile.L, profile.geometry)
-    rec["conjectured"] = {"lhs": lhs_c, "rhs": rhs, "satisfied": bool(lhs_c >= rhs)}
+    rec["conjectured"] = {"lhs": lhs_c, "rhs": wt_s, "satisfied": bool(lhs_c >= wt_s)}
     return rec
 
 
 def check_clifford_adaptive(profile: ResourceProfile, wt_s: int) -> dict:
     """Clifford-circuit form of the trade-off: (n_a + 1) * K^L >= wt_s."""
     lhs = (profile.n_a + 1) * profile.K**profile.L
-    return _record("clifford_adaptive", lhs, int(wt_s), profile)
+    return _record("clifford_adaptive", lhs, wt_s, profile)
 
 
 def check_correlation(profile: ResourceProfile, w: int, cr_w: float) -> dict:

@@ -271,6 +271,8 @@ def _cmd_cor(args) -> tuple:
 
 
 def _cmd_crange(args) -> tuple:
+    if args.delta == float("inf"):  # the report would carry Infinity, which is not JSON
+        raise ValueError(f"--delta must be finite, got {args.delta}")
     s = _load_state(args.family, "dense")[0]
     value = pauli_correlation_range(s, 1e-9 if args.delta is None else args.delta)
     results = {"family": args.family, "n": s.n, "delta": args.delta, "crange": value}

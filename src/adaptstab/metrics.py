@@ -19,29 +19,19 @@ states and ships two estimators for the operator-norm maximization:
 Both are lower bounds on the true supremum over norm-1 observables; reports
 carry the method label.  All anti-shallowness logarithms are base 2.
 
-Correlation strength runs one batch per first subset a1, over all its
-partners a2 in enumeration order, so a batch holds at most C(|A| - w, w)
-pairs and memory is bounded without a block-size constant.  A batch costs
-one 2w-qubit RDM per pair (each w-subset's marginal is computed once per
-call).  Pauli tables and, for ``alternating-sign``, the ascent (restarts + 1
-rows per tensor) run once per distinct connected tensor not seen in the
-previous batch: pairs whose tensors are byte-identical share one result.
-The Pauli tables are exact gathers: each Pauli matrix has one nonzero entry
-per row, so a table entry sums 4^w phased tensor entries in a fixed order,
-bit-identical to the contraction with the Pauli matrices.
-
-A permutation-symmetric state is found exactly: its amplitude tensor is
-bitwise equal to itself with any two adjacent qubits swapped.  Every subset
-pair's transposed amplitude matrix is then byte-identical, and so are its
-tensor, Pauli table and ascent.  On such a state ``correlation_strength_w``
-builds pair 0 only (two marginals, one tensor), ``pauli_correlation_range``
-reads the pair (0, 1) and ``correlation_range_w`` at w >= 2 one full-region
-value; the ranges are n or 1.
-
-At w = 1 a region's Cor exceeds delta exactly when each of its qubit pairs
-does, so the range is the largest clique of that pair graph, found by
-``pauli_correlation_range`` for both range functions under the dense state's
-own cap.  Only w >= 2 scans regions, capped at n <= 12.
+Every correlation metric reads its subset pairs off one private pass,
+``_pair_pass``, in batches: one per first subset a1 over all its partners
+a2 in enumeration order (the w = 1 range hands it all qubit pairs as one),
+so memory is bounded without a block-size constant.  A batch costs one
+2w-qubit RDM per pair (each w-subset's marginal once per call); Pauli
+tables (exact gathers, bit-identical to the contraction with the Pauli
+matrices) and, for ``alternating-sign``, the ascent run once per distinct
+connected tensor not seen in the previous batch.  A permutation-symmetric
+state, found exactly once per public call (its amplitude tensor is bitwise
+unchanged by every adjacent qubit swap), has one tensor for every pair: the
+pass builds pair 0 only, and both ranges are n or 1.  Otherwise the w = 1
+range is the largest clique of the graph of pairs above delta, and only
+w >= 2 scans regions, capped at n <= 12.
 """
 
 from __future__ import annotations
@@ -393,49 +383,21 @@ def _batches(region: tuple[int, ...], w: int):
             yield pairs
 
 
-def correlation_strength_w(
-    s: StateVector,
-    region: Sequence[int],
-    w: int,
-    method: str = "pauli-enum",
-    restarts: int = 8,
-    seed: int = 0,
-) -> CorrelationReport:
-    """min over disjoint size-w subset pairs of the per-pair max |Cor|.
-
-    One batch per first subset a1: its pairs are every later-or-equal a2 in
-    enumeration order, so a batch holds at most C(|region| - w, w) pairs.
-    The report is the first strict minimum in enumeration order.  On a
-    permutation-symmetric state every pair's tensor is pair 0's byte for
-    byte, so the one batch is pair 0 = (region[:w], region[w:2w])."""
-    region = tuple(sorted(set(region)))
-    bad = [q for q in region if not 0 <= q < s.n]
-    if bad:
-        raise ValueError(f"region qubit {bad[0]} outside 0..{s.n - 1}")
-    if w < 1:
-        raise ValueError("need w >= 1")
-    if len(region) < 2 * w:
-        raise ValueError("region cannot hold two disjoint size-w subsets")
-    if method == "pauli-enum" and w > 3:
-        raise ResourceGuardError(f"pauli-enum supports w <= 3, got w = {w}", name="pauli_enum_w", limit=3, value=w)
-    if method not in ("pauli-enum", "alternating-sign"):
-        raise ValueError(f"unknown method {method!r}")
-    names = _pauli_stack(w)[0]
-    if _symmetric(s):
+def _pair_pass(s, region, w, symmetric, method="pauli-enum", restarts=8, seed=0, batches=None):
+    """Yield each batch of disjoint size-w subset pairs of ``region``
+    (``_batches`` unless the caller hands others) with each pair's
+    ``(value, a, b)``: its max |Cor| by ``method`` and its Pauli maximizer's
+    string indices.  A ``symmetric`` state's one batch is pair 0 =
+    (region[:w], region[w:2w]).  Results are kept per distinct tensor, keyed
+    by its bytes, for the current batch and the one before it.  Reuse is
+    exact: the ascent draws its random starts once per call from ``seed``
+    and each stack row evolves independently of the others."""
+    if symmetric:
         first = (region[:w], region[w : 2 * w])
         batches, subsets = [[first]], first
     else:
-        batches, subsets = _batches(region, w), combinations(region, w)
+        batches, subsets = batches or _batches(region, w), combinations(region, w)
     marginals = {a: _rdm(s, a) for a in subsets}
-    best: CorrelationReport | None = None
-    # (value, a, b) per distinct connected tensor, keyed by its raw bytes, for
-    # the current batch and the one before it.  Reuse is exact: the ascent
-    # draws its random starts once per call from ``seed`` and each stack row
-    # evolves independently of the others, so a tensor's result does not
-    # depend on which other tensors share its stack.  The symmetry check
-    # catches only states whose every pair agrees; the memo still merges the
-    # repeated tensors of asymmetric states (the Steane code state has 10
-    # distinct tensors over its 105 pairs at w = 2).
     seen: dict[bytes, tuple[float, int, int]] = {}
     for pairs in batches:
         delta = _connected(s, pairs, marginals)
@@ -446,18 +408,51 @@ def correlation_strength_w(
             sub = delta[list(fresh.values())]
             table = np.abs(_pauli_tables(sub, w)).reshape(len(sub), -1)
             flat = table.argmax(axis=1)
-            ai, bi = np.divmod(flat, len(names))
+            ai, bi = np.divmod(flat, 4**w)
             if method == "pauli-enum":
                 values = table[np.arange(len(sub)), flat]
             else:
                 values = _alternating_values(sub, bi, w, restarts, seed)
             memo.update(zip(fresh, zip(values.tolist(), ai.tolist(), bi.tolist())))
         seen = memo
-        values = np.array([memo[k][0] for k in keys])
+        yield pairs, [memo[k] for k in keys]
+
+
+def _check_w(w: int, method: str = "pauli-enum") -> None:
+    if w < 1:
+        raise ValueError("need w >= 1")
+    if method == "pauli-enum" and w > 3:
+        raise ResourceGuardError(f"pauli-enum supports w <= 3, got w = {w}", name="pauli_enum_w", limit=3, value=w)
+
+
+def correlation_strength_w(
+    s: StateVector,
+    region: Sequence[int],
+    w: int,
+    method: str = "pauli-enum",
+    restarts: int = 8,
+    seed: int = 0,
+) -> CorrelationReport:
+    """min over disjoint size-w subset pairs of the per-pair max |Cor|: the
+    first strict minimum in enumeration order over the pairs of
+    ``_pair_pass``."""
+    region = tuple(sorted(set(region)))
+    bad = [q for q in region if not 0 <= q < s.n]
+    if bad:
+        raise ValueError(f"region qubit {bad[0]} outside 0..{s.n - 1}")
+    if len(region) < 2 * w:  # never for w < 1, so _check_w's errors keep their order
+        raise ValueError("region cannot hold two disjoint size-w subsets")
+    _check_w(w, method)
+    if method not in ("pauli-enum", "alternating-sign"):
+        raise ValueError(f"unknown method {method!r}")
+    names = _pauli_stack(w)[0]
+    best: CorrelationReport | None = None
+    for pairs, results in _pair_pass(s, region, w, _symmetric(s), method, restarts, seed):
+        values = np.array([v for v, _, _ in results])
         p = int(np.argmin(values))
         if best is None or values[p] < best.value:
             if method == "pauli-enum":
-                _, a, b = memo[keys[p]]
+                _, a, b = results[p]
                 o1, o2 = names[a], names[b]
             else:
                 o1 = o2 = "sign-operator"
@@ -509,49 +504,45 @@ def _check_threshold(value: float) -> None:
 
 def pauli_correlation_range(s: StateVector, tol: float = 1e-9) -> int:
     """Largest region where every qubit pair shows a Pauli correlation > tol >= 0."""
-    _check_threshold(tol)
-    n = s.n
-    if n < 2:
-        return 1
-    symmetric = _symmetric(s)
-    singles = [(q,) for q in range(2 if symmetric else n)]
-    pairs = list(combinations(singles, 2))
-    delta = _connected(s, pairs, {a: _rdm(s, a) for a in singles})
-    values = np.abs(_pauli_tables(delta, 1)).reshape(len(pairs), -1).max(axis=1)
-    if symmetric:  # every pair is correlated, or none is
-        return n if values[0] > tol else 1
-    adj = [0] * n
-    for ((i,), (j,)), val in zip(pairs, values):
-        if val > tol:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return max(1, _max_clique(adj, n))
+    return correlation_range_w(s, 1, tol)
 
 
 def correlation_range_w(s: StateVector, w: int, delta: float) -> int:
-    """Largest |A| with Cor^A_w > delta (>= 1 by convention).  A pair's value
-    does not depend on A, so each is evaluated once (as in
-    ``correlation_strength_w``); A qualifies when none of its pairs is <= delta.
-    At w = 1 that is a clique of the qubit-pair graph, so
-    ``pauli_correlation_range`` answers it; only w >= 2 scans subsets."""
+    """Largest |A| with Cor^A_w > delta >= 0 (>= 1 by convention).  A pair's
+    value does not depend on A, so ``_pair_pass`` reads each once; A
+    qualifies when none of its pairs is <= delta.  At w = 1 that is a clique
+    of the qubit-pair graph, under the dense state's own cap; only w >= 2
+    scans subsets, capped at n <= 12."""
     _check_threshold(delta)
-    if w == 1:
-        return pauli_correlation_range(s, delta)
     n = s.n
-    if n > 12:
+    if w != 1 and n > 12:
         raise ResourceGuardError(f"subset scan capped at n <= 12, got n = {n}", name="subset_scan", limit=12, value=n)
     if n < 2 * w:  # no region holds two disjoint size-w subsets
         return 1
-    if not 1 <= w <= 3 or _symmetric(s):  # raises on a bad w; else every region reads as the register
-        return n if correlation_strength_w(s, range(n), w).value > delta else 1
-    marginals = {a: _rdm(s, a) for a in combinations(range(n), w)}
-    weak = []  # qubit masks of the pairs reading <= delta
-    for pairs in _batches(tuple(range(n)), w):
-        table = np.abs(_pauli_tables(_connected(s, pairs, marginals), w)).reshape(len(pairs), -1)
-        weak += [sum(1 << q for q in a1 + a2) for (a1, a2), v in zip(pairs, table.max(axis=1)) if not v > delta]
+    _check_w(w)
+    symmetric = _symmetric(s)
+    region = tuple(range(n))
+    # All qubit pairs in one batch: at w = 1 a batch per first qubit costs
+    # more in per-batch work than it saves in memory.
+    batches = [list(combinations(combinations(region, 1), 2))] if w == 1 else None
+    values = [
+        (a1 + a2, v)
+        for pairs, results in _pair_pass(s, region, w, symmetric, batches=batches)
+        for (a1, a2), (v, _, _) in zip(pairs, results)
+    ]
+    if symmetric:  # every pair reads as pair 0
+        return n if values[0][1] > delta else 1
+    if w == 1:
+        adj = [0] * n
+        for (i, j), v in values:
+            if v > delta:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        return max(1, _max_clique(adj, n))
+    weak = [sum(1 << q for q in qubits) for qubits, v in values if not v > delta]
     for size in range(n, 2 * w - 1, -1):
-        for region in combinations(range(n), size):
-            inside = sum(1 << q for q in region)
+        for qubits in combinations(region, size):
+            inside = sum(1 << q for q in qubits)
             if all(m & ~inside for m in weak):
                 return size
     return 1

@@ -295,7 +295,7 @@ def _bound_checks(profile, target, errs, label):
     _, vector = min_weight_generators(target)
     recs = []
     if profile.n_a == 0:
-        recs.append(check_nonadaptive(profile, vector))
+        recs.append(check_nonadaptive(profile, vector[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         recs.append(check_adaptive_weight(profile, vector[0]))
@@ -343,7 +343,7 @@ def test_criterion_06_resource_bound_suite():
     # deliberately falsified profiles must be flagged
     vec8 = min_weight_generators(ghz_state(8))[1]
     falsified = [
-        check_nonadaptive(ResourceProfile(8, 8, 2, 2), vec8),
+        check_nonadaptive(ResourceProfile(8, 8, 2, 2), vec8[0]),
         check_adaptive_weight(ResourceProfile(16, 17, 2, 1), 16),
         check_clifford_adaptive(ResourceProfile(8, 9, 2, 0), 8),
         check_correlation(ResourceProfile(8, 9, 2, 0), 1, 8),

@@ -52,7 +52,7 @@ def test_nonadaptive_ghz_fanout_tree_tight_at_powers_of_two():
         L = int(np.ceil(np.log2(n)))
         p = ResourceProfile(n=n, m=n, K=2, L=L)
         wts = WeightVector((n,) + (2,) * (n - 1))
-        rec = check_nonadaptive(p, wts)
+        rec = check_nonadaptive(p, wts[0])
         assert rec["satisfied"]
         assert rec["lhs"] == rec["rhs"] == n
     # One layer short of the tree cannot reach weight n.

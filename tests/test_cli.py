@@ -416,15 +416,51 @@ def test_crange_negative_or_nan_delta_exits_1(capsys, delta, shown):
     assert f"error: {message}" in err
 
 
-def test_crange_infinite_delta_gives_1(capsys):
-    code, report, _ = run(capsys, "crange", "ghz:6", "--delta", "inf")
-    assert code == 0 and report["results"]["crange"] == 1
+@pytest.mark.parametrize("delta", ["inf", "1e400"])
+def test_crange_infinite_delta_exits_1(capsys, delta):
+    # The library takes inf (range 1), but a report holding it would not be JSON.
+    code, report, err = run(capsys, "crange", "zero:4", "--delta", delta)
+    message = "--delta must be finite, got inf"
+    assert code == 1 and report["results"] is None
+    assert report["error"] == {"kind": "ValueError", "message": message}
+    assert f"error: {message}" in err
 
 
 def test_crange_guard_exits_3(capsys):
     code, _, err = run(capsys, "crange", "w:20")
     assert code == 3
     assert "resource guard" in err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_subcommand_writes_strict_json(capsys, tmp_path):
+    # json.loads takes Infinity and NaN; a report must parse without them,
+    # as the CI smoke steps parse it.
+    with pytest.raises(ValueError, match="^Infinity is not JSON$"):
+        _strict_json('{"delta": Infinity}')
+    cpath, tpath = tmp_path / "circuit.json", tmp_path / "target.json"
+    cpath.write_text(circuit_to_json(ghz_adaptive(8, 2, 2)))
+    tpath.write_text(json.dumps(tableau_to_json(ghz_state(8))))
+    for argv, code in (
+        (["prep", "builtin:steane", "--verify", "exhaustive"], 0),
+        (["weight", "builtin:ghz6", "--oracle"], 0),
+        (["cor", "w:6", "--w", "2"], 0),
+        (["crange", "w:6", "--delta", "0.1"], 0),
+        (["bounds", "--circuit", str(cpath), "--target", str(tpath)], 0),
+        (["ghz-demo", "--n", "8", "--a", "2", "--k", "2"], 0),
+        (["antishallow", "ghz:6"], 0),
+        (["lightcone", "--circuit", str(cpath), "--from", "0"], 0),
+        (["crange", "zero:4", "--delta", "inf"], 1),
+    ):
+        argv = [*argv, "--seed", "0"]
+        assert main(argv) == code, argv
+        assert _strict_json(capsys.readouterr().out)["command"] == ["adaptstab", *argv]
 
 
 # -- one state loader ------------------------------------------------------------

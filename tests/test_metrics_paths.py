@@ -745,8 +745,63 @@ def test_w1_range_runs_above_the_subset_scan_cap(make):
         mt.correlation_range_w(s, 2, 0.1)
 
 
+_CODE_STATES = {name: lambda name=name: from_tableau(prepare_state(builtin_code(name))[1]) for name in ("steane", "toric(2)")}
+
+
+def _kept(log, delta):
+    log.append([t.tobytes() for t in delta])
+    return delta
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("code", sorted(_CODE_STATES))
+def test_range_runs_pauli_tables_on_distinct_tensors_only(monkeypatch, code, w):
+    # The code states are asymmetric but repeat tensors: a batch's tables run
+    # once per distinct tensor not seen in the batch before it.
+    s = _CODE_STATES[code]()
+    assert not mt._symmetric(s)
+    batches, stacks = [], []
+    connected, tables = mt._connected, mt._pauli_tables
+    monkeypatch.setattr(mt, "_connected", lambda s, p, m: _kept(batches, connected(s, p, m)))
+    monkeypatch.setattr(mt, "_pauli_tables", lambda delta, w: tables(_kept(stacks, delta), w))
+    mt.correlation_range_w(s, w, 0.5)
+    expected, previous = [], set()
+    for keys in batches:
+        if fresh := [k for k in dict.fromkeys(keys) if k not in previous]:
+            expected.append(fresh)
+        previous = set(keys)
+    assert stacks == expected
+    assert sum(map(len, stacks)) < sum(map(len, batches)) == len(list(old_pairs(range(s.n), w)))
+
+
+def _cached(fn, key):
+    memo = {}
+
+    def call(*args):
+        k = key(*args)
+        if k not in memo:
+            memo[k] = fn(*args)
+        return memo[k]
+
+    return call
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("code", sorted(_CODE_STATES))
+def test_range_matches_subset_scan_on_code_states_at_every_pair_value(monkeypatch, code, w):
+    # The oracle's per-pair work is cached (tensors by pair, Pauli maxima by
+    # tensor bytes): both are pure, and the uncached einsum takes minutes.
+    s = _CODE_STATES[code]()
+    monkeypatch.setitem(globals(), "old_delta4", _cached(old_delta4, lambda s, a1, a2: (a1, a2)))
+    monkeypatch.setitem(globals(), "old_pair_max_pauli", _cached(old_pair_max_pauli, lambda delta4, w: delta4.tobytes()))
+    values = {old_pair_max_pauli(old_delta4(s, a1, a2), w)[0] for a1, a2 in old_pairs(range(s.n), w)}
+    for delta in _boundary_deltas(values):
+        if delta >= 0:
+            assert mt.correlation_range_w(s, w, delta) == old_correlation_range_w(s, w, delta), delta
+
+
 def test_correlation_range_w_keeps_argument_errors():
-    # The errors the first region's correlation_strength_w call raised.
+    # correlation_strength_w's errors for a bad w, raised by the range itself.
     s = _DENSE["random8"]()
     for w in (0, -1):
         with pytest.raises(ValueError, match="^need w >= 1$"):
@@ -1031,25 +1086,45 @@ def test_symmetric_state_builds_one_tensor_and_two_marginals(monkeypatch):
     assert (pairs, rdms) == ([((0,), (1,))], [(0,), (1,)])
 
 
-def test_symmetric_correlation_range_w_reads_one_region(monkeypatch):
+def test_each_public_correlation_call_checks_symmetry_once(monkeypatch):
     calls = []
-    strength = mt.correlation_strength_w
-    monkeypatch.setattr(mt, "correlation_strength_w", lambda s, region, w: calls.append((tuple(region), w)) or strength(s, region, w))
-    assert mt.correlation_range_w(w_state(12), 2, 0.5) == 1
-    assert mt.correlation_range_w(w_state(12), 2, 0.01) == 12
-    assert calls == [(tuple(range(12)), 2)] * 2
-    # At w = 1 the range reads pair (0, 1): one tensor from two marginals.
-    calls.clear()
+    symmetric = mt._symmetric
+    monkeypatch.setattr(mt, "_symmetric", lambda s: calls.append(s) or symmetric(s))
+    for t in (ghz_state(6), random_stabilizer_state(6, 5)):
+        s = from_tableau(t)
+        for name, call in (
+            ("strength w=1", lambda: mt.correlation_strength_w(s, range(6), 1)),
+            ("strength w=2 alt", lambda: mt.correlation_strength_w(s, range(6), 2, "alternating-sign", restarts=1)),
+            ("pauli range", lambda: mt.pauli_correlation_range(s)),
+            ("range w=1", lambda: mt.correlation_range_w(s, 1, 0.1)),
+            ("range w=2", lambda: mt.correlation_range_w(s, 2, 0.1)),
+            ("range w=3", lambda: mt.correlation_range_w(s, 3, 0.1)),
+            ("global", lambda: mt.global_correlation(s)),
+            ("lower bound", lambda: mt.anti_shallowness_lower(s)),
+            ("lemma 2", lambda: mt.lemma2_check(t)),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1, (t, name)
+
+
+def test_symmetric_correlation_range_w_reads_one_region(monkeypatch):
+    # Every range reads pair 0 only: one tensor from two marginals.
     pairs, rdms = [], []
     connected, rdm = mt._connected, mt._rdm
     monkeypatch.setattr(mt, "_connected", lambda s, p, m: pairs.extend(p) or connected(s, p, m))
     monkeypatch.setattr(mt, "_rdm", lambda s, q: rdms.append(q) or rdm(s, q))
-    for delta, expected in ((0.5, 1), (0.1, 12)):
+    for w, delta, expected, first in (
+        (2, 0.5, 1, ((0, 1), (2, 3))),
+        (2, 0.01, 12, ((0, 1), (2, 3))),
+        (3, 0.01, 12, ((0, 1, 2), (3, 4, 5))),
+        (1, 0.5, 1, ((0,), (1,))),
+        (1, 0.1, 12, ((0,), (1,))),
+    ):
         pairs.clear()
         rdms.clear()
-        assert mt.correlation_range_w(w_state(12), 1, delta) == expected
-        assert (pairs, rdms) == ([((0,), (1,))], [(0,), (1,)])
-    assert calls == []
+        assert mt.correlation_range_w(w_state(12), w, delta) == expected
+        assert (pairs, rdms) == ([first], list(first)), (w, delta)
 
 
 @settings(max_examples=30, deadline=None)
