@@ -43,7 +43,7 @@ def main():
 
     print("\nphase-identification tolerance table (delta^2 / 36)")
     for family in ("ghz", "w", "hypergraph"):
-        row = approximate_tolerance_table(family, 6)
+        row = approximate_tolerance_table(f"{family}:6")
         print(
             f"  {family}: formula {row['formula']},"
             f" delta_computed {row['delta_computed']:.6g},"

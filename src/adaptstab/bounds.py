@@ -12,16 +12,17 @@ Checks return structured records instead of asserting so that callers
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, validate
-from .densesim import dicke_correlation_formula, make_state
+from .densesim import _read_spec, dicke_correlation_formula, make_state
 from .errors import ResourceGuardError
 from .metrics import WeightVector, _min_weight_picks, global_correlation
 from .pauli import _transpose
-from .tableau import StabilizerTableau, _split_name
+from .tableau import StabilizerTableau
 
 __all__ = [
     "ResourceProfile",
@@ -178,17 +179,7 @@ def weight_checks(
     return vector, records
 
 
-def _parse_family(family: str, k: int | None) -> tuple[str, int | None]:
-    name, size = _split_name(family)
-    k = k if size is None else size
-    if name not in ("ghz", "w", "dicke", "hypergraph"):
-        raise ValueError(f"unknown state family: {family!r}")
-    if name == "dicke" and k is None:
-        raise ValueError("dicke family needs an excitation number, e.g. 'dicke(2)'")
-    return name, k
-
-
-def approximate_tolerance_table(family: str, n: int, k: int | None = None, compute: bool = True) -> dict:
+def approximate_tolerance_table(spec: str, compute: bool = True) -> dict:
     """Tolerable infidelity that preserves a state's complexity lower bound.
 
     A state within infidelity delta^2/36 of the target inherits the
@@ -201,9 +192,13 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
     permutation-symmetric, so that costs one qubit pair; only the dense
     state's own cap applies.
 
-    Families: ``ghz``, ``w``, ``dicke(k)`` (or ``dickeK``), ``hypergraph``.
+    ``spec`` is a state spec of family ``ghz``, ``w``, ``dicke`` or
+    ``hypergraph``: ``"ghz:6"``, ``"dicke:8:2"``.
     """
-    name, k = _parse_family(family, k)
+    name, params = _read_spec(spec)
+    if name not in ("ghz", "w", "dicke", "hypergraph"):
+        raise ValueError(f"the tolerance table has no row for state family {name!r}")
+    n, k = params[0], params[1] if name == "dicke" else None
     if n < 2:
         raise ValueError("need n >= 2")
 
@@ -219,14 +214,15 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
         formula, formula_value = "O(k^2/n^2)", None
         delta_formula = dicke_correlation_formula(n, k, 1)
     else:  # hypergraph
-        formula, formula_value = "1/(9*4^n)", 1.0 / (9.0 * 4.0**n)
+        # By ldexp: 4.0**n overflows from n = 512, a float exponent from n ~ 1e308.
+        formula, formula_value = "1/(9*4^n)", math.ldexp(1.0, -2 * n) / 9
         # Two-point X correlation of the hypergraph state.
-        delta_formula = 2.0 ** (2 - n) * (1.0 - 2.0 ** (2 - n))
+        delta_formula = math.ldexp(1.0, 2 - n) * (1.0 - math.ldexp(1.0, 2 - n))
 
     row = {
         "family": name,
         "n": n,
-        "k": k if name == "dicke" else None,
+        "k": k,
         "formula": formula,
         "formula_value": formula_value,
         "delta_formula": delta_formula,
@@ -235,7 +231,7 @@ def approximate_tolerance_table(family: str, n: int, k: int | None = None, compu
         "tolerance_computed": None,
     }
     if compute:
-        state = make_state(name, n, k) if name == "dicke" else make_state(name, n)
+        state = make_state(name, *params)
         delta = global_correlation(state)
         row["delta_computed"] = delta
         row["tolerance_computed"] = delta**2 / 36.0

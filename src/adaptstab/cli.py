@@ -54,7 +54,7 @@ from .circuit import (
 )
 from .circuit import from_json as circuit_from_json
 from .circuit import to_json as circuit_to_json
-from .densesim import _guard as _dense_cap, basis_state, from_tableau, make_state, plus_state
+from .densesim import _FAMILY_TABLE, _guard as _dense_cap, _read_spec, from_tableau, make_state
 from .errors import ContradictionError, ResourceGuardError
 from .metrics import (
     _group_cap,
@@ -65,12 +65,12 @@ from .metrics import (
     min_weight_generators,
     pauli_correlation_range,
 )
-from .pauli import PauliOperator, format_pauli, parse_pauli
+from .pauli import format_pauli, parse_pauli
 from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
 from .tableau import _json_key, _json_object, _split_name
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
-from .tableau import from_stabilizers, ghz_state, zero_state
+from .tableau import ghz_state
 
 __all__ = ["main"]
 
@@ -100,54 +100,31 @@ def _digest_file(path: str) -> dict:
     return {"path": path, "sha256": hashlib.sha256(data).hexdigest()[:16]}
 
 
-# Each state family: its spec form, and its tableau builder or None where the
-# family has only a dense state.
-_FAMILIES = {
-    "ghz": ("ghz:N", ghz_state),
-    "w": ("w:N", None),
-    "dicke": ("dicke:N:K", None),
-    "hypergraph": ("hypergraph:N", None),
-    "plus": ("plus:N", lambda n: from_stabilizers([PauliOperator(n, 1 << q, 0) for q in range(n)])),
-    "zero": ("zero:N", zero_state),
-    "basis": (
-        "basis:BITS",
-        lambda bits: from_stabilizers([PauliOperator(len(bits), 0, 1 << q, (-1) ** int(b)) for q, b in enumerate(bits)]),
-    ),
-}
-
-
 def _load_state(spec: str, form: str, guard=lambda n: None) -> tuple:
     """The state ``spec`` names, as a ``"tableau"`` or a ``"dense"`` state, and
-    its report entry.  ``builtin:NAME`` is ``family:N`` for a one-size family,
-    else a built-in code's target; text without a colon is a tableau file.
-    ``guard(n)`` (for a dense state, the dense cap) refuses a spec unbuilt."""
-    family = spec.split(":", 1)[0].strip().lower()
-    if family in _FAMILIES:
-        text, params = _FAMILIES[family][0], [p.strip() for p in spec.split(":")[1:]]
-        pattern = "[01]+" if family == "basis" else r"[+-]?\d+"
-        if len(params) != text.count(":") or not all(re.fullmatch(pattern, p) for p in params):
-            raise ValueError(f"state spec {spec!r} does not have the form {text}")
-        params = params if family == "basis" else [int(p) for p in params]
-    elif spec.startswith(_BUILTIN):
+    a tableau file's digest (None for a spec).  ``builtin:NAME`` is ``family:N``
+    for a one-size family, else a built-in code's target; a family name or other
+    text with a colon is a spec, other text a tableau file.  ``guard(n)`` (for a
+    dense state, the dense cap) refuses a spec unbuilt."""
+    if spec.startswith(_BUILTIN):
         family, size = _split_name(spec[len(_BUILTIN):])
-        if size is None or _FAMILIES.get(family, ("",))[0] != f"{family}:N":  # not ghz6 or plus(4): a code
+        if size is None or _FAMILY_TABLE.get(family, ("",))[0] != f"{family}:N":  # not ghz6 or plus(4): a code
             code = builtin_code(spec[len(_BUILTIN):])
             (_dense_cap if form == "dense" else guard)(code.n)
             target = prepare_state(code)[1]
-            return (target if form == "tableau" else from_tableau(target)), {"source": spec}
+            return (target if form == "tableau" else from_tableau(target)), None
         params = [size]
-    elif ":" in spec:
-        forms = ", ".join(text for text, _ in _FAMILIES.values())
-        raise ValueError(f"unknown state family {family!r}; specs are {forms}")
+    elif ":" in spec or spec.strip().lower() in _FAMILY_TABLE:
+        family, params = _read_spec(spec)
     else:
         t = tableau_from_json(json.loads(Path(spec).read_text()))
         return (t if form == "tableau" else from_tableau(t)), _digest_file(spec)
     if form == "dense":  # make_state trips the dense cap before it builds
-        return make_state(family, *params), {"source": spec}
-    if _FAMILIES[family][1] is None:
+        return make_state(family, *params), None
+    if _FAMILY_TABLE[family][2] is None:
         raise ValueError(f"state family {family!r} has no stabilizer tableau")
     guard(len(params[0]) if family == "basis" else params[0])
-    return _FAMILIES[family][1](*params), {"source": spec}
+    return _FAMILY_TABLE[family][2](*params), None
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -240,8 +217,8 @@ def _cmd_prep(args) -> tuple:
 
 
 def _cmd_weight(args) -> tuple:
-    t, tableau_input = _load_state(args.tableau, "tableau", _group_cap)
-    inputs = {"tableau": tableau_input}
+    t, digest = _load_state(args.tableau, "tableau", _group_cap)
+    inputs = {"tableau": digest or {"source": args.tableau}}
     picked, vector = min_weight_generators(t)
     results = {
         "n": t.n,
@@ -261,30 +238,30 @@ def _cmd_weight(args) -> tuple:
 
 
 def _cmd_cor(args) -> tuple:
-    s = _load_state(args.family, "dense")[0]
+    s, digest = _load_state(args.family, "dense")
     region = _parse_qubits(args.region) if args.region else tuple(range(s.n))
     method = {"pauli": "pauli-enum", "alt": "alternating-sign"}[args.method]
     rep = correlation_strength_w(s, region, args.w, method, seed=args.seed or 0)
     results = {"family": args.family, "n": s.n, **rep.to_json()}
     summary = [f"cor: {args.family} w={args.w} -> {rep.value:.6g} ({rep.method})"]
-    return {"family": args.family}, results, 0, summary
+    return {"family": digest or args.family}, results, 0, summary
 
 
 def _cmd_crange(args) -> tuple:
     if args.delta == float("inf"):  # the report would carry Infinity, which is not JSON
         raise ValueError(f"--delta must be finite, got {args.delta}")
-    s = _load_state(args.family, "dense")[0]
+    s, digest = _load_state(args.family, "dense")
     value = pauli_correlation_range(s, 1e-9 if args.delta is None else args.delta)
     results = {"family": args.family, "n": s.n, "delta": args.delta, "crange": value}
     summary = [f"crange: {args.family} -> {value}"]
-    return {"family": args.family}, results, 0, summary
+    return {"family": digest or args.family}, results, 0, summary
 
 
 def _cmd_bounds(args) -> tuple:
     circ, circuit_input = _load_circuit(args.circuit)
-    target, target_input = _load_state(args.target, "tableau")
+    target, digest = _load_state(args.target, "tableau")
     geometry = _parse_geometry(args.geometry)
-    inputs = {"circuit": circuit_input, "target": target_input}
+    inputs = {"circuit": circuit_input, "target": digest or {"source": args.target}}
 
     profile = ResourceProfile.from_circuit(circ, target.n, geometry=geometry)
     weight = [check_nonadaptive] if profile.n_a == 0 else []
@@ -338,9 +315,9 @@ def _cmd_ghz_demo(args) -> tuple:
 
 
 def _cmd_antishallow(args) -> tuple:
-    s = _load_state(args.family, "dense")[0]
+    s, digest = _load_state(args.family, "dense")
     lower = anti_shallowness_lower(s)
-    candidates = [basis_state([0] * s.n), plus_state(s.n)]
+    candidates = [make_state("zero", s.n), make_state("plus", s.n)]
     upper = anti_shallowness_upper(
         s, candidates, product_search=True, seed=args.seed or 0
     )
@@ -352,7 +329,7 @@ def _cmd_antishallow(args) -> tuple:
         "interval": [lower, upper],
     }
     summary = [f"antishallow: {args.family} -> [{lower:.6g}, {upper:.6g}]"]
-    return {"family": args.family}, results, 0, summary
+    return {"family": digest or args.family}, results, 0, summary
 
 
 def _cmd_lightcone(args) -> tuple:
@@ -496,6 +473,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_text(argv: list, inputs, results, error: Exception | None, timing: float | None) -> str:
+    """The run report as JSON text, encoded whole before any of it is written."""
+    report = {"command": ["adaptstab", *argv], "inputs": inputs, "results": results}
+    if error is not None:
+        kind = "UsageError" if isinstance(error, _UsageError) else type(error).__name__
+        report["error"] = {"kind": kind, "message": str(error)}
+    if isinstance(error, ResourceGuardError):
+        report["guard"] = {"name": error.name, "limit": error.limit, "value": error.value}
+    if timing is not None:
+        report["timing_s"] = timing
+    return json.dumps(report, indent=2)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -513,20 +503,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ContradictionError, ValueError, KeyError, TypeError, OSError) as exc:
         error, code, summary = exc, 1, [f"error: {exc}"]
 
-    report = {"command": ["adaptstab", *argv], "inputs": inputs, "results": results}
-    if error is not None:
-        kind = "UsageError" if isinstance(error, _UsageError) else type(error).__name__
-        report["error"] = {"kind": kind, "message": str(error)}
-    if isinstance(error, ResourceGuardError):
-        report["guard"] = {"name": error.name, "limit": error.limit, "value": error.value}
     if args is not None:
         seeded = args.seed is not None
     else:  # a usage error: read --seed N or --seed=N off the unparsed arguments
         seeded = "--seed" in argv[:-1] or any(a.startswith("--seed=") for a in argv)
-    if not seeded:
-        report["timing_s"] = round(time.perf_counter() - start, 6)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    timing = None if seeded else round(time.perf_counter() - start, 6)
+    try:
+        text = _report_text(argv, inputs, results, error, timing)
+    except ValueError as exc:  # an int too long for str(): one error report, not a cut one
+        code, summary = 1, [f"error: {exc}"]
+        text = _report_text(argv, None, None, exc, timing)
+    sys.stdout.write(text + "\n")
     sys.stdout.flush()
     for line in summary:
         print(line, file=sys.stderr)

@@ -9,12 +9,16 @@ The state families implemented here follow the conventions used throughout
 the package; in particular ``hypergraph(n)`` applies the n-qubit phase gate
 that flips the sign of the all-zeros amplitude to |+>^n (this package's
 CZ_n convention — note it differs from the more common all-ones phasing).
+``_FAMILY_TABLE`` lists each family once: its spec form, dense builder and
+tableau builder (or None).  ``make_state`` builds from it, and ``_read_spec``
+reads specs (``ghz:6``, ``dicke:6:2``) for the command line and tolerance table.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceGuardError
 from .pauli import PauliOperator
-from .tableau import StabilizerTableau, _measure_z_run, validate_tableau
+from .tableau import StabilizerTableau, _measure_z_run, from_stabilizers, ghz_state, validate_tableau, zero_state
 
 __all__ = [
     "StateVector",
@@ -140,11 +144,7 @@ def ghz(n: int) -> StateVector:
 
 
 def w_state(n: int) -> StateVector:
-    _guard(n)
-    amps = np.zeros(1 << n, dtype=complex)
-    for j in range(n):
-        amps[1 << (n - 1 - j)] = 1 / math.sqrt(n)
-    return StateVector(n, amps)
+    return dicke(n, 1)
 
 
 def dicke(n: int, k: int) -> StateVector:
@@ -159,10 +159,9 @@ def dicke(n: int, k: int) -> StateVector:
 
 
 def hypergraph(n: int) -> StateVector:
-    _guard(n)
-    amps = np.full(1 << n, 1 / math.sqrt(1 << n), dtype=complex)
-    amps[0] *= -1
-    return StateVector(n, amps)
+    s = plus_state(n)
+    s.amps[0] *= -1
+    return s
 
 
 def plus_state(n: int) -> StateVector:
@@ -171,10 +170,7 @@ def plus_state(n: int) -> StateVector:
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:
-    if isinstance(bits, str):
-        bit_list = [int(c) for c in bits]
-    else:
-        bit_list = [int(b) for b in bits]
+    bit_list = [int(b) for b in bits]
     n = len(bit_list)
     _guard(n)
     if any(b not in (0, 1) for b in bit_list):
@@ -216,22 +212,41 @@ def from_tableau(t: StabilizerTableau) -> StateVector:
     return StateVector(t.n, v / float(np.linalg.norm(v)))
 
 
+# Each state family: its spec form, dense builder, and tableau builder (None: dense only).
+_FAMILY_TABLE = {
+    "ghz": ("ghz:N", ghz, ghz_state),
+    "w": ("w:N", w_state, None),
+    "dicke": ("dicke:N:K", dicke, None),
+    "hypergraph": ("hypergraph:N", hypergraph, None),
+    "plus": ("plus:N", plus_state, lambda n: from_stabilizers([PauliOperator(n, 1 << q, 0) for q in range(n)])),
+    "zero": ("zero:N", lambda n: dicke(n, 0), zero_state),
+    "basis": (
+        "basis:BITS",
+        basis_state,
+        lambda bits: from_stabilizers([PauliOperator(len(bits), 0, 1 << q, (-1) ** int(b)) for q, b in enumerate(bits)]),
+    ),
+}
+
+
+def _read_spec(spec: str) -> tuple[str, list]:
+    """``(family, params)`` of ``ghz:6``, ``dicke:6:2`` or ``basis:0110``, sizes as
+    ints; a ValueError names the forms for an unknown family, else the spec's form."""
+    family, *params = (p.strip() for p in spec.lower().split(":"))
+    if family not in _FAMILY_TABLE:
+        forms = ", ".join(form for form, *_ in _FAMILY_TABLE.values())
+        raise ValueError(f"unknown state family {family!r}; specs are {forms}")
+    form = _FAMILY_TABLE[family][0]
+    pattern = "[01]+" if family == "basis" else r"[+-]?\d+"
+    if len(params) != form.count(":") or not all(re.fullmatch(pattern, p) for p in params):
+        raise ValueError(f"state spec {spec!r} does not have the form {form}")
+    return family, params if family == "basis" else [int(p) for p in params]
+
+
 def make_state(family: str, *params) -> StateVector:
-    """Dispatch by family name; see the family functions for parameters."""
-    table = {
-        "ghz": ghz,
-        "w": w_state,
-        "dicke": dicke,
-        "hypergraph": hypergraph,
-        "basis": basis_state,
-        "plus": plus_state,
-        "zero": lambda n: basis_state("0" * n),
-        "from_tableau": from_tableau,
-        "from_amplitudes": from_amplitudes,
-    }
-    if family not in table:
+    """The dense state of a family in ``_FAMILY_TABLE``: ``make_state("dicke", 6, 2)``."""
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown state family {family!r}")
-    return table[family](*params)
+    return _FAMILY_TABLE[family][1](*params)
 
 
 # -- operator application ------------------------------------------------------

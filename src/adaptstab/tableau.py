@@ -748,7 +748,7 @@ def _json_object(value: object, owner: str) -> dict:
 def _split_name(name: str) -> tuple[str, int | None]:
     """``(name, N)`` of ``name(N)`` or ``nameN``, ``(name, None)`` of a bare name;
     lower-cased and stripped, a non-integer N a ValueError naming ``name``.  The
-    one reader of the size syntax of codes, tableaus and tolerance-table families."""
+    one reader of the size syntax of built-in codes and ``builtin:`` states."""
     key = name.strip().lower()
     if "(" in key and key.endswith(")"):
         base, size = key[:-1].split("(", 1)

@@ -5,8 +5,9 @@ the x and z bit strings by translating the letters: one letter at a time,
 with its own letter -> bits branches.
 
 The three splitters below are the size-name readers that
-``tableau._split_name`` replaced: ``prep.builtin_code`` and
-``bounds._parse_family`` read only ``name(N)``, and the command line read
+``tableau._split_name`` replaced: ``prep.builtin_code`` and the tolerance
+table's family reader (``dicke(2)``; the table now reads state specs) read
+only ``name(N)``, and the command line read
 only ``nameN`` (``reference_cli_split``, the regex its ``_normalize_name``
 and ``_builtin_tableau`` shared).
 """
@@ -59,7 +60,7 @@ def reference_code_split(name: str) -> tuple[str, int | None]:
 
 
 def reference_family_split(family: str, k: int | None) -> tuple[str, int | None]:
-    """``bounds._parse_family``'s reading of ``family`` before its checks."""
+    """The tolerance table's old reading of ``family`` before its checks."""
     name = family.strip().lower()
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)

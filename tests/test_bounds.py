@@ -19,6 +19,7 @@ from adaptstab.densesim import dicke_correlation_formula, make_state
 from adaptstab.errors import ResourceGuardError
 from adaptstab.metrics import WeightVector, global_correlation, min_weight_generators
 from adaptstab.tableau import ghz_state, random_stabilizer_state
+from helpers_bounds import reference_tolerance_table
 
 
 def test_profile_validation():
@@ -160,7 +161,7 @@ def test_weight_checks_vector_is_the_generators_weights():
 
 
 def test_tolerance_table_ghz():
-    row = approximate_tolerance_table("ghz", 6)
+    row = approximate_tolerance_table("ghz:6")
     assert row["formula"] == "1/36"
     assert row["formula_value"] == pytest.approx(1 / 36, abs=0)
     assert row["delta_formula"] == 1.0
@@ -171,7 +172,7 @@ def test_tolerance_table_ghz():
 
 def test_tolerance_table_hypergraph_reports_both_routes():
     n = 6
-    row = approximate_tolerance_table("hypergraph", n)
+    row = approximate_tolerance_table(f"hypergraph:{n}")
     assert row["formula_value"] == pytest.approx(1 / (9 * 4**n), abs=0)
     assert row["delta_computed"] == pytest.approx(2.0 ** (2 - n), abs=1e-12)
     assert row["tolerance_computed"] == pytest.approx(row["delta_computed"] ** 2 / 36, abs=0)
@@ -181,12 +182,36 @@ def test_tolerance_table_hypergraph_reports_both_routes():
 
 
 def test_tolerance_table_dicke_and_w():
-    row = approximate_tolerance_table("dicke(2)", 8)
+    row = approximate_tolerance_table("dicke:8:2")
     assert row["k"] == 2
     assert row["delta_formula"] == pytest.approx(dicke_correlation_formula(8, 2, 1), abs=0)
-    roww = approximate_tolerance_table("w", 6)
+    roww = approximate_tolerance_table("w:6")
     assert roww["delta_formula"] == pytest.approx(4 / 36, abs=1e-15)
     assert roww["delta_computed"] == pytest.approx(2 / 6, abs=1e-9)
+
+
+_TOLERANCE_ROWS = [(f"{family}:{n}", (family, n, None)) for family in ("ghz", "w", "hypergraph") for n in range(2, 17)] + [
+    (f"dicke:{n}:{k}", ("dicke", n, k)) for n in range(2, 11) for k in range(n + 1)
+]
+
+
+def _row_or_error(table, *args):
+    try:
+        return table(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("compute", [True, False])
+def test_tolerance_table_spec_rows_are_the_family_rows(monkeypatch, compute):
+    # The table read (family, n, k) before it read specs; each spec's row must
+    # be the row its family, size and excitation number gave (k = 0 and k = n
+    # the same ValueError).
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    for spec, (family, n, k) in _TOLERANCE_ROWS:
+        want = _row_or_error(reference_tolerance_table, family, n, k, compute)
+        assert _row_or_error(approximate_tolerance_table, spec, compute) == want, spec
+    assert sum(isinstance(_row_or_error(approximate_tolerance_table, spec), str) for spec, _ in _TOLERANCE_ROWS) == 2 * 9
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -194,23 +219,47 @@ def test_tolerance_table_computes_up_to_the_dense_cap(monkeypatch, n):
     # Every family is permutation-symmetric, so the computed delta costs one
     # qubit pair; only the dense state's own cap applies.
     monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
-    for family, state in (("ghz", ("ghz", n)), ("w", ("w", n)), ("dicke(2)", ("dicke", n, 2)), ("hypergraph", ("hypergraph", n))):
-        assert approximate_tolerance_table(family, n)["delta_computed"] == global_correlation(make_state(*state)), family
+    for spec, state in ((f"ghz:{n}", ("ghz", n)), (f"w:{n}", ("w", n)), (f"dicke:{n}:2", ("dicke", n, 2)), (f"hypergraph:{n}", ("hypergraph", n))):
+        assert approximate_tolerance_table(spec)["delta_computed"] == global_correlation(make_state(*state)), spec
 
 
 def test_tolerance_table_compute_stops_at_the_dense_cap(monkeypatch):
     monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
-    for family in ("ghz", "w", "dicke(2)", "hypergraph"):
+    for spec in ("ghz:17", "w:17", "dicke:17:2", "hypergraph:17"):
         with pytest.raises(ResourceGuardError, match="^dense simulation of 17 qubits exceeds the cap of 16"):
-            approximate_tolerance_table(family, 17)
+            approximate_tolerance_table(spec)
+
+
+@pytest.mark.parametrize("n", [511, 512, 537, 538, 600, 10**400])
+def test_tolerance_table_hypergraph_formula_past_the_float_range(monkeypatch, n):
+    # 4.0**n overflows from n = 512, and 2.0**-n from n ~ 1e308; below those
+    # the closed forms equal the exact and float expressions, above them 0.0.
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    row = approximate_tolerance_table(f"hypergraph:{n}", compute=False)
+    assert row["formula_value"] == (1 / (9 * 4**n) if n < 5000 else 0.0)
+    assert row["delta_formula"] == (2.0 ** (2 - n) * (1.0 - 2.0 ** (2 - n)) if n < 5000 else 0.0)
+    assert row["delta_computed"] is None
+    with pytest.raises(ResourceGuardError, match=f"^dense simulation of {n} qubits"):
+        approximate_tolerance_table(f"hypergraph:{n}")
+
+
+def test_tolerance_table_hypergraph_formula_is_the_float_form_below_the_overflow():
+    for n in range(2, 511):
+        assert approximate_tolerance_table(f"hypergraph:{n}", False) == reference_tolerance_table("hypergraph", n, compute=False), n
 
 
 def test_tolerance_table_guards():
-    with pytest.raises(ValueError, match="unknown state family"):
-        approximate_tolerance_table("cluster", 4)
-    with pytest.raises(ValueError, match="excitation"):
-        approximate_tolerance_table("dicke", 6)
+    with pytest.raises(ValueError, match="^unknown state family 'cluster'"):
+        approximate_tolerance_table("cluster:4")
+    with pytest.raises(ValueError, match="^state spec 'dicke:6' does not have the form dicke:N:K$"):
+        approximate_tolerance_table("dicke:6")
+    with pytest.raises(ValueError, match="^the tolerance table has no row for state family 'plus'$"):
+        approximate_tolerance_table("plus:4")
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        approximate_tolerance_table("ghz:1")
+    with pytest.raises(ValueError, match="^dicke needs 0 < k < n$"):
+        approximate_tolerance_table("dicke:6:6")
     with pytest.raises(ResourceGuardError):
-        approximate_tolerance_table("ghz", 40)
-    row = approximate_tolerance_table("ghz", 40, compute=False)
+        approximate_tolerance_table("ghz:40")
+    row = approximate_tolerance_table("ghz:40", compute=False)
     assert row["delta_computed"] is None and row["tolerance_computed"] is None

@@ -6,6 +6,7 @@ as the JSON run report and stderr as the human summary.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptstab import circuit, cli, metrics, prep
+from adaptstab import circuit, cli, densesim, metrics, prep
 from adaptstab.circuit import from_json as circuit_from_json
 from adaptstab.circuit import ghz_adaptive, simulate
 from adaptstab.circuit import to_json as circuit_to_json
@@ -496,9 +497,9 @@ def test_dense_commands_read_a_builtin_alias_as_its_spec(capsys, family):
 
 @pytest.mark.parametrize("spec", ["ghz:1", "ghz:7", "plus:5", "basis:1", "basis:0110", "zero:3"])
 def test_tableau_and_dense_forms_of_a_spec_are_one_state(spec):
-    t, entry = cli._load_state(spec, "tableau")
+    t, digest = cli._load_state(spec, "tableau")
     s, _ = cli._load_state(spec, "dense")
-    assert entry == {"source": spec}
+    assert digest is None  # only a tableau file has one
     assert np.array_equal(from_tableau(t).amps, s.amps)
 
 
@@ -521,6 +522,19 @@ def test_cor_reads_a_builtin_code_target_and_a_tableau_file(capsys, tmp_path):
         code, report, _ = run(capsys, "cor", spec, "--seed", "0")
         assert code == 0
         assert report["results"] == {**want["results"], "family": spec}
+
+
+@pytest.mark.parametrize("command", ["cor", "crange", "antishallow"])
+def test_dense_commands_record_a_tableau_file_by_its_digest(capsys, tmp_path, command):
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(tableau_to_json(ghz_state(3))))
+    _, weighed, _ = run(capsys, "weight", str(path), "--seed", "0")
+    digest = {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()[:16]}
+    assert weighed["inputs"] == {"tableau": digest}
+    code, report, _ = run(capsys, command, str(path), "--seed", "0")
+    assert code == 0 and report["inputs"] == {"family": digest}
+    for spec in ("ghz:3", "builtin:ghz3", "builtin:repetition3"):  # a spec is recorded as written
+        assert run(capsys, command, spec, "--seed", "0")[1]["inputs"] == {"family": spec}
 
 
 @pytest.mark.parametrize("spec,family", [("w:8", "w"), ("builtin:w8", "w"), ("dicke:6:2", "dicke"), ("hypergraph:4", "hypergraph")])
@@ -554,7 +568,7 @@ def _refuse(*_args, **_kwargs):
 def test_size_guards_trip_before_the_state_is_built(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
     for family in ("ghz", "zero"):
-        monkeypatch.setitem(cli._FAMILIES, family, (cli._FAMILIES[family][0], _refuse))
+        monkeypatch.setitem(densesim._FAMILY_TABLE, family, (densesim._FAMILY_TABLE[family][0], _refuse, _refuse))
     for builder in ("prepare_state", "from_tableau", "make_state"):
         monkeypatch.setattr(cli, builder, _refuse)
     code, report, err = run(capsys, *argv, "--seed", "0")
@@ -989,6 +1003,23 @@ def test_one_parser_serves_every_call(capsys):
     assert [(main(argv), capsys.readouterr()) for argv in calls] == fresh
     assert [code for code, _ in fresh] == [1, 0, 0]
     assert main(["--help"]) == 0 and "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("seed", [["--seed", "0"], []])
+def test_an_int_past_the_digit_limit_gives_one_error_report(capsys, monkeypatch, seed):
+    # The report is encoded whole before it is written, so a result that
+    # str() refuses ends in one error report, not a cut one and a traceback.
+    huge = {"all_match": True, "depth": 1, "branches": 1 << 20000}
+    monkeypatch.setattr(cli, "verify_preparation", lambda *a, **k: huge)
+    code = main(["ghz-demo", "--n", "4", "--a", "2", "--k", "2", *seed])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 1 and out.endswith("}\n")
+    assert report["inputs"] is None and report["results"] is None
+    assert report["error"]["kind"] == "ValueError" and "4300" in report["error"]["message"]
+    assert list(report) == ["command", "inputs", "results", "error"] + ["timing_s"] * (not seed)
+    assert err == f"error: {report['error']['message']}\n"
 
 
 def test_report_shape_and_timing(capsys):

@@ -255,3 +255,13 @@ def test_zero_family_is_the_zero_tableau_byte_for_byte(monkeypatch):
         assert ds.make_state("zero", n).amps.tobytes() == ds.from_tableau(zero_state(n)).amps.tobytes()
     with pytest.raises(ResourceGuardError, match="dense simulation of 17 qubits"):
         ds.make_state("zero", 17)
+
+
+def test_zero_family_trips_the_dense_cap_before_it_builds(monkeypatch):
+    # zero:N was basis_state("0" * N), which wrote N characters before its
+    # guard ran; as Dicke(N, 0) the guard reads N first.
+    monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(ds, "basis_state", lambda bits: pytest.fail("zero:N went through basis_state"))
+    with pytest.raises(ResourceGuardError, match="^dense simulation of 100000 qubits") as info:
+        ds.make_state("zero", 100000)
+    assert (info.value.name, info.value.value) == ("dense", 100000)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptstab import circuit as ci
-from adaptstab import cli
+from adaptstab import densesim
 from adaptstab import tableau as tb
 from adaptstab.circuit import AdaptiveCircuit, Condition, Gate, Measure
 from adaptstab.cli import main
@@ -155,7 +155,7 @@ def test_mutated_partition_json_gets_one_report(text):
 # ``builtin:`` alias, colons, digits and parentheses: any mix of them, or a
 # name followed by the rest, so that many are well formed.  At most two digits
 # in a row keep every size small.
-_SPEC_NAMES = (*cli._FAMILIES, "steane", "repetition")
+_SPEC_NAMES = (*densesim._FAMILY_TABLE, "steane", "repetition")
 _SPEC_MARKS = (":", "(", ")", *"0123456789")
 _SPECS = st.one_of(
     st.lists(st.sampled_from((*_SPEC_NAMES, "builtin:", *_SPEC_MARKS)), max_size=6).map("".join),

@@ -4,11 +4,11 @@ they replaced (``helpers_parsers``).
 ``parse_pauli`` must give the same operator, or the same ValueError
 message, as the per-letter parser on any text: signs, whitespace, letters
 and illegal characters mixed.  ``tableau._split_name`` must read ``name(N)``
-and bare names as ``prep.builtin_code`` and ``bounds._parse_family`` did,
-and ``nameN`` as the command line did, so both spellings name the same
-code, tableau or tolerance-table row everywhere.  Where the old readers
-raised int()'s bare ValueError on a size that is not an integer, the new
-message names the text it read.
+and bare names as ``prep.builtin_code`` and the tolerance table's old family
+reader did, and ``nameN`` as the command line did, so both spellings name
+the same code or tableau everywhere.  Where the old readers raised int()'s
+bare ValueError on a size that is not an integer, the new message names the
+text it read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptstab.bounds import approximate_tolerance_table
 from adaptstab.pauli import format_pauli, parse_pauli
 from adaptstab.prep import builtin_code
 from adaptstab.tableau import _split_name
@@ -80,12 +79,9 @@ def test_split_name_reads_both_spellings_as_the_old_splitters(name):
 def test_both_spellings_name_the_same_thing():
     assert builtin_code("toric4") == builtin_code("toric(4)")
     assert builtin_code(" Repetition5") == builtin_code("repetition(5)")
-    assert approximate_tolerance_table("dicke2", 8) == approximate_tolerance_table("dicke(2)", 8)
-    assert approximate_tolerance_table("dicke(3)", 8, k=1)["k"] == 3  # a written size wins over k
 
 
 def test_non_integer_size_names_the_text():
-    for call in (lambda: approximate_tolerance_table("dicke(x)", 8), lambda: builtin_code("toric( x)")):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) in ("size in 'dicke(x)' is not an integer: 'x'", "size in 'toric( x)' is not an integer: 'x'")
+    with pytest.raises(ValueError) as info:
+        builtin_code("toric( x)")
+    assert str(info.value) == "size in 'toric( x)' is not an integer: 'x'"
