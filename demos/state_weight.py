@@ -6,7 +6,7 @@ are the extreme case: one generator (the X string) cannot be made lighter
 than n, while every other generator reduces to a weight-2 ZZ pair.
 """
 
-from adaptstab.metrics import _oracle_entries, min_weight_generators
+from adaptstab.metrics import min_weight_generators, weight_vector_oracle
 from adaptstab.pauli import format_pauli
 from adaptstab.prep import builtin_code, prepare_state
 from adaptstab.tableau import ghz_state, random_stabilizer_state
@@ -14,7 +14,7 @@ from adaptstab.tableau import ghz_state, random_stabilizer_state
 
 def show(label, t):
     picked, vector = min_weight_generators(t)
-    oracle = _oracle_entries(t, 1)  # the whole vector from one rank sweep
+    oracle = [weight_vector_oracle(t, k) for k in range(1, t.n + 1)]  # one rank sweep per entry
     print(f"{label}: wt_s = {vector[0]}, vector = {list(vector.entries)}")
     print(f"  oracle agrees: {list(vector.entries) == oracle}")
     for g in picked:

@@ -13,7 +13,6 @@ Checks return structured records instead of asserting so that callers
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -121,12 +120,11 @@ def check_adaptive_weight(profile: ResourceProfile, wt_s: int) -> dict:
     The record carries an advisory ``conjectured`` entry evaluating the
     sharper (n_a + 1) * g(K, L) form.  It is informational only and never
     contributes to ``satisfied``.
+
+    At n_a = 0 the bound holds but is loose: use ``check_nonadaptive``,
+    whose g(K, L) form is tighter.  The check only returns its record; it
+    raises no warning.
     """
-    if profile.n_a == 0:
-        warnings.warn(
-            "check_adaptive_weight with n_a = 0 is loose; check_nonadaptive gives the tighter g(K, L) bound",
-            stacklevel=2,
-        )
     lhs = (profile.n_a + 1) * g_value(profile.K, max(0, 2 * profile.L - 1), profile.geometry)
     rec = _record("adaptive_weight", lhs, wt_s, profile)
     lhs_c = (profile.n_a + 1) * g_value(profile.K, profile.L, profile.geometry)
@@ -169,9 +167,7 @@ def weight_checks(
         n = target.n
         support = _transpose([(x | z) & ((1 << n) - 1) for x, z in zip(target.xs, target.zs)], n)
         vector, wt_s = None, max(s.bit_count() for s in support)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        records = [check(profile, wt_s) for check in checks]
+    records = [check(profile, wt_s) for check in checks]
     if vector is None:
         for rec in records:
             rec["wt_s_exact"] = False

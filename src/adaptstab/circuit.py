@@ -295,7 +295,7 @@ class SymbolicRun:
     sign, ``forms`` the sign-form planes (see ``tableau._measure_z_run``), and
     ``record[b]`` the outcome form of classical bit b, None when no
     measurement writes it.  Variable v is the outcome of the v-th random
-    measurement.
+    measurement; ``forced(values)`` decodes one branch, unwritten bits as 0.
     """
 
     tableau: StabilizerTableau
@@ -303,14 +303,10 @@ class SymbolicRun:
     record: list[int | None]
     measured: set[int]
 
-    def outcomes(self, values: int) -> list[int | None]:
-        """Record of the branch where variable v takes bit v of ``values``
-        (None for unwritten bits, as ``simulate`` records them)."""
-        return [None if f is None else ((f >> 1 & values).bit_count() ^ f) & 1 for f in self.record]
-
     def forced(self, values: int) -> list[int]:
-        """``outcomes`` with unwritten bits read 0, for ``simulate(c, forced=...)``."""
-        return [b or 0 for b in self.outcomes(values)]
+        """Record of the branch where variable v takes bit v of ``values``,
+        with unwritten bits read 0, as ``simulate(c, forced=...)`` replays it."""
+        return [0 if f is None else ((f >> 1 & values).bit_count() ^ f) & 1 for f in self.record]
 
     def sign_planes(self, target: StabilizerTableau) -> tuple[int, list[int]]:
         """(fixed, planes): target generator i fails on the branch with variable

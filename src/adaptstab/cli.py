@@ -66,8 +66,8 @@ from .metrics import (
     pauli_correlation_range,
 )
 from .pauli import format_pauli, parse_pauli
-from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation
-from .tableau import _json_key, _json_object, _split_name
+from .prep import builtin_code, parse_code_text, prepare_state, verify_preparation, x_type_logicals
+from .tableau import _json_key, _json_object, _split_name, from_stabilizers
 from .tableau import from_json as tableau_from_json
 from .tableau import to_json as tableau_to_json
 from .tableau import ghz_state
@@ -103,15 +103,17 @@ def _digest_file(path: str) -> dict:
 def _load_state(spec: str, form: str, guard=lambda n: None) -> tuple:
     """The state ``spec`` names, as a ``"tableau"`` or a ``"dense"`` state, and
     a tableau file's digest (None for a spec).  ``builtin:NAME`` is ``family:N``
-    for a one-size family, else a built-in code's target; a family name or other
-    text with a colon is a spec, other text a tableau file.  ``guard(n)`` (for a
-    dense state, the dense cap) refuses a spec unbuilt."""
+    for a one-size family, else a built-in code's target, built from its checks
+    and X-type logicals as ``prepare_state`` splits them, without compiling; a
+    family name or other text with a colon is a spec, other text a tableau
+    file.  ``guard(n)`` (for a dense state, the dense cap) refuses a spec
+    unbuilt."""
     if spec.startswith(_BUILTIN):
         family, size = _split_name(spec[len(_BUILTIN):])
         if size is None or _FAMILY_TABLE.get(family, ("",))[0] != f"{family}:N":  # not ghz6 or plus(4): a code
             code = builtin_code(spec[len(_BUILTIN):])
             (_dense_cap if form == "dense" else guard)(code.n)
-            target = prepare_state(code)[1]
+            target = from_stabilizers([*code.checks, *x_type_logicals(code)])
             return (target if form == "tableau" else from_tableau(target)), None
         params = [size]
     elif ":" in spec or spec.strip().lower() in _FAMILY_TABLE:

@@ -659,10 +659,11 @@ def verify_preparation(
     Trial s checks the branch ``simulate(circuit, seed=s)`` takes, read off
     the symbolic run (draw v is variable v) unless a conditioned non-Pauli
     gate leaves no run, and then simulated; a failing trial reports its
-    record and skips the exhaustive check.  Outcomes are drawn only when the
-    run finds a wrong branch; with none, every trial matches without a draw,
-    so a large ``trials`` costs nothing.  A negative ``trials`` raises
-    ValueError.
+    record, unwritten bits as 0, and skips the exhaustive check.  Every
+    counterexample is a forced pattern that ``simulate`` replays.  Outcomes
+    are drawn only when the run finds a wrong branch; with none, every trial
+    matches without a draw, so a large ``trials`` costs nothing.  A negative
+    ``trials`` raises ValueError.
 
     ``all_match`` is True or False when something was checked, and None when
     nothing was: no random trial ran and the symbolic pass was skipped (not
@@ -696,11 +697,11 @@ def verify_preparation(
         else:
             rng = np.random.default_rng(seed)
             values = sum(int(rng.integers(0, 2)) << v for v in range(len(planes)))
-            record = run.outcomes(values)
+            record = run.forced(values)
             match = not reduce(xor, (planes[v] for v in _bits(values)), fixed)
         if not match:
             report["all_match"] = False
-            report["counterexample"] = "".join(str(b) for b in record)
+            report["counterexample"] = "".join(str(b or 0) for b in record)  # unwritten bits read 0
             break
     if report["all_match"] and also_exhaustive and bad is not None:
         report["unsupported"] = {

@@ -107,7 +107,7 @@ def reference_verify(circuit, target, trials=20, also_exhaustive=True):
         tab, record = reference_simulate(circuit, seed=seed)
         if not states_equal(tab, target):
             report["all_match"] = False
-            report["counterexample"] = "".join(str(b) for b in record)
+            report["counterexample"] = "".join(str(b or 0) for b in record)  # unwritten bits read 0
             break
     if also_exhaustive and report["all_match"]:
         bad = conditioned_non_pauli(circuit)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from itertools import combinations
 
 import numpy as np
@@ -296,9 +295,7 @@ def _bound_checks(profile, target, errs, label):
     recs = []
     if profile.n_a == 0:
         recs.append(check_nonadaptive(profile, vector[0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        recs.append(check_adaptive_weight(profile, vector[0]))
+    recs.append(check_adaptive_weight(profile, vector[0]))
     recs.append(check_clifford_adaptive(profile, vector[0]))
     if 2 <= target.n <= 10:
         cr = pauli_correlation_range(ds.from_tableau(target))

@@ -18,6 +18,7 @@ from adaptstab.circuit import AdaptiveCircuit, Gate, Geometry, depth, g_value, g
 from adaptstab.densesim import dicke_correlation_formula, make_state
 from adaptstab.errors import ResourceGuardError
 from adaptstab.metrics import WeightVector, global_correlation, min_weight_generators
+from adaptstab.prep import verify_preparation
 from adaptstab.tableau import ghz_state, random_stabilizer_state
 from helpers_bounds import reference_tolerance_table
 
@@ -78,10 +79,55 @@ def test_adaptive_weight_on_ghz_circuit():
 
 
 def test_adaptive_weight_warns_without_ancillas():
+    # The n_a = 0 case is loose but legal: the check returns its record and
+    # raises no warning.
     p = ResourceProfile(n=8, m=8, K=2, L=3)
-    with pytest.warns(UserWarning, match="check_nonadaptive"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = check_adaptive_weight(p, 8)
     assert rec["lhs"] == 2 ** (2 * 3 - 1)
+
+
+def test_bound_checks_raise_no_warning_at_zero_ancillas():
+    p = ResourceProfile(n=8, m=8, K=2, L=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = check_adaptive_weight(p, 8)
+        vector, recs = weight_checks(p, ghz_state(8), (check_adaptive_weight,))
+        report = verify_preparation(ghz_adaptive(8, 8, 2), ghz_state(8))
+    assert rec == {
+        "check": "adaptive_weight",
+        "lhs": 32,
+        "rhs": 8,
+        "satisfied": True,
+        "profile": {"n": 8, "m": 8, "n_a": 0, "K": 2, "L": 3, "geometry": "all"},
+        "conjectured": {"lhs": 8, "rhs": 8, "satisfied": True},
+    }
+    assert list(vector.entries) == [8, 2, 2, 2, 2, 2, 2, 2] and recs == [rec]
+    profile = {"n": 8, "m": 8, "n_a": 0, "K": 2, "L": 4, "geometry": "all"}
+    assert report == {
+        "n": 8,
+        "m": 8,
+        "n_a": 0,
+        "depth": 4,
+        "random_trials": 20,
+        "branches": 1,
+        "realizable": 1,
+        "all_match": True,
+        "counterexample": None,
+        "unsupported": None,
+        "bounds": [
+            {
+                "check": "adaptive_weight",
+                "lhs": 128,
+                "rhs": 8,
+                "satisfied": True,
+                "profile": profile,
+                "conjectured": {"lhs": 16, "rhs": 8, "satisfied": True},
+            },
+            {"check": "clifford_adaptive", "lhs": 16, "rhs": 8, "satisfied": True, "profile": profile},
+        ],
+    }
 
 
 def test_adaptive_weight_conjectured_field_is_advisory():
@@ -112,9 +158,7 @@ def test_nonadaptive_implies_adaptive_weight():
         p = ResourceProfile(n=30, m=30, K=K, L=L)
         wt = int(rng.integers(1, 30))
         if check_nonadaptive(p, wt)["satisfied"]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert check_adaptive_weight(p, wt)["satisfied"]
+            assert check_adaptive_weight(p, wt)["satisfied"]
 
 
 def test_clifford_adaptive():

@@ -569,12 +569,47 @@ def test_size_guards_trip_before_the_state_is_built(capsys, monkeypatch, argv, m
     monkeypatch.delenv("ADAPTSTAB_MAX_QUBITS", raising=False)
     for family in ("ghz", "zero"):
         monkeypatch.setitem(densesim._FAMILY_TABLE, family, (densesim._FAMILY_TABLE[family][0], _refuse, _refuse))
-    for builder in ("prepare_state", "from_tableau", "make_state"):
+    for builder in ("prepare_state", "x_type_logicals", "from_stabilizers", "from_tableau", "make_state"):
         monkeypatch.setattr(cli, builder, _refuse)
     code, report, err = run(capsys, *argv, "--seed", "0")
     assert code == 3 and report["results"] is None
     assert report["error"] == {"kind": "ResourceGuardError", "message": message}
     assert f"resource guard: {message}" in err
+
+
+@pytest.mark.parametrize("name", ["repetition3", "repetition6", "steane", "toric2", "toric3"])
+def test_builtin_code_target_is_the_prepared_target(name):
+    # Same generators in the same order, destabilizers included, without compiling.
+    t, digest = cli._load_state(f"builtin:{name}", "tableau")
+    assert digest is None
+    assert tableau_to_json(t) == tableau_to_json(prep.prepare_state(prep.builtin_code(name))[1])
+
+
+def test_builtin_code_targets_load_without_compiling(capsys, monkeypatch, tmp_path):
+    circ, _ = prep.prepare_state(prep.builtin_code("toric2"))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(circuit_to_json(circ))
+    files = {}
+    for name in ("toric2", "steane", "repetition5"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(tableau_to_json(prep.prepare_state(prep.builtin_code(name))[1])))
+    argvs = [
+        ["weight", "builtin:toric2"],
+        ["cor", "builtin:steane"],
+        ["crange", "builtin:repetition5"],
+        ["antishallow", "builtin:steane"],
+        ["bounds", "--circuit", str(cpath), "--target", "builtin:toric2"],
+    ]
+    monkeypatch.setattr(cli, "prepare_state", _refuse)
+    for argv in argvs:
+        code, report, _ = run(capsys, *argv, "--seed", "0")
+        name = argv[-1][len("builtin:"):]
+        _, want, _ = run(capsys, *argv[:-1], str(files[name]), "--seed", "0")
+        assert code == 0 and report["results"] is not None
+        results, want = report["results"], want["results"]
+        if "family" in results:  # the dense commands echo the spec as written
+            assert results.pop("family") == argv[-1] and want.pop("family") == str(files[name])
+        assert results == want
 
 
 @pytest.mark.parametrize(

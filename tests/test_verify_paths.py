@@ -526,13 +526,17 @@ def test_seeded_trials_match_reference_on_random_circuits():
     seen = set()
     for _ in range(60):
         n = int(rng.integers(2, 6))
-        circ = program_circuit(n, random_ops(rng, n, int(rng.integers(4, 16))), int(rng.integers(0, 2)))
+        spare = int(rng.integers(0, 2))
+        circ = program_circuit(n, random_ops(rng, n, int(rng.integers(4, 16))), spare)
         if nothing_survives(circ):
             continue
         target, _ = simulate(circ, seed=int(rng.integers(0, 1000)))
-        for r in check_against_reference(circ, [target, sign_broken(target, int(rng.integers(0, target.n)))]):
-            seen.add((r["all_match"], r["branches"] is None, "None" in (r["counterexample"] or "")))
-    # Passes, trial and exhaustive failures, and a trial record with an unwritten bit.
+        for t in (target, sign_broken(target, int(rng.integers(0, target.n)))):
+            for r in check_against_reference(circ, [t]):
+                if r["counterexample"] is not None:  # every counterexample replays as a mismatch
+                    assert not states_equal(simulate(circ, forced=r["counterexample"])[0], t)
+                seen.add((r["all_match"], r["branches"] is None, bool(spare) and r["counterexample"] is not None))
+    # Passes, trial and exhaustive failures, and a failing trial on a circuit with an unwritten bit.
     assert {(True, False, False), (False, True, False), (False, False, False), (False, True, True)} <= seen
 
 
@@ -597,6 +601,20 @@ def test_seeded_trial_fails_on_a_target_outside_the_group():
     c = AdaptiveCircuit(2, 1, [[Gate("H", (0,))], [Gate("CZ", (0, 1))], [Measure(0, 0)]])
     seen = check_against_reference(c, [from_stabilizers([parse_pauli("-X")])], trials_set=(1,))
     assert [(r["all_match"], r["counterexample"]) for r in seen] == [(False, "1")] * 2
+
+
+@pytest.mark.parametrize("gate", ["X", "H"])  # X: a trial read off the symbolic run; H: a simulated trial
+def test_failing_trial_with_an_unwritten_bit_replays(gate):
+    # Bit 1 is never written; the conditioned gate spoils qubit 1's |0> when bit 0 reads 1.
+    c = AdaptiveCircuit(
+        3,
+        2,
+        [[Gate("H", (0,)), Gate("H", (2,))], [Measure(2, 0)], [Gate(gate, (1,), cond=Condition((0,), 1))]],
+    )
+    target = from_stabilizers([parse_pauli("+XI"), parse_pauli("+IZ")])
+    report = verify_preparation(c, target, trials=5, also_exhaustive=False)
+    assert report["all_match"] is False and report["counterexample"] == "10"
+    assert not states_equal(simulate(c, forced=report["counterexample"])[0], target)
 
 
 def test_seeded_trials_match_reference_on_errors():
